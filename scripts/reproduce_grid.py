@@ -31,7 +31,6 @@ def main() -> int:
     ap.add_argument("--skew-seed", type=int, default=0)
     ap.add_argument("--x0-seed", type=int, default=0)
     ap.add_argument("--sigma", type=float, default=0.0)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     cfg = GridConfig(
@@ -46,7 +45,6 @@ def main() -> int:
     )
     cells = run_quad_grid(
         cfg,
-        workers=args.workers,
         progress=lambda c: print(
             f"lambda_max={c.lambda_max:g} theta={c.theta:g} "
             f"log10(sign/gd)={c.log10_perf_ratio:+.3f}",

@@ -59,6 +59,7 @@ from .optimizers import (
     run_relaxed_nsd,
     run_signsgd,
     run_steepest_descent,
+    steepest_descent_batch,
     verify_rate_bounds,
 )
 from .problems import (

@@ -4,15 +4,16 @@ Subcommands: ``analyze`` prints the smoothness report of a matrix file as
 JSON, ``run`` executes one configured optimization and emits its trace as
 CSV, and ``quadgrid`` emits the paired benchmark grid as CSV.  Output is
 deterministic for a given config; every float is printed with 17
-significant digits.  Exit codes: 0 on success, 2 on input errors, 3 on
-divergence (with the partial trace flushed).
+significant digits.  Exit codes: 0 on success, 2 on input errors
+(including an output path that cannot be written), 3 on divergence (with
+the partial trace, or the finished grid rows, flushed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -61,12 +62,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
+def _write_lines(lines: list[str], out: str | None) -> bool:
+    """Writes the lines to stdout or ``out``; prints the error and returns
+    False when ``out`` cannot be written."""
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _trace_csv_lines(trace: Trace) -> list[str]:
@@ -94,8 +102,13 @@ def _build_problem(obj):
     """Returns (problem, oracle, dim) from the problem config object."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ConfigError("problem config must be an object with exactly one key")
-    if "quadratic" in obj:
-        spec = dict(obj["quadratic"])
+    (family, spec), = obj.items()
+    if family not in ("quadratic", "cosh"):
+        raise ConfigError(f"unknown problem family: {family!r}")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{family} problem spec must be an object")
+    spec = dict(spec)
+    if family == "quadratic":
         try:
             d = int(spec.pop("d"))
             lambda_max = float(spec.pop("lambda_max"))
@@ -116,17 +129,14 @@ def _build_problem(obj):
         else:
             oracle = quad_oracle(problem)
         return problem, oracle, d
-    if "cosh" in obj:
-        spec = dict(obj["cosh"])
-        try:
-            d = int(spec.pop("d"))
-        except KeyError as exc:
-            raise ConfigError(f"cosh problem requires {exc}") from exc
-        if spec:
-            raise ConfigError(f"unknown cosh keys: {sorted(spec)}")
-        problem = CoshProblem(d)
-        return problem, cosh_oracle(problem), d
-    raise ConfigError(f"unknown problem family: {sorted(obj)}")
+    try:
+        d = int(spec.pop("d"))
+    except KeyError as exc:
+        raise ConfigError(f"cosh problem requires {exc}") from exc
+    if spec:
+        raise ConfigError(f"unknown cosh keys: {sorted(spec)}")
+    problem = CoshProblem(d)
+    return problem, cosh_oracle(problem), d
 
 
 def _parse_schedule(obj) -> StepSchedule:
@@ -139,7 +149,10 @@ def _parse_schedule(obj) -> StepSchedule:
 
 def _smoothness_or_config(spec: dict, problem, kind: NormKind) -> float:
     if "L" in spec:
-        return float(spec.pop("L"))
+        L = float(spec.pop("L"))
+        if not (math.isfinite(L) and L > 0.0):
+            raise ConfigError(f"'L' must be positive and finite, got {L!r}")
+        return L
     if isinstance(problem, QuadraticProblem):
         return smoothness_constant(problem.matrix, kind)
     raise ConfigError("explicit 'L' required for non-quadratic problems")
@@ -284,21 +297,9 @@ def cmd_run(args) -> int:
     try:
         trace = runner(oracle, x0, T, x_star)
     except DivergenceError as exc:
-        _write_lines(_trace_csv_lines(exc.trace), args.out)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _write_lines(_trace_csv_lines(trace), args.out)
-    return 0
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("NORM_DESCENT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return 3 if _write_lines(_trace_csv_lines(exc.trace), args.out) else 2
+    return 0 if _write_lines(_trace_csv_lines(trace), args.out) else 2
 
 
 def cmd_quadgrid(args) -> int:
@@ -313,20 +314,25 @@ def cmd_quadgrid(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    done = []
+
     def progress(cell):
+        done.append(cell)
         print(
             f"cell lambda_max={cell.lambda_max:g} theta={cell.theta:g} done",
             file=sys.stderr,
         )
 
-    cells = run_quad_grid(
-        cfg,
-        workers=_workers_from_env(),
-        dump_dir=args.dump_x0,
-        progress=progress,
-    )
-    _write_lines(grid_csv_lines(cells), args.out)
-    return 0
+    status = 0
+    try:
+        run_quad_grid(cfg, dump_dir=args.dump_x0, progress=progress)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 3
+    except OSError as exc:
+        print(f"error: cannot write starting points to {args.dump_x0}: {exc}", file=sys.stderr)
+        return 2
+    return status if _write_lines(grid_csv_lines(done), args.out) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

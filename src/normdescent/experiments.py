@@ -4,13 +4,13 @@ Each grid cell is a quadratic with spectrum (1, ..., 1, lambda_max) rotated
 by theta along one shared random path.  Both methods run from the same
 batch of standard-normal starting points with their natural step sizes
 (1/L2 and 1/Linf) and are compared by the mean squared Euclidean distance
-to the optimum after T steps.
+to the optimum after T steps.  All starting points of a cell advance
+together as one (repeats, d) array.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -19,8 +19,8 @@ import numpy as np
 
 from .matrices import SkewMatrix, random_skew, rotated_hessian
 from .norms import Euclidean, Max
-from .optimizers import run_steepest_descent
-from .problems import QuadraticProblem, quad_noisy_oracle, quad_oracle
+from .optimizers import BatchOracle, DivergenceError, steepest_descent_batch
+from .problems import QuadraticProblem
 
 __all__ = [
     "GridConfig",
@@ -117,6 +117,20 @@ def _cell_x0(cfg: GridConfig, li: int, ti: int) -> np.ndarray:
     return rng.standard_normal((cfg.repeats, cfg.d))
 
 
+def _batch_oracle(H: np.ndarray, sigma: float, streams) -> BatchOracle:
+    """Exact values x'Hx/2 and gradients Hx of every row, plus sigma times
+    d standard normals per row from that row's own stream when sigma > 0."""
+
+    def oracle(X):
+        G = X @ H
+        F = 0.5 * np.einsum("ij,ij->i", X, G)
+        if sigma > 0.0:
+            G = G + sigma * np.stack([s.standard_normal(H.shape[0]) for s in streams])
+        return F, G
+
+    return oracle
+
+
 def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int,
               dump_dir: Path | None) -> GridCell:
     lam = cfg.lambda_max_values[li]
@@ -133,23 +147,28 @@ def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int,
         lines = [",".join(f"{v:.17g}" for v in row) for row in x0_batch]
         path.write_text("\n".join(lines) + "\n")
 
-    x_star = np.zeros(cfg.d)
-    dists_gd = np.empty(cfg.repeats)
-    dists_sg = np.empty(cfg.repeats)
-    for r in range(cfg.repeats):
-        for mi, (kind, L, dists) in enumerate(
-            ((Euclidean(), L2, dists_gd), (Max(), linf, dists_sg))
-        ):
-            if cfg.sigma > 0.0:
-                stream = np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])
-                oracle = quad_noisy_oracle(problem, cfg.sigma, stream)
-            else:
-                oracle = quad_oracle(problem)
-            trace = run_steepest_descent(oracle, kind, L, x0_batch[r], cfg.T, x_star=x_star)
-            dists[r] = trace.dist_sq[-1]
+    H = problem.matrix.to_array()
+    means = []
+    for mi, (method, kind, L) in enumerate(
+        (("gd", Euclidean(), L2), ("signgd_normscaled", Max(), linf))
+    ):
+        streams = None
+        if cfg.sigma > 0.0:
+            streams = [
+                np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])
+                for r in range(cfg.repeats)
+            ]
+        oracle = _batch_oracle(H, cfg.sigma, streams)
+        try:
+            X = steepest_descent_batch(oracle, kind, L, x0_batch, cfg.T)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                exc.step, None,
+                f"{exc.reason} (cell lambda_max={lam:g} theta={theta:g}, method {method})",
+            ) from exc
+        means.append(float(np.einsum("ij,ij->i", X, X).mean()))
 
-    mean_gd = float(dists_gd.mean())
-    mean_sg = float(dists_sg.mean())
+    mean_gd, mean_sg = means
     ratio = math.log10(max(mean_sg, _DIST_FLOOR) / max(mean_gd, _DIST_FLOOR))
     return GridCell(
         lambda_max=lam,
@@ -165,18 +184,16 @@ def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int,
 
 def run_quad_grid(
     cfg: GridConfig,
-    workers: int = 1,
     dump_dir: str | Path | None = None,
     progress: Callable[[GridCell], None] | None = None,
 ) -> list[GridCell]:
     """All grid cells in ascending (lambda_max, theta) order.
 
-    Cells are independent and may be computed on ``workers`` threads; the
-    returned order is fixed regardless of scheduling.  ``dump_dir`` writes
-    each cell's batch of starting points (shared by both methods) as CSV.
+    ``progress`` is called with each cell as it completes, so a caller keeps
+    the finished cells when a later one raises DivergenceError.
+    ``dump_dir`` writes each cell's batch of starting points (shared by
+    both methods) as CSV.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     dump_path = None
     if dump_dir is not None:
         dump_path = Path(dump_dir)
@@ -185,25 +202,13 @@ def run_quad_grid(
     skew = random_skew(cfg.d, np.random.default_rng(cfg.skew_seed))
     lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
     theta_order = sorted(range(len(cfg.theta_values)), key=lambda i: cfg.theta_values[i])
-    jobs = [(li, ti) for li in lam_order for ti in theta_order]
-
-    def work(job: tuple[int, int]) -> GridCell:
-        li, ti = job
-        return _run_cell(cfg, skew, li, ti, dump_path)
-
-    if workers == 1:
-        cells = []
-        for job in jobs:
-            cell = work(job)
+    cells = []
+    for li in lam_order:
+        for ti in theta_order:
+            cell = _run_cell(cfg, skew, li, ti, dump_path)
             if progress is not None:
                 progress(cell)
             cells.append(cell)
-        return cells
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = list(pool.map(work, jobs))
-    if progress is not None:
-        for cell in cells:
-            progress(cell)
     return cells
 
 

@@ -10,18 +10,19 @@ shuffled and averaged magnitude variants.
 
 Every run records, per iterate: the objective value, the dual gradient norm
 in the run's geometry, and (when the optimum is known) the squared
-Euclidean distance to it.
+Euclidean distance to it.  The batched steepest-descent driver advances
+many starting points at once and records nothing but the final iterates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .norms import BlockPartition, Max, NormKind, dual_norm, sign_unit, steepest_op
+from .norms import BlockPartition, Euclidean, Max, NormKind, dual_norm, sign_unit, steepest_op
 from .problems import Oracle
 
 __all__ = [
@@ -33,7 +34,9 @@ __all__ = [
     "schedule_value",
     "AdamConfig",
     "RateCheck",
+    "BatchOracle",
     "run_steepest_descent",
+    "steepest_descent_batch",
     "run_normalized_sd",
     "run_relaxed_nsd",
     "run_signsgd",
@@ -46,6 +49,10 @@ __all__ = [
 
 F_BLOWUP = 1e12
 STATIONARY_TOL = 1e-14
+
+# A batched oracle maps an (R, d) array of iterates, one per row, to the
+# per-row objective values (shape (R,)) and gradients (shape (R, d)).
+BatchOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -71,15 +78,17 @@ class Trace:
 class DivergenceError(RuntimeError):
     """A run produced a non-finite value or exceeded the blow-up threshold.
 
-    Carries the step index and the partial trace of all finite iterates
-    recorded before the abort (including the over-threshold one, when it is
-    finite).
+    Carries the step index, the reason, and the partial trace of all finite
+    iterates recorded before the abort (including the over-threshold one,
+    when it is finite).  ``trace`` is None when the run kept no trace, as in
+    steepest_descent_batch.
     """
 
-    def __init__(self, step: int, trace: Trace, reason: str):
+    def __init__(self, step: int, trace: Trace | None, reason: str):
         super().__init__(f"divergence at step {step}: {reason}")
         self.step = step
         self.trace = trace
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,43 @@ def run_steepest_descent(
             break
         x = x - steepest_op(g, kind) / L
     return rec.trace(x)
+
+
+def steepest_descent_batch(
+    oracle: BatchOracle,
+    kind: NormKind,
+    L: float,
+    X0,
+    T: int,
+) -> np.ndarray:
+    """Constant-step steepest descent on every row of X0 at once.
+
+    Each row follows x <- x - P(grad)/L for T steps, exactly as in
+    run_steepest_descent, and the final (R, d) iterates are returned.  The
+    same divergence checks run on every row at every step t = 0..T: a
+    non-finite value or gradient, or a value above F_BLOWUP, raises
+    DivergenceError (with ``trace`` None, since no per-row trace is kept).
+    Only the Euclidean and max geometries are supported.
+    """
+    if not isinstance(kind, (Euclidean, Max)):
+        raise TypeError(f"batched steepest descent supports Euclidean and Max, got {kind!r}")
+    if not L > 0.0:
+        raise ValueError("smoothness constant must be positive")
+    X = np.array(X0, dtype=float)
+    if X.ndim != 2 or not np.isfinite(X).all():
+        raise ValueError("initial points must be a finite (R, d) array")
+    for t in range(T + 1):
+        F, G = oracle(X)
+        if not (np.isfinite(F).all() and np.isfinite(G).all()):
+            raise DivergenceError(t, None, "non-finite objective or gradient")
+        if (F > F_BLOWUP).any():
+            raise DivergenceError(t, None, f"objective {F.max():.3e} exceeded {F_BLOWUP:.0e}")
+        if t == T:
+            break
+        if isinstance(kind, Max):
+            G = np.abs(G).sum(axis=1, keepdims=True) * sign_unit(G)
+        X = X - G / L
+    return X
 
 
 def run_normalized_sd(

@@ -181,6 +181,32 @@ class TestRun:
         assert res.returncode == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "problem, optimizer",
+        [
+            ({"quadratic": 5}, {"method": "gd"}),
+            ({"cosh": [3]}, {"method": "gd", "L": 1.0}),
+            ({"quadratic": {"d": 3, "lambda_max": 2.0}}, {"method": "gd", "L": -1}),
+            ({"quadratic": {"d": 3, "lambda_max": 2.0}}, {"method": "gd", "L": "inf"}),
+        ],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, problem, optimizer):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"problem": problem, "optimizer": optimizer, "T": 3}))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(RUN_CFG))
+        out = tmp_path / "missing" / "x.csv"
+        res = run_cli(["run", "--config", str(cfg), "--out", str(out)], tmp_path)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, tmp_path):
         cfg_obj = dict(RUN_CFG, optimizer={"method": "lbfgs"})
         cfg = tmp_path / "run.json"
@@ -324,6 +350,46 @@ class TestQuadGrid:
                 acc.append(tr.dist_sq[-1])
         assert float(row[5]) == pytest.approx(np.mean(dist_gd), rel=1e-15)
         assert float(row[6]) == pytest.approx(np.mean(dist_sg), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "grid, finished",
+        [
+            ({"d": 4, "lambda_max_values": [2], "theta_values": [0.5], "T": 5,
+              "repeats": 2, "sigma": 1e300}, 0),
+            ({"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
+              "T": 50, "repeats": 4, "sigma": 3e5}, 1),
+        ],
+    )
+    def test_divergence_exits_3_with_finished_rows(self, tmp_path, grid, finished):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(grid))
+        res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == GRID_CSV_HEADER
+        assert len(lines) == 1 + finished
+        assert "Traceback" not in res.stderr
+        error = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+        assert len(error) == 1 and "divergence at step" in error[0]
+        assert "lambda_max=" in error[0] and "method" in error[0]
+
+    def test_unwritable_paths_exit_2(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CFG))
+        res = run_cli(
+            ["quadgrid", "--config", str(cfg), "--out", str(tmp_path / "missing" / "x.csv")],
+            tmp_path,
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        (tmp_path / "afile").write_text("")
+        res = run_cli(
+            ["quadgrid", "--config", str(cfg), "--dump-x0", str(tmp_path / "afile" / "sub")],
+            tmp_path,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
 
     def test_dimension_cap_exits_2(self, tmp_path):
         cfg = tmp_path / "grid.json"

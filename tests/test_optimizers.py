@@ -36,6 +36,7 @@ from normdescent import (
     run_steepest_descent,
     sign_unit,
     smoothness_constant,
+    steepest_descent_batch,
     verify_rate_bounds,
 )
 
@@ -272,6 +273,31 @@ class TestDivergenceDetection:
             run_steepest_descent(oracle, Euclidean(), 1.0, [0.0, 0.0], 10)
         assert err.value.step == 3
         assert len(err.value.trace) == 3  # only the finite rows
+
+
+class TestSteepestDescentBatch:
+    def test_aborts_on_any_row(self):
+        def oracle(X):
+            F = 0.5 * (X * X).sum(axis=1)
+            F[1] = math.nan if F[0] < 1.0 else F[1]
+            return F, X
+
+        with pytest.raises(DivergenceError) as err:
+            steepest_descent_batch(oracle, Euclidean(), 2.0, [[4.0, 0.0], [0.0, 1.0]], 10)
+        assert err.value.step == 2  # row 0: f = 8, 2, 0.5
+        assert err.value.trace is None
+
+    def test_blowup_aborts(self):
+        def oracle(X):
+            return 0.5 * (X * X).sum(axis=1), -X
+
+        with pytest.raises(DivergenceError, match="exceeded") as err:
+            steepest_descent_batch(oracle, Max(), 0.5, [[1.0, 1.0], [0.0, 0.0]], 100)
+        assert err.value.step > 0
+
+    def test_other_geometries_rejected(self):
+        with pytest.raises(TypeError):
+            steepest_descent_batch(lambda X: (X[:, 0], X), One(), 1.0, [[1.0, 2.0]], 3)
 
 
 class TestAdamGamma:
