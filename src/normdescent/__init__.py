@@ -65,6 +65,7 @@ from .optimizers import (
 from .problems import (
     CoshProblem,
     Oracle,
+    OverflowGuardError,
     QuadraticProblem,
     cosh_eval,
     cosh_oracle,

@@ -37,6 +37,7 @@ from .optimizers import (
     run_steepest_descent,
 )
 from .problems import (
+    COSH_GUARD,
     CoshProblem,
     QuadraticProblem,
     cosh_oracle,
@@ -98,6 +99,36 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name!r} must be a number, got {value!r}") from exc
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}") from exc
+
+
+def _partition(blocks) -> BlockPartition:
+    """BlockPartition from a JSON list of index lists; ValueError from the
+    partition's own checks (overlap, gaps, empty blocks) passes through."""
+    try:
+        return BlockPartition(tuple(tuple(b) for b in blocks))
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"'blocks' must be a list of index lists, got {blocks!r}") from exc
+
+
+def _norm_kind(obj) -> NormKind:
+    try:
+        return kind_from_json(obj)
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"unrecognized norm kind: {obj!r}") from exc
+
+
 def _build_problem(obj):
     """Returns (problem, oracle, dim) from the problem config object."""
     if not isinstance(obj, dict) or len(obj) != 1:
@@ -110,27 +141,27 @@ def _build_problem(obj):
     spec = dict(spec)
     if family == "quadratic":
         try:
-            d = int(spec.pop("d"))
-            lambda_max = float(spec.pop("lambda_max"))
+            d = _integer(spec.pop("d"), "d")
+            lambda_max = _number(spec.pop("lambda_max"), "lambda_max")
         except KeyError as exc:
             raise ConfigError(f"quadratic problem requires {exc}") from exc
-        theta = float(spec.pop("theta", 0.0))
-        seed = int(spec.pop("seed", 0))
-        sigma = float(spec.pop("sigma", 0.0))
+        theta = _number(spec.pop("theta", 0.0), "theta")
+        seed = _integer(spec.pop("seed", 0), "seed")
+        sigma = _number(spec.pop("sigma", 0.0), "sigma")
         noise_seed = spec.pop("noise_seed", None)
         if spec:
             raise ConfigError(f"unknown quadratic keys: {sorted(spec)}")
         problem = make_quadratic(d, lambda_max, theta, seed)
         if sigma > 0.0:
             stream = np.random.default_rng(
-                [seed, 1] if noise_seed is None else int(noise_seed)
+                [seed, 1] if noise_seed is None else _integer(noise_seed, "noise_seed")
             )
             oracle = quad_noisy_oracle(problem, sigma, stream)
         else:
             oracle = quad_oracle(problem)
         return problem, oracle, d
     try:
-        d = int(spec.pop("d"))
+        d = _integer(spec.pop("d"), "d")
     except KeyError as exc:
         raise ConfigError(f"cosh problem requires {exc}") from exc
     if spec:
@@ -143,19 +174,29 @@ def _parse_schedule(obj) -> StepSchedule:
     if obj is None or obj == "inv_sqrt":
         return InvSqrt()
     if isinstance(obj, dict) and set(obj) == {"constant"}:
-        return Constant(float(obj["constant"]))
+        return Constant(_number(obj["constant"], "constant"))
     raise ConfigError(f"unrecognized step schedule: {obj!r}")
 
 
 def _smoothness_or_config(spec: dict, problem, kind: NormKind) -> float:
     if "L" in spec:
-        L = float(spec.pop("L"))
+        L = _number(spec.pop("L"), "L")
         if not (math.isfinite(L) and L > 0.0):
             raise ConfigError(f"'L' must be positive and finite, got {L!r}")
         return L
-    if isinstance(problem, QuadraticProblem):
-        return smoothness_constant(problem.matrix, kind)
-    raise ConfigError("explicit 'L' required for non-quadratic problems")
+    if not isinstance(problem, QuadraticProblem):
+        raise ConfigError("explicit 'L' required for non-quadratic problems")
+    # the problem's smoothness report already holds the Euclidean and max constants
+    if isinstance(kind, Euclidean):
+        return problem.analysis.L2
+    if isinstance(kind, Max):
+        if problem.analysis.Linf_exact is None:
+            raise ConfigError(
+                f"default 'L' needs the exact max-norm constant; d={problem.dim} "
+                f"exceeds cap {BRUTE_FORCE_CAP}"
+            )
+        return problem.analysis.Linf_exact
+    return smoothness_constant(problem.matrix, kind)
 
 
 def _build_runner(obj, problem):
@@ -164,6 +205,8 @@ def _build_runner(obj, problem):
         raise ConfigError("optimizer config must be an object with a 'method' key")
     spec = dict(obj)
     method = spec.pop("method")
+    if not isinstance(method, str):
+        raise ConfigError(f"'method' must be a string, got {method!r}")
 
     if method in _STEEPEST_KINDS or method == "blocknorm":
         if method == "blocknorm":
@@ -171,7 +214,7 @@ def _build_runner(obj, problem):
                 blocks = spec.pop("blocks")
             except KeyError as exc:
                 raise ConfigError("blocknorm requires 'blocks'") from exc
-            kind: NormKind = BlockMax(BlockPartition(tuple(tuple(b) for b in blocks)))
+            kind: NormKind = BlockMax(_partition(blocks))
         else:
             kind = _STEEPEST_KINDS[method]
         L = _smoothness_or_config(spec, problem, kind)
@@ -182,7 +225,7 @@ def _build_runner(obj, problem):
         )
 
     if method == "nsd":
-        kind = kind_from_json(spec.pop("norm", "max"))
+        kind = _norm_kind(spec.pop("norm", "max"))
         L = _smoothness_or_config(spec, problem, kind)
         if spec:
             raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
@@ -191,13 +234,19 @@ def _build_runner(obj, problem):
         )
 
     if method == "relaxed_nsd":
-        kind = kind_from_json(spec.pop("norm", "max"))
+        kind = _norm_kind(spec.pop("norm", "max"))
         try:
-            L0 = float(spec.pop("L0"))
+            L0 = _number(spec.pop("L0"), "L0")
         except KeyError as exc:
             raise ConfigError("relaxed_nsd requires 'L0'") from exc
-        L1 = float(spec.pop("L1", 0.0))
-        eps = float(spec.pop("eps", 1e-6))
+        L1 = _number(spec.pop("L1", 0.0), "L1")
+        eps = _number(spec.pop("eps", 1e-6), "eps")
+        if not (math.isfinite(L0) and L0 > 0.0):
+            raise ConfigError(f"'L0' must be positive and finite, got {L0!r}")
+        if not (math.isfinite(L1) and L1 >= 0.0):
+            raise ConfigError(f"'L1' must be nonnegative and finite, got {L1!r}")
+        if not eps > 0.0:
+            raise ConfigError(f"'eps' must be positive, got {eps!r}")
         if spec:
             raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
         return lambda oracle, x0, T, x_star: run_relaxed_nsd(
@@ -220,15 +269,13 @@ def _build_runner(obj, problem):
             "momentum_sign": "momentum_sign",
         }[method]
         blocks = spec.pop("blocks", None)
-        partition = (
-            BlockPartition(tuple(tuple(b) for b in blocks)) if blocks is not None else None
-        )
-        seed = int(spec.pop("seed", 0))
+        partition = _partition(blocks) if blocks is not None else None
+        seed = _integer(spec.pop("seed", 0), "seed")
         cfg = AdamConfig(
-            step=float(spec.pop("step", 1e-3)),
-            beta1=float(spec.pop("beta1", 0.9)),
-            beta2=float(spec.pop("beta2", 0.999)),
-            epsilon=float(spec.pop("epsilon", 1e-8)),
+            step=_number(spec.pop("step", 1e-3), "step"),
+            beta1=_number(spec.pop("beta1", 0.9), "beta1"),
+            beta2=_number(spec.pop("beta2", 0.999), "beta2"),
+            epsilon=_number(spec.pop("epsilon", 1e-8), "epsilon"),
             variant=variant,
             blocks=partition,
         )
@@ -243,11 +290,14 @@ def _build_runner(obj, problem):
 
 def _resolve_x0(cfg: dict, d: int) -> np.ndarray:
     if "x0" in cfg:
-        x0 = np.asarray(cfg["x0"], dtype=float)
-        if x0.shape != (d,):
-            raise ConfigError(f"x0 must have length {d}")
+        try:
+            x0 = np.asarray(cfg["x0"], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"x0 must be a list of {d} numbers") from exc
+        if x0.shape != (d,) or not np.isfinite(x0).all():
+            raise ConfigError(f"x0 must be a finite vector of length {d}")
         return x0
-    seed = int(cfg.get("x0_seed", 0))
+    seed = _integer(cfg.get("x0_seed", 0), "x0_seed")
     return np.random.default_rng(seed).standard_normal(d)
 
 
@@ -286,10 +336,12 @@ def cmd_run(args) -> int:
             raise ConfigError("config requires 'problem' and 'optimizer'")
         problem, oracle, d = _build_problem(cfg["problem"])
         runner = _build_runner(cfg["optimizer"], problem)
-        T = int(cfg.get("T", 100))
+        T = _integer(cfg.get("T", 100), "T")
         if T < 1:
             raise ConfigError("T must be positive")
         x0 = _resolve_x0(cfg, d)
+        if isinstance(problem, CoshProblem) and np.abs(x0).max() > COSH_GUARD:
+            raise ConfigError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -299,6 +351,9 @@ def cmd_run(args) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if _write_lines(_trace_csv_lines(exc.trace), args.out) else 2
+    except ValueError as exc:  # input the runner rejects once it sees the iterates
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if _write_lines(_trace_csv_lines(trace), args.out) else 2
 
 

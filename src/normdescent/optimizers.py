@@ -23,7 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .norms import BlockPartition, Euclidean, Max, NormKind, dual_norm, sign_unit, steepest_op
-from .problems import Oracle
+from .problems import Oracle, OverflowGuardError
 
 __all__ = [
     "Trace",
@@ -145,10 +145,14 @@ class _Recorder:
 def _step_eval(oracle: Oracle, x: np.ndarray, t: int, rec: _Recorder):
     """Evaluate the oracle, guarding against divergence.
 
-    Non-finite values abort with the rows recorded so far; a finite value
-    above the blow-up threshold is recorded first and then aborts.
+    Non-finite values, and an iterate beyond the oracle's overflow guard,
+    abort with the rows recorded so far; a finite value above the blow-up
+    threshold is recorded first and then aborts.
     """
-    f, g = oracle(x)
+    try:
+        f, g = oracle(x)
+    except OverflowGuardError as exc:
+        raise DivergenceError(t, rec.trace(x), str(exc)) from exc
     f = float(f)
     g = np.asarray(g, dtype=float)
     if not math.isfinite(f) or not np.isfinite(g).all():

@@ -29,6 +29,7 @@ __all__ = [
     "quad_noisy_oracle",
     "cosh_oracle",
     "COSH_GUARD",
+    "OverflowGuardError",
 ]
 
 # An oracle maps an iterate to (objective value, gradient).  Deterministic
@@ -36,6 +37,14 @@ __all__ = [
 Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 COSH_GUARD = 700.0
+
+
+class OverflowGuardError(ValueError):
+    """An iterate lies beyond an objective's overflow guard.
+
+    The runners in ``optimizers`` report it as divergence at the step whose
+    iterate crossed the guard.
+    """
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,7 @@ def cosh_eval(p: CoshProblem, x) -> tuple[float, np.ndarray]:
     if x.size != p.dim:
         raise ValueError(f"expected dimension {p.dim}, got {x.size}")
     if np.abs(x).max(initial=0.0) > COSH_GUARD:
-        raise ValueError(f"coordinate magnitude exceeds overflow guard {COSH_GUARD:g}")
+        raise OverflowGuardError(f"coordinate magnitude exceeds overflow guard {COSH_GUARD:g}")
     half = np.sinh(0.5 * x)
     return 2.0 * float(np.dot(half, half)), np.sinh(x)
 

@@ -56,8 +56,38 @@ class TestLinfBruteforce:
             h = random_sym(rng, d)
             assert linf_bruteforce(h) == pytest.approx(bruteforce_oracle(h), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [14, 16])
+    def test_matches_plain_enumeration_across_the_table(self, d):
+        # d=14 fills the 13-bit sign table exactly; d=16 adds 4 high blocks
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((d, d))
+        mats = [
+            random_sym(rng, d),  # the block bound prunes little
+            rotated_hessian(  # one dominant eigenvector: almost every block pruned
+                np.concatenate([np.ones(d - 1), [50.0]]), random_skew(d, rng), 0.5
+            ),
+            SymMatrix.from_array(np.ones((d, d))),  # many blocks tie at the maximum
+            SymMatrix.diagonal(np.ones(d)),
+            # negative dominant direction: rows peak at the low end of the table
+            SymMatrix.from_array(0.1 * np.eye(d) - np.outer(g[0], g[0])),
+        ]
+        for h in mats:
+            assert linf_bruteforce(h) == pytest.approx(bruteforce_oracle(h), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_ties_across_blocks(self, seed):
+        # a diagonal plus 1e-6 noise: the 4 blocks' bounds and maxima differ by
+        # a relative 1e-7 or less, so only an exact bound keeps the maximum
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((16, 16))
+        h = SymMatrix.from_array(np.diag(rng.uniform(1.0, 2.0, 16)) + 1e-6 * (g + g.T))
+        assert linf_bruteforce(h) == pytest.approx(bruteforce_oracle(h), rel=1e-12)
+
+    def test_one_dimension(self):
+        assert linf_bruteforce(SymMatrix.from_array([[-3.0]])) == 3.0
+
     def test_crosses_the_table_split(self):
-        # d=18 exercises the Gray-code outer walk over the high coordinates
+        # d=18 walks 16 blocks of high coordinates over the 13-bit table
         h = random_sym(np.random.default_rng(5), 18)
         a = h.to_array()
         val = linf_bruteforce(h)

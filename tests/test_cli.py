@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import normdescent
+from normdescent import cli
 from normdescent import Euclidean, Max, make_quadratic, quad_oracle, run_steepest_descent
 from normdescent.experiments import GRID_CSV_HEADER
 
@@ -102,6 +108,10 @@ RUN_CFG = {
 }
 
 
+QUAD3 = {"quadratic": {"d": 3, "lambda_max": 2.0}}
+COSH2 = {"cosh": {"d": 2}}
+
+
 class TestRun:
     def test_identity_solves_in_one_step(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -153,6 +163,22 @@ class TestRun:
         f_row3 = float(res.stdout.splitlines()[4].split(",")[1])
         assert f_row3 == tr.f[3]
 
+    def test_default_max_L_comes_from_problem(self, tmp_path):
+        # omit L: sign descent uses the exact max-norm constant of the matrix
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 4, "lambda_max": 8.0, "theta": 0.3, "seed": 5}},
+            "optimizer": {"method": "signgd_normscaled"},
+            "T": 10,
+            "x0_seed": 2,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        p = make_quadratic(4, 8.0, 0.3, seed=5)
+        x0 = np.random.default_rng(2).standard_normal(4)
+        tr = run_steepest_descent(quad_oracle(p), Max(), p.analysis.Linf_exact, x0, 10, x_star=np.zeros(4))
+        assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
+
     def test_divergence_exits_3_with_partial_trace(self, tmp_path):
         cfg_obj = {
             "problem": {"quadratic": {"d": 4, "lambda_max": 1e11, "theta": 0.0, "seed": 5}},
@@ -197,6 +223,47 @@ class TestRun:
         assert res.returncode == 2, res.stderr
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"problem": QUAD3, "optimizer": {"method": "blocknorm", "blocks": 3}},
+            {"problem": QUAD3, "optimizer": {"method": "adam", "blocks": [0, 1, 2]}},
+            {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": [3]},
+            {"problem": QUAD3, "optimizer": {"method": "gd"}, "x0": {"a": 1}},
+            {"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": -1}},
+            {"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": 1, "eps": 0}},
+            {"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": 1, "L1": -1}},
+            {"problem": COSH2, "optimizer": {"method": "gd", "L": 1.0}, "x0": [800, 0]},
+            {"problem": {"quadratic": {"d": 25, "lambda_max": 2.0}},
+             "optimizer": {"method": "signgd_normscaled"}},
+            # epsilon 0 with a zero gradient coordinate: rejected by the runner itself
+            {"problem": COSH2, "optimizer": {"method": "adam", "epsilon": 0}, "x0": [0, 1]},
+        ],
+    )
+    def test_mistyped_or_out_of_range_exits_2(self, tmp_path, cfg):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(cfg, T=cfg.get("T", 3))))
+        res = run_cli(["run", "--config", str(path)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert [ln for ln in res.stderr.splitlines() if ln.startswith("error:")] == [
+            res.stderr.strip()
+        ]
+
+    def test_leaving_cosh_guard_exits_3_with_partial_trace(self, tmp_path):
+        # the first step jumps from x = 5 to about -7.4e4, past the 700 guard
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": COSH2, "optimizer": {"method": "gd", "L": 0.001}, "x0": [5, 0], "T": 3,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stdout.splitlines()[0] == "t,f,dual_grad_norm,dist_sq"
+        assert len(res.stdout.splitlines()) == 2  # the t = 0 row
+        assert "Traceback" not in res.stderr
+        assert "divergence at step 1" in res.stderr and "guard" in res.stderr
 
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -402,3 +469,98 @@ class TestQuadGrid:
         cfg.write_text(json.dumps(dict(GRID_CFG, repeats=0)))
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
+
+
+# The exit-code fuzz test draws a well-formed run config, then overwrites up to
+# two of its fields with values of the wrong type or out of range.  A junk
+# value can land on "d" or "T", so junk numbers stay below 7 and strings hold
+# no digits: no example asks for a large problem or a long run.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(-3.0, 6.0),
+    st.sampled_from([0.0, -1.0, 1e-300, math.inf, -math.inf, math.nan]),
+    st.text(alphabet="ab .", max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.just({"a": 1}),
+)
+_ADAM_KEYS = ["step", "beta1", "epsilon", "seed", "blocks"]
+_METHOD_KEYS = {  # method -> (required keys, optional keys)
+    "gd": ([], ["L"]), "signgd_normscaled": ([], ["L"]), "cd": ([], ["L"]),
+    "blocknorm": (["blocks"], ["L"]), "nsd": ([], ["norm", "L"]),
+    "relaxed_nsd": (["L0"], ["L1", "eps", "norm"]),
+    "signgd": ([], ["step"]), "signsgd": ([], ["step"]),
+    "adam": ([], _ADAM_KEYS), "adam_shuffled": ([], _ADAM_KEYS),
+    "adam_averaged": ([], _ADAM_KEYS), "momentum_sign": ([], _ADAM_KEYS),
+}
+
+
+@st.composite
+def _run_configs(draw):
+    d = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        problem = {"quadratic": {
+            "d": d,
+            "lambda_max": draw(st.sampled_from([1.0, 5.0, 50.0])),
+            "theta": draw(st.floats(0.0, 1.0)),
+            "seed": draw(st.integers(0, 5)),
+            "sigma": draw(st.sampled_from([0.0, 0.5, 1e300])),
+        }}
+    else:
+        problem = {"cosh": {"d": d}}
+    method = draw(st.sampled_from(sorted(_METHOD_KEYS)))
+    required, optional = _METHOD_KEYS[method]
+    if "cosh" in problem and "L" in optional:
+        required = required + ["L"]  # only quadratics have a default L
+    values = {
+        "L": st.sampled_from([1e-3, 1.0, 10.0, 1e300]),
+        "L0": st.sampled_from([1.0, 3.0]),
+        "L1": st.sampled_from([0.0, 1.0]),
+        "eps": st.sampled_from([1e-3, 1e-300]),
+        "blocks": st.sampled_from([[list(range(d))], [[0], list(range(1, d))]]),
+        "norm": st.sampled_from(["max", "one", "euclidean", {"weighted": [2.0] * d}]),
+        "step": (st.sampled_from(["inv_sqrt", {"constant": 0.1}])
+                 if method in ("signgd", "signsgd") else st.sampled_from([0.05, 1.0])),
+        "beta1": st.sampled_from([0.0, 0.9]),
+        "epsilon": st.sampled_from([0.0, 1e-8]),
+        "seed": st.integers(0, 5),
+    }
+    optimizer = {"method": method}
+    for key in required + sorted(draw(st.sets(st.sampled_from(optional)))):
+        optimizer[key] = draw(values[key])
+    cfg = {"problem": problem, "optimizer": optimizer, "T": draw(st.integers(1, 30))}
+    if draw(st.booleans()):
+        cfg["x0"] = draw(st.lists(st.sampled_from([0.0, 1.0, -3.0, 5.0, 800.0]), min_size=d, max_size=d))
+    else:
+        cfg["x0_seed"] = draw(st.integers(0, 5))
+    fields = [(cfg, k) for k in cfg] + [(optimizer, k) for k in optimizer]
+    fields += [(spec, k) for spec in problem.values() for k in spec]
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), max_size=2)):
+        container, key = fields[i]
+        container[key] = draw(_JUNK)
+    return cfg
+
+
+class TestExitCodeContract:
+    @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=_run_configs())
+    @example(cfg={"problem": QUAD3, "optimizer": {"method": "blocknorm", "blocks": 3}, "T": 3})
+    @example(cfg={"problem": QUAD3, "optimizer": {"method": "gd"}, "T": [3]})
+    @example(cfg={"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": -1}, "T": 3})
+    @example(cfg={"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": 1, "eps": 0}, "T": 3})
+    @example(cfg={"problem": COSH2, "optimizer": {"method": "gd", "L": 1.0}, "x0": [800, 0], "T": 3})
+    @example(cfg={"problem": COSH2, "optimizer": {"method": "gd", "L": 0.001}, "x0": [5, 0], "T": 3})
+    def test_run_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("fuzz") / "run.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code:
+            assert "error:" in err.getvalue(), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        if code == 3:
+            assert out.getvalue().startswith("t,f,dual_grad_norm,dist_sq\n")
