@@ -17,7 +17,6 @@ from .analysis import (
 from .experiments import GridCell, GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import (
     EigenDecomposition,
-    EigensolverError,
     MatrixFormatError,
     OrthogonalMatrix,
     SkewMatrix,

@@ -64,38 +64,47 @@ class GridConfig:
             raise ValueError("grid requires d >= 2")
         if not self.lambda_max_values or not self.theta_values:
             raise ValueError("value lists must be non-empty")
-        if any(v < 1.0 for v in self.lambda_max_values):
-            raise ValueError("lambda_max values must be at least 1")
+        if any(not 1.0 <= v < math.inf for v in self.lambda_max_values):
+            raise ValueError("lambda_max values must be finite and at least 1")
         if any(not 0.0 <= v <= 1.0 for v in self.theta_values):
             raise ValueError("theta values must lie in [0, 1]")
         if self.T < 1:
             raise ValueError("T must be positive")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative")
+        if self.skew_seed < 0 or self.x0_seed < 0:
+            raise ValueError("seeds must be nonnegative")
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridConfig":
-        known = {
-            "d", "lambda_max_values", "theta_values", "T", "repeats",
-            "skew_seed", "x0_seed", "sigma",
-        }
-        unknown = set(obj) - known
+        """Config from a parsed JSON object; an unknown, missing or mistyped
+        field raises ValueError naming it."""
+        unknown = set(obj) - set(_JSON_FIELDS)
         if unknown:
             raise ValueError(f"unknown grid config keys: {sorted(unknown)}")
         if "d" not in obj:
             raise ValueError("grid config requires 'd'")
-        return cls(
-            d=int(obj["d"]),
-            lambda_max_values=tuple(obj.get("lambda_max_values", DEFAULT_LAMBDA_VALUES)),
-            theta_values=tuple(obj.get("theta_values", DEFAULT_THETA_VALUES)),
-            T=int(obj.get("T", 100)),
-            repeats=int(obj.get("repeats", 64)),
-            skew_seed=int(obj.get("skew_seed", 0)),
-            x0_seed=int(obj.get("x0_seed", 0)),
-            sigma=float(obj.get("sigma", 0.0)),
-        )
+        kwargs = {"lambda_max_values": DEFAULT_LAMBDA_VALUES, "theta_values": DEFAULT_THETA_VALUES}
+        for key, value in obj.items():
+            try:
+                kwargs[key] = _JSON_FIELDS[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"grid config field {key!r} has a bad value {value!r}") from exc
+        return cls(**kwargs)
+
+
+def _floats(values) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return tuple(float(v) for v in values)
+
+
+_JSON_FIELDS = {
+    "d": int, "lambda_max_values": _floats, "theta_values": _floats, "T": int,
+    "repeats": int, "skew_seed": int, "x0_seed": int, "sigma": float,
+}
 
 
 @dataclass(frozen=True)

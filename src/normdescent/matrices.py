@@ -1,10 +1,10 @@
-"""Dense symmetric linear algebra for desk-scale matrices (d up to ~25).
+"""Dense symmetric linear algebra for the Hessians of the analysis.
 
-Deliberately self-contained: a cyclic Jacobi eigensolver, skew-symmetric
+Symmetric matrices stored as one validated read-only array, the
+eigendecomposition (LAPACK, through ``numpy.linalg.eigh``), skew-symmetric
 generators and their exponentials (smooth one-parameter orthogonal paths),
-and spectrum-preserving conjugation for building test Hessians.  numpy is
-used for array storage and elementwise arithmetic only; no LAPACK-backed
-decompositions.
+spectrum-preserving conjugation for building test Hessians, and the matrix
+text format.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "SkewMatrix",
     "OrthogonalMatrix",
     "MatrixFormatError",
-    "EigensolverError",
     "eigh",
     "is_psd",
     "random_skew",
@@ -30,8 +29,6 @@ __all__ = [
     "format_matrix_text",
 ]
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_REL_TOL = 1e-14
 ORTHOGONALITY_TOL = 1e-10
 EXPM_SCALE_LIMIT = 0.5
 TEXT_SYMMETRY_TOL = 1e-12
@@ -41,43 +38,23 @@ class MatrixFormatError(ValueError):
     """Matrix text input is malformed, non-finite, or asymmetric."""
 
 
-class EigensolverError(RuntimeError):
-    """The Jacobi iteration did not reach its residual target."""
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 class SymMatrix:
-    """Real symmetric d x d matrix.
+    """Real symmetric d x d matrix, held as one read-only array.
 
-    Only the upper triangle is stored; reads mirror it, so entry (i, j) and
-    entry (j, i) are the same float by construction rather than by
-    convention.  Instances are immutable.
+    The constructor averages its input with its transpose.  Floating-point
+    addition is commutative, so entry (i, j) and entry (j, i) are the same
+    float by construction rather than by convention.  Instances are
+    immutable.
     """
 
-    __slots__ = ("dim", "_upper", "_full")
+    __slots__ = ("dim", "_a")
 
-    def __init__(self, dim: int, upper: np.ndarray):
-        """Build from the packed upper triangle (row-major, length d(d+1)/2).
-
-        Prefer :meth:`from_array` or :meth:`diagonal` in user code.
-        """
-        upper = np.asarray(upper, dtype=float)
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        if upper.shape != (dim * (dim + 1) // 2,):
-            raise ValueError("packed upper triangle has wrong length")
-        if not np.isfinite(upper).all():
-            raise ValueError("matrix entries must be finite")
-        self.dim = dim
-        self._upper = _readonly(upper.copy())
-        self._full: np.ndarray | None = None
-
-    @classmethod
-    def from_array(cls, a) -> "SymMatrix":
+    def __init__(self, a):
         """Build from a square array, averaging A with its transpose.
 
         Averaging removes rounding-scale asymmetry from upstream matrix
@@ -85,26 +62,26 @@ class SymMatrix:
         calling (see :func:`parse_matrix_text`).
         """
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
         sym = 0.5 * (a + a.T)
-        iu = np.triu_indices(a.shape[0])
-        return cls(a.shape[0], sym[iu])
+        if not np.isfinite(sym).all():
+            raise ValueError("matrix entries must be finite")
+        self.dim = a.shape[0]
+        self._a = _readonly(sym)
+
+    @classmethod
+    def from_array(cls, a) -> "SymMatrix":
+        """Same as ``SymMatrix(a)``."""
+        return cls(a)
 
     @classmethod
     def diagonal(cls, values) -> "SymMatrix":
-        return cls.from_array(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(np.asarray(values, dtype=float)))
 
     def to_array(self) -> np.ndarray:
-        """Full dense matrix, mirrored from the stored triangle (read-only)."""
-        if self._full is None:
-            d = self.dim
-            full = np.zeros((d, d))
-            iu = np.triu_indices(d)
-            full[iu] = self._upper
-            full.T[iu] = self._upper
-            self._full = _readonly(full)
-        return self._full
+        """The full dense matrix (read-only)."""
+        return self._a
 
     def entry(self, i: int, j: int) -> float:
         return float(self.to_array()[i, j])
@@ -165,76 +142,11 @@ class OrthogonalMatrix:
         return self.entries.shape[0]
 
 
-def _offdiag_mass(a: np.ndarray) -> float:
-    return math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation annihilating a[p, q], applied as J'AJ and V <- VJ."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    diff = a[q, q] - a[p, p]
-    if abs(apq) < 1e-36 * abs(diff):
-        t = apq / diff  # limit of the stable root for tiny pivots
-    else:
-        theta = diff / (2.0 * apq)
-        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-
-    app, aqq = a[p, p], a[q, q]
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = a[q, p] = 0.0
-
-    mask = np.ones(a.shape[0], dtype=bool)
-    mask[p] = mask[q] = False
-    aip = a[mask, p]
-    aiq = a[mask, q]
-    new_p = c * aip - s * aiq
-    new_q = s * aip + c * aiq
-    a[mask, p] = new_p
-    a[p, mask] = new_p
-    a[mask, q] = new_q
-    a[q, mask] = new_q
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
 def eigh(H: SymMatrix) -> EigenDecomposition:
-    """Eigendecomposition by cyclic Jacobi sweeps.
-
-    Rotations run in row-cyclic order until the off-diagonal Frobenius mass
-    drops below 1e-14 times the Frobenius norm of the input, capped at 100
-    sweeps.  Eigenvalues are returned ascending, with the eigenvector
-    columns permuted to match.
-    """
-    d = H.dim
-    a = H.to_array().copy()
-    v = np.eye(d)
-    target = JACOBI_REL_TOL * math.sqrt(float((a * a).sum()))
-    sweeps = 0
-    off = _offdiag_mass(a)
-    while off > target:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise EigensolverError(
-                f"eigensolver failed: off-diagonal residual {off:.3e} after "
-                f"{JACOBI_MAX_SWEEPS} sweeps (target {target:.3e})"
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                _rotate(a, v, p, q)
-        sweeps += 1
-        off = _offdiag_mass(a)
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenDecomposition(_readonly(lam[order]), _readonly(v[:, order].copy()))
+    """Eigenvalues in ascending order with orthonormal eigenvector columns,
+    from LAPACK's symmetric solver (``numpy.linalg.eigh``)."""
+    values, vectors = np.linalg.eigh(H.to_array())
+    return EigenDecomposition(_readonly(values), _readonly(vectors))
 
 
 def is_psd(H: SymMatrix, tol: float = 0.0) -> bool:
@@ -258,8 +170,7 @@ def random_skew(d: int, rng: np.random.Generator) -> SkewMatrix:
     iu = np.triu_indices(d, 1)
     upper[iu] = rng.standard_normal(iu[0].size)
     s = upper - upper.T
-    gram = SymMatrix.from_array(s.T @ s)
-    top = math.sqrt(max(float(eigh(gram).values[-1]), 0.0))
+    top = float(np.linalg.norm(s, 2))
     if top == 0.0:
         raise ValueError("degenerate zero draw for skew generator")
     return SkewMatrix(s * (math.pi / top))

@@ -124,6 +124,17 @@ class TestRun:
         assert lines[1].startswith("0,")
         assert lines[2] == "1,0,0,0"
 
+    def test_large_quadratic(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 200, "lambda_max": 50.0, "theta": 0.5, "seed": 1}},
+            "optimizer": {"method": "gd"},
+            "T": 5,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert len(res.stdout.splitlines()) == 7  # header plus t = 0..5
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "run.json"
         payload = dict(RUN_CFG)
@@ -470,11 +481,26 @@ class TestQuadGrid:
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("T", [3]), ("lambda_max_values", 5), ("d", [4]), ("theta_values", [[0]])],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, field, value):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(dict(GRID_CFG, **{field: value})))
+        res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        error = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+        assert len(error) == 1 and repr(field) in error[0]
 
-# The exit-code fuzz test draws a well-formed run config, then overwrites up to
-# two of its fields with values of the wrong type or out of range.  A junk
-# value can land on "d" or "T", so junk numbers stay below 7 and strings hold
-# no digits: no example asks for a large problem or a long run.
+
+# The exit-code fuzz tests draw a well-formed run or grid config, then overwrite
+# up to two of its fields with values of the wrong type or out of range.  A
+# junk value can land on "d", "T" or "repeats", so junk numbers stay below 7
+# and strings hold no digits: no example asks for a large problem, a long run
+# or a large batch.
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -542,6 +568,64 @@ def _run_configs(draw):
     return cfg
 
 
+@st.composite
+def _grid_configs(draw):
+    axis = lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=3)
+    cfg = {
+        "d": draw(st.integers(2, 5)),
+        "lambda_max_values": draw(axis([1.0, 2.0, 50.0])),
+        "theta_values": draw(axis([0.0, 0.5, 1.0])),
+        "T": draw(st.integers(1, 5)),
+        "repeats": draw(st.integers(1, 4)),
+        "skew_seed": draw(st.integers(0, 5)),
+        "x0_seed": draw(st.integers(0, 5)),
+        "sigma": draw(st.sampled_from([0.0, 0.5, 1e300])),
+    }
+    fields = [(cfg, k) for k in cfg]
+    fields += [(cfg[k], i) for k in ("lambda_max_values", "theta_values") for i in range(len(cfg[k]))]
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), max_size=2)):
+        container, key = fields[i]
+        container[key] = draw(_JUNK)
+    return cfg
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A symmetric matrix file of dimension d <= 6, possibly spoiled by one fault."""
+    d = draw(st.integers(1, 6))
+    entry = st.floats(-5.0, 5.0, allow_nan=False)
+    a = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
+    a = a + a.T
+    fault = draw(st.sampled_from(["none", "ragged", "text", "nonfinite", "asymmetric", "zero"]))
+    if fault == "zero":
+        a[:] = 0.0
+    if fault == "asymmetric" and d > 1:
+        a[0, 1] += draw(st.sampled_from([2e-12, 1e-6, 1.0]))
+    rows = [[f"{v:.17g}" for v in row] for row in a]
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if fault == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    if fault == "text":
+        rows[i][j] = draw(st.sampled_from(["x", "1..2", "1,5", "--1"]))
+    if fault == "nonfinite":
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    return f"{d}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _main_obeys_exit_contract(argv) -> tuple[int, str]:
+    """Runs the CLI in-process; checks exit 0, 2 or 3, an error line on
+    failure and empty stdout on exit 2; returns the code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert "error:" in err.getvalue(), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    return code, out.getvalue()
+
+
 class TestExitCodeContract:
     @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(cfg=_run_configs())
@@ -554,13 +638,26 @@ class TestExitCodeContract:
     def test_run_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "run.json"
         path.write_text(json.dumps(cfg))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["run", "--config", str(path)])
-        assert code in (0, 2, 3), err.getvalue()
-        if code:
-            assert "error:" in err.getvalue(), err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
+        code, out = _main_obeys_exit_contract(["run", "--config", str(path)])
         if code == 3:
-            assert out.getvalue().startswith("t,f,dual_grad_norm,dist_sq\n")
+            assert out.startswith("t,f,dual_grad_norm,dist_sq\n")
+
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=_grid_configs())
+    @example(cfg=dict(GRID_CFG, skew_seed=-1))
+    @example(cfg=dict(GRID_CFG, lambda_max_values=[math.inf]))
+    def test_quadgrid_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("fuzz") / "grid.json"
+        path.write_text(json.dumps(cfg))
+        code, out = _main_obeys_exit_contract(["quadgrid", "--config", str(path)])
+        if code in (0, 3):
+            assert out.startswith(GRID_CSV_HEADER + "\n")
+
+    @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_matrix_texts())
+    def test_analyze_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "m.txt"
+        path.write_text(text)
+        code, out = _main_obeys_exit_contract(["analyze", str(path)])
+        if code == 0:
+            assert set(json.loads(out)) >= {"L2", "rho_diag", "Linf_exact"}

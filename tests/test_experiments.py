@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from normdescent import (
     run_quad_grid,
     run_steepest_descent,
 )
-from normdescent.experiments import _NOISE_SALT
+from normdescent.experiments import DEFAULT_LAMBDA_VALUES, DEFAULT_THETA_VALUES, _NOISE_SALT
 
 ROUNDING_LEVEL = 1e-20  # a mean squared distance below this is rounding noise
 
@@ -63,3 +65,11 @@ def test_batched_grid_matches_scalar_runs(sigma):
         if min(ref_gd, ref_sg) > ROUNDING_LEVEL:
             want_ratio = math.log10(ref_sg / ref_gd)
             assert np.sign(cell.log10_perf_ratio) == np.sign(want_ratio), (cell, want_ratio)
+
+
+def test_shipped_paper_config_is_the_default_grid():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "quadgrid_paper.json"
+    cfg = GridConfig.from_json(json.loads(path.read_text()))
+    assert cfg == GridConfig(
+        d=8, lambda_max_values=DEFAULT_LAMBDA_VALUES, theta_values=DEFAULT_THETA_VALUES
+    )

@@ -53,6 +53,13 @@ class TestMakeQuadratic:
         vecs = eigh(p.matrix).vectors
         assert np.abs(np.abs(vecs).sum(axis=0) - 1.0).max() <= 1e-12
 
+    def test_large_dimension_spectrum_and_eigenvectors(self):
+        p = make_quadratic(200, 50.0, 0.5, 1)
+        dec = eigh(p.matrix)
+        expected = np.concatenate([np.ones(199), [50.0]])
+        assert np.abs(dec.values - expected).max() <= 1e-9
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(200)).max() <= 1e-10
+
     def test_mean_absolute_eigenvalue(self):
         d, lam = 6, 30.0
         p = make_quadratic(d, lam, 0.5, seed=1)
