@@ -55,7 +55,7 @@ class SmoothnessReport:
     ``L2`` is the largest-magnitude eigenvalue and ``Linf_exact`` the exact
     max-norm constant (present only when d is within the brute-force cap).
     ``bound_psd`` is the concentration bound (positive semidefinite input
-    only), ``bound_sym`` the eigenvector-weighted bound, ``lower_bound`` the
+    only), ``bound_sym`` the eigenspace-weighted bound, ``lower_bound`` the
     eigenvector alignment lower bound, and ``lsep_rowsum`` the row-sum
     separable surrogate.  ``lsep_exact_2x2`` is the closed form available
     for positive definite 2x2 matrices.
@@ -161,11 +161,35 @@ def rho_diag(H: SymMatrix) -> float:
     return float(np.trace(a)) / total
 
 
+def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray) -> float:
+    """sum_k |c_k| sum_ij |P_k,ij| + r_k d over the eigenvalue groups k.
+
+    Ascending eigenvalues whose neighbours differ by at most 1e-12 * L2
+    form a group with projector P_k = V_k V_k', midpoint c_k and half-width
+    r_k.  P_k does not depend on the basis the solver picks inside an
+    eigenspace, so neither does the bound.  It bounds Linf because
+    |t' V_k (Lambda_k - c_k) V_k' s| <= r_k ||t|| ||s|| = r_k d for sign
+    vectors s and t.  Since sum_ij |P_k,ij| <= sum_{l in k} ||v_l||_1^2,
+    group k adds at most r_k (d + sum_{l in k} ||v_l||_1^2) more than the
+    per-basis sum_{l in k} |lambda_l| ||v_l||_1^2, and nothing more when it
+    holds one eigenvalue.
+    """
+    d = values.size
+    tol = 1e-12 * max(abs(values[0]), abs(values[-1]))
+    cuts = np.flatnonzero(np.diff(values) > tol) + 1
+    total = 0.0
+    for group in np.split(np.arange(d), cuts):
+        lo, hi = values[group[0]], values[group[-1]]
+        v = vectors[:, group]
+        total += abs(0.5 * (lo + hi)) * float(np.abs(v @ v.T).sum()) + 0.5 * (hi - lo) * d
+    return total
+
+
 def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
     abs_lam = np.abs(values)
     l1 = np.abs(vectors).sum(axis=0)
     linf = np.abs(vectors).max(axis=0)
-    bound_sym = float((abs_lam * l1 * l1).sum())
+    bound_sym = _eigenspace_bound(values, vectors)
     lower = float((abs_lam * l1 / linf).max())
     bound_psd = None
     if values[0] >= -PSD_TOL:
@@ -180,8 +204,9 @@ def linf_bounds(H: SymMatrix) -> tuple[float | None, float, float]:
     """(concentration bound or None, eigenvector bound, alignment lower bound).
 
     The concentration bound ``rho_diag(H)**-1 * sum(lambda)`` is reported
-    only for positive semidefinite input (tolerance 1e-10); the eigenvector
-    bound ``sum |lambda_i| ||v_i||_1^2`` and the lower bound
+    only for positive semidefinite input (tolerance 1e-10); the eigenspace
+    bound ``sum_k |c_k| sum_ij |P_k,ij| + r_k d`` (see _eigenspace_bound; it
+    is ``sum |lambda_i| ||v_i||_1^2`` for distinct eigenvalues) and the lower bound
     ``max_i |lambda_i| ||v_i||_1 / ||v_i||_inf`` apply to any symmetric
     matrix.
     """

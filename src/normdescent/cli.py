@@ -79,13 +79,10 @@ def _write_lines(lines: list[str], out: str | None) -> bool:
 
 
 def _trace_csv_lines(trace: Trace) -> list[str]:
-    lines = [TRACE_CSV_HEADER]
-    for t in range(len(trace)):
-        dist = trace.dist_sq[t] if trace.dist_sq is not None else float("nan")
-        lines.append(
-            f"{t},{_fmt(trace.f[t])},{_fmt(trace.dual_grad_norm[t])},{_fmt(dist)}"
-        )
-    return lines
+    n = len(trace)
+    dist = trace.dist_sq if trace.dist_sq is not None else np.full(n, np.nan)
+    rows = zip(range(n), trace.f.tolist(), trace.dual_grad_norm.tolist(), dist.tolist())
+    return [TRACE_CSV_HEADER, *map("%d,%.17g,%.17g,%.17g".__mod__, rows)]
 
 
 def _load_json(path: str) -> dict:

@@ -25,6 +25,7 @@ __all__ = [
     "sign_unit",
     "norm",
     "dual_norm",
+    "dual_norm_rows",
     "steepest_op",
     "gradient_density",
     "kind_to_json",
@@ -126,7 +127,7 @@ def dual_norm(x, kind: NormKind) -> float:
     if isinstance(kind, Euclidean):
         return float(np.sqrt(np.dot(x, x)))
     if isinstance(kind, Max):
-        return float(np.abs(x).sum())
+        return float(np.add.reduce(np.abs(x)))
     if isinstance(kind, One):
         return float(np.abs(x).max())
     if isinstance(kind, WeightedDiag):
@@ -137,6 +138,36 @@ def dual_norm(x, kind: NormKind) -> float:
             float(np.sqrt(np.dot(x[list(b)], x[list(b)])))
             for b in kind.partition.blocks
         )
+    raise TypeError(f"unknown norm kind: {kind!r}")
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b.
+
+    Computed as a stack of (1, d) @ (d, 1) products, which round like np.dot
+    on each row (a row sum of elementwise products does not).
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
+    """dual_norm of every row of the (n, d) array X, as an (n,) array."""
+    X = np.asarray(X, dtype=float)
+    _check_dim(kind, X.shape[1])
+    if isinstance(kind, Euclidean):
+        return np.sqrt(_row_dots(X, X))
+    if isinstance(kind, Max):
+        return np.abs(X).sum(axis=1)
+    if isinstance(kind, One):
+        return np.abs(X).max(axis=1)
+    if isinstance(kind, WeightedDiag):
+        return np.sqrt(_row_dots(X / np.asarray(kind.weights), X))
+    if isinstance(kind, BlockMax):
+        out = np.zeros(X.shape[0])
+        for b in kind.partition.blocks:
+            xb = X[:, list(b)]
+            out += np.sqrt(_row_dots(xb, xb))
+        return out
     raise TypeError(f"unknown norm kind: {kind!r}")
 
 
@@ -155,22 +186,23 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     if isinstance(kind, Euclidean):
         return z.copy()
     if isinstance(kind, Max):
-        return float(np.abs(z).sum()) * sign_unit(z)
+        return float(np.add.reduce(np.abs(z))) * sign_unit(z)
     if isinstance(kind, One):
-        i = int(np.argmax(np.abs(z)))
-        out = np.zeros_like(z)
+        i = int(np.abs(z).argmax())
+        out = np.zeros(z.shape)
         out[i] = z[i]
         return out
     if isinstance(kind, WeightedDiag):
         return z / np.asarray(kind.weights)
     if isinstance(kind, BlockMax):
-        out = np.zeros_like(z)
-        total = dual_norm(z, kind)
-        for b in kind.partition.blocks:
-            idx = list(b)
-            nb = float(np.sqrt(np.dot(z[idx], z[idx])))
+        idx = [list(b) for b in kind.partition.blocks]
+        segs = [z[i] for i in idx]
+        block_norms = [float(np.sqrt(np.dot(s, s))) for s in segs]
+        total = sum(block_norms)  # dual_norm(z, kind)
+        out = np.zeros(z.shape)
+        for i, s, nb in zip(idx, segs, block_norms):
             if nb > 0.0:
-                out[idx] = z[idx] * (total / nb)
+                out[i] = s * (total / nb)
         return out
     raise TypeError(f"unknown norm kind: {kind!r}")
 

@@ -8,10 +8,11 @@ reverts to plain steepest descent near stationary points.  The
 moving-average family implements sign-times-magnitude updates with
 shuffled and averaged magnitude variants.
 
-Every run records, per iterate: the objective value, the dual gradient norm
-in the run's geometry, and (when the optimum is known) the squared
-Euclidean distance to it.  The batched steepest-descent driver advances
-many starting points at once and records nothing but the final iterates.
+Every run_* method is an update rule handed to one step loop, which
+records per iterate the objective value, the dual gradient norm in the
+run's geometry, and (when the optimum is known) the squared Euclidean
+distance to it.  The batched steepest descent advances many starting
+points at once and records nothing but the final iterates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .norms import BlockPartition, Euclidean, Max, NormKind, dual_norm, sign_unit, steepest_op
+from .norms import (
+    BlockPartition, Euclidean, Max, NormKind, dual_norm, dual_norm_rows, sign_unit, steepest_op
+)
 from .problems import Oracle, OverflowGuardError
 
 __all__ = [
@@ -116,60 +119,80 @@ def schedule_value(schedule: StepSchedule, t: int) -> float:
     raise TypeError(f"unknown step schedule: {schedule!r}")
 
 
-class _Recorder:
-    """Accumulates per-iterate rows and assembles the Trace."""
-
-    def __init__(self, x_star):
-        self.f: list[float] = []
-        self.dual: list[float] = []
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-        self.dist: list[float] | None = None if x_star is None else []
-
-    def add(self, x: np.ndarray, f: float, dual: float) -> None:
-        self.f.append(f)
-        self.dual.append(dual)
-        if self.dist is not None:
-            delta = x - self.x_star
-            self.dist.append(float(np.dot(delta, delta)))
-
-    def trace(self, x: np.ndarray, hit_index: int | None = None) -> Trace:
-        def frozen(values):
-            a = np.array(values)
-            a.flags.writeable = False
-            return a
-
-        dist = None if self.dist is None else frozen(self.dist)
-        return Trace(frozen(self.f), frozen(self.dual), dist, frozen(x.copy()), hit_index)
-
-
-def _step_eval(oracle: Oracle, x: np.ndarray, t: int, rec: _Recorder):
-    """Evaluate the oracle, guarding against divergence.
-
-    Non-finite values, and an iterate beyond the oracle's overflow guard,
-    abort with the rows recorded so far; a finite value above the blow-up
-    threshold is recorded first and then aborts.
-    """
-    try:
-        f, g = oracle(x)
-    except OverflowGuardError as exc:
-        raise DivergenceError(t, rec.trace(x), str(exc)) from exc
-    f = float(f)
-    g = np.asarray(g, dtype=float)
-    if not math.isfinite(f) or not np.isfinite(g).all():
-        raise DivergenceError(t, rec.trace(x), "non-finite objective or gradient")
-    return f, g
-
-
-def _check_blowup(f: float, x: np.ndarray, t: int, rec: _Recorder) -> None:
-    if f > F_BLOWUP:
-        raise DivergenceError(t, rec.trace(x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
-
-
 def _start(x0) -> np.ndarray:
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or not np.isfinite(x).all():
         raise ValueError("initial point must be a finite vector")
     return x
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _drive(
+    oracle: Oracle,
+    x0,
+    T: int,
+    x_star,
+    kind: NormKind,
+    update: Callable,
+    stop_tol: float | None = None,
+    mark_hit: bool = False,
+) -> Trace:
+    """The step loop of the run_* methods.
+
+    Step t stores the oracle's f_t and g_t, and x_t, in preallocated rows.
+    A non-finite value or gradient, or an iterate past the oracle's
+    overflow guard, aborts with rows 0..t-1; a value above F_BLOWUP, with
+    rows 0..t.  With ``stop_tol``, the step computes the dual norm of g_t in
+    ``kind`` and stops once it is at most ``stop_tol`` (t is the hit index
+    when ``mark_hit``).  Otherwise, while t < T, x_{t+1} = update(x_t, g_t,
+    t, dual), dual being that norm or None; updates return new arrays, so
+    no iterate handed to the oracle changes.  The dual norms without
+    ``stop_tol``, and the squared distances to ``x_star``, are reduced over
+    all rows after the loop.
+    """
+    x = _start(x0)
+    F = np.empty(T + 1)
+    X = np.empty((T + 1, x.size))
+    G = np.empty((T + 1, x.size))
+    D = None if stop_tol is None else np.empty(T + 1)
+
+    def trace(n: int, x: np.ndarray, hit: int | None = None) -> Trace:
+        dual = D[:n] if D is not None else dual_norm_rows(G[:n], kind)
+        dist = None
+        if x_star is not None:
+            delta = X[:n] - np.asarray(x_star, dtype=float)
+            dist = _frozen((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])  # rounds as np.dot
+        return Trace(_frozen(F[:n]), _frozen(dual), dist, _frozen(x.copy()), hit)
+
+    dual = hit = None
+    for t in range(T + 1):
+        try:
+            f, g = oracle(x)
+        except OverflowGuardError as exc:
+            raise DivergenceError(t, trace(t, x), str(exc)) from exc
+        f = float(f)
+        g = np.asarray(g, dtype=float)
+        F[t] = f
+        X[t] = x
+        G[t] = g
+        # one reduction per step; the elementwise test runs only when the sum is not finite
+        if not math.isfinite(f + np.add.reduce(g)) and not (math.isfinite(f) and np.isfinite(g).all()):
+            raise DivergenceError(t, trace(t, x), "non-finite objective or gradient")
+        if f > F_BLOWUP:
+            raise DivergenceError(t, trace(t + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
+        if stop_tol is not None:
+            dual = D[t] = dual_norm(g, kind)
+            if dual <= stop_tol:
+                hit = t if mark_hit else None
+                break
+        if t == T:
+            break
+        x = update(x, g, t, dual)
+    return trace(t + 1, x, hit)
 
 
 def run_steepest_descent(
@@ -183,16 +206,7 @@ def run_steepest_descent(
     """Constant-step steepest descent: x <- x - P(grad)/L for T steps."""
     if not L > 0.0:
         raise ValueError("smoothness constant must be positive")
-    x = _start(x0)
-    rec = _Recorder(x_star)
-    for t in range(T + 1):
-        f, g = _step_eval(oracle, x, t, rec)
-        rec.add(x, f, dual_norm(g, kind))
-        _check_blowup(f, x, t, rec)
-        if t == T:
-            break
-        x = x - steepest_op(g, kind) / L
-    return rec.trace(x)
+    return _drive(oracle, x0, T, x_star, kind, lambda x, g, t, _: x - steepest_op(g, kind) / L)
 
 
 def steepest_descent_batch(
@@ -249,18 +263,14 @@ def run_normalized_sd(
     """
     if not L > 0.0:
         raise ValueError("smoothness constant must be positive")
-    x = _start(x0)
-    rec = _Recorder(x_star)
-    for t in range(T + 1):
-        f, g = _step_eval(oracle, x, t, rec)
-        dual = dual_norm(g, kind)
-        rec.add(x, f, dual)
-        _check_blowup(f, x, t, rec)
-        if dual <= STATIONARY_TOL or t == T:
-            break
+
+    schedule = InvSqrt()
+
+    def update(x, g, t, dual):
         unit = steepest_op(g, kind) / dual
-        x = x - unit * (schedule_value(InvSqrt(), t) / L)
-    return rec.trace(x)
+        return x - unit * (schedule_value(schedule, t) / L)
+
+    return _drive(oracle, x0, T, x_star, kind, update, stop_tol=STATIONARY_TOL)
 
 
 def run_relaxed_nsd(
@@ -286,21 +296,11 @@ def run_relaxed_nsd(
         raise ValueError("L1 must be nonnegative")
     if not eps > 0.0:
         raise ValueError("stationarity threshold must be positive")
-    x = _start(x0)
-    rec = _Recorder(x_star)
-    hit = None
-    for t in range(T + 1):
-        f, g = _step_eval(oracle, x, t, rec)
-        dual = dual_norm(g, kind)
-        rec.add(x, f, dual)
-        _check_blowup(f, x, t, rec)
-        if dual <= eps:
-            hit = t
-            break
-        if t == T:
-            break
-        x = x - steepest_op(g, kind) / (5.0 * L0 + 4.0 * L1 * dual)
-    return rec.trace(x, hit_index=hit)
+
+    def update(x, g, t, dual):
+        return x - steepest_op(g, kind) / (5.0 * L0 + 4.0 * L1 * dual)
+
+    return _drive(oracle, x0, T, x_star, kind, update, stop_tol=eps, mark_hit=True)
 
 
 def run_signsgd(
@@ -316,16 +316,9 @@ def run_signsgd(
     of the max geometry); for stochastic oracles this is the norm of the
     sampled estimate.
     """
-    x = _start(x0)
-    rec = _Recorder(x_star)
-    for t in range(T + 1):
-        f, g = _step_eval(oracle, x, t, rec)
-        rec.add(x, f, dual_norm(g, Max()))
-        _check_blowup(f, x, t, rec)
-        if t == T:
-            break
-        x = x - schedule_value(schedule, t) * sign_unit(g)
-    return rec.trace(x)
+    return _drive(
+        oracle, x0, T, x_star, Max(), lambda x, g, t, _: x - schedule_value(schedule, t) * sign_unit(g)
+    )
 
 
 def adam_gamma(m, v, epsilon: float) -> np.ndarray:
@@ -396,37 +389,36 @@ def run_adam_family(
     d = x.size
     if cfg.blocks is not None and cfg.blocks.dim != d:
         raise ValueError("partition does not match iterate dimension")
-    blocks = cfg.blocks.blocks if cfg.blocks is not None else (tuple(range(d)),)
+    blocks = [np.array(b) for b in cfg.blocks.blocks] if cfg.blocks is not None else [np.arange(d)]
+    variant, step, eps = cfg.variant, cfg.step, cfg.epsilon
+    b1, c1, b2, c2 = cfg.beta1, 1.0 - cfg.beta1, cfg.beta2, 1.0 - cfg.beta2
+    check_zero = eps == 0.0  # AdamConfig has checked eps >= 0, and v is never negative
     m = np.zeros(d)
     v = np.zeros(d)
-    rec = _Recorder(x_star)
-    for t in range(T + 1):
-        f, g = _step_eval(oracle, x, t, rec)
-        rec.add(x, f, dual_norm(g, Max()))
-        _check_blowup(f, x, t, rec)
-        if t == T:
-            break
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        if cfg.variant == "standard":
-            if cfg.epsilon == 0.0 and (v == 0.0).any():
-                raise ValueError("degenerate input: zero second moment with epsilon = 0")
-            delta = m / (np.sqrt(v) + cfg.epsilon)
-        elif cfg.variant == "momentum_sign":
-            delta = sign_unit(m)
-        else:
-            gamma = adam_gamma(m, v, cfg.epsilon)
-            magnitude = np.empty(d)
-            for b in blocks:
-                idx = list(b)
-                seg = gamma[idx]
-                if cfg.variant == "shuffled":
-                    magnitude[idx] = seg[rng.permutation(len(idx))]
-                else:
-                    magnitude[idx] = seg.mean()
-            delta = magnitude * sign_unit(m)
-        x = x - cfg.step * delta
-    return rec.trace(x)
+
+    def update(x, g, t, _):
+        nonlocal m, v
+        m = b1 * m + c1 * g
+        if variant == "momentum_sign":
+            return x - step * sign_unit(m)
+        v = b2 * v + c2 * g * g
+        if check_zero and (v == 0.0).any():
+            raise ValueError("degenerate input: zero second moment with epsilon = 0")
+        scale = np.sqrt(v) + eps
+        if variant == "standard":
+            return x - step * (m / scale)
+        gamma = np.abs(m) / scale  # adam_gamma(m, v, eps)
+        magnitude = np.empty(d)
+        for idx in blocks:
+            seg = gamma[idx]
+            if variant == "shuffled":
+                rng.shuffle(seg)  # the swaps, and the draws, of rng.permutation(seg.size)
+                magnitude[idx] = seg
+            else:
+                magnitude[idx] = np.add.reduce(seg) / seg.size  # the bits of seg.mean()
+        return x - step * (magnitude * sign_unit(m))
+
+    return _drive(oracle, x, T, x_star, Max(), update)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "quad_noisy_oracle",
     "cosh_oracle",
     "COSH_GUARD",
+    "NOISE_BLOCK",
     "OverflowGuardError",
 ]
 
@@ -37,6 +38,7 @@ __all__ = [
 Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 COSH_GUARD = 700.0
+NOISE_BLOCK = 256  # noise rows quad_noisy_oracle draws at a time
 
 
 class OverflowGuardError(ValueError):
@@ -100,6 +102,8 @@ def noisy_grad(p: QuadraticProblem, x, sigma: float, stream: np.random.Generator
 
     A noise vector is drawn on every call (even for sigma = 0, which returns
     exactly Hx), so the stream position depends only on the call index.
+    quad_noisy_oracle gives the same values call for call, but draws them
+    ahead in blocks.
     """
     if sigma < 0.0:
         raise ValueError("noise scale must be nonnegative")
@@ -145,12 +149,30 @@ def quad_oracle(p: QuadraticProblem) -> Oracle:
     """Deterministic oracle: exact value and gradient."""
     return lambda x: quad_eval(p, x)
 
+
 def quad_noisy_oracle(p: QuadraticProblem, sigma: float, stream: np.random.Generator) -> Oracle:
-    """Stochastic oracle: exact value, noisy gradient from the seeded stream."""
+    """Stochastic oracle: exact value, noisy gradient from the seeded stream.
+
+    Call k returns the value and gradient that quad_eval and the k-th
+    noisy_grad call on a fresh ``stream`` would return, with one product
+    Hx per call.  The noise is drawn in (NOISE_BLOCK, d) blocks, which
+    consume the stream exactly as that many single draws do, so the stream
+    runs ahead of the calls by up to one block: it belongs to the oracle.
+    """
+    if sigma < 0.0:
+        raise ValueError("noise scale must be nonnegative")
+    h = p.matrix.to_array()
+
+    def draws():
+        while True:
+            yield from sigma * stream.standard_normal((NOISE_BLOCK, p.dim))
+
+    noise = draws()
 
     def oracle(x):
-        f, _ = quad_eval(p, x)
-        return f, noisy_grad(p, x, sigma, stream)
+        x = np.asarray(x, dtype=float)
+        g = h @ x
+        return 0.5 * float(x @ g), g + next(noise)
 
     return oracle
 

@@ -27,6 +27,7 @@ from normdescent import (
     rotated_hessian,
     smoothness_constant,
 )
+from normdescent.analysis import _eigenspace_bound
 
 H_2x2 = SymMatrix.from_array([[2.0, 1.0], [1.0, 3.0]])
 
@@ -144,6 +145,56 @@ class TestLinfBounds:
             bound_psd, bound_sym, lower = linf_bounds(h)
             assert lower <= exact + 1e-9
             assert exact <= min(bound_psd, bound_sym) + 1e-9
+
+
+def repeated_spectrum(rng, d):
+    """(H, lam): H has the eigenvalue lam with multiplicity >= 2."""
+    k = int(rng.integers(2, d + 1))
+    lam = rng.uniform(-2.0, 4.0)
+    values = np.concatenate([np.full(k, lam), rng.uniform(-3.0, 5.0, d - k)])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return SymMatrix(q * values @ q.T), lam
+
+
+def per_basis_bound(values, vectors):
+    """sum |lambda_i| ||v_i||_1^2, the eigenvector bound of one chosen basis."""
+    return float((np.abs(values) * np.abs(vectors).sum(axis=0) ** 2).sum())
+
+
+class TestEigenspaceBound:
+    def test_same_for_every_basis_of_an_eigenspace(self):
+        rng = np.random.default_rng(71)
+        for d in (3, 6, 10, 24):
+            H, lam = repeated_spectrum(rng, d)
+            dec = eigh(H)
+            first = linf_bounds(H)[1]
+            group = np.flatnonzero(np.abs(dec.values - lam) < 1e-9)
+            for _ in range(5):
+                rotated = dec.vectors.copy()
+                r, _ = np.linalg.qr(rng.standard_normal((group.size, group.size)))
+                rotated[:, group] = rotated[:, group] @ r
+                assert per_basis_bound(dec.values, rotated) != pytest.approx(first, rel=1e-6)
+                assert _eigenspace_bound(dec.values, rotated) == pytest.approx(first, rel=1e-12)
+
+    def test_rotated_identity_is_exact(self):
+        rng = np.random.default_rng(72)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        H = SymMatrix(q @ q.T)
+        assert linf_bounds(H)[1] == pytest.approx(12.0, rel=1e-12)
+        assert linf_bruteforce(H) == pytest.approx(12.0, rel=1e-12)
+
+    def test_above_linf_and_below_the_per_basis_bound(self):
+        rng = np.random.default_rng(73)
+        for i in range(60):
+            d = 2 + i % 11
+            if i % 3 == 0:
+                H, _ = repeated_spectrum(rng, d)
+            else:
+                H = random_psd(rng, d) if i % 3 == 1 else random_sym(rng, d)
+            dec = eigh(H)
+            bound = linf_bounds(H)[1]
+            assert linf_bruteforce(H) <= bound * (1.0 + 1e-12)
+            assert bound <= per_basis_bound(dec.values, dec.vectors) * (1.0 + 1e-12)
 
 
 class TestLsep:

@@ -276,6 +276,18 @@ class TestRun:
         assert "Traceback" not in res.stderr
         assert "divergence at step 1" in res.stderr and "guard" in res.stderr
 
+    def test_blow_up_before_zero_epsilon_error_exits_3(self, tmp_path):
+        # f(x0) = cosh(30) - 1 exceeds the blow-up threshold at t = 0, before the
+        # first update would meet the zero second moment of coordinate 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": COSH2, "optimizer": {"method": "adam", "epsilon": 0}, "x0": [30, 0], "T": 3,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert len(res.stdout.splitlines()) == 2  # header and the t = 0 row
+        assert "divergence at step 0" in res.stderr and "exceeded" in res.stderr
+
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(RUN_CFG))

@@ -14,6 +14,7 @@ from normdescent import (
     One,
     WeightedDiag,
     dual_norm,
+    dual_norm_rows,
     gradient_density,
     kind_from_json,
     kind_to_json,
@@ -85,6 +86,18 @@ class TestNormValues:
             norm([1.0, 2.0], WeightedDiag((1.0, 2.0, 3.0)))
         with pytest.raises(ValueError):
             dual_norm([1.0, 2.0], BlockMax(BlockPartition(((0, 1, 2),))))
+        with pytest.raises(ValueError):
+            dual_norm_rows(np.ones((3, 2)), WeightedDiag((1.0, 2.0, 3.0)))
+
+    @pytest.mark.parametrize("kind", KINDS_D4, ids=lambda k: type(k).__name__)
+    def test_rows_match_one_vector_at_a_time(self, kind):
+        X = np.random.default_rng(4).standard_normal((50, 4)) * np.logspace(-3, 3, 50)[:, None]
+        X[7] = 0.0
+        rows = dual_norm_rows(X, kind)
+        assert rows.shape == (50,)
+        each = np.array([dual_norm(x, kind) for x in X])
+        assert np.allclose(rows, each, rtol=1e-15, atol=0.0)
+        assert dual_norm_rows(X[:0], kind).shape == (0,)
 
 
 class TestSteepestOp:

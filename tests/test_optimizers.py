@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -39,6 +40,8 @@ from normdescent import (
     steepest_descent_batch,
     verify_rate_bounds,
 )
+from normdescent.optimizers import F_BLOWUP, STATIONARY_TOL
+from normdescent.problems import OverflowGuardError
 
 ALL_KINDS_D6 = [
     Euclidean(),
@@ -489,3 +492,267 @@ class TestTrace:
         p = make_quadratic(4, 5.0, 0.3, seed=13)
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), p.analysis.L2, np.ones(4), 5)
         assert tr.dist_sq is None
+
+
+def golden_runs(wrap=lambda oracle: oracle):
+    """The README methods on benchmark-shaped configs (d = 8, T = 300).
+
+    Each run's oracle is passed through ``wrap`` first.
+    """
+    d, T = 8, 300
+    p = make_quadratic(d, 50.0, 0.5, seed=3)
+    x0 = np.random.default_rng(5).standard_normal(d)
+    x_star = np.zeros(d)
+    part = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
+    linf = p.analysis.Linf_exact
+
+    def exact():
+        return wrap(quad_oracle(p))
+
+    def noisy():
+        return wrap(quad_noisy_oracle(p, 0.5, np.random.default_rng(7)))
+
+    def sd(kind, L):
+        return lambda: run_steepest_descent(exact(), kind, L, x0, T, x_star=x_star)
+
+    def adam(variant, blocks=None):
+        cfg = AdamConfig(step=1e-3, variant=variant, blocks=blocks)
+        return lambda: run_adam_family(noisy(), cfg, x0, T, np.random.default_rng(9), x_star=x_star)
+
+    return {
+        "gd": sd(Euclidean(), p.analysis.L2),
+        "signgd_normscaled": sd(Max(), linf),
+        "cd": sd(One(), smoothness_constant(p.matrix, One())),
+        "blocknorm": sd(BlockMax(part), smoothness_constant(p.matrix, BlockMax(part))),
+        "nsd": lambda: run_normalized_sd(exact(), Max(), linf, x0, T, x_star=x_star),
+        "relaxed_nsd": lambda: run_relaxed_nsd(
+            wrap(cosh_oracle(CoshProblem(d))), Max(), float(d), 1.0, x0, T, 1e-300, x_star=x_star
+        ),
+        "signsgd": lambda: run_signsgd(noisy(), Constant(1e-3), x0, T, x_star=x_star),
+        "adam": adam("standard"),
+        "adam_shuffled": adam("shuffled", part),
+        "adam_averaged": adam("averaged", part),
+        "momentum_sign": adam("momentum_sign"),
+    }
+
+
+# sha256 of x_final.tobytes() and f.tobytes(), recorded with the per-step
+# loop that kept every row in Python lists (one oracle matvec pair per noisy
+# step), on x86-64 with numpy 2.4 and OpenBLAS.
+GOLDEN_SHA256 = {
+    "gd": (
+        "f02f95d6fe14895a211c053149655df02bcfcd01d275a43315a4dfad0780096d",
+        "fd07e66c37aeaa32ce1375a902e66b3e0a69f9d71a10978966836c2022d0e88a",
+    ),
+    "signgd_normscaled": (
+        "7d109ea336f0a065fe004c89f27df6289c51fd4018f8348bdbcc3722716a5565",
+        "652b49c2a12cc438a64450e7bbfdc5efb0a3ecf1d7a6e55ce1cb16c4b5b32283",
+    ),
+    "cd": (
+        "f6f296eb67efadbfb15f846d92bf8ae381077ec95dfa3378704e7af65c8251d2",
+        "c55611bd46d9e665dd3794464fe7452769c8260e1242088952a4f3cc52766ee3",
+    ),
+    "blocknorm": (
+        "20de47bc8a327988d5c36da6c8cb2c1e64b603fa00788bed1debb4844216650a",
+        "f8cadcc4f1754cbd566a3f5c5f7a65bba8912874158164550a3e78e37d9f6f5b",
+    ),
+    "nsd": (
+        "e86b038f8d2e32664a775899bc14cfbfb4aaeb8ba9a35604087f6930cee2c4d9",
+        "5a1a34044600742b737a53981234969af2f73bd6317ad48f336a9418235be920",
+    ),
+    "relaxed_nsd": (
+        "f8563ed7c5bae063629e9b4597f124cb6842e7b85d18ea0fdee5eeea5976bd21",
+        "fd6dd74783a71886127085851f55d54ab96889a874aaaaa0c3caee40cf5e9056",
+    ),
+    "signsgd": (
+        "ea882e5959c691d8c6e86b723b536d2c8dc5fd7f79d345ea3366346539c415ff",
+        "d7df351e3650204355da7e40c3c1505c6c4d63f54a1acd6a076ff42988d35b3d",
+    ),
+    "adam": (
+        "b1729bb20891882ddbb73bcab1af3687e10caf34e4d1381b8008b73a7cf34de7",
+        "53c1ee4a5fd07b68e7e7e98196cc0176670f291abc1ea9010cc8b9deca89f607",
+    ),
+    "adam_shuffled": (
+        "7b4e4d759a29679752d24326cad8f99b2449b8e9e67087863fc87ec8e0f6cee7",
+        "1cf0b60ee997205c76398eb0beecd152b566698444d6aa9a53ed3dc08fecc813",
+    ),
+    "adam_averaged": (
+        "e1e3d91f8fc3a84799bd66a12f0c8c577264bca70b43f30df961a02992300bf9",
+        "6f5e616f10cf47ad5515f038275f78f6b8b355b5a58e273c5e3bcc6d0fb14fb5",
+    ),
+    "momentum_sign": (
+        "d65c048460edf20b0b32218f41cfc982db3ae218d8f1e69bc41ca879f1c6dd64",
+        "4570dc30ec338135ac6bb43997798caf451e50af20e39e1f36303d84624f3925",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
+def test_golden_iterates(method):
+    tr = golden_runs()[method]()
+    assert len(tr) == 301
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (tr.x_final, tr.f))
+    assert digests == GOLDEN_SHA256[method]
+
+
+def reference_run(oracle, x0, T, step, dual=None, stop_tol=None):
+    """The step loop written out plainly: (f rows, hit index, (step, reason) or None).
+
+    ``step(x, g, t)`` is the method's update; with ``stop_tol`` the run stops
+    at the first t whose ``dual(g)`` falls to it.
+    """
+    x = np.array(x0, dtype=float)
+    fs = []
+    for t in range(T + 1):
+        try:
+            f, g = oracle(x)
+        except OverflowGuardError as exc:
+            return fs, None, (t, str(exc))
+        if not (math.isfinite(f) and np.isfinite(g).all()):
+            return fs, None, (t, "non-finite objective or gradient")
+        fs.append(f)
+        if f > F_BLOWUP:
+            return fs, None, (t, f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
+        if stop_tol is not None and dual(g) <= stop_tol:
+            return fs, t, None
+        if t == T:
+            break
+        x = step(x, g, t)
+    return fs, None, None
+
+
+def signs(z):
+    return np.where(z >= 0.0, 1.0, -1.0)
+
+
+def adam_reference_step(cfg):
+    state = {"m": 0.0, "v": 0.0}
+
+    def step(x, g, t):
+        state["m"] = cfg.beta1 * state["m"] + (1.0 - cfg.beta1) * g
+        state["v"] = cfg.beta2 * state["v"] + (1.0 - cfg.beta2) * g * g
+        return x - cfg.step * (state["m"] / (np.sqrt(state["v"]) + cfg.epsilon))
+
+    return step
+
+
+class TestStepLoopParity:
+    """Divergence, early stops and hit indices agree with a plain loop."""
+
+    QUAD = make_quadratic(4, 1e11, 0.0, seed=5)
+    X0 = np.random.default_rng(2).standard_normal(4)
+
+    def _assert_parity(self, run, reference):
+        fs, hit, error = reference
+        if error is None:
+            tr = run()
+            assert tr.hit_index == hit
+        else:
+            with pytest.raises(DivergenceError) as err:
+                run()
+            assert (err.value.step, err.value.reason) == error
+            tr = err.value.trace
+            assert tr.hit_index is None
+        assert len(tr) == len(fs)
+        assert np.array_equal(tr.f, np.array(fs))
+        assert len(tr.dual_grad_norm) == len(fs)
+        return tr
+
+    def test_gd_with_too_small_L_blows_up(self):
+        p = make_quadratic(5, 20.0, 0.5, seed=1)
+        x0 = np.ones(5)
+        L = p.analysis.L2 / 3.0
+        self._assert_parity(
+            lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500, x_star=np.zeros(5)),
+            reference_run(quad_oracle(p), x0, 500, lambda x, g, t: x - g / L),
+        )
+
+    def test_signsgd_with_large_constant_step_blows_up(self):
+        oracle = quad_oracle(self.QUAD)
+        tr = self._assert_parity(
+            lambda: run_signsgd(oracle, Constant(10.0), self.X0, 50, x_star=np.zeros(4)),
+            reference_run(oracle, self.X0, 50, lambda x, g, t: x - 10.0 * signs(g)),
+        )
+        assert tr.f[-1] > F_BLOWUP
+
+    def test_adam_with_large_step_blows_up(self):
+        cfg = AdamConfig(step=1e4)
+        oracle = quad_oracle(self.QUAD)
+        self._assert_parity(
+            lambda: run_adam_family(oracle, cfg, self.X0, 50, np.random.default_rng(0)),
+            reference_run(oracle, self.X0, 50, adam_reference_step(cfg)),
+        )
+
+    def test_leaving_the_cosh_guard(self):
+        oracle = cosh_oracle(CoshProblem(2))
+        tr = self._assert_parity(
+            lambda: run_steepest_descent(oracle, Euclidean(), 1e-3, [5.0, 0.0], 3),
+            reference_run(oracle, [5.0, 0.0], 3, lambda x, g, t: x - g / 1e-3),
+        )
+        assert len(tr) == 1
+
+    def test_nsd_started_at_the_optimum(self):
+        p = make_quadratic(4, 6.0, 0.3, seed=6)
+        fs, stop, error = reference_run(
+            quad_oracle(p), np.zeros(4), 50, None,
+            dual=lambda g: np.abs(g).sum(), stop_tol=STATIONARY_TOL,
+        )
+        assert stop == 0
+        # nsd stops without recording a hit index
+        tr = self._assert_parity(
+            lambda: run_normalized_sd(quad_oracle(p), Max(), 2.0, np.zeros(4), 50), (fs, None, error)
+        )
+        assert len(tr) == 1
+
+    def test_relaxed_nsd_hits_eps(self):
+        oracle = cosh_oracle(CoshProblem(4))
+        L0, L1, eps = 4.0, 1.0, 1e-2
+
+        def step(x, g, t):
+            dual = float(np.abs(g).sum())
+            return x - dual * signs(g) / (5.0 * L0 + 4.0 * L1 * dual)
+
+        x0 = [3.0, -1.0, 2.0, 0.5]
+        tr = self._assert_parity(
+            lambda: run_relaxed_nsd(oracle, Max(), L0, L1, x0, 100_000, eps),
+            reference_run(oracle, x0, 100_000, step, dual=lambda g: np.abs(g).sum(), stop_tol=eps),
+        )
+        assert tr.hit_index == len(tr) - 1 and tr.dual_grad_norm[-1] <= eps
+
+    def test_non_finite_gradient_with_finite_value(self):
+        def oracle(x):
+            g = x.copy()
+            if x[0] < 0.5:
+                g[1] = math.inf
+            return 1.0, g
+
+        self._assert_parity(
+            lambda: run_steepest_descent(oracle, Euclidean(), 4.0, [2.0, 0.0], 10),
+            reference_run(oracle, [2.0, 0.0], 10, lambda x, g, t: x - g / 4.0),
+        )
+
+    def test_adam_zero_epsilon_error_and_blow_up_keep_their_order(self):
+        cfg = AdamConfig(step=1e-3, epsilon=0.0)
+        oracle = cosh_oracle(CoshProblem(2))
+        with pytest.raises(ValueError, match="degenerate"):
+            run_adam_family(oracle, cfg, [0.0, 1.0], 5, np.random.default_rng(0))
+        # cosh(30) - 1 > F_BLOWUP: the blow-up at t = 0 comes before the update
+        with pytest.raises(DivergenceError, match="exceeded") as err:
+            run_adam_family(oracle, cfg, [30.0, 0.0], 5, np.random.default_rng(0))
+        assert err.value.step == 0 and len(err.value.trace) == 1
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
+    def test_iterates_handed_to_the_oracle_are_never_modified(self, method):
+        seen = []
+
+        def recording(oracle):
+            def recorded(x):
+                seen.append((x, x.copy()))
+                return oracle(x)
+
+            return recorded
+
+        tr = golden_runs(recording)[method]()
+        assert len(seen) == len(tr)
+        for x, copy in seen:
+            assert np.array_equal(x, copy)

@@ -12,7 +12,9 @@ from normdescent import (
     make_quadratic,
     noisy_grad,
     quad_eval,
+    quad_noisy_oracle,
 )
+from normdescent.problems import NOISE_BLOCK
 
 
 def central_diff(f, x, h):
@@ -141,6 +143,20 @@ class TestNoisyGrad:
         p = make_quadratic(3, 2.0, 0.1, seed=1)
         with pytest.raises(ValueError):
             noisy_grad(p, np.zeros(3), -0.1, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            quad_noisy_oracle(p, -0.1, np.random.default_rng(0))
+
+    def test_oracle_blocks_match_per_call_draws(self):
+        # the oracle draws NOISE_BLOCK rows at a time; call k must still see
+        # the k-th single draw, across three block boundaries
+        p = make_quadratic(5, 7.0, 0.4, seed=2)
+        oracle = quad_noisy_oracle(p, 0.3, np.random.default_rng(11))
+        stream = np.random.default_rng(11)
+        xs = np.random.default_rng(12).standard_normal((3 * NOISE_BLOCK + 1, 5))
+        for x in xs:
+            f, g = oracle(x)
+            assert f == quad_eval(p, x)[0]
+            assert np.array_equal(g, noisy_grad(p, x, 0.3, stream))
 
 
 class TestCosh:
