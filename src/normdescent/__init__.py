@@ -38,7 +38,6 @@ from .norms import (
     One,
     WeightedDiag,
     dual_norm,
-    dual_norm_rows,
     gradient_density,
     kind_from_json,
     kind_to_json,

@@ -161,7 +161,7 @@ def rho_diag(H: SymMatrix) -> float:
     return float(np.trace(a)) / total
 
 
-def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray) -> float:
+def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -> float:
     """sum_k |c_k| sum_ij |P_k,ij| + r_k d over the eigenvalue groups k.
 
     Ascending eigenvalues whose neighbours differ by at most 1e-12 * L2
@@ -171,32 +171,35 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray) -> float:
     |t' V_k (Lambda_k - c_k) V_k' s| <= r_k ||t|| ||s|| = r_k d for sign
     vectors s and t.  Since sum_ij |P_k,ij| <= sum_{l in k} ||v_l||_1^2,
     group k adds at most r_k (d + sum_{l in k} ||v_l||_1^2) more than the
-    per-basis sum_{l in k} |lambda_l| ||v_l||_1^2, and nothing more when it
-    holds one eigenvalue.
+    per-basis sum_{l in k} |lambda_l| ||v_l||_1^2.  A group of one
+    eigenvalue adds exactly |lambda_l| ||v_l||_1^2 (``l1`` holds the
+    ||v_l||_1), so only repeated eigenvalues pay for a d x d projector.
     """
     d = values.size
+    terms = np.abs(values) * l1 * l1
     tol = 1e-12 * max(abs(values[0]), abs(values[-1]))
     cuts = np.flatnonzero(np.diff(values) > tol) + 1
-    total = 0.0
     for group in np.split(np.arange(d), cuts):
-        lo, hi = values[group[0]], values[group[-1]]
-        v = vectors[:, group]
-        total += abs(0.5 * (lo + hi)) * float(np.abs(v @ v.T).sum()) + 0.5 * (hi - lo) * d
-    return total
+        if group.size > 1:
+            lo, hi = values[group[0]], values[group[-1]]
+            v = vectors[:, group]
+            terms[group] = 0.0
+            terms[group[0]] = abs(0.5 * (lo + hi)) * float(np.abs(v @ v.T).sum()) + 0.5 * (hi - lo) * d
+    return float(terms.sum())
 
 
 def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
     abs_lam = np.abs(values)
     l1 = np.abs(vectors).sum(axis=0)
     linf = np.abs(vectors).max(axis=0)
-    bound_sym = _eigenspace_bound(values, vectors)
+    bound_sym = _eigenspace_bound(values, vectors, l1)
     lower = float((abs_lam * l1 / linf).max())
     bound_psd = None
     if values[0] >= -PSD_TOL:
         if float(np.abs(H.to_array()).sum()) == 0.0:
             bound_psd = 0.0
-        else:
-            bound_psd = float(values.sum()) / rho_diag(H)
+        elif (rho := rho_diag(H)) > 0.0:  # a nonzero matrix with zero diagonal is indefinite
+            bound_psd = float(values.sum()) / rho
     return bound_psd, bound_sym, lower
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "sign_unit",
     "norm",
     "dual_norm",
-    "dual_norm_rows",
     "steepest_op",
     "gradient_density",
     "kind_to_json",

@@ -24,7 +24,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .norms import (
-    BlockPartition, Euclidean, Max, NormKind, dual_norm, dual_norm_rows, sign_unit, steepest_op
+    BlockPartition, Euclidean, Max, NormKind, _row_dots, dual_norm, dual_norm_rows, sign_unit,
+    steepest_op,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -52,6 +53,7 @@ __all__ = [
 
 F_BLOWUP = 1e12
 STATIONARY_TOL = 1e-14
+ROW_CHUNK = 1024  # trace rows the step loop allocates at first
 
 # A batched oracle maps an (R, d) array of iterates, one per row, to the
 # per-row objective values (shape (R,)) and gradients (shape (R, d)).
@@ -143,33 +145,38 @@ def _drive(
 ) -> Trace:
     """The step loop of the run_* methods.
 
-    Step t stores the oracle's f_t and g_t, and x_t, in preallocated rows.
-    A non-finite value or gradient, or an iterate past the oracle's
-    overflow guard, aborts with rows 0..t-1; a value above F_BLOWUP, with
-    rows 0..t.  With ``stop_tol``, the step computes the dual norm of g_t in
-    ``kind`` and stops once it is at most ``stop_tol`` (t is the hit index
-    when ``mark_hit``).  Otherwise, while t < T, x_{t+1} = update(x_t, g_t,
-    t, dual), dual being that norm or None; updates return new arrays, so
-    no iterate handed to the oracle changes.  The dual norms without
-    ``stop_tol``, and the squared distances to ``x_star``, are reduced over
-    all rows after the loop.
+    Step t stores f_t, x_t and g_t in row t of buffers that start at
+    ROW_CHUNK rows and double when full.  A non-finite value or gradient,
+    or an iterate past the oracle's overflow guard, aborts with rows
+    0..t-1; a value above F_BLOWUP, with rows 0..t.  With ``stop_tol``, the
+    step also stores dual = ||g_t||* in ``kind``, and the run stops once it
+    is at most ``stop_tol`` (t is the hit index when ``mark_hit``).
+    Otherwise, while t < T, x_{t+1} = update(x_t, g_t, t, dual), dual being
+    None without ``stop_tol``; updates return new arrays, so no iterate
+    handed to the oracle changes.  The other dual norms, and the squared
+    distances to ``x_star``, are reduced over the rows after the loop.
     """
     x = _start(x0)
-    F = np.empty(T + 1)
-    X = np.empty((T + 1, x.size))
-    G = np.empty((T + 1, x.size))
-    D = None if stop_tol is None else np.empty(T + 1)
+    rows = min(T + 1, ROW_CHUNK)
+    F = np.empty(rows)
+    X = np.empty((rows, x.size))
+    G = np.empty((rows, x.size))
+    D = None if stop_tol is None else np.empty(rows)
 
     def trace(n: int, x: np.ndarray, hit: int | None = None) -> Trace:
-        dual = D[:n] if D is not None else dual_norm_rows(G[:n], kind)
+        dual = D[:n].copy() if D is not None else dual_norm_rows(G[:n], kind)
         dist = None
         if x_star is not None:
             delta = X[:n] - np.asarray(x_star, dtype=float)
-            dist = _frozen((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])  # rounds as np.dot
-        return Trace(_frozen(F[:n]), _frozen(dual), dist, _frozen(x.copy()), hit)
+            dist = _frozen(_row_dots(delta, delta))
+        return Trace(_frozen(F[:n].copy()), _frozen(dual), dist, _frozen(x.copy()), hit)
 
     dual = hit = None
     for t in range(T + 1):
+        if t == rows:  # np.resize keeps the leading rows
+            rows = min(2 * rows, T + 1)
+            F, X, G = np.resize(F, rows), np.resize(X, (rows, x.size)), np.resize(G, (rows, x.size))
+            D = None if D is None else np.resize(D, rows)
         try:
             f, g = oracle(x)
         except OverflowGuardError as exc:
@@ -182,13 +189,13 @@ def _drive(
         # one reduction per step; the elementwise test runs only when the sum is not finite
         if not math.isfinite(f + np.add.reduce(g)) and not (math.isfinite(f) and np.isfinite(g).all()):
             raise DivergenceError(t, trace(t, x), "non-finite objective or gradient")
+        if D is not None:
+            dual = D[t] = dual_norm(g, kind)
         if f > F_BLOWUP:
             raise DivergenceError(t, trace(t + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
-        if stop_tol is not None:
-            dual = D[t] = dual_norm(g, kind)
-            if dual <= stop_tol:
-                hit = t if mark_hit else None
-                break
+        if dual is not None and dual <= stop_tol:
+            hit = t if mark_hit else None
+            break
         if t == T:
             break
         x = update(x, g, t, dual)

@@ -131,6 +131,12 @@ class TestLinfBounds:
         bound_psd, _, _ = linf_bounds(H_2x2)
         assert bound_psd == pytest.approx(7.0, rel=1e-12)
 
+    def test_tiny_zero_diagonal_matrix_has_no_concentration_bound(self):
+        # eigenvalues +-4.7e-234 pass the PSD tolerance, but rho_diag is 0
+        H = SymMatrix.from_array([[0.0, 4.6847355763135294e-234], [4.6847355763135294e-234, 0.0]])
+        assert linf_bounds(H)[0] is None
+        assert analyze(H).bound_psd is None
+
     def test_non_psd_suppresses_concentration_bound(self):
         bound_psd, bound_sym, lower = linf_bounds(SymMatrix.diagonal([1.0, -1.0]))
         assert bound_psd is None
@@ -158,7 +164,8 @@ def repeated_spectrum(rng, d):
 
 def per_basis_bound(values, vectors):
     """sum |lambda_i| ||v_i||_1^2, the eigenvector bound of one chosen basis."""
-    return float((np.abs(values) * np.abs(vectors).sum(axis=0) ** 2).sum())
+    l1 = np.abs(vectors).sum(axis=0)
+    return float((np.abs(values) * l1 * l1).sum())
 
 
 class TestEigenspaceBound:
@@ -174,7 +181,16 @@ class TestEigenspaceBound:
                 r, _ = np.linalg.qr(rng.standard_normal((group.size, group.size)))
                 rotated[:, group] = rotated[:, group] @ r
                 assert per_basis_bound(dec.values, rotated) != pytest.approx(first, rel=1e-6)
-                assert _eigenspace_bound(dec.values, rotated) == pytest.approx(first, rel=1e-12)
+                l1 = np.abs(rotated).sum(axis=0)
+                assert _eigenspace_bound(dec.values, rotated, l1) == pytest.approx(first, rel=1e-12)
+
+    def test_distinct_eigenvalues_keep_the_per_basis_sum(self):
+        rng = np.random.default_rng(74)
+        for d in (2, 7, 24, 60):
+            H = random_sym(rng, d)
+            dec = eigh(H)
+            assert np.diff(dec.values).min() > 1e-6
+            assert linf_bounds(H)[1] == per_basis_bound(dec.values, dec.vectors)
 
     def test_rotated_identity_is_exact(self):
         rng = np.random.default_rng(72)

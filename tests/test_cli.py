@@ -288,6 +288,17 @@ class TestRun:
         assert len(res.stdout.splitlines()) == 2  # header and the t = 0 row
         assert "divergence at step 0" in res.stderr and "exceeded" in res.stderr
 
+    @pytest.mark.parametrize("method", ["relaxed_nsd", "nsd"])
+    def test_stopping_run_blowing_up_at_start_prints_its_dual_norm(self, tmp_path, method):
+        optimizer = {"method": method, **({"L0": 2.0, "L1": 1.0} if method == "relaxed_nsd" else {"L": 2.0})}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"problem": COSH2, "optimizer": optimizer, "x0": [30, 0], "T": 3}))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        rows = res.stdout.splitlines()[1:]
+        assert len(rows) == 1 and "divergence at step 0" in res.stderr
+        assert float(rows[0].split(",")[2]) == math.sinh(30.0)  # one-norm of sinh(x0)
+
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(RUN_CFG))

@@ -14,7 +14,6 @@ from normdescent import (
     One,
     WeightedDiag,
     dual_norm,
-    dual_norm_rows,
     gradient_density,
     kind_from_json,
     kind_to_json,
@@ -22,6 +21,7 @@ from normdescent import (
     sign_unit,
     steepest_op,
 )
+from normdescent.norms import dual_norm_rows
 
 KINDS_D4 = [
     Euclidean(),

@@ -1,5 +1,5 @@
-import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,9 +24,11 @@ from normdescent import (
     WeightedDiag,
     adam_gamma,
     cosh_oracle,
+    dual_norm,
     eigh,
     lsep_rowsum,
     make_quadratic,
+    noisy_grad,
     quad_eval,
     quad_noisy_oracle,
     quad_oracle,
@@ -40,7 +42,7 @@ from normdescent import (
     steepest_descent_batch,
     verify_rate_bounds,
 )
-from normdescent.optimizers import F_BLOWUP, STATIONARY_TOL
+from normdescent.optimizers import F_BLOWUP, ROW_CHUNK, STATIONARY_TOL
 from normdescent.problems import OverflowGuardError
 
 ALL_KINDS_D6 = [
@@ -494,17 +496,37 @@ class TestTrace:
         assert tr.dist_sq is None
 
 
+GOLDEN_D, GOLDEN_T = 8, 300
+GOLDEN_P = make_quadratic(GOLDEN_D, 50.0, 0.5, seed=3)
+GOLDEN_X0 = np.random.default_rng(5).standard_normal(GOLDEN_D)
+GOLDEN_PART = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
+GOLDEN_L = {
+    "gd": GOLDEN_P.analysis.L2,
+    "signgd_normscaled": GOLDEN_P.analysis.Linf_exact,
+    "cd": smoothness_constant(GOLDEN_P.matrix, One()),
+    "blocknorm": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART)),
+}
+GOLDEN_KIND = {
+    "gd": Euclidean(),
+    "signgd_normscaled": Max(),
+    "cd": One(),
+    "blocknorm": BlockMax(GOLDEN_PART),
+}
+GOLDEN_ADAM = {
+    "adam": AdamConfig(step=1e-3),
+    "adam_shuffled": AdamConfig(step=1e-3, variant="shuffled", blocks=GOLDEN_PART),
+    "adam_averaged": AdamConfig(step=1e-3, variant="averaged", blocks=GOLDEN_PART),
+    "momentum_sign": AdamConfig(step=1e-3, variant="momentum_sign"),
+}
+GOLDEN_METHODS = (*GOLDEN_KIND, "nsd", "relaxed_nsd", "signsgd", *GOLDEN_ADAM)
+
+
 def golden_runs(wrap=lambda oracle: oracle):
     """The README methods on benchmark-shaped configs (d = 8, T = 300).
 
     Each run's oracle is passed through ``wrap`` first.
     """
-    d, T = 8, 300
-    p = make_quadratic(d, 50.0, 0.5, seed=3)
-    x0 = np.random.default_rng(5).standard_normal(d)
-    x_star = np.zeros(d)
-    part = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
-    linf = p.analysis.Linf_exact
+    p, x0, T, x_star = GOLDEN_P, GOLDEN_X0, GOLDEN_T, np.zeros(GOLDEN_D)
 
     def exact():
         return wrap(quad_oracle(p))
@@ -512,128 +534,187 @@ def golden_runs(wrap=lambda oracle: oracle):
     def noisy():
         return wrap(quad_noisy_oracle(p, 0.5, np.random.default_rng(7)))
 
-    def sd(kind, L):
+    def sd(method):
+        kind, L = GOLDEN_KIND[method], GOLDEN_L[method]
         return lambda: run_steepest_descent(exact(), kind, L, x0, T, x_star=x_star)
 
-    def adam(variant, blocks=None):
-        cfg = AdamConfig(step=1e-3, variant=variant, blocks=blocks)
+    def adam(method):
+        cfg = GOLDEN_ADAM[method]
         return lambda: run_adam_family(noisy(), cfg, x0, T, np.random.default_rng(9), x_star=x_star)
 
     return {
-        "gd": sd(Euclidean(), p.analysis.L2),
-        "signgd_normscaled": sd(Max(), linf),
-        "cd": sd(One(), smoothness_constant(p.matrix, One())),
-        "blocknorm": sd(BlockMax(part), smoothness_constant(p.matrix, BlockMax(part))),
-        "nsd": lambda: run_normalized_sd(exact(), Max(), linf, x0, T, x_star=x_star),
+        **{method: sd(method) for method in GOLDEN_KIND},
+        "nsd": lambda: run_normalized_sd(exact(), Max(), GOLDEN_L["signgd_normscaled"], x0, T, x_star=x_star),
         "relaxed_nsd": lambda: run_relaxed_nsd(
-            wrap(cosh_oracle(CoshProblem(d))), Max(), float(d), 1.0, x0, T, 1e-300, x_star=x_star
+            wrap(cosh_oracle(CoshProblem(GOLDEN_D))), Max(), float(GOLDEN_D), 1.0, x0, T, 1e-300,
+            x_star=x_star,
         ),
         "signsgd": lambda: run_signsgd(noisy(), Constant(1e-3), x0, T, x_star=x_star),
-        "adam": adam("standard"),
-        "adam_shuffled": adam("shuffled", part),
-        "adam_averaged": adam("averaged", part),
-        "momentum_sign": adam("momentum_sign"),
+        **{method: adam(method) for method in GOLDEN_ADAM},
     }
 
 
-# sha256 of x_final.tobytes() and f.tobytes(), recorded with the per-step
-# loop that kept every row in Python lists (one oracle matvec pair per noisy
-# step), on x86-64 with numpy 2.4 and OpenBLAS.
-GOLDEN_SHA256 = {
-    "gd": (
-        "f02f95d6fe14895a211c053149655df02bcfcd01d275a43315a4dfad0780096d",
-        "fd07e66c37aeaa32ce1375a902e66b3e0a69f9d71a10978966836c2022d0e88a",
-    ),
-    "signgd_normscaled": (
-        "7d109ea336f0a065fe004c89f27df6289c51fd4018f8348bdbcc3722716a5565",
-        "652b49c2a12cc438a64450e7bbfdc5efb0a3ecf1d7a6e55ce1cb16c4b5b32283",
-    ),
-    "cd": (
-        "f6f296eb67efadbfb15f846d92bf8ae381077ec95dfa3378704e7af65c8251d2",
-        "c55611bd46d9e665dd3794464fe7452769c8260e1242088952a4f3cc52766ee3",
-    ),
-    "blocknorm": (
-        "20de47bc8a327988d5c36da6c8cb2c1e64b603fa00788bed1debb4844216650a",
-        "f8cadcc4f1754cbd566a3f5c5f7a65bba8912874158164550a3e78e37d9f6f5b",
-    ),
-    "nsd": (
-        "e86b038f8d2e32664a775899bc14cfbfb4aaeb8ba9a35604087f6930cee2c4d9",
-        "5a1a34044600742b737a53981234969af2f73bd6317ad48f336a9418235be920",
-    ),
-    "relaxed_nsd": (
-        "f8563ed7c5bae063629e9b4597f124cb6842e7b85d18ea0fdee5eeea5976bd21",
-        "fd6dd74783a71886127085851f55d54ab96889a874aaaaa0c3caee40cf5e9056",
-    ),
-    "signsgd": (
-        "ea882e5959c691d8c6e86b723b536d2c8dc5fd7f79d345ea3366346539c415ff",
-        "d7df351e3650204355da7e40c3c1505c6c4d63f54a1acd6a076ff42988d35b3d",
-    ),
-    "adam": (
-        "b1729bb20891882ddbb73bcab1af3687e10caf34e4d1381b8008b73a7cf34de7",
-        "53c1ee4a5fd07b68e7e7e98196cc0176670f291abc1ea9010cc8b9deca89f607",
-    ),
-    "adam_shuffled": (
-        "7b4e4d759a29679752d24326cad8f99b2449b8e9e67087863fc87ec8e0f6cee7",
-        "1cf0b60ee997205c76398eb0beecd152b566698444d6aa9a53ed3dc08fecc813",
-    ),
-    "adam_averaged": (
-        "e1e3d91f8fc3a84799bd66a12f0c8c577264bca70b43f30df961a02992300bf9",
-        "6f5e616f10cf47ad5515f038275f78f6b8b355b5a58e273c5e3bcc6d0fb14fb5",
-    ),
-    "momentum_sign": (
-        "d65c048460edf20b0b32218f41cfc982db3ae218d8f1e69bc41ca879f1c6dd64",
-        "4570dc30ec338135ac6bb43997798caf451e50af20e39e1f36303d84624f3925",
-    ),
-}
+class Ref(NamedTuple):
+    f: np.ndarray
+    dual: np.ndarray
+    dist: np.ndarray | None
+    x: np.ndarray
+    hit: int | None
+    error: tuple[int, str] | None
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
-def test_golden_iterates(method):
-    tr = golden_runs()[method]()
-    assert len(tr) == 301
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (tr.x_final, tr.f))
-    assert digests == GOLDEN_SHA256[method]
+def reference_run(oracle, x0, T, step, dual, stop_tol=None, mark_hit=True, x_star=None):
+    """The step loop as one list-appending loop per method wrote it.
 
-
-def reference_run(oracle, x0, T, step, dual=None, stop_tol=None):
-    """The step loop written out plainly: (f rows, hit index, (step, reason) or None).
-
-    ``step(x, g, t)`` is the method's update; with ``stop_tol`` the run stops
-    at the first t whose ``dual(g)`` falls to it.
+    Per step: evaluate, test finiteness, record f, ``dual(g)`` and the
+    squared distance to ``x_star``, test the blow-up threshold, stop once
+    ``dual(g) <= stop_tol`` (recording t as hit index when ``mark_hit``),
+    then ``x = step(x, g, t, dual(g))``.
     """
     x = np.array(x0, dtype=float)
-    fs = []
+    fs, duals, dists = [], [], []
+
+    def ref(hit=None, error=None):
+        dist = None if x_star is None else np.array(dists)
+        return Ref(np.array(fs), np.array(duals), dist, x, hit, error)
+
     for t in range(T + 1):
         try:
             f, g = oracle(x)
         except OverflowGuardError as exc:
-            return fs, None, (t, str(exc))
+            return ref(error=(t, str(exc)))
         if not (math.isfinite(f) and np.isfinite(g).all()):
-            return fs, None, (t, "non-finite objective or gradient")
+            return ref(error=(t, "non-finite objective or gradient"))
         fs.append(f)
+        dn = dual(g)
+        duals.append(dn)
+        if x_star is not None:
+            delta = x - x_star
+            dists.append(float(np.dot(delta, delta)))
         if f > F_BLOWUP:
-            return fs, None, (t, f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
-        if stop_tol is not None and dual(g) <= stop_tol:
-            return fs, t, None
+            return ref(error=(t, f"objective {f:.3e} exceeded {F_BLOWUP:.0e}"))
+        if stop_tol is not None and dn <= stop_tol:
+            return ref(hit=t if mark_hit else None)
         if t == T:
             break
-        x = step(x, g, t)
-    return fs, None, None
+        x = step(x, g, t, dn)
+    return ref()
 
 
 def signs(z):
     return np.where(z >= 0.0, 1.0, -1.0)
 
 
-def adam_reference_step(cfg):
+def one_norm(g):
+    return float(np.abs(g).sum())
+
+
+def reference_steepest_op(g, kind):
+    """P(g) for the geometries the golden runs use, written out directly."""
+    if isinstance(kind, Euclidean):
+        return g.copy()
+    if isinstance(kind, Max):
+        return one_norm(g) * signs(g)
+    out = np.zeros_like(g)
+    if isinstance(kind, One):
+        i = int(np.argmax(np.abs(g)))
+        out[i] = g[i]
+        return out
+    total = dual_norm(g, kind)
+    for b in kind.partition.blocks:
+        idx = list(b)
+        nb = float(np.sqrt(np.dot(g[idx], g[idx])))
+        if nb > 0.0:
+            out[idx] = g[idx] * (total / nb)
+    return out
+
+
+def adam_reference_step(cfg, rng=None, blocks=None):
     state = {"m": 0.0, "v": 0.0}
 
-    def step(x, g, t):
-        state["m"] = cfg.beta1 * state["m"] + (1.0 - cfg.beta1) * g
-        state["v"] = cfg.beta2 * state["v"] + (1.0 - cfg.beta2) * g * g
-        return x - cfg.step * (state["m"] / (np.sqrt(state["v"]) + cfg.epsilon))
+    def step(x, g, t, _):
+        m = state["m"] = cfg.beta1 * state["m"] + (1.0 - cfg.beta1) * g
+        v = state["v"] = cfg.beta2 * state["v"] + (1.0 - cfg.beta2) * g * g
+        if cfg.variant == "standard":
+            if cfg.epsilon == 0.0 and (v == 0.0).any():
+                raise ValueError("degenerate input: zero second moment with epsilon = 0")
+            delta = m / (np.sqrt(v) + cfg.epsilon)
+        elif cfg.variant == "momentum_sign":
+            delta = signs(m)
+        else:
+            gamma = np.abs(m) / (np.sqrt(v) + cfg.epsilon)
+            magnitude = np.empty(g.size)
+            for b in blocks or (tuple(range(g.size)),):
+                idx = list(b)
+                seg = gamma[idx]
+                magnitude[idx] = seg[rng.permutation(len(idx))] if cfg.variant == "shuffled" else seg.mean()
+            delta = magnitude * signs(m)
+        return x - cfg.step * delta
 
     return step
+
+
+def golden_reference_runs():
+    """golden_runs through reference_run, with the oracles and updates written out."""
+    p, x0, T, x_star = GOLDEN_P, GOLDEN_X0, GOLDEN_T, np.zeros(GOLDEN_D)
+
+    def noisy():
+        rng = np.random.default_rng(7)
+        return lambda x: (quad_eval(p, x)[0], noisy_grad(p, x, 0.5, rng))
+
+    def sd(method):
+        kind, L = GOLDEN_KIND[method], GOLDEN_L[method]
+        return lambda: reference_run(
+            quad_oracle(p), x0, T, lambda x, g, t, _: x - reference_steepest_op(g, kind) / L,
+            lambda g: dual_norm(g, kind), x_star=x_star,
+        )
+
+    def adam(method):
+        cfg = GOLDEN_ADAM[method]
+        step = adam_reference_step(cfg, np.random.default_rng(9), cfg.blocks and cfg.blocks.blocks)
+        return lambda: reference_run(noisy(), x0, T, step, one_norm, x_star=x_star)
+
+    def nsd_step(x, g, t, dual):
+        unit = reference_steepest_op(g, Max()) / dual
+        return x - unit * ((1.0 / math.sqrt(t + 1.0)) / GOLDEN_L["signgd_normscaled"])
+
+    def relaxed_step(x, g, t, dual):
+        return x - reference_steepest_op(g, Max()) / (5.0 * GOLDEN_D + 4.0 * dual)
+
+    return {
+        **{method: sd(method) for method in GOLDEN_KIND},
+        "nsd": lambda: reference_run(
+            quad_oracle(p), x0, T, nsd_step, one_norm, STATIONARY_TOL, mark_hit=False, x_star=x_star
+        ),
+        "relaxed_nsd": lambda: reference_run(
+            cosh_oracle(CoshProblem(GOLDEN_D)), x0, T, relaxed_step, one_norm, 1e-300, x_star=x_star
+        ),
+        "signsgd": lambda: reference_run(
+            noisy(), x0, T, lambda x, g, t, _: x - 1e-3 * signs(g), one_norm, x_star=x_star
+        ),
+        **{method: adam(method) for method in GOLDEN_ADAM},
+    }
+
+
+def assert_matches_reference(tr, ref):
+    """Bit-identical f rows and final iterate; row reductions within 1e-14 relative."""
+    assert tr.hit_index == ref.hit
+    assert len(tr) == len(ref.f)
+    assert tr.f.tobytes() == ref.f.tobytes()
+    assert tr.x_final.tobytes() == ref.x.tobytes()
+    np.testing.assert_allclose(tr.dual_grad_norm, ref.dual, rtol=1e-14, atol=0.0)
+    if ref.dist is None:
+        assert tr.dist_sq is None
+    else:
+        np.testing.assert_allclose(tr.dist_sq, ref.dist, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("method", GOLDEN_METHODS)
+def test_golden_iterates(method):
+    tr = golden_runs()[method]()
+    ref = golden_reference_runs()[method]()
+    assert len(tr) == GOLDEN_T + 1
+    assert_matches_reference(tr, ref)
 
 
 class TestStepLoopParity:
@@ -642,36 +723,36 @@ class TestStepLoopParity:
     QUAD = make_quadratic(4, 1e11, 0.0, seed=5)
     X0 = np.random.default_rng(2).standard_normal(4)
 
-    def _assert_parity(self, run, reference):
-        fs, hit, error = reference
-        if error is None:
+    def _assert_parity(self, run, ref):
+        if ref.error is None:
             tr = run()
-            assert tr.hit_index == hit
         else:
             with pytest.raises(DivergenceError) as err:
                 run()
-            assert (err.value.step, err.value.reason) == error
+            assert (err.value.step, err.value.reason) == ref.error
             tr = err.value.trace
-            assert tr.hit_index is None
-        assert len(tr) == len(fs)
-        assert np.array_equal(tr.f, np.array(fs))
-        assert len(tr.dual_grad_norm) == len(fs)
+        assert_matches_reference(tr, ref)
         return tr
 
     def test_gd_with_too_small_L_blows_up(self):
         p = make_quadratic(5, 20.0, 0.5, seed=1)
-        x0 = np.ones(5)
+        x0, x_star = np.ones(5), np.zeros(5)
         L = p.analysis.L2 / 3.0
         self._assert_parity(
-            lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500, x_star=np.zeros(5)),
-            reference_run(quad_oracle(p), x0, 500, lambda x, g, t: x - g / L),
+            lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500, x_star=x_star),
+            reference_run(
+                quad_oracle(p), x0, 500, lambda x, g, t, _: x - g / L,
+                lambda g: float(np.sqrt(np.dot(g, g))), x_star=x_star,
+            ),
         )
 
     def test_signsgd_with_large_constant_step_blows_up(self):
         oracle = quad_oracle(self.QUAD)
         tr = self._assert_parity(
             lambda: run_signsgd(oracle, Constant(10.0), self.X0, 50, x_star=np.zeros(4)),
-            reference_run(oracle, self.X0, 50, lambda x, g, t: x - 10.0 * signs(g)),
+            reference_run(
+                oracle, self.X0, 50, lambda x, g, t, _: x - 10.0 * signs(g), one_norm, x_star=np.zeros(4)
+            ),
         )
         assert tr.f[-1] > F_BLOWUP
 
@@ -680,44 +761,87 @@ class TestStepLoopParity:
         oracle = quad_oracle(self.QUAD)
         self._assert_parity(
             lambda: run_adam_family(oracle, cfg, self.X0, 50, np.random.default_rng(0)),
-            reference_run(oracle, self.X0, 50, adam_reference_step(cfg)),
+            reference_run(oracle, self.X0, 50, adam_reference_step(cfg), one_norm),
         )
 
     def test_leaving_the_cosh_guard(self):
         oracle = cosh_oracle(CoshProblem(2))
         tr = self._assert_parity(
             lambda: run_steepest_descent(oracle, Euclidean(), 1e-3, [5.0, 0.0], 3),
-            reference_run(oracle, [5.0, 0.0], 3, lambda x, g, t: x - g / 1e-3),
+            reference_run(oracle, [5.0, 0.0], 3, lambda x, g, t, _: x - g / 1e-3, one_norm),
         )
         assert len(tr) == 1
 
     def test_nsd_started_at_the_optimum(self):
         p = make_quadratic(4, 6.0, 0.3, seed=6)
-        fs, stop, error = reference_run(
-            quad_oracle(p), np.zeros(4), 50, None,
-            dual=lambda g: np.abs(g).sum(), stop_tol=STATIONARY_TOL,
-        )
-        assert stop == 0
+        ref = reference_run(quad_oracle(p), np.zeros(4), 50, None, one_norm, STATIONARY_TOL, mark_hit=False)
         # nsd stops without recording a hit index
-        tr = self._assert_parity(
-            lambda: run_normalized_sd(quad_oracle(p), Max(), 2.0, np.zeros(4), 50), (fs, None, error)
-        )
-        assert len(tr) == 1
+        tr = self._assert_parity(lambda: run_normalized_sd(quad_oracle(p), Max(), 2.0, np.zeros(4), 50), ref)
+        assert len(tr) == 1 and tr.dual_grad_norm[0] == 0.0
 
     def test_relaxed_nsd_hits_eps(self):
         oracle = cosh_oracle(CoshProblem(4))
         L0, L1, eps = 4.0, 1.0, 1e-2
 
-        def step(x, g, t):
-            dual = float(np.abs(g).sum())
+        def step(x, g, t, dual):
             return x - dual * signs(g) / (5.0 * L0 + 4.0 * L1 * dual)
 
         x0 = [3.0, -1.0, 2.0, 0.5]
         tr = self._assert_parity(
             lambda: run_relaxed_nsd(oracle, Max(), L0, L1, x0, 100_000, eps),
-            reference_run(oracle, x0, 100_000, step, dual=lambda g: np.abs(g).sum(), stop_tol=eps),
+            reference_run(oracle, x0, 100_000, step, one_norm, eps),
         )
         assert tr.hit_index == len(tr) - 1 and tr.dual_grad_norm[-1] <= eps
+
+    @pytest.mark.parametrize("method", ["nsd", "relaxed_nsd"])
+    def test_stopping_runs_blow_up_at_the_start(self, method):
+        """The over-threshold row keeps the dual norm of its gradient."""
+        cosh = cosh_oracle(CoshProblem(2))  # cosh(30) - 1 > F_BLOWUP
+        p = make_quadratic(2, 4.0, 0.3, seed=8)
+        start = {"nsd": (quad_oracle(p), [3e6, -2e6]), "relaxed_nsd": (cosh, [30.0, 0.0])}
+        oracle, x0 = start[method]
+        if method == "nsd":
+            run = lambda: run_normalized_sd(oracle, Max(), 4.0, x0, 20, x_star=np.zeros(2))
+            stop_tol = STATIONARY_TOL
+        else:
+            run = lambda: run_relaxed_nsd(oracle, Max(), 2.0, 1.0, x0, 20, 1e-3, x_star=np.zeros(2))
+            stop_tol = 1e-3
+        ref = reference_run(oracle, x0, 20, None, one_norm, stop_tol, x_star=np.zeros(2))
+        assert ref.error[0] == 0 and len(ref.f) == 1
+        tr = self._assert_parity(run, ref)
+        assert tr.dual_grad_norm.tobytes() == ref.dual.tobytes()
+
+    def test_runs_past_the_first_row_chunk(self):
+        """Rows stay right across buffer growth, in a full run and in an aborted one."""
+        p = make_quadratic(3, 5.0, 0.4, seed=9)
+        x0, x_star = np.ones(3), np.zeros(3)
+        T = 2 * ROW_CHUNK + 5
+        step = lambda x, g, t, _: x - 1e-3 * signs(g)
+        self._assert_parity(
+            lambda: run_signsgd(quad_oracle(p), Constant(1e-3), x0, T, x_star=x_star),
+            reference_run(quad_oracle(p), x0, T, step, one_norm, x_star=x_star),
+        )
+
+        def failing():
+            calls = [0]
+
+            def oracle(x):
+                calls[0] += 1
+                f, g = quad_eval(p, x)
+                return (math.nan if calls[0] > ROW_CHUNK + 7 else f), g
+
+            return oracle
+
+        self._assert_parity(
+            lambda: run_signsgd(failing(), Constant(1e-3), x0, T, x_star=x_star),
+            reference_run(failing(), x0, T, step, one_norm, x_star=x_star),
+        )
+
+    def test_relaxed_nsd_with_a_huge_step_cap_stops_at_eps(self):
+        oracle = cosh_oracle(CoshProblem(3))
+        tr = run_relaxed_nsd(oracle, Max(), 3.0, 1.0, [2.0, -1.0, 0.5], 10**15, 1e-6)
+        assert tr.hit_index == len(tr) - 1 < 10_000
+        assert tr.f.base is None and tr.dual_grad_norm.base is None
 
     def test_non_finite_gradient_with_finite_value(self):
         def oracle(x):
@@ -728,7 +852,9 @@ class TestStepLoopParity:
 
         self._assert_parity(
             lambda: run_steepest_descent(oracle, Euclidean(), 4.0, [2.0, 0.0], 10),
-            reference_run(oracle, [2.0, 0.0], 10, lambda x, g, t: x - g / 4.0),
+            reference_run(
+                oracle, [2.0, 0.0], 10, lambda x, g, t, _: x - g / 4.0, lambda g: float(np.sqrt(np.dot(g, g)))
+            ),
         )
 
     def test_adam_zero_epsilon_error_and_blow_up_keep_their_order(self):
@@ -741,7 +867,7 @@ class TestStepLoopParity:
             run_adam_family(oracle, cfg, [30.0, 0.0], 5, np.random.default_rng(0))
         assert err.value.step == 0 and len(err.value.trace) == 1
 
-    @pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
+    @pytest.mark.parametrize("method", GOLDEN_METHODS)
     def test_iterates_handed_to_the_oracle_are_never_modified(self, method):
         seen = []
 
