@@ -59,6 +59,7 @@ from .optimizers import (
     run_signsgd,
     run_steepest_descent,
     steepest_descent_batch,
+    steepest_descent_stack,
     verify_rate_bounds,
 )
 from .problems import (

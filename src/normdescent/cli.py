@@ -344,7 +344,8 @@ def cmd_run(args) -> int:
         return 2
     x_star = np.zeros(d)
     try:
-        trace = runner(oracle, x0, T, x_star)
+        with np.errstate(all="ignore"):  # the runner's finiteness checks report divergence
+            trace = runner(oracle, x0, T, x_star)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if _write_lines(_trace_csv_lines(exc.trace), args.out) else 2
@@ -377,7 +378,8 @@ def cmd_quadgrid(args) -> int:
 
     status = 0
     try:
-        run_quad_grid(cfg, dump_dir=args.dump_x0, progress=progress)
+        with np.errstate(all="ignore"):  # the grid's finiteness checks report divergence
+            run_quad_grid(cfg, dump_dir=args.dump_x0, progress=progress)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 3

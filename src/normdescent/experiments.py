@@ -4,8 +4,15 @@ Each grid cell is a quadratic with spectrum (1, ..., 1, lambda_max) rotated
 by theta along one shared random path.  Both methods run from the same
 batch of standard-normal starting points with their natural step sizes
 (1/L2 and 1/Linf) and are compared by the mean squared Euclidean distance
-to the optimum after T steps.  All starting points of a cell advance
-together as one (repeats, d) array.
+to the optimum after T steps.
+
+The cells advance together: per method, a group of consecutive cells is
+one run of optimizers.steepest_descent_stack over a (cells, repeats, d)
+stack, so the oracle is called T + 1 times per group and method, not per
+cell.  A group holds as many cells as fit in a fixed element budget,
+which bounds memory for large grids; the default grid is one group.
+Gradient noise (sigma > 0) comes from one seeded stream per starting
+point, cell and method, drawn in blocks of rows.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .matrices import SkewMatrix, random_skew, rotated_hessian
 from .norms import Euclidean, Max
-from .optimizers import BatchOracle, DivergenceError, steepest_descent_batch
+from .optimizers import BatchOracle, DivergenceError, steepest_descent_stack
 from .problems import QuadraticProblem
 
 __all__ = [
@@ -121,74 +128,93 @@ class GridCell:
     log10_perf_ratio: float
 
 
+_STACK_BUDGET = 1 << 18  # float64 elements per stacked array: bounds cells per group and noise rows per draw
+_METHODS = ("gd", "signgd_normscaled")
+
+
+class _CellSetup(NamedTuple):
+    li: int
+    ti: int
+    lam: float
+    theta: float
+    L2: float
+    Linf: float
+    H: np.ndarray
+    x0: np.ndarray
+
+
 def _cell_x0(cfg: GridConfig, li: int, ti: int) -> np.ndarray:
     rng = np.random.default_rng([cfg.x0_seed, li, ti])
     return rng.standard_normal((cfg.repeats, cfg.d))
 
 
-def _batch_oracle(H: np.ndarray, sigma: float, streams) -> BatchOracle:
-    """Exact values x'Hx/2 and gradients Hx of every row, plus sigma times
-    d standard normals per row from that row's own stream when sigma > 0."""
+def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int) -> _CellSetup:
+    """The set-up of one cell: its Hessian, smoothness constants and starting
+    points.  perfbench/layertrace.py times this function by name as the
+    per-cell cost of a grid."""
+    lam = cfg.lambda_max_values[li]
+    theta = cfg.theta_values[ti]
+    eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
+    problem = QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
+    linf = problem.analysis.Linf_exact
+    assert linf is not None  # d <= brute-force cap is enforced upstream
+    return _CellSetup(li, ti, lam, theta, problem.analysis.L2, linf,
+                      problem.matrix.to_array(), _cell_x0(cfg, li, ti))
+
+
+def _row_noise(seeds: list, d: int, calls: int, shape: tuple[int, int]):
+    """Per oracle call, one (K, R, d) array, valid until the next call: row
+    r of slice k is the next d standard normals of the stream seeded by
+    seeds[k * R + r].  Each stream draws B rows at once, which gives the
+    values of B draws of d; B is set by _STACK_BUDGET and at most ``calls``."""
+    streams = [np.random.default_rng(s) for s in seeds]
+    B = max(1, min(calls, _STACK_BUDGET // (len(streams) * d)))
+    block = np.empty(shape + (B, d))
+    while True:
+        for stream, rows in zip(streams, block.reshape(-1, B, d)):
+            stream.standard_normal(out=rows)
+        for b in range(B):
+            yield block[:, :, b]
+
+
+def _stack_oracle(H: np.ndarray, sigma: float, noise) -> BatchOracle:
+    """Exact values x'Hx/2 and gradients Hx of every row of every slice,
+    with slice k using H[k], plus sigma times the next ``noise`` array
+    unless ``noise`` is None."""
 
     def oracle(X):
         G = X @ H
-        F = 0.5 * np.einsum("ij,ij->i", X, G)
-        if sigma > 0.0:
-            G = G + sigma * np.stack([s.standard_normal(H.shape[0]) for s in streams])
+        F = 0.5 * np.einsum("kij,kij->ki", X, G)
+        if noise is not None:
+            G = G + sigma * next(noise)
         return F, G
 
     return oracle
 
 
-def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int,
-              dump_dir: Path | None) -> GridCell:
-    lam = cfg.lambda_max_values[li]
-    theta = cfg.theta_values[ti]
-    eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
-    problem = QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
-    L2 = problem.analysis.L2
-    linf = problem.analysis.Linf_exact
-    assert linf is not None  # d <= brute-force cap is enforced upstream
+def _dump_x0(dump_dir: Path, cell: _CellSetup) -> None:
+    path = dump_dir / f"x0_lam{cell.lam:.17g}_theta{cell.theta:.17g}.csv"
+    lines = [",".join(f"{v:.17g}" for v in row) for row in cell.x0]
+    path.write_text("\n".join(lines) + "\n")
 
-    x0_batch = _cell_x0(cfg, li, ti)
-    if dump_dir is not None:
-        path = dump_dir / f"x0_lam{lam:.17g}_theta{theta:.17g}.csv"
-        lines = [",".join(f"{v:.17g}" for v in row) for row in x0_batch]
-        path.write_text("\n".join(lines) + "\n")
 
-    H = problem.matrix.to_array()
-    means = []
-    for mi, (method, kind, L) in enumerate(
-        (("gd", Euclidean(), L2), ("signgd_normscaled", Max(), linf))
+def _run_group(cfg: GridConfig, group: list[_CellSetup]):
+    """Both methods on a group of cells, each as one stacked run.  Returns
+    per method the (K, R) final squared distances and the per-cell failures."""
+    H = np.stack([c.H for c in group])
+    X0 = np.stack([c.x0 for c in group])
+    out = []
+    for mi, (kind, L) in enumerate(
+        ((Euclidean(), [c.L2 for c in group]), (Max(), [c.Linf for c in group]))
     ):
-        streams = None
+        noise = None
         if cfg.sigma > 0.0:
-            streams = [
-                np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])
-                for r in range(cfg.repeats)
-            ]
-        oracle = _batch_oracle(H, cfg.sigma, streams)
-        try:
-            X = steepest_descent_batch(oracle, kind, L, x0_batch, cfg.T)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                exc.step, None,
-                f"{exc.reason} (cell lambda_max={lam:g} theta={theta:g}, method {method})",
-            ) from exc
-        means.append(float(np.einsum("ij,ij->i", X, X).mean()))
-
-    mean_gd, mean_sg = means
-    ratio = math.log10(max(mean_sg, _DIST_FLOOR) / max(mean_gd, _DIST_FLOOR))
-    return GridCell(
-        lambda_max=lam,
-        theta=theta,
-        L2=L2,
-        Linf=linf,
-        ratio_smoothness=linf / (cfg.d * L2),
-        mean_dist_gd=mean_gd,
-        mean_dist_signgd=mean_sg,
-        log10_perf_ratio=ratio,
-    )
+            seeds = [[cfg.x0_seed, _NOISE_SALT, c.li, c.ti, r, mi]
+                     for c in group for r in range(cfg.repeats)]
+            noise = _row_noise(seeds, cfg.d, cfg.T + 1, X0.shape[:2])
+        X, failures = steepest_descent_stack(_stack_oracle(H, cfg.sigma, noise), kind, L, X0, cfg.T)
+        out.append((np.einsum("kij,kij->ki", X, X), failures))
+    return out
 
 
 def run_quad_grid(
@@ -198,10 +224,14 @@ def run_quad_grid(
 ) -> list[GridCell]:
     """All grid cells in ascending (lambda_max, theta) order.
 
-    ``progress`` is called with each cell as it completes, so a caller keeps
-    the finished cells when a later one raises DivergenceError.
-    ``dump_dir`` writes each cell's batch of starting points (shared by
-    both methods) as CSV.
+    Cells advance in consecutive groups, all cells of a group together
+    (see steepest_descent_stack); a group holds as many cells as fit in
+    _STACK_BUDGET, at least one.  ``progress`` is called with each cell
+    once its group has finished, so a caller keeps the finished cells when
+    a later one raises DivergenceError: the first diverging cell in output
+    order, gd before sign descent.  ``dump_dir`` writes each cell's batch
+    of starting points (shared by both methods) as CSV, for the cells up
+    to and including a diverging one.
     """
     dump_path = None
     if dump_dir is not None:
@@ -211,10 +241,33 @@ def run_quad_grid(
     skew = random_skew(cfg.d, np.random.default_rng(cfg.skew_seed))
     lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
     theta_order = sorted(range(len(cfg.theta_values)), key=lambda i: cfg.theta_values[i])
+    order = [(li, ti) for li in lam_order for ti in theta_order]
+    size = max(1, _STACK_BUDGET // (cfg.d * (cfg.repeats + cfg.d)))  # a cell: x0 and H
     cells = []
-    for li in lam_order:
-        for ti in theta_order:
-            cell = _run_cell(cfg, skew, li, ti, dump_path)
+    for start in range(0, len(order), size):
+        group = [_run_cell(cfg, skew, li, ti) for li, ti in order[start:start + size]]
+        (dist_gd, fail_gd), (dist_sg, fail_sg) = _run_group(cfg, group)
+        for k, c in enumerate(group):
+            if dump_path is not None:
+                _dump_x0(dump_path, c)
+            for method, failure in zip(_METHODS, (fail_gd[k], fail_sg[k])):
+                if failure is not None:
+                    step, reason = failure
+                    raise DivergenceError(
+                        step, None,
+                        f"{reason} (cell lambda_max={c.lam:g} theta={c.theta:g}, method {method})",
+                    )
+            mean_gd, mean_sg = float(dist_gd[k].mean()), float(dist_sg[k].mean())
+            cell = GridCell(
+                lambda_max=c.lam,
+                theta=c.theta,
+                L2=c.L2,
+                Linf=c.Linf,
+                ratio_smoothness=c.Linf / (cfg.d * c.L2),
+                mean_dist_gd=mean_gd,
+                mean_dist_signgd=mean_sg,
+                log10_perf_ratio=math.log10(max(mean_sg, _DIST_FLOOR) / max(mean_gd, _DIST_FLOOR)),
+            )
             if progress is not None:
                 progress(cell)
             cells.append(cell)

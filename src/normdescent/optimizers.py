@@ -11,8 +11,9 @@ shuffled and averaged magnitude variants.
 Every run_* method is an update rule handed to one step loop, which
 records per iterate the objective value, the dual gradient norm in the
 run's geometry, and (when the optimum is known) the squared Euclidean
-distance to it.  The batched steepest descent advances many starting
-points at once and records nothing but the final iterates.
+distance to it.  The batched steepest descent advances a (K, R, d) stack
+of starting points at once, each of the K slices with its own step size,
+and records nothing but the final iterates and each slice's divergence.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "RateCheck",
     "BatchOracle",
     "run_steepest_descent",
+    "steepest_descent_stack",
     "steepest_descent_batch",
     "run_normalized_sd",
     "run_relaxed_nsd",
@@ -56,7 +58,8 @@ STATIONARY_TOL = 1e-14
 ROW_CHUNK = 1024  # trace rows the step loop allocates at first
 
 # A batched oracle maps an (R, d) array of iterates, one per row, to the
-# per-row objective values (shape (R,)) and gradients (shape (R, d)).
+# per-row objective values (shape (R,)) and gradients (shape (R, d)); in
+# steepest_descent_stack it does the same for a (K, R, d) stack of batches.
 BatchOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -216,6 +219,62 @@ def run_steepest_descent(
     return _drive(oracle, x0, T, x_star, kind, lambda x, g, t, _: x - steepest_op(g, kind) / L)
 
 
+def steepest_descent_stack(
+    oracle: BatchOracle,
+    kind: NormKind,
+    L,
+    X0,
+    T: int,
+) -> tuple[np.ndarray, list[tuple[int, str] | None]]:
+    """Constant-step steepest descent on a stack of independent batches.
+
+    X0 has shape (K, R, d), and L one positive constant per slice; the
+    oracle maps (K, R, d) iterates to (K, R) values and (K, R, d)
+    gradients.  Every row of slice k follows x <- x - P(grad)/L[k] for T
+    steps, exactly as in run_steepest_descent.  At every step t = 0..T
+    each live slice is checked for a non-finite value or gradient, then
+    for a value above F_BLOWUP.  A failing slice does not raise: its first
+    (t, reason) is recorded, and the slice is zeroed and frozen, so no
+    later step computes with its values.  Returns the final (K, R, d)
+    iterates, zero in failed slices, and per slice its (t, reason) or
+    None.  Only the Euclidean and max geometries are supported.
+    """
+    if not isinstance(kind, (Euclidean, Max)):
+        raise TypeError(f"batched steepest descent supports Euclidean and Max, got {kind!r}")
+    L = np.array(L, dtype=float)
+    if L.ndim != 1 or not (L > 0.0).all():
+        raise ValueError("smoothness constant must be positive")
+    X = np.array(X0, dtype=float)
+    if X.ndim != 3 or X.shape[0] != L.size or not np.isfinite(X).all():
+        raise ValueError("initial points must be a finite (K, R, d) array, one slice per constant")
+    L = L[:, None, None]
+    failures: list[tuple[int, str] | None] = [None] * L.size
+    live = np.ones(L.size, dtype=bool)
+    keep = None  # (K, 1, 1) mask of the live slices once one has failed
+    for t in range(T + 1):
+        F, G = oracle(X)
+        finite = np.isfinite(F).all(axis=1) & np.isfinite(G).all(axis=(1, 2))
+        failed = live & ~(finite & (F <= F_BLOWUP).all(axis=1))
+        if failed.any():
+            for k in np.flatnonzero(failed):
+                reason = "non-finite objective or gradient" if not finite[k] else (
+                    f"objective {F[k].max():.3e} exceeded {F_BLOWUP:.0e}")
+                failures[k] = (t, reason)
+            live &= ~failed
+            keep = live[:, None, None]
+            X = np.where(keep, X, 0.0)
+            if not live.any():
+                break
+        if t == T:
+            break
+        if keep is not None:
+            G = np.where(keep, G, 0.0)
+        if isinstance(kind, Max):
+            G = np.abs(G).sum(axis=2, keepdims=True) * sign_unit(G)
+        X = X - G / L
+    return X, failures
+
+
 def steepest_descent_batch(
     oracle: BatchOracle,
     kind: NormKind,
@@ -225,32 +284,24 @@ def steepest_descent_batch(
 ) -> np.ndarray:
     """Constant-step steepest descent on every row of X0 at once.
 
-    Each row follows x <- x - P(grad)/L for T steps, exactly as in
-    run_steepest_descent, and the final (R, d) iterates are returned.  The
-    same divergence checks run on every row at every step t = 0..T: a
-    non-finite value or gradient, or a value above F_BLOWUP, raises
-    DivergenceError (with ``trace`` None, since no per-row trace is kept).
-    Only the Euclidean and max geometries are supported.
+    steepest_descent_stack with one slice: each row follows
+    x <- x - P(grad)/L for T steps and the final (R, d) iterates are
+    returned.  The first step at which some row has a non-finite value or
+    gradient, or a value above F_BLOWUP, raises DivergenceError (with
+    ``trace`` None, since no per-row trace is kept).
     """
-    if not isinstance(kind, (Euclidean, Max)):
-        raise TypeError(f"batched steepest descent supports Euclidean and Max, got {kind!r}")
-    if not L > 0.0:
-        raise ValueError("smoothness constant must be positive")
     X = np.array(X0, dtype=float)
-    if X.ndim != 2 or not np.isfinite(X).all():
+    if X.ndim != 2:
         raise ValueError("initial points must be a finite (R, d) array")
-    for t in range(T + 1):
-        F, G = oracle(X)
-        if not (np.isfinite(F).all() and np.isfinite(G).all()):
-            raise DivergenceError(t, None, "non-finite objective or gradient")
-        if (F > F_BLOWUP).any():
-            raise DivergenceError(t, None, f"objective {F.max():.3e} exceeded {F_BLOWUP:.0e}")
-        if t == T:
-            break
-        if isinstance(kind, Max):
-            G = np.abs(G).sum(axis=1, keepdims=True) * sign_unit(G)
-        X = X - G / L
-    return X
+
+    def stacked(X):
+        F, G = oracle(X[0])
+        return np.asarray(F, dtype=float)[None], np.asarray(G, dtype=float)[None]
+
+    X, (failure,) = steepest_descent_stack(stacked, kind, [L], X[None], T)
+    if failure is not None:
+        raise DivergenceError(failure[0], None, failure[1])
+    return X[0]
 
 
 def run_normalized_sd(

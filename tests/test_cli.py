@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,19 @@ class TestRun:
         assert len(rows) == 1 and "divergence at step 0" in res.stderr
         assert float(rows[0].split(",")[2]) == math.sinh(30.0)  # one-norm of sinh(x0)
 
+    def test_overflow_exits_3_with_one_error_line(self, tmp_path):
+        # the gradient noise overflows the matmul and the dual norm; the
+        # finiteness check reports it, and no numpy warning reaches stderr
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": 1e300}},
+            "optimizer": {"method": "gd", "L": 1},
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith("error: divergence at step")
+
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(RUN_CFG))
@@ -473,6 +487,10 @@ class TestQuadGrid:
         error = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
         assert len(error) == 1 and "divergence at step" in error[0]
         assert "lambda_max=" in error[0] and "method" in error[0]
+        # besides the error, only the finished cells' progress lines
+        assert res.stderr.splitlines() == [
+            f"cell lambda_max={row.split(',')[0]} theta={row.split(',')[1]} done" for row in lines[1:]
+        ] + error
 
     def test_unwritable_paths_exit_2(self, tmp_path):
         cfg = tmp_path / "grid.json"
@@ -636,11 +654,15 @@ def _matrix_texts(draw):
 
 
 def _main_obeys_exit_contract(argv) -> tuple[int, str]:
-    """Runs the CLI in-process; checks exit 0, 2 or 3, an error line on
-    failure and empty stdout on exit 2; returns the code and stdout."""
+    """Runs the CLI in-process; checks that no RuntimeWarning is issued,
+    exit 0, 2 or 3, an error line on failure and empty stdout on exit 2;
+    returns the code and stdout."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     assert code in (0, 2, 3), err.getvalue()
     if code:
         assert "error:" in err.getvalue(), err.getvalue()

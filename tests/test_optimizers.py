@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ from normdescent import (
     sign_unit,
     smoothness_constant,
     steepest_descent_batch,
+    steepest_descent_stack,
     verify_rate_bounds,
 )
 from normdescent.optimizers import F_BLOWUP, ROW_CHUNK, STATIONARY_TOL
@@ -303,6 +305,89 @@ class TestSteepestDescentBatch:
     def test_other_geometries_rejected(self):
         with pytest.raises(TypeError):
             steepest_descent_batch(lambda X: (X[:, 0], X), One(), 1.0, [[1.0, 2.0]], 3)
+
+
+def stack_quadratics(K, R, d, seed):
+    """K random PSD Hessians, K x R starting points, and the oracle of
+    x'Hx/2 on both the stack and one slice."""
+    rng = np.random.default_rng(seed)
+    H = np.stack([random_psd(rng, d).to_array() + np.eye(d) for _ in range(K)])
+    X0 = rng.standard_normal((K, R, d))
+
+    def slice_oracle(k):
+        def oracle(X):
+            G = X @ H[k]
+            return 0.5 * np.einsum("ij,ij->i", X, G), G
+        return oracle
+
+    def oracle(X):
+        G = X @ H
+        return 0.5 * np.einsum("kij,kij->ki", X, G), G
+
+    return H, X0, oracle, slice_oracle
+
+
+class TestSteepestDescentStack:
+    @pytest.mark.parametrize("kind", [Euclidean(), Max()])
+    def test_slices_match_one_batch_each(self, kind):
+        H, X0, oracle, slice_oracle = stack_quadratics(5, 7, 4, seed=3)
+        L = [float(np.abs(h).sum()) for h in H]  # stable for both geometries
+        X, failures = steepest_descent_stack(oracle, kind, L, X0, 40)
+        assert failures == [None] * 5
+        for k in range(5):
+            want = steepest_descent_batch(slice_oracle(k), kind, L[k], X0[k], 40)
+            assert X[k].tobytes() == want.tobytes()
+
+    def test_failing_slices_are_recorded_zeroed_and_frozen(self):
+        H, X0, oracle, slice_oracle = stack_quadratics(4, 3, 3, seed=8)
+        L2 = [float(np.linalg.eigvalsh(h)[-1]) for h in H]
+        L = [L2[0], L2[1] / 3.0, L2[2], L2[3] / 2.5]  # slices 1 and 3 blow up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # frozen slices never overflow
+            X, failures = steepest_descent_stack(oracle, Euclidean(), L, X0, 200)
+        for k in range(4):
+            if k in (0, 2):
+                assert failures[k] is None
+                want = steepest_descent_batch(slice_oracle(k), Euclidean(), L[k], X0[k], 200)
+                assert X[k].tobytes() == want.tobytes()
+                continue
+            with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+                steepest_descent_batch(slice_oracle(k), Euclidean(), L[k], X0[k], 200)
+            assert failures[k] == (err.value.step, err.value.reason)
+            assert "exceeded" in failures[k][1]
+            assert not X[k].any()
+        assert failures[1][0] != failures[3][0]
+
+    def test_non_finite_slice_reason_comes_first(self):
+        def oracle(X):
+            F = 0.5 * np.einsum("kij,kij->ki", X, X)
+            F[1, 0] = F[1, 0] * 1e13  # slice 1 also exceeds F_BLOWUP
+            G = X.copy()
+            G[1, 1, 0] = math.nan
+            return F, G
+
+        X, failures = steepest_descent_stack(oracle, Max(), [4.0, 4.0], np.ones((2, 2, 3)), 5)
+        assert failures == [None, (0, "non-finite objective or gradient")]
+        assert not X[1].any() and X[0].all()
+
+    def test_blow_up_reason_uses_the_slice_maximum(self):
+        def oracle(X):
+            F = np.array([[1.0, 2.0], [3e12, 5e12]]) if X.any() else np.zeros((2, 2))
+            return F, X
+
+        _, failures = steepest_descent_stack(oracle, Euclidean(), [2.0, 2.0], np.ones((2, 2, 1)), 3)
+        assert failures == [None, (0, "objective 5.000e+12 exceeded 1e+12")]
+
+    def test_rejects_bad_input(self):
+        oracle = lambda X: (X[..., 0], X)
+        with pytest.raises(TypeError):
+            steepest_descent_stack(oracle, One(), [1.0], np.ones((1, 1, 2)), 3)
+        with pytest.raises(ValueError):
+            steepest_descent_stack(oracle, Max(), [1.0, 0.0], np.ones((2, 1, 2)), 3)
+        with pytest.raises(ValueError):
+            steepest_descent_stack(oracle, Max(), [1.0], np.ones((2, 1, 2)), 3)
+        with pytest.raises(ValueError):
+            steepest_descent_stack(oracle, Max(), [1.0], np.ones((1, 2)), 3)
 
 
 class TestAdamGamma:
