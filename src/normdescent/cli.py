@@ -331,7 +331,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "problem" not in cfg or "optimizer" not in cfg:
             raise ConfigError("config requires 'problem' and 'optimizer'")
-        problem, oracle, d = _build_problem(cfg["problem"])
+        with np.errstate(all="ignore"):  # an overflowing Hessian is reported as an input error
+            problem, oracle, d = _build_problem(cfg["problem"])
         runner = _build_runner(cfg["optimizer"], problem)
         T = _integer(cfg.get("T", 100), "T")
         if T < 1:
@@ -383,6 +384,9 @@ def cmd_quadgrid(args) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 3
+    except ValueError as exc:  # a cell whose Hessian cannot be built
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot write starting points to {args.dump_x0}: {exc}", file=sys.stderr)
         return 2

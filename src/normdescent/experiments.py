@@ -155,7 +155,10 @@ def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int) -> _CellSetup
     lam = cfg.lambda_max_values[li]
     theta = cfg.theta_values[ti]
     eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
-    problem = QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
+    try:
+        problem = QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
+    except ValueError as exc:  # a finite lambda_max can still overflow the rotated Hessian
+        raise ValueError(f"cell lambda_max={lam:g} theta={theta:g}: {exc}") from exc
     linf = problem.analysis.Linf_exact
     assert linf is not None  # d <= brute-force cap is enforced upstream
     return _CellSetup(li, ti, lam, theta, problem.analysis.L2, linf,

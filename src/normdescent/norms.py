@@ -9,7 +9,8 @@ per-coordinate scaling (weighted norm), and block-normalized descent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -34,9 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint, covering, non-empty index blocks over {0, ..., d-1}."""
+    """Disjoint, covering, non-empty index blocks over {0, ..., d-1}.
+
+    ``index`` holds, per block, what selects it from a vector: a slice for
+    a run of consecutive ascending indices, otherwise a read-only integer
+    array in the block's order.  It is built once, with the partition.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
+    index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
@@ -46,6 +53,7 @@ class BlockPartition:
         if flat != list(range(len(flat))):
             raise ValueError("partition blocks must disjointly cover 0..d-1")
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "index", tuple(map(_block_index, blocks)))
 
     @property
     def dim(self) -> int:
@@ -88,9 +96,26 @@ class BlockMax:
 NormKind = Union[Euclidean, Max, One, WeightedDiag, BlockMax]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _block_index(block: tuple[int, ...]):
+    start = block[0]
+    if block == tuple(range(start, start + len(block))):
+        return slice(start, start + len(block))
+    return _frozen(np.array(block, dtype=np.intp))
+
+
+# 0-d operands: a numpy call with an array operand skips the conversion of a
+# Python float, and rounds the same.
+_ZERO, _PLUS, _MINUS = (_frozen(np.array(v)) for v in (0.0, 1.0, -1.0))
+
+
 def sign_unit(z: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1, fixed for determinism."""
-    return np.where(np.asarray(z, dtype=float) >= 0.0, 1.0, -1.0)
+    """Elementwise sign with sign(0) = +1, fixed for determinism (NaN gives -1)."""
+    return np.where(np.asarray(z, dtype=float) >= _ZERO, _PLUS, _MINUS)
 
 
 def _check_dim(kind: NormKind, d: int) -> None:
@@ -98,46 +123,6 @@ def _check_dim(kind: NormKind, d: int) -> None:
         raise ValueError(f"weight vector has length {len(kind.weights)}, expected {d}")
     if isinstance(kind, BlockMax) and kind.partition.dim != d:
         raise ValueError(f"partition covers {kind.partition.dim} indices, expected {d}")
-
-
-def norm(x, kind: NormKind) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(kind, x.size)
-    if isinstance(kind, Euclidean):
-        return float(np.sqrt(np.dot(x, x)))
-    if isinstance(kind, Max):
-        return float(np.abs(x).max())
-    if isinstance(kind, One):
-        return float(np.abs(x).sum())
-    if isinstance(kind, WeightedDiag):
-        w = np.asarray(kind.weights)
-        return float(np.sqrt(np.dot(w * x, x)))
-    if isinstance(kind, BlockMax):
-        return max(
-            float(np.sqrt(np.dot(x[list(b)], x[list(b)])))
-            for b in kind.partition.blocks
-        )
-    raise TypeError(f"unknown norm kind: {kind!r}")
-
-
-def dual_norm(x, kind: NormKind) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(kind, x.size)
-    if isinstance(kind, Euclidean):
-        return float(np.sqrt(np.dot(x, x)))
-    if isinstance(kind, Max):
-        return float(np.add.reduce(np.abs(x)))
-    if isinstance(kind, One):
-        return float(np.abs(x).max())
-    if isinstance(kind, WeightedDiag):
-        w = np.asarray(kind.weights)
-        return float(np.sqrt(np.dot(x / w, x)))
-    if isinstance(kind, BlockMax):
-        return sum(
-            float(np.sqrt(np.dot(x[list(b)], x[list(b)])))
-            for b in kind.partition.blocks
-        )
-    raise TypeError(f"unknown norm kind: {kind!r}")
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,12 +134,80 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _scaled_l2_rows(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of X, each computed on the row divided by
+    its largest magnitude, so that no square overflows."""
+    m = np.abs(X).max(axis=1)
+    U = X / m[:, None]
+    return m * np.sqrt(_row_dots(U, U))
+
+
+def _l2(x: np.ndarray) -> float:
+    """sqrt(x'x).  A finite x whose squares overflow (entries above ~1e154)
+    is rescaled; any other x keeps the bits of the plain formula.  numpy's
+    overflow warning from the plain product is not suppressed."""
+    r = math.sqrt(x.dot(x))
+    if r == math.inf and np.isfinite(x).all():
+        r = float(_scaled_l2_rows(x.reshape(1, -1))[0])
+    return r
+
+
+def _l2_rows(X: np.ndarray) -> np.ndarray:
+    """_l2 of every row of the (n, d) array X."""
+    r = np.sqrt(_row_dots(X, X))
+    over = np.isinf(r)
+    if over.any():
+        over &= np.isfinite(X).all(axis=1)
+        r[over] = _scaled_l2_rows(X[over])
+    return r
+
+
+def _block_norms(x: np.ndarray, partition: BlockPartition) -> list[float]:
+    """The Euclidean norm of each block of x, in partition order."""
+    segs = (x[i] for i in partition.index)
+    return [math.sqrt(s.dot(s)) for s in segs]
+
+
+def norm(x, kind: NormKind) -> float:
+    x = np.asarray(x, dtype=float)
+    _check_dim(kind, x.size)
+    if isinstance(kind, Euclidean):
+        return _l2(x)
+    if isinstance(kind, Max):
+        return float(np.abs(x).max())
+    if isinstance(kind, One):
+        return float(np.abs(x).sum())
+    if isinstance(kind, WeightedDiag):
+        w = np.asarray(kind.weights)
+        return float(np.sqrt(np.dot(w * x, x)))
+    if isinstance(kind, BlockMax):
+        return max(_block_norms(x, kind.partition))
+    raise TypeError(f"unknown norm kind: {kind!r}")
+
+
+def dual_norm(x, kind: NormKind) -> float:
+    x = np.asarray(x, dtype=float)
+    _check_dim(kind, x.size)
+    if isinstance(kind, Euclidean):
+        return _l2(x)
+    if isinstance(kind, Max):
+        return float(np.add.reduce(np.abs(x)))
+    if isinstance(kind, One):
+        return float(np.abs(x).max())
+    if isinstance(kind, WeightedDiag):
+        w = np.asarray(kind.weights)
+        return float(np.sqrt(np.dot(x / w, x)))
+    if isinstance(kind, BlockMax):
+        return sum(_block_norms(x, kind.partition))
+    raise TypeError(f"unknown norm kind: {kind!r}")
+
+
 def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
     """dual_norm of every row of the (n, d) array X, as an (n,) array."""
     X = np.asarray(X, dtype=float)
     _check_dim(kind, X.shape[1])
     if isinstance(kind, Euclidean):
-        return np.sqrt(_row_dots(X, X))
+        return _l2_rows(X)
     if isinstance(kind, Max):
         return np.abs(X).sum(axis=1)
     if isinstance(kind, One):
@@ -185,7 +238,8 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     if isinstance(kind, Euclidean):
         return z.copy()
     if isinstance(kind, Max):
-        return float(np.add.reduce(np.abs(z))) * sign_unit(z)
+        # the sum lands in a 0-d array, the cheapest operand for the product
+        return np.add.reduce(np.abs(z), out=np.empty(())) * sign_unit(z)
     if isinstance(kind, One):
         i = int(np.abs(z).argmax())
         out = np.zeros(z.shape)
@@ -194,14 +248,12 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     if isinstance(kind, WeightedDiag):
         return z / np.asarray(kind.weights)
     if isinstance(kind, BlockMax):
-        idx = [list(b) for b in kind.partition.blocks]
-        segs = [z[i] for i in idx]
-        block_norms = [float(np.sqrt(np.dot(s, s))) for s in segs]
+        block_norms = _block_norms(z, kind.partition)
         total = sum(block_norms)  # dual_norm(z, kind)
         out = np.zeros(z.shape)
-        for i, s, nb in zip(idx, segs, block_norms):
+        for i, nb in zip(kind.partition.index, block_norms):
             if nb > 0.0:
-                out[i] = s * (total / nb)
+                out[i] = z[i] * np.array(total / nb)
         return out
     raise TypeError(f"unknown norm kind: {kind!r}")
 

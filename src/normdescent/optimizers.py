@@ -25,8 +25,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .norms import (
-    BlockPartition, Euclidean, Max, NormKind, _row_dots, dual_norm, dual_norm_rows, sign_unit,
-    steepest_op,
+    BlockPartition, Euclidean, Max, NormKind, _frozen, _row_dots, dual_norm, dual_norm_rows,
+    sign_unit, steepest_op,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -131,11 +131,6 @@ def _start(x0) -> np.ndarray:
     return x
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _drive(
     oracle: Oracle,
     x0,
@@ -158,8 +153,13 @@ def _drive(
     None without ``stop_tol``; updates return new arrays, so no iterate
     handed to the oracle changes.  The other dual norms, and the squared
     distances to ``x_star``, are reduced over the rows after the loop.
+
+    Per-step constants of the update rules are 0-d arrays: a numpy call
+    with an array operand is cheaper than one with a Python float, and
+    rounds the same.
     """
     x = _start(x0)
+    ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
     X = np.empty((rows, x.size))
@@ -189,8 +189,8 @@ def _drive(
         F[t] = f
         X[t] = x
         G[t] = g
-        # one reduction per step; the elementwise test runs only when the sum is not finite
-        if not math.isfinite(f + np.add.reduce(g)) and not (math.isfinite(f) and np.isfinite(g).all()):
+        # one sum per step; the elementwise test runs only when the sum is not finite
+        if not math.isfinite(f + G[t].dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
             raise DivergenceError(t, trace(t, x), "non-finite objective or gradient")
         if D is not None:
             dual = D[t] = dual_norm(g, kind)
@@ -216,6 +216,7 @@ def run_steepest_descent(
     """Constant-step steepest descent: x <- x - P(grad)/L for T steps."""
     if not L > 0.0:
         raise ValueError("smoothness constant must be positive")
+    L = np.array(L, dtype=float)
     return _drive(oracle, x0, T, x_star, kind, lambda x, g, t, _: x - steepest_op(g, kind) / L)
 
 
@@ -325,8 +326,8 @@ def run_normalized_sd(
     schedule = InvSqrt()
 
     def update(x, g, t, dual):
-        unit = steepest_op(g, kind) / dual
-        return x - unit * (schedule_value(schedule, t) / L)
+        unit = steepest_op(g, kind) / np.array(dual)
+        return x - unit * np.array(schedule_value(schedule, t) / L)
 
     return _drive(oracle, x0, T, x_star, kind, update, stop_tol=STATIONARY_TOL)
 
@@ -356,7 +357,7 @@ def run_relaxed_nsd(
         raise ValueError("stationarity threshold must be positive")
 
     def update(x, g, t, dual):
-        return x - steepest_op(g, kind) / (5.0 * L0 + 4.0 * L1 * dual)
+        return x - steepest_op(g, kind) / np.array(5.0 * L0 + 4.0 * L1 * dual)
 
     return _drive(oracle, x0, T, x_star, kind, update, stop_tol=eps, mark_hit=True)
 
@@ -374,9 +375,13 @@ def run_signsgd(
     of the max geometry); for stochastic oracles this is the norm of the
     sampled estimate.
     """
-    return _drive(
-        oracle, x0, T, x_star, Max(), lambda x, g, t, _: x - schedule_value(schedule, t) * sign_unit(g)
-    )
+    alpha = np.array(schedule.alpha) if isinstance(schedule, Constant) else None
+
+    def update(x, g, t, _):
+        step = alpha if alpha is not None else np.array(schedule_value(schedule, t))
+        return x - step * sign_unit(g)
+
+    return _drive(oracle, x0, T, x_star, Max(), update)
 
 
 def adam_gamma(m, v, epsilon: float) -> np.ndarray:
@@ -447,10 +452,13 @@ def run_adam_family(
     d = x.size
     if cfg.blocks is not None and cfg.blocks.dim != d:
         raise ValueError("partition does not match iterate dimension")
-    blocks = [np.array(b) for b in cfg.blocks.blocks] if cfg.blocks is not None else [np.arange(d)]
-    variant, step, eps = cfg.variant, cfg.step, cfg.epsilon
-    b1, c1, b2, c2 = cfg.beta1, 1.0 - cfg.beta1, cfg.beta2, 1.0 - cfg.beta2
-    check_zero = eps == 0.0  # AdamConfig has checked eps >= 0, and v is never negative
+    index = cfg.blocks.index if cfg.blocks is not None else (slice(None),)
+    variant = cfg.variant
+    check_zero = cfg.epsilon == 0.0  # AdamConfig has checked eps >= 0, and v is never negative
+    b1, c1, b2, c2, step, eps = (
+        np.array(c) for c in
+        (cfg.beta1, 1.0 - cfg.beta1, cfg.beta2, 1.0 - cfg.beta2, cfg.step, cfg.epsilon)
+    )
     m = np.zeros(d)
     v = np.zeros(d)
 
@@ -465,16 +473,15 @@ def run_adam_family(
         scale = np.sqrt(v) + eps
         if variant == "standard":
             return x - step * (m / scale)
-        gamma = np.abs(m) / scale  # adam_gamma(m, v, eps)
-        magnitude = np.empty(d)
-        for idx in blocks:
-            seg = gamma[idx]
+        gamma = np.abs(m) / scale  # adam_gamma(m, v, eps); rewritten block by block
+        for idx in index:
+            seg = gamma[idx]  # a view of gamma when idx is a slice
             if variant == "shuffled":
                 rng.shuffle(seg)  # the swaps, and the draws, of rng.permutation(seg.size)
-                magnitude[idx] = seg
             else:
-                magnitude[idx] = np.add.reduce(seg) / seg.size  # the bits of seg.mean()
-        return x - step * (magnitude * sign_unit(m))
+                seg = np.add.reduce(seg) / seg.size  # the bits of seg.mean()
+            gamma[idx] = seg
+        return x - step * (gamma * sign_unit(m))
 
     return _drive(oracle, x, T, x_star, Max(), update)
 

@@ -301,8 +301,9 @@ class TestRun:
         assert float(rows[0].split(",")[2]) == math.sinh(30.0)  # one-norm of sinh(x0)
 
     def test_overflow_exits_3_with_one_error_line(self, tmp_path):
-        # the gradient noise overflows the matmul and the dual norm; the
-        # finiteness check reports it, and no numpy warning reaches stderr
+        # the gradient noise sends the next iterate where the objective
+        # overflows; the finiteness check reports it, and no numpy warning
+        # reaches stderr
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": 1e300}},
@@ -312,6 +313,31 @@ class TestRun:
         assert res.returncode == 3, res.stderr
         assert res.stderr.splitlines() == [res.stderr.strip()]
         assert res.stderr.startswith("error: divergence at step")
+
+    def test_huge_finite_gradient_has_a_finite_dual_norm(self, tmp_path):
+        # the t = 0 gradient is finite but its squares overflow; the Euclidean
+        # dual norm is rescaled instead of printing inf
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": 1e300}},
+            "optimizer": {"method": "gd", "L": 1},
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        t, f, dual, dist = res.stdout.splitlines()[1].split(",")
+        assert t == "0" and all(math.isfinite(float(v)) for v in (f, dist))
+        assert 1e299 < float(dual) < 1e302
+
+    def test_overflowing_hessian_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 3, "lambda_max": 1e308, "theta": 0.5}},
+            "optimizer": {"method": "gd"},
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: matrix entries must be finite"]
 
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -522,6 +548,19 @@ class TestQuadGrid:
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
 
+    def test_overflowing_hessian_exits_2(self, tmp_path):
+        # lambda_max is finite, but the cell's Hessian overflows
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(
+            {"d": 3, "lambda_max_values": [1, 1e308], "theta_values": [0, 0.5], "T": 5, "repeats": 2}
+        ))
+        res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: cell lambda_max=1e+308 theta=0: matrix entries must be finite"
+        ]
+
     @pytest.mark.parametrize(
         "field, value",
         [("T", [3]), ("lambda_max_values", 5), ("d", [4]), ("theta_values", [[0]])],
@@ -679,6 +718,8 @@ class TestExitCodeContract:
     @example(cfg={"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": -1}, "T": 3})
     @example(cfg={"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": 1, "eps": 0}, "T": 3})
     @example(cfg={"problem": COSH2, "optimizer": {"method": "gd", "L": 1.0}, "x0": [800, 0], "T": 3})
+    @example(cfg={"problem": {"quadratic": {"d": 3, "lambda_max": 1e308, "theta": 0.5}},
+                  "optimizer": {"method": "gd"}, "T": 3})
     @example(cfg={"problem": COSH2, "optimizer": {"method": "gd", "L": 0.001}, "x0": [5, 0], "T": 3})
     def test_run_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "run.json"
@@ -691,6 +732,7 @@ class TestExitCodeContract:
     @given(cfg=_grid_configs())
     @example(cfg=dict(GRID_CFG, skew_seed=-1))
     @example(cfg=dict(GRID_CFG, lambda_max_values=[math.inf]))
+    @example(cfg=dict(GRID_CFG, lambda_max_values=[1.0, 1e308]))
     def test_quadgrid_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "grid.json"
         path.write_text(json.dumps(cfg))

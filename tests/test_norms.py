@@ -100,6 +100,57 @@ class TestNormValues:
         assert dual_norm_rows(X[:0], kind).shape == (0,)
 
 
+class TestSignUnit:
+    def test_zero_and_nan(self):
+        assert sign_unit(-0.0) == 1.0
+        assert sign_unit(0.0) == 1.0
+        assert sign_unit(math.nan) == -1.0
+
+    def test_array(self):
+        z = np.array([-0.0, 0.0, math.nan, -math.inf, math.inf, -1e-300, 2.0])
+        out = sign_unit(z)
+        assert out.dtype == np.float64 and out.flags.writeable
+        assert out.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0]
+
+
+class TestEuclideanOverflow:
+    """Finite vectors whose squares overflow get a finite Euclidean norm;
+    every other vector keeps the bits of sqrt(x'x)."""
+
+    def test_huge_finite_vectors(self):
+        x = np.array([3e200, -4e200, 1.0])
+        with np.errstate(over="ignore"):  # the plain product overflows first
+            assert norm(x, Euclidean()) == pytest.approx(5e200, rel=1e-15)
+            assert dual_norm(x, Euclidean()) == pytest.approx(5e200, rel=1e-15)
+            assert dual_norm(np.array([1e308, 1e308]), Euclidean()) == pytest.approx(
+                math.sqrt(2.0) * 1e308, rel=1e-15)
+            assert dual_norm(np.array([1.5e308, 1.5e308]), Euclidean()) == math.inf
+            rows = dual_norm_rows(
+                np.array([[3e200, -4e200], [3.0, 4.0], [math.inf, 0.0], [math.nan, 1.0], [1e300, 0.0]]),
+                Euclidean(),
+            )
+        assert rows[:3].tolist() == [pytest.approx(5e200, rel=1e-15), 5.0, math.inf]
+        assert math.isnan(rows[3]) and rows[4] == 1e300
+
+    def test_rows_match_one_vector_at_a_time(self):
+        X = np.random.default_rng(5).standard_normal((40, 6)) * np.logspace(-100, 300, 40)[:, None]
+        with np.errstate(over="ignore"):
+            rows = dual_norm_rows(X, Euclidean())
+            each = [dual_norm(x, Euclidean()) for x in X]
+        assert np.isfinite(rows).all()
+        assert np.allclose(rows, each, rtol=1e-15, atol=0.0)
+
+    def test_normal_range_keeps_its_bits(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((200, 8)) * 10.0 ** rng.uniform(-150, 150, (200, 1))
+        rows = dual_norm_rows(X, Euclidean())
+        for x, r in zip(X, rows):
+            plain = float(np.sqrt(np.dot(x, x)))
+            assert norm(x, Euclidean()) == plain
+            assert dual_norm(x, Euclidean()) == plain
+            assert r == np.sqrt(x[None, :] @ x[:, None])[0, 0]
+
+
 class TestSteepestOp:
     def test_max_closed_form(self):
         assert np.array_equal(steepest_op([1.0, -2.0], Max()), [3.0, -3.0])
@@ -229,6 +280,51 @@ class TestBlockPartition:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             BlockPartition(((0, 1), ()))
+
+    def test_index_is_a_slice_for_consecutive_ascending_blocks(self):
+        part = BlockPartition(((0, 1, 2), (5,), (3, 4), (7, 6), (8, 10), (9,)))
+        assert part.index[:3] == (slice(0, 3), slice(5, 6), slice(3, 5))
+        assert [i.tolist() for i in part.index[3:5]] == [[7, 6], [8, 10]]
+        assert part.index[5] == slice(9, 10)
+        x = np.arange(11.0) * 10.0
+        assert [x[i].tolist() for i in part.index] == [[x[j] for j in b] for b in part.blocks]
+        assert not part.index[3].flags.writeable
+
+    def test_index_leaves_equality_and_hash_alone(self):
+        a = BlockPartition(((0, 2), (1,)))
+        b = BlockPartition([[0, 2], [1]])
+        assert a == b and hash(a) == hash(b) and "index" not in repr(a)
+
+
+def _blocks_reference(z, kind):
+    """norm, dual norm and P(z) of a block-max norm, blocks selected by lists."""
+    norms = [float(np.sqrt(np.dot(z[list(b)], z[list(b)]))) for b in kind.partition.blocks]
+    total = sum(norms)
+    out = np.zeros(z.shape)
+    for b, nb in zip(kind.partition.blocks, norms):
+        if nb > 0.0:
+            out[list(b)] = z[list(b)] * (total / nb)
+    return max(norms), total, out
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0, 2, 4), (1, 3, 5, 6, 7)),
+    ((0, 1, 2, 3), (4, 5, 6, 7)),
+    ((7, 6), (0,), (1, 2, 3, 4, 5)),
+    ((0, 1, 2, 3, 4, 5, 6, 7),),
+], ids=str)
+def test_blockmax_is_bit_identical_to_list_indexing(blocks):
+    kind = BlockMax(BlockPartition(blocks))
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        z = rng.standard_normal(8) * 10.0 ** rng.integers(-5, 6)
+        z[rng.integers(8)] = 0.0
+        if rng.random() < 0.2:
+            z[list(blocks[0])] = 0.0
+        nmax, total, out = _blocks_reference(z, kind)
+        assert norm(z, kind) == nmax
+        assert dual_norm(z, kind) == total
+        assert steepest_op(z, kind).tobytes() == out.tobytes()
 
 
 class TestJson:

@@ -29,7 +29,6 @@ from normdescent import (
     eigh,
     lsep_rowsum,
     make_quadratic,
-    noisy_grad,
     quad_eval,
     quad_noisy_oracle,
     quad_oracle,
@@ -585,29 +584,37 @@ GOLDEN_D, GOLDEN_T = 8, 300
 GOLDEN_P = make_quadratic(GOLDEN_D, 50.0, 0.5, seed=3)
 GOLDEN_X0 = np.random.default_rng(5).standard_normal(GOLDEN_D)
 GOLDEN_PART = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
+GOLDEN_PART_NC = BlockPartition(((0, 2, 4), (1, 3, 5, 6, 7)))  # blocks that are not slices
 GOLDEN_L = {
     "gd": GOLDEN_P.analysis.L2,
     "signgd_normscaled": GOLDEN_P.analysis.Linf_exact,
     "cd": smoothness_constant(GOLDEN_P.matrix, One()),
     "blocknorm": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART)),
+    "blocknorm_nc": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART_NC)),
 }
 GOLDEN_KIND = {
     "gd": Euclidean(),
     "signgd_normscaled": Max(),
     "cd": One(),
     "blocknorm": BlockMax(GOLDEN_PART),
+    "blocknorm_nc": BlockMax(GOLDEN_PART_NC),
 }
 GOLDEN_ADAM = {
     "adam": AdamConfig(step=1e-3),
     "adam_shuffled": AdamConfig(step=1e-3, variant="shuffled", blocks=GOLDEN_PART),
     "adam_averaged": AdamConfig(step=1e-3, variant="averaged", blocks=GOLDEN_PART),
+    "adam_shuffled_nc": AdamConfig(step=1e-3, variant="shuffled", blocks=GOLDEN_PART_NC),
+    "adam_averaged_nc": AdamConfig(step=1e-3, variant="averaged", blocks=GOLDEN_PART_NC),
+    "adam_shuffled_whole": AdamConfig(step=1e-3, variant="shuffled"),
+    "adam_averaged_whole": AdamConfig(step=1e-3, variant="averaged"),
     "momentum_sign": AdamConfig(step=1e-3, variant="momentum_sign"),
 }
 GOLDEN_METHODS = (*GOLDEN_KIND, "nsd", "relaxed_nsd", "signsgd", *GOLDEN_ADAM)
 
 
 def golden_runs(wrap=lambda oracle: oracle):
-    """The README methods on benchmark-shaped configs (d = 8, T = 300).
+    """The README methods on benchmark-shaped configs (d = 8, T = 300), and
+    the block methods also with non-contiguous blocks or the whole vector.
 
     Each run's oracle is passed through ``wrap`` first.
     """
@@ -690,6 +697,28 @@ def signs(z):
     return np.where(z >= 0.0, 1.0, -1.0)
 
 
+def reference_quad_oracle(p, sigma=0.0, rng=None):
+    """(x'Hx/2, Hx) by matmul, plus sigma times one standard_normal(d) draw per call with ``rng``."""
+    h = p.matrix.to_array()
+
+    def oracle(x):
+        g = h @ x
+        f = 0.5 * float(x @ g)
+        return f, g if rng is None else g + sigma * rng.standard_normal(x.size)
+
+    return oracle
+
+
+def reference_cosh_oracle(d):
+    def oracle(x):
+        if np.abs(x).max() > 700.0:
+            raise OverflowGuardError("coordinate magnitude exceeds overflow guard 700")
+        half = np.sinh(0.5 * x)
+        return 2.0 * float(np.dot(half, half)), np.sinh(x)
+
+    return oracle
+
+
 def one_norm(g):
     return float(np.abs(g).sum())
 
@@ -705,10 +734,10 @@ def reference_steepest_op(g, kind):
         i = int(np.argmax(np.abs(g)))
         out[i] = g[i]
         return out
-    total = dual_norm(g, kind)
-    for b in kind.partition.blocks:
-        idx = list(b)
-        nb = float(np.sqrt(np.dot(g[idx], g[idx])))
+    blocks = [list(b) for b in kind.partition.blocks]
+    block_norms = [float(np.sqrt(np.dot(g[idx], g[idx]))) for idx in blocks]
+    total = sum(block_norms)
+    for idx, nb in zip(blocks, block_norms):
         if nb > 0.0:
             out[idx] = g[idx] * (total / nb)
     return out
@@ -744,13 +773,12 @@ def golden_reference_runs():
     p, x0, T, x_star = GOLDEN_P, GOLDEN_X0, GOLDEN_T, np.zeros(GOLDEN_D)
 
     def noisy():
-        rng = np.random.default_rng(7)
-        return lambda x: (quad_eval(p, x)[0], noisy_grad(p, x, 0.5, rng))
+        return reference_quad_oracle(p, 0.5, np.random.default_rng(7))
 
     def sd(method):
         kind, L = GOLDEN_KIND[method], GOLDEN_L[method]
         return lambda: reference_run(
-            quad_oracle(p), x0, T, lambda x, g, t, _: x - reference_steepest_op(g, kind) / L,
+            reference_quad_oracle(p), x0, T, lambda x, g, t, _: x - reference_steepest_op(g, kind) / L,
             lambda g: dual_norm(g, kind), x_star=x_star,
         )
 
@@ -769,10 +797,11 @@ def golden_reference_runs():
     return {
         **{method: sd(method) for method in GOLDEN_KIND},
         "nsd": lambda: reference_run(
-            quad_oracle(p), x0, T, nsd_step, one_norm, STATIONARY_TOL, mark_hit=False, x_star=x_star
+            reference_quad_oracle(p), x0, T, nsd_step, one_norm, STATIONARY_TOL, mark_hit=False,
+            x_star=x_star,
         ),
         "relaxed_nsd": lambda: reference_run(
-            cosh_oracle(CoshProblem(GOLDEN_D)), x0, T, relaxed_step, one_norm, 1e-300, x_star=x_star
+            reference_cosh_oracle(GOLDEN_D), x0, T, relaxed_step, one_norm, 1e-300, x_star=x_star
         ),
         "signsgd": lambda: reference_run(
             noisy(), x0, T, lambda x, g, t, _: x - 1e-3 * signs(g), one_norm, x_star=x_star

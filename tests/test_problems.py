@@ -14,7 +14,7 @@ from normdescent import (
     quad_eval,
     quad_noisy_oracle,
 )
-from normdescent.problems import NOISE_BLOCK
+from normdescent.problems import NOISE_BLOCK, cosh_oracle, quad_oracle
 
 
 def central_diff(f, x, h):
@@ -157,6 +157,35 @@ class TestNoisyGrad:
             f, g = oracle(x)
             assert f == quad_eval(p, x)[0]
             assert np.array_equal(g, noisy_grad(p, x, 0.3, stream))
+
+
+@pytest.mark.parametrize("d", [2, 8, 64, 200])
+def test_quadratic_oracles_round_like_matmul(d):
+    # the oracles use h.dot(x) and x.dot(g); their bits are those of h @ x and x @ g
+    p = make_quadratic(d, 30.0, 0.6, seed=d)
+    h = p.matrix.to_array()
+    exact = quad_oracle(p)
+    noisy = quad_noisy_oracle(p, 0.7, np.random.default_rng(3))
+    stream = np.random.default_rng(3)
+    for x in np.random.default_rng(4).standard_normal((20, d)) * np.logspace(-3, 3, 20)[:, None]:
+        g = h @ x
+        f = 0.5 * float(x @ g)
+        for fo, go in (exact(x), quad_eval(p, x)):
+            assert fo == f and go.tobytes() == g.tobytes()
+        fo, go = noisy(x)
+        assert fo == f and go.tobytes() == (g + 0.7 * stream.standard_normal(d)).tobytes()
+
+
+def test_cosh_oracle_matches_its_formula():
+    p = CoshProblem(6)
+    oracle = cosh_oracle(p)
+    for x in np.random.default_rng(8).uniform(-700.0, 700.0, (50, 6)) * np.logspace(-9, 0, 50)[:, None]:
+        half = np.sinh(0.5 * x)
+        f, g = 2.0 * float(np.dot(half, half)), np.sinh(x)
+        for fo, go in (oracle(x), cosh_eval(p, x)):
+            assert fo == f and go.tobytes() == g.tobytes()
+    with pytest.raises(ValueError, match="expected dimension 6"):
+        oracle(np.zeros(5))
 
 
 class TestCosh:
