@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .matrices import SymMatrix, eigh
+from .matrices import PSD_TOL, SymMatrix, eigh
 from .norms import (
     BlockMax,
     BlockPartition,
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 24
-PSD_TOL = 1e-10
 _TABLE_BITS = 13  # low-coordinate sign table: d x 2^13 doubles, 1.5 MB at d = 24
 
 
@@ -119,9 +118,13 @@ def linf_bruteforce(H: SymMatrix) -> float:
     z_j[r] and max_c T[r,c] + z_j[r]; rounding is monotone, so the sum over
     r of the larger of their magnitudes bounds every computed ||H s||_1 of
     the block.  Blocks are visited in descending bound, and the walk stops
-    at the first bound below the best value found.  The result is the
-    maximum over all blocks; in the worst case, where every sign vector
-    ties (a diagonal H), all 2^(d-1) vectors are evaluated.
+    at the first bound below the best value found.  It also stops once the
+    best value is within 1e-9 relative of the row-sum bound sum_ij |H_ij|,
+    which no ||H s||_1 exceeds; that ends the walk after one block when the
+    sign vectors tie at the bound, as for a diagonal H or the rotated
+    identity, and the result is then the maximum to within 1e-9 relative.
+    In the worst case, where neither test fires, all 2^(d-1) vectors are
+    evaluated.
     """
     d = H.dim
     if d > BRUTE_FORCE_CAP:
@@ -135,10 +138,12 @@ def linf_bruteforce(H: SymMatrix) -> float:
     t_max = table.max(axis=1)[:, None]
     t_min = table.min(axis=1)[:, None]
     bound = np.maximum(np.abs(t_max + z), np.abs(t_min + z)).sum(axis=0)
+    total = float(np.abs(a).sum())
     buf = np.empty_like(table)
     best = -math.inf
     for j in np.argsort(-bound):
-        if bound[j] * (1.0 + 1e-9) < best:  # rounding of the sums is far below 1e-9
+        # rounding of the sums is far below 1e-9
+        if bound[j] * (1.0 + 1e-9) < best or best * (1.0 + 1e-9) >= total:
             break
         np.add(table, z[:, j : j + 1], out=buf)
         np.abs(buf, out=buf)
@@ -308,8 +313,8 @@ def improvement_ratio(L2: float, Linf: float, grad) -> float:
 def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
     """Gradient-map Lipschitz constant of f(x) = x'Hx/2 in the given geometry.
 
-    Exact for the Euclidean (largest |eigenvalue|), max (sign enumeration,
-    d within the brute-force cap), one (largest |entry|), and weighted
+    Exact for the Euclidean (largest |eigenvalue|), max (sign enumeration;
+    ValueError above the brute-force cap), one (largest |entry|), and weighted
     (rescaled spectral norm) geometries.  For block-max geometry the exact
     constant has no finite enumeration; the block-concentration upper bound
     is returned, which is still a valid Lipschitz constant.
@@ -340,7 +345,7 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
     raise TypeError(f"unknown norm kind: {kind!r}")
 
 
-def analyze(H: SymMatrix, brute_cap: int = BRUTE_FORCE_CAP) -> SmoothnessReport:
+def analyze(H: SymMatrix) -> SmoothnessReport:
     """Full smoothness report for a symmetric matrix.
 
     ``Linf_exact`` and the derived ratio are included only when the
@@ -356,7 +361,7 @@ def analyze(H: SymMatrix, brute_cap: int = BRUTE_FORCE_CAP) -> SmoothnessReport:
 
     linf_exact = None
     ratio = None
-    if H.dim <= brute_cap:
+    if H.dim <= BRUTE_FORCE_CAP:
         linf_exact = linf_bruteforce(H)
         if linf_exact > 0.0:
             ratio = H.dim * L2 / linf_exact

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import BRUTE_FORCE_CAP, analyze, smoothness_constant
+from .analysis import analyze, smoothness_constant
 from .experiments import GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import MatrixFormatError, parse_matrix_text
 from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, kind_from_json
@@ -183,16 +183,6 @@ def _smoothness_or_config(spec: dict, problem, kind: NormKind) -> float:
         return L
     if not isinstance(problem, QuadraticProblem):
         raise ConfigError("explicit 'L' required for non-quadratic problems")
-    # the problem's smoothness report already holds the Euclidean and max constants
-    if isinstance(kind, Euclidean):
-        return problem.analysis.L2
-    if isinstance(kind, Max):
-        if problem.analysis.Linf_exact is None:
-            raise ConfigError(
-                f"default 'L' needs the exact max-norm constant; d={problem.dim} "
-                f"exceeds cap {BRUTE_FORCE_CAP}"
-            )
-        return problem.analysis.Linf_exact
     return smoothness_constant(problem.matrix, kind)
 
 
@@ -306,16 +296,12 @@ def cmd_analyze(args) -> int:
         return 2
     try:
         matrix = parse_matrix_text(text)
-        if matrix.dim > BRUTE_FORCE_CAP:
-            print(
-                f"warning: d={matrix.dim} exceeds the exact-norm cap "
-                f"{BRUTE_FORCE_CAP}; Linf_exact omitted",
-                file=sys.stderr,
-            )
         report = analyze(matrix)
     except (MatrixFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if report.Linf_exact is None:
+        print(f"warning: d={matrix.dim} exceeds the exact-norm cap; Linf_exact omitted", file=sys.stderr)
     fields = report.to_json_dict()
     body = ", ".join(f'"{k}": {_fmt(v)}' for k, v in fields.items())
     sys.stdout.write("{" + body + "}\n")
@@ -359,11 +345,6 @@ def cmd_run(args) -> int:
 def cmd_quadgrid(args) -> int:
     try:
         cfg = GridConfig.from_json(_load_json(args.config))
-        if cfg.d > BRUTE_FORCE_CAP:
-            raise ConfigError(
-                f"grid requires the exact max-norm constant; d={cfg.d} exceeds "
-                f"cap {BRUTE_FORCE_CAP}"
-            )
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -384,7 +365,7 @@ def cmd_quadgrid(args) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 3
-    except ValueError as exc:  # a cell whose Hessian cannot be built
+    except ValueError as exc:  # a cell whose Hessian or smoothness constants cannot be computed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

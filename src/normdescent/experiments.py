@@ -24,10 +24,10 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .analysis import smoothness_constant
 from .matrices import SkewMatrix, random_skew, rotated_hessian
 from .norms import Euclidean, Max
 from .optimizers import BatchOracle, DivergenceError, steepest_descent_stack
-from .problems import QuadraticProblem
 
 __all__ = [
     "GridConfig",
@@ -155,14 +155,13 @@ def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int) -> _CellSetup
     lam = cfg.lambda_max_values[li]
     theta = cfg.theta_values[ti]
     eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
-    try:
-        problem = QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
-    except ValueError as exc:  # a finite lambda_max can still overflow the rotated Hessian
+    try:  # a finite lambda_max can overflow the rotated Hessian, and d can be too large for exact Linf
+        H = rotated_hessian(eigs, skew, theta)
+        L2 = smoothness_constant(H, Euclidean())
+        linf = smoothness_constant(H, Max())
+    except ValueError as exc:
         raise ValueError(f"cell lambda_max={lam:g} theta={theta:g}: {exc}") from exc
-    linf = problem.analysis.Linf_exact
-    assert linf is not None  # d <= brute-force cap is enforced upstream
-    return _CellSetup(li, ti, lam, theta, problem.analysis.L2, linf,
-                      problem.matrix.to_array(), _cell_x0(cfg, li, ti))
+    return _CellSetup(li, ti, lam, theta, L2, linf, H.to_array(), _cell_x0(cfg, li, ti))
 
 
 def _row_noise(seeds: list, d: int, calls: int, shape: tuple[int, int]):

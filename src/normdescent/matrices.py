@@ -32,6 +32,7 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-10
 EXPM_SCALE_LIMIT = 0.5
 TEXT_SYMMETRY_TOL = 1e-12
+PSD_TOL = 1e-10  # the tolerance the package's positive semidefinite checks pass to is_psd
 
 
 class MatrixFormatError(ValueError):

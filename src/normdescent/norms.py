@@ -163,9 +163,8 @@ def _l2_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _block_norms(x: np.ndarray, partition: BlockPartition) -> list[float]:
-    """The Euclidean norm of each block of x, in partition order."""
-    segs = (x[i] for i in partition.index)
-    return [math.sqrt(s.dot(s)) for s in segs]
+    """The Euclidean norm (_l2) of each block of x, in partition order."""
+    return [_l2(x[i]) for i in partition.index]
 
 
 def norm(x, kind: NormKind) -> float:
@@ -179,7 +178,8 @@ def norm(x, kind: NormKind) -> float:
         return float(np.abs(x).sum())
     if isinstance(kind, WeightedDiag):
         w = np.asarray(kind.weights)
-        return float(np.sqrt(np.dot(w * x, x)))
+        r = math.sqrt(np.dot(w * x, x))
+        return _l2(np.sqrt(w) * x) if r == math.inf else r  # rescaled only when the squares overflow
     if isinstance(kind, BlockMax):
         return max(_block_norms(x, kind.partition))
     raise TypeError(f"unknown norm kind: {kind!r}")
@@ -196,7 +196,8 @@ def dual_norm(x, kind: NormKind) -> float:
         return float(np.abs(x).max())
     if isinstance(kind, WeightedDiag):
         w = np.asarray(kind.weights)
-        return float(np.sqrt(np.dot(x / w, x)))
+        r = math.sqrt(np.dot(x / w, x))
+        return _l2(x / np.sqrt(w)) if r == math.inf else r
     if isinstance(kind, BlockMax):
         return sum(_block_norms(x, kind.partition))
     raise TypeError(f"unknown norm kind: {kind!r}")
@@ -213,12 +214,16 @@ def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
     if isinstance(kind, One):
         return np.abs(X).max(axis=1)
     if isinstance(kind, WeightedDiag):
-        return np.sqrt(_row_dots(X / np.asarray(kind.weights), X))
+        w = np.asarray(kind.weights)
+        r = np.sqrt(_row_dots(X / w, X))
+        over = r == math.inf
+        if over.any():
+            r[over] = _l2_rows(X[over] / np.sqrt(w))
+        return r
     if isinstance(kind, BlockMax):
         out = np.zeros(X.shape[0])
         for b in kind.partition.blocks:
-            xb = X[:, list(b)]
-            out += np.sqrt(_row_dots(xb, xb))
+            out += _l2_rows(X[:, list(b)])
         return out
     raise TypeError(f"unknown norm kind: {kind!r}")
 
@@ -253,7 +258,9 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
         out = np.zeros(z.shape)
         for i, nb in zip(kind.partition.index, block_norms):
             if nb > 0.0:
-                out[i] = z[i] * np.array(total / nb)
+                scale = total / nb
+                # z[i] / nb is at most 1 in magnitude, so this order cannot overflow a finite result
+                out[i] = z[i] * np.array(scale) if scale < math.inf else z[i] / nb * total
         return out
     raise TypeError(f"unknown norm kind: {kind!r}")
 

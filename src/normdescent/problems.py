@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import BRUTE_FORCE_CAP, PSD_TOL, SmoothnessReport, analyze
-from .matrices import SymMatrix, is_psd, random_skew, rotated_hessian
+from .matrices import PSD_TOL, SymMatrix, is_psd, random_skew, rotated_hessian
 
 __all__ = [
     "Oracle",
@@ -53,18 +52,17 @@ class OverflowGuardError(ValueError):
 class QuadraticProblem:
     """f(x) = x' H x / 2 with positive semidefinite H; minimum 0 at x = 0.
 
-    The smoothness report is computed once at construction so that step
-    sizes (1/L2, 1/Linf, ...) are available without re-analysis.
+    A step size is the reciprocal of a smoothness constant of H, which a
+    caller takes from ``analysis.smoothness_constant`` for its geometry.
     """
 
     matrix: SymMatrix
-    analysis: SmoothnessReport
 
     @classmethod
-    def from_matrix(cls, H: SymMatrix, brute_cap: int = BRUTE_FORCE_CAP) -> "QuadraticProblem":
+    def from_matrix(cls, H: SymMatrix) -> "QuadraticProblem":
         if not is_psd(H, PSD_TOL):
             raise ValueError("quadratic problems require a positive semidefinite matrix")
-        return cls(H, analyze(H, brute_cap))
+        return cls(H)
 
     @property
     def dim(self) -> int:

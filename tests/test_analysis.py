@@ -47,9 +47,13 @@ class TestLinfBruteforce:
 
     def test_identity(self):
         assert linf_bruteforce(SymMatrix.diagonal([1.0, 1.0, 1.0])) == 3.0
+        # d = 24 off the axes: every sign vector ties at the row-sum bound, up to rounding
+        rotated = rotated_hessian(np.ones(24), random_skew(24, np.random.default_rng(0)), 0.7)
+        assert linf_bruteforce(rotated) == pytest.approx(24.0, rel=1e-12)
 
     def test_diagonal(self):
         assert linf_bruteforce(SymMatrix.diagonal([1.0, 1.0, 1.0, 1.0, 50.0])) == 54.0
+        assert linf_bruteforce(SymMatrix.diagonal(np.arange(1.0, 25.0))) == 300.0  # d = 24, all tie
 
     def test_matches_plain_enumeration(self):
         rng = np.random.default_rng(3)

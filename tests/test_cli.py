@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import normdescent
-from normdescent import cli
-from normdescent import Euclidean, Max, make_quadratic, quad_oracle, run_steepest_descent
+from normdescent import analysis, cli
+from normdescent import Euclidean, Max, make_quadratic, quad_oracle, run_steepest_descent, smoothness_constant
 from normdescent.experiments import GRID_CSV_HEADER
 
 
@@ -171,7 +172,8 @@ class TestRun:
         assert res.returncode == 0, res.stderr
         p = make_quadratic(4, 8.0, 0.3, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), p.analysis.L2, x0, 10, x_star=np.zeros(4))
+        L2 = smoothness_constant(p.matrix, Euclidean())
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, x0, 10, x_star=np.zeros(4))
         f_row3 = float(res.stdout.splitlines()[4].split(",")[1])
         assert f_row3 == tr.f[3]
 
@@ -188,8 +190,29 @@ class TestRun:
         assert res.returncode == 0, res.stderr
         p = make_quadratic(4, 8.0, 0.3, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
-        tr = run_steepest_descent(quad_oracle(p), Max(), p.analysis.Linf_exact, x0, 10, x_star=np.zeros(4))
+        linf = smoothness_constant(p.matrix, Max())
+        tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10, x_star=np.zeros(4))
         assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
+
+    def test_no_unused_max_norm_constant_is_computed(self, tmp_path, monkeypatch):
+        # neither building a quadratic nor a method outside the max geometry
+        # may enumerate sign vectors, at the cap or above it
+        def enumeration(H):
+            raise AssertionError("linf_bruteforce called")
+
+        monkeypatch.setattr(analysis, "linf_bruteforce", enumeration)
+        make_quadratic(24, 50.0, 0.0, 0)
+        cfg = tmp_path / "run.json"
+        for d, optimizer in itertools.product(
+            (24, 30), ({"method": "gd"}, {"method": "cd"}, {"method": "nsd", "norm": "euclidean"})
+        ):
+            cfg.write_text(json.dumps({
+                "problem": {"quadratic": {"d": d, "lambda_max": 50.0, "theta": 0.5}},
+                "optimizer": optimizer,
+                "T": 5,
+            }))
+            code, out = _main_obeys_exit_contract(["run", "--config", str(cfg)])
+            assert code == 0 and len(out.splitlines()) == 7, (d, optimizer)
 
     def test_divergence_exits_3_with_partial_trace(self, tmp_path):
         cfg_obj = {
@@ -483,10 +506,8 @@ class TestQuadGrid:
         p = make_quadratic(4, 50.0, 0.0, seed=1)
         dist_gd, dist_sg = [], []
         for start in x0:
-            for kind, L, acc in (
-                (Euclidean(), p.analysis.L2, dist_gd),
-                (Max(), p.analysis.Linf_exact, dist_sg),
-            ):
+            for kind, acc in ((Euclidean(), dist_gd), (Max(), dist_sg)):
+                L = smoothness_constant(p.matrix, kind)
                 tr = run_steepest_descent(quad_oracle(p), kind, L, start, 50, x_star=np.zeros(4))
                 acc.append(tr.dist_sq[-1])
         assert float(row[5]) == pytest.approx(np.mean(dist_gd), rel=1e-15)
@@ -541,6 +562,9 @@ class TestQuadGrid:
         cfg.write_text(json.dumps(dict(GRID_CFG, d=25)))
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
+        assert res.stdout == ""
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: ") and "exceeds cap 24" in line
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "grid.json"

@@ -18,6 +18,7 @@ from normdescent import (
     quad_oracle,
     run_quad_grid,
     run_steepest_descent,
+    smoothness_constant,
     steepest_descent_batch,
 )
 from normdescent import experiments
@@ -36,7 +37,8 @@ def scalar_reference(cfg: GridConfig, li: int, ti: int) -> tuple[float, float]:
     p = make_quadratic(cfg.d, cfg.lambda_max_values[li], cfg.theta_values[ti], cfg.skew_seed)
     x0 = np.random.default_rng([cfg.x0_seed, li, ti]).standard_normal((cfg.repeats, cfg.d))
     means = []
-    for mi, (kind, L) in enumerate(((Euclidean(), p.analysis.L2), (Max(), p.analysis.Linf_exact))):
+    for mi, kind in enumerate((Euclidean(), Max())):
+        L = smoothness_constant(p.matrix, kind)
         dists = []
         for r, start in enumerate(x0):
             if cfg.sigma > 0.0:
@@ -103,8 +105,9 @@ def per_cell_reference(cfg: GridConfig) -> list[tuple]:
             p = make_quadratic(cfg.d, lam, theta, cfg.skew_seed)
             H = p.matrix.to_array()
             x0 = np.random.default_rng([cfg.x0_seed, li, ti]).standard_normal((cfg.repeats, cfg.d))
+            L2, linf = (smoothness_constant(p.matrix, kind) for kind in (Euclidean(), Max()))
             results = []
-            for mi, (kind, L) in enumerate(((Euclidean(), p.analysis.L2), (Max(), p.analysis.Linf_exact))):
+            for mi, (kind, L) in enumerate(((Euclidean(), L2), (Max(), linf))):
                 streams = [np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])
                            for r in range(cfg.repeats)]
 
@@ -122,7 +125,7 @@ def per_cell_reference(cfg: GridConfig) -> list[tuple]:
                     results.append(exc)
                 else:
                     results.append(float(np.einsum("ij,ij->i", X, X).mean()))
-            out.append((lam, theta, p.analysis.L2, p.analysis.Linf_exact, results))
+            out.append((lam, theta, L2, linf, results))
     return out
 
 
@@ -237,3 +240,9 @@ def test_diverging_grid_raises_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match="cell lambda_max=1 theta=0, method gd"):
             run_quad_grid(cfg)
+
+
+def test_grid_above_the_exact_linf_cap_names_the_cell_and_the_cap():
+    cfg = GridConfig(d=25, lambda_max_values=(2.0,), theta_values=(0.5,), T=3, repeats=2)
+    with pytest.raises(ValueError, match=r"^cell lambda_max=2 theta=0\.5: .*exceeds cap 24"):
+        run_quad_grid(cfg)

@@ -151,6 +151,51 @@ class TestEuclideanOverflow:
             assert r == np.sqrt(x[None, :] @ x[:, None])[0, 0]
 
 
+class TestWeightedAndBlockOverflow:
+    """Weighted and block-max norms of finite vectors whose squares overflow
+    stay finite; every other vector keeps the bits of the plain formula."""
+
+    BLOCKS = BlockMax(BlockPartition(((0, 1), (2,))))
+    WEIGHTS = WeightedDiag((1.0, 2.0))
+
+    def test_huge_finite_vectors(self):
+        x = np.array([1e200, 1e200, 1.0])  # block norms sqrt(2) 1e200 and 1
+        y = np.array([1e200, 1e200])
+        r2, r3, r15 = (math.sqrt(v) * 1e200 for v in (2.0, 3.0, 1.5))
+        with np.errstate(over="ignore"):  # the plain products overflow first
+            assert norm(x, self.BLOCKS) == pytest.approx(r2, rel=1e-15)
+            assert dual_norm(x, self.BLOCKS) == pytest.approx(r2, rel=1e-15)
+            rows = dual_norm_rows(np.array([x, [3.0, 4.0, 6.0], [math.inf, 0.0, 0.0]]), self.BLOCKS)
+            op = steepest_op(x, self.BLOCKS)
+            assert norm(y, self.WEIGHTS) == pytest.approx(r3, rel=1e-15)
+            assert dual_norm(y, self.WEIGHTS) == pytest.approx(r15, rel=1e-15)
+            wrows = dual_norm_rows(np.array([y, [2.0, 2.0], [math.nan, 1.0]]), self.WEIGHTS)
+            wop = steepest_op(y, self.WEIGHTS)
+            # a small block scaled up to the dual norm: total / nb overflows, the result does not
+            singles = steepest_op([1e-150, 1e200], BlockMax(BlockPartition(((0,), (1,)))))
+        assert rows.tolist() == [pytest.approx(r2, rel=1e-15), 11.0, math.inf]
+        assert op.tolist() == [1e200, 1e200, pytest.approx(r2, rel=1e-15)]
+        assert wrows[:2].tolist() == [pytest.approx(r15, rel=1e-15), math.sqrt(6.0)]
+        assert math.isnan(wrows[2])
+        assert wop.tolist() == [1e200, 5e199]
+        assert singles.tolist() == [1e200, 1e200]
+
+    def test_normal_range_keeps_its_bits(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-150, 150, (200, 1))
+        w = np.array([0.5, 2.0, 4.0])
+        weights = WeightedDiag(tuple(w))
+        wrows = dual_norm_rows(X, weights)
+        brows = dual_norm_rows(X, self.BLOCKS)
+        for x, wr, br in zip(X, wrows, brows):
+            assert norm(x, weights) == float(np.sqrt(np.dot(w * x, x)))
+            assert dual_norm(x, weights) == float(np.sqrt(np.dot(x / w, x)))
+            assert wr == np.sqrt((x / w)[None, :] @ x[:, None])[0, 0]
+            head = math.sqrt(x[:2].dot(x[:2]))
+            assert dual_norm(x, self.BLOCKS) == head + abs(x[2])
+            assert br == np.sqrt(x[None, :2] @ x[:2, None])[0, 0] + abs(x[2])
+
+
 class TestSteepestOp:
     def test_max_closed_form(self):
         assert np.array_equal(steepest_op([1.0, -2.0], Max()), [3.0, -3.0])

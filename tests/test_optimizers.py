@@ -90,7 +90,7 @@ class TestSteepestDescent:
         # f(x + a*s) <= f(x) + a <g, s> + a^2 L_inf / 2 for sign vectors s
         rng = np.random.default_rng(41)
         p = make_quadratic(5, 7.0, 0.5, seed=2)
-        linf = p.analysis.Linf_exact
+        linf = smoothness_constant(p.matrix, Max())
         for _ in range(200):
             x = rng.standard_normal(5) * 2.0
             s = 1.0 - 2.0 * rng.integers(0, 2, 5)
@@ -542,7 +542,8 @@ class TestRateBounds:
             x0 = rng.standard_normal(6)
             f0, _ = quad_eval(p, x0)
             radius = math.sqrt(2.0 * f0 / lam_min)
-            for kind, L in ((Euclidean(), p.analysis.L2), (Max(), p.analysis.Linf_exact)):
+            for kind in (Euclidean(), Max()):
+                L = smoothness_constant(p.matrix, kind)
                 tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 500)
                 rc = verify_rate_bounds(tr, L, 0.0, mu=lam_min, radius=radius, kind=kind)
                 assert rc.passed, (kind, rc)
@@ -556,8 +557,9 @@ class TestRateBounds:
     def test_violation_reported_not_raised(self):
         p = make_quadratic(4, 10.0, 0.5, seed=12)
         x0 = np.random.default_rng(10).standard_normal(4)
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), p.analysis.L2, x0, 50)
-        rc = verify_rate_bounds(tr, p.analysis.L2 / 100.0, 0.0)  # deliberately wrong L
+        L2 = smoothness_constant(p.matrix, Euclidean())
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, x0, 50)
+        rc = verify_rate_bounds(tr, L2 / 100.0, 0.0)  # deliberately wrong L
         assert not rc.passed
         assert rc.smooth_slack < 0.0
 
@@ -565,9 +567,8 @@ class TestRateBounds:
 class TestTrace:
     def test_lengths_and_finiteness(self):
         p = make_quadratic(4, 5.0, 0.3, seed=13)
-        tr = run_steepest_descent(
-            quad_oracle(p), Euclidean(), p.analysis.L2, np.ones(4), 37, x_star=np.zeros(4)
-        )
+        L2 = smoothness_constant(p.matrix, Euclidean())
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, np.ones(4), 37, x_star=np.zeros(4))
         assert len(tr) == 38
         assert tr.dist_sq.shape == (38,)
         assert np.isfinite(tr.f).all()
@@ -576,7 +577,8 @@ class TestTrace:
 
     def test_dist_absent_without_optimum(self):
         p = make_quadratic(4, 5.0, 0.3, seed=13)
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), p.analysis.L2, np.ones(4), 5)
+        L2 = smoothness_constant(p.matrix, Euclidean())
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, np.ones(4), 5)
         assert tr.dist_sq is None
 
 
@@ -586,8 +588,8 @@ GOLDEN_X0 = np.random.default_rng(5).standard_normal(GOLDEN_D)
 GOLDEN_PART = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
 GOLDEN_PART_NC = BlockPartition(((0, 2, 4), (1, 3, 5, 6, 7)))  # blocks that are not slices
 GOLDEN_L = {
-    "gd": GOLDEN_P.analysis.L2,
-    "signgd_normscaled": GOLDEN_P.analysis.Linf_exact,
+    "gd": smoothness_constant(GOLDEN_P.matrix, Euclidean()),
+    "signgd_normscaled": smoothness_constant(GOLDEN_P.matrix, Max()),
     "cd": smoothness_constant(GOLDEN_P.matrix, One()),
     "blocknorm": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART)),
     "blocknorm_nc": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART_NC)),
@@ -851,7 +853,7 @@ class TestStepLoopParity:
     def test_gd_with_too_small_L_blows_up(self):
         p = make_quadratic(5, 20.0, 0.5, seed=1)
         x0, x_star = np.ones(5), np.zeros(5)
-        L = p.analysis.L2 / 3.0
+        L = smoothness_constant(p.matrix, Euclidean()) / 3.0
         self._assert_parity(
             lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500, x_star=x_star),
             reference_run(
