@@ -10,12 +10,12 @@ descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .matrices import PSD_TOL, SymMatrix, eigh
+from ._record import record
+from .matrices import PSD_TOL, SymMatrix, eigh, is_psd_spectrum
 from .norms import (
     BlockMax,
     BlockPartition,
@@ -47,7 +47,7 @@ BRUTE_FORCE_CAP = 24
 _TABLE_BITS = 13  # low-coordinate sign table: d x 2^13 doubles, 1.5 MB at d = 24
 
 
-@dataclass(frozen=True)
+@record
 class SmoothnessReport:
     """Smoothness constants and bounds of a quadratic with matrix H.
 
@@ -92,7 +92,7 @@ class SmoothnessReport:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class BlockReport:
     """Block-structure analysis: concentration ratio, upper bound on the
     block matrix norm, a sampled lower estimate, and per-block top
@@ -200,7 +200,7 @@ def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
     bound_sym = _eigenspace_bound(values, vectors, l1)
     lower = float((abs_lam * l1 / linf).max())
     bound_psd = None
-    if values[0] >= -PSD_TOL:
+    if is_psd_spectrum(values):
         if float(np.abs(H.to_array()).sum()) == 0.0:
             bound_psd = 0.0
         elif (rho := rho_diag(H)) > 0.0:  # a nonzero matrix with zero diagonal is indefinite
@@ -212,7 +212,7 @@ def linf_bounds(H: SymMatrix) -> tuple[float | None, float, float]:
     """(concentration bound or None, eigenvector bound, alignment lower bound).
 
     The concentration bound ``rho_diag(H)**-1 * sum(lambda)`` is reported
-    only for positive semidefinite input (tolerance 1e-10); the eigenspace
+    only for positive semidefinite input (``is_psd_spectrum``); the eigenspace
     bound ``sum_k |c_k| sum_ij |P_k,ij| + r_k d`` (see _eigenspace_bound; it
     is ``sum |lambda_i| ||v_i||_1^2`` for distinct eigenvalues) and the lower bound
     ``max_i |lambda_i| ||v_i||_1 / ||v_i||_inf`` apply to any symmetric
@@ -278,8 +278,7 @@ def block_analysis(
         raise ValueError("partition does not match matrix dimension")
     if samples < 1:
         raise ValueError("samples must be positive")
-    dec = eigh(H)
-    if dec.values[0] < -PSD_TOL:
+    if not is_psd_spectrum(eigh(H).values):
         raise ValueError("block analysis requires a positive semidefinite matrix")
     a = H.to_array()
     rho_block, bound, lam_max = _block_bound(a, partition)
@@ -337,8 +336,7 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
     if isinstance(kind, BlockMax):
         if kind.partition.dim != H.dim:
             raise ValueError("partition does not match matrix dimension")
-        dec = eigh(H)
-        if dec.values[0] < -PSD_TOL:
+        if not is_psd_spectrum(eigh(H).values):
             raise ValueError("block-max constant requires a positive semidefinite matrix")
         _, bound, _ = _block_bound(a, kind.partition)
         return bound

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +80,14 @@ def _write_lines(lines: list[str], out: str | None) -> bool:
 
 
 def _trace_csv_lines(trace: Trace) -> list[str]:
+    """The header, then all rows as one string: a single % formats the table."""
     n = len(trace)
+    if n == 0:
+        return [TRACE_CSV_HEADER]
     dist = trace.dist_sq if trace.dist_sq is not None else np.full(n, np.nan)
     rows = zip(range(n), trace.f.tolist(), trace.dual_grad_norm.tolist(), dist.tolist())
-    return [TRACE_CSV_HEADER, *map("%d,%.17g,%.17g,%.17g".__mod__, rows)]
+    table = "\n".join(["%d,%.17g,%.17g,%.17g"] * n) % tuple(chain.from_iterable(rows))
+    return [TRACE_CSV_HEADER, table]
 
 
 def _load_json(path: str) -> dict:

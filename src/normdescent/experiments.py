@@ -18,12 +18,12 @@ point, cell and method, drawn in blocks of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from ._record import record
 from .analysis import smoothness_constant
 from .matrices import SkewMatrix, random_skew, rotated_hessian
 from .norms import Euclidean, Max
@@ -51,7 +51,7 @@ _DIST_FLOOR = 1e-300  # keeps the log ratio finite when a method lands exactly o
 _NOISE_SALT = 104729
 
 
-@dataclass(frozen=True)
+@record
 class GridConfig:
     """Axes and run parameters of a benchmark grid."""
 
@@ -114,7 +114,7 @@ _JSON_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class GridCell:
     """One grid row: smoothness constants and paired mean final distances."""
 

@@ -10,9 +10,10 @@ text format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "SymMatrix",
@@ -22,6 +23,7 @@ __all__ = [
     "MatrixFormatError",
     "eigh",
     "is_psd",
+    "is_psd_spectrum",
     "random_skew",
     "exp_skew",
     "rotated_hessian",
@@ -32,7 +34,7 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-10
 EXPM_SCALE_LIMIT = 0.5
 TEXT_SYMMETRY_TOL = 1e-12
-PSD_TOL = 1e-10  # the tolerance the package's positive semidefinite checks pass to is_psd
+PSD_TOL = 1e-10  # the relative tolerance of the package's positive semidefinite test, is_psd_spectrum
 
 
 class MatrixFormatError(ValueError):
@@ -94,7 +96,7 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@record
 class EigenDecomposition:
     """Eigenvalues in ascending order with matching orthonormal columns."""
 
@@ -102,7 +104,7 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class SkewMatrix:
     """Real d x d matrix with entries(i, j) == -entries(j, i), zero diagonal."""
 
@@ -123,7 +125,7 @@ class SkewMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class OrthogonalMatrix:
     """Real square matrix with max |Q'Q - I| at most 1e-10."""
 
@@ -155,6 +157,17 @@ def is_psd(H: SymMatrix, tol: float = 0.0) -> bool:
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
     return bool(eigh(H).values[0] >= -tol)
+
+
+def is_psd_spectrum(values: np.ndarray) -> bool:
+    """The package's positive semidefinite test, on ascending eigenvalues:
+    lambda_min >= -PSD_TOL * max(1, |lambda_max|).
+
+    The tolerance scales with the spectrum, since the eigensolver's error
+    in lambda_min does: a rotated PSD matrix with lambda_max = 1e17 can
+    show a lambda_min of about -1e2.
+    """
+    return bool(values[0] >= -PSD_TOL * max(1.0, abs(float(values[-1]))))
 
 
 def random_skew(d: int, rng: np.random.Generator) -> SkewMatrix:

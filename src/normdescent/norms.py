@@ -10,10 +10,11 @@ per-coordinate scaling (weighted norm), and block-normalized descent
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "BlockPartition",
@@ -33,17 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class BlockPartition:
     """Disjoint, covering, non-empty index blocks over {0, ..., d-1}.
 
     ``index`` holds, per block, what selects it from a vector: a slice for
     a run of consecutive ascending indices, otherwise a read-only integer
-    array in the block's order.  It is built once, with the partition.
+    array in the block's order.  It is built once, with the partition, and
+    is no field: not an argument, not compared, not shown.
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
@@ -60,22 +61,22 @@ class BlockPartition:
         return sum(len(b) for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@record
 class Euclidean:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Max:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class One:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class WeightedDiag:
     """sqrt(sum_i w_i x_i^2) with strictly positive weights."""
 
@@ -88,7 +89,7 @@ class WeightedDiag:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
+@record
 class BlockMax:
     partition: BlockPartition
 
@@ -108,14 +109,16 @@ def _block_index(block: tuple[int, ...]):
     return _frozen(np.array(block, dtype=np.intp))
 
 
-# 0-d operands: a numpy call with an array operand skips the conversion of a
-# Python float, and rounds the same.
-_ZERO, _PLUS, _MINUS = (_frozen(np.array(v)) for v in (0.0, 1.0, -1.0))
+# A 0-d operand is cheaper in a numpy call than a Python float, and rounds
+# the same.
+_ZERO = _frozen(np.array(0.0))
+_SIGNS = _frozen(np.array([-1.0, 1.0]))  # indexed by z >= 0
+_L2_TINY = 1.5e-154  # about sqrt of the smallest normal double: below it the squares lose bits
 
 
 def sign_unit(z: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, fixed for determinism (NaN gives -1)."""
-    return np.where(np.asarray(z, dtype=float) >= _ZERO, _PLUS, _MINUS)
+    return _SIGNS.take(np.asarray(z, dtype=float) >= _ZERO)
 
 
 def _check_dim(kind: NormKind, d: int) -> None:
@@ -136,18 +139,19 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _scaled_l2_rows(X: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of X, each computed on the row divided by
-    its largest magnitude, so that no square overflows."""
+    its largest magnitude, so that no square overflows or underflows."""
     m = np.abs(X).max(axis=1)
     U = X / m[:, None]
     return m * np.sqrt(_row_dots(U, U))
 
 
 def _l2(x: np.ndarray) -> float:
-    """sqrt(x'x).  A finite x whose squares overflow (entries above ~1e154)
-    is rescaled; any other x keeps the bits of the plain formula.  numpy's
-    overflow warning from the plain product is not suppressed."""
+    """sqrt(x'x).  A finite nonzero x whose squares overflow (entries above
+    ~1e154) or whose norm is below _L2_TINY is rescaled; any other x keeps
+    the bits of the plain formula.  numpy's overflow warning from the plain
+    product is not suppressed."""
     r = math.sqrt(x.dot(x))
-    if r == math.inf and np.isfinite(x).all():
+    if not _L2_TINY <= r < math.inf and np.isfinite(x).all() and x.any():
         r = float(_scaled_l2_rows(x.reshape(1, -1))[0])
     return r
 
@@ -155,16 +159,16 @@ def _l2(x: np.ndarray) -> float:
 def _l2_rows(X: np.ndarray) -> np.ndarray:
     """_l2 of every row of the (n, d) array X."""
     r = np.sqrt(_row_dots(X, X))
-    over = np.isinf(r)
-    if over.any():
-        over &= np.isfinite(X).all(axis=1)
-        r[over] = _scaled_l2_rows(X[over])
+    rescale = (r < _L2_TINY) | (r == math.inf)
+    if rescale.any():
+        rescale &= np.isfinite(X).all(axis=1) & X.any(axis=1)
+        r[rescale] = _scaled_l2_rows(X[rescale])
     return r
 
 
-def _block_norms(x: np.ndarray, partition: BlockPartition) -> list[float]:
-    """The Euclidean norm (_l2) of each block of x, in partition order."""
-    return [_l2(x[i]) for i in partition.index]
+def _block_norms(x: np.ndarray, index) -> list[float]:
+    """The Euclidean norm (_l2) of each block of x, for a partition's index."""
+    return [_l2(x[i]) for i in index]
 
 
 def norm(x, kind: NormKind) -> float:
@@ -179,28 +183,91 @@ def norm(x, kind: NormKind) -> float:
     if isinstance(kind, WeightedDiag):
         w = np.asarray(kind.weights)
         r = math.sqrt(np.dot(w * x, x))
-        return _l2(np.sqrt(w) * x) if r == math.inf else r  # rescaled only when the squares overflow
+        # rescaled only when the squares overflow or lose bits
+        return _l2(np.sqrt(w) * x) if not _L2_TINY <= r < math.inf else r
     if isinstance(kind, BlockMax):
-        return max(_block_norms(x, kind.partition))
+        return max(_block_norms(x, kind.partition.index))
+    raise TypeError(f"unknown norm kind: {kind!r}")
+
+
+# The kernels of each geometry: its dual norm and its direction P, on a float
+# vector of the kind's dimension.  _kernels resolves a kind to them once;
+# dual_norm and steepest_op check their argument and call the same kernels.
+
+def _identity(z: np.ndarray) -> np.ndarray:
+    return z  # steepest_op copies it
+
+
+def _max_dual(z: np.ndarray) -> float:
+    return float(np.add.reduce(np.abs(z)))
+
+
+def _max_direction(z: np.ndarray) -> np.ndarray:
+    # the sum lands in a 0-d array, the cheapest operand for the product
+    return np.add.reduce(np.abs(z), out=np.empty(())) * sign_unit(z)
+
+
+def _one_dual(z: np.ndarray) -> float:
+    return float(np.abs(z).max())
+
+
+def _one_direction(z: np.ndarray) -> np.ndarray:
+    i = int(np.abs(z).argmax())
+    out = np.zeros(z.shape)
+    out[i] = z[i]
+    return out
+
+
+def _weighted_kernels(weights: tuple[float, ...]):
+    w = np.array(weights)
+    root = np.sqrt(w)
+
+    def dual(z):
+        r = math.sqrt(np.dot(z / w, z))
+        return _l2(z / root) if not _L2_TINY <= r < math.inf else r
+
+    return dual, lambda z: z / w
+
+
+def _blockmax_kernels(index: tuple):
+    def dual(z):
+        return sum(_block_norms(z, index))
+
+    def direction(z):
+        block_norms = _block_norms(z, index)
+        total = sum(block_norms)  # dual(z)
+        out = np.zeros(z.shape)
+        for i, nb in zip(index, block_norms):
+            if nb > 0.0:
+                scale = total / nb
+                # z[i] / nb is at most 1 in magnitude, so this order cannot overflow a finite result
+                out[i] = z[i] * np.array(scale) if scale < math.inf else z[i] / nb * total
+        return out
+
+    return dual, direction
+
+
+def _kernels(kind: NormKind) -> tuple[Callable, Callable]:
+    """(dual norm, direction) kernels of ``kind``; they do not check the
+    dimension (see _check_dim), and the Euclidean direction returns its
+    argument itself."""
+    if isinstance(kind, Euclidean):
+        return _l2, _identity
+    if isinstance(kind, Max):
+        return _max_dual, _max_direction
+    if isinstance(kind, One):
+        return _one_dual, _one_direction
+    if isinstance(kind, WeightedDiag):
+        return _weighted_kernels(kind.weights)
+    if isinstance(kind, BlockMax):
+        return _blockmax_kernels(kind.partition.index)
     raise TypeError(f"unknown norm kind: {kind!r}")
 
 
 def dual_norm(x, kind: NormKind) -> float:
     x = np.asarray(x, dtype=float)
     _check_dim(kind, x.size)
-    if isinstance(kind, Euclidean):
-        return _l2(x)
-    if isinstance(kind, Max):
-        return float(np.add.reduce(np.abs(x)))
-    if isinstance(kind, One):
-        return float(np.abs(x).max())
-    if isinstance(kind, WeightedDiag):
-        w = np.asarray(kind.weights)
-        r = math.sqrt(np.dot(x / w, x))
-        return _l2(x / np.sqrt(w)) if r == math.inf else r
-    if isinstance(kind, BlockMax):
-        return sum(_block_norms(x, kind.partition))
-    raise TypeError(f"unknown norm kind: {kind!r}")
+    return _kernels(kind)[0](x)
 
 
 def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
@@ -216,9 +283,9 @@ def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
     if isinstance(kind, WeightedDiag):
         w = np.asarray(kind.weights)
         r = np.sqrt(_row_dots(X / w, X))
-        over = r == math.inf
-        if over.any():
-            r[over] = _l2_rows(X[over] / np.sqrt(w))
+        rescale = (r < _L2_TINY) | (r == math.inf)
+        if rescale.any():
+            r[rescale] = _l2_rows(X[rescale] / np.sqrt(w))
         return r
     if isinstance(kind, BlockMax):
         out = np.zeros(X.shape[0])
@@ -240,29 +307,8 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     _check_dim(kind, z.size)
-    if isinstance(kind, Euclidean):
-        return z.copy()
-    if isinstance(kind, Max):
-        # the sum lands in a 0-d array, the cheapest operand for the product
-        return np.add.reduce(np.abs(z), out=np.empty(())) * sign_unit(z)
-    if isinstance(kind, One):
-        i = int(np.abs(z).argmax())
-        out = np.zeros(z.shape)
-        out[i] = z[i]
-        return out
-    if isinstance(kind, WeightedDiag):
-        return z / np.asarray(kind.weights)
-    if isinstance(kind, BlockMax):
-        block_norms = _block_norms(z, kind.partition)
-        total = sum(block_norms)  # dual_norm(z, kind)
-        out = np.zeros(z.shape)
-        for i, nb in zip(kind.partition.index, block_norms):
-            if nb > 0.0:
-                scale = total / nb
-                # z[i] / nb is at most 1 in magnitude, so this order cannot overflow a finite result
-                out[i] = z[i] * np.array(scale) if scale < math.inf else z[i] / nb * total
-        return out
-    raise TypeError(f"unknown norm kind: {kind!r}")
+    p = _kernels(kind)[1](z)
+    return p.copy() if p is z else p
 
 
 def gradient_density(z) -> float:

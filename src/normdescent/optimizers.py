@@ -19,14 +19,14 @@ and records nothing but the final iterates and each slice's divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
+from ._record import record
 from .norms import (
-    BlockPartition, Euclidean, Max, NormKind, _frozen, _row_dots, dual_norm, dual_norm_rows,
-    sign_unit, steepest_op,
+    BlockPartition, Euclidean, Max, NormKind, One, _check_dim, _frozen, _kernels, _row_dots,
+    dual_norm_rows, sign_unit,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -63,7 +63,7 @@ ROW_CHUNK = 1024  # trace rows the step loop allocates at first
 BatchOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
     """Per-iteration record of a run; arrays have one row per iterate.
 
@@ -99,7 +99,7 @@ class DivergenceError(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@record
 class Constant:
     alpha: float
 
@@ -108,7 +108,7 @@ class Constant:
             raise ValueError("constant step size must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class InvSqrt:
     """alpha_t = 1/sqrt(t + 1)."""
 
@@ -154,11 +154,15 @@ def _drive(
     handed to the oracle changes.  The other dual norms, and the squared
     distances to ``x_star``, are reduced over the rows after the loop.
 
-    Per-step constants of the update rules are 0-d arrays: a numpy call
-    with an array operand is cheaper than one with a Python float, and
-    rounds the same.
+    The dimension is checked against ``kind`` once, before the loop; the
+    loop and the update rules call the kernels ``norms._kernels`` resolved
+    for the kind, which check nothing.  Per-step constants of the update
+    rules are 0-d arrays: a numpy call with an array operand is cheaper
+    than one with a Python float, and rounds the same.
     """
     x = _start(x0)
+    _check_dim(kind, x.size)
+    dual_kernel = _kernels(kind)[0]
     ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
@@ -190,10 +194,10 @@ def _drive(
         X[t] = x
         G[t] = g
         # one sum per step; the elementwise test runs only when the sum is not finite
-        if not math.isfinite(f + G[t].dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
+        if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
             raise DivergenceError(t, trace(t, x), "non-finite objective or gradient")
         if D is not None:
-            dual = D[t] = dual_norm(g, kind)
+            dual = D[t] = dual_kernel(g)
         if f > F_BLOWUP:
             raise DivergenceError(t, trace(t + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
         if dual is not None and dual <= stop_tol:
@@ -216,8 +220,36 @@ def run_steepest_descent(
     """Constant-step steepest descent: x <- x - P(grad)/L for T steps."""
     if not L > 0.0:
         raise ValueError("smoothness constant must be positive")
-    L = np.array(L, dtype=float)
-    return _drive(oracle, x0, T, x_star, kind, lambda x, g, t, _: x - steepest_op(g, kind) / L)
+    dual, direction = _kernels(kind)
+    if isinstance(kind, Max):
+        def update(x, g, t, _):
+            return x - _sign_step(g, dual(g), L)
+    elif isinstance(kind, One):
+        L = np.array(L, dtype=float)
+
+        def update(x, g, t, _):
+            # only the largest |g_i| moves x_i: the others would subtract 0.0, keeping their bits
+            i = np.abs(g).argmax()
+            x = x.copy()
+            x[i] -= g[i] / L
+            return x
+    else:
+        L = np.array(L, dtype=float)
+
+        def update(x, g, t, _):
+            return x - direction(g) / L
+
+    return _drive(oracle, x0, T, x_star, kind, update)
+
+
+def _sign_step(g: np.ndarray, dual: float, c: float) -> np.ndarray:
+    """P(g) / c in the max geometry, given dual = ||g||_1.
+
+    P(g) = dual * sign(g), and a product with +-1 is exact, so
+    sign(g) * (dual / c) has the bits of P(g) / c with one array operation
+    fewer.
+    """
+    return sign_unit(g) * np.array(dual / c)
 
 
 def steepest_descent_stack(
@@ -324,9 +356,14 @@ def run_normalized_sd(
         raise ValueError("smoothness constant must be positive")
 
     schedule = InvSqrt()
+    direction = _kernels(kind)[1]
+    sign_geometry = isinstance(kind, Max)
 
     def update(x, g, t, dual):
-        unit = steepest_op(g, kind) / np.array(dual)
+        if sign_geometry and 0.0 < dual < math.inf:
+            unit = sign_unit(g)  # the bits of ||g||_1 sign(g) / ||g||_1 at such a norm
+        else:
+            unit = direction(g) / np.array(dual)
         return x - unit * np.array(schedule_value(schedule, t) / L)
 
     return _drive(oracle, x0, T, x_star, kind, update, stop_tol=STATIONARY_TOL)
@@ -356,8 +393,14 @@ def run_relaxed_nsd(
     if not eps > 0.0:
         raise ValueError("stationarity threshold must be positive")
 
+    direction = _kernels(kind)[1]
+    sign_geometry = isinstance(kind, Max)
+
     def update(x, g, t, dual):
-        return x - steepest_op(g, kind) / np.array(5.0 * L0 + 4.0 * L1 * dual)
+        denom = 5.0 * L0 + 4.0 * L1 * dual
+        if sign_geometry:
+            return x - _sign_step(g, dual, denom)
+        return x - direction(g) / np.array(denom)
 
     return _drive(oracle, x0, T, x_star, kind, update, stop_tol=eps, mark_hit=True)
 
@@ -404,7 +447,7 @@ def adam_gamma(m, v, epsilon: float) -> np.ndarray:
 _ADAM_VARIANTS = ("standard", "shuffled", "averaged", "momentum_sign")
 
 
-@dataclass(frozen=True)
+@record
 class AdamConfig:
     """Moving-average method configuration.
 
@@ -486,7 +529,7 @@ def run_adam_family(
     return _drive(oracle, x, T, x_star, Max(), update)
 
 
-@dataclass(frozen=True)
+@record
 class RateCheck:
     """Worst relative slack of each guarantee over all trace prefixes.
 

@@ -9,12 +9,12 @@ of zero at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .matrices import PSD_TOL, SymMatrix, is_psd, random_skew, rotated_hessian
+from ._record import record
+from .matrices import SymMatrix, eigh, is_psd_spectrum, random_skew, rotated_hessian
 
 __all__ = [
     "Oracle",
@@ -48,7 +48,7 @@ class OverflowGuardError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticProblem:
     """f(x) = x' H x / 2 with positive semidefinite H; minimum 0 at x = 0.
 
@@ -60,7 +60,7 @@ class QuadraticProblem:
 
     @classmethod
     def from_matrix(cls, H: SymMatrix) -> "QuadraticProblem":
-        if not is_psd(H, PSD_TOL):
+        if not is_psd_spectrum(eigh(H).values):
             raise ValueError("quadratic problems require a positive semidefinite matrix")
         return cls(H)
 
@@ -123,7 +123,7 @@ def noisy_grad(p: QuadraticProblem, x, sigma: float, stream: np.random.Generator
     return g + sigma * xi
 
 
-@dataclass(frozen=True)
+@record
 class CoshProblem:
     """f(x) = sum_i (cosh(x_i) - 1) >= 0, minimum 0 at x = 0.
 

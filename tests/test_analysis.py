@@ -11,6 +11,7 @@ from normdescent import (
     Euclidean,
     Max,
     One,
+    QuadraticProblem,
     SymMatrix,
     WeightedDiag,
     analyze,
@@ -389,3 +390,43 @@ class TestRotationDegradesAlignment:
         ]
         assert vals[0] == pytest.approx(57.0)
         assert vals[0] < vals[-1]
+
+
+def _psd_checks(H):
+    """Whether from_matrix, linf_bounds, block_analysis and the block-max
+    constant take H as positive semidefinite."""
+    part = BlockPartition(((0, 1), (2, 3)))
+
+    def accepts(fn):
+        try:
+            fn()
+        except ValueError:
+            return False
+        return True
+
+    return [
+        accepts(lambda: QuadraticProblem.from_matrix(H)),
+        linf_bounds(H)[0] is not None,
+        accepts(lambda: block_analysis(H, part, 10, np.random.default_rng(0))),
+        accepts(lambda: smoothness_constant(H, BlockMax(part))),
+    ]
+
+
+class TestPsdTestScalesWithTheSpectrum:
+    """Every positive semidefinite check accepts lambda_min down to
+    -1e-10 max(1, |lambda_max|), and rejects anything below."""
+
+    @pytest.mark.parametrize("lam", [1.0, 1e6, 1e17])
+    def test_boundary(self, lam):
+        assert _psd_checks(SymMatrix.diagonal([-0.5e-10 * lam, 1.0, 1.0, lam])) == [True] * 4
+        assert _psd_checks(SymMatrix.diagonal([-2e-10 * lam, 1.0, 1.0, lam])) == [False] * 4
+
+    def test_small_spectra_keep_the_absolute_tolerance(self):
+        assert _psd_checks(SymMatrix.diagonal([-0.5e-10, 0.0, 1e-3, 1e-3])) == [True] * 4
+        assert _psd_checks(SymMatrix.diagonal([-2e-10, 0.0, 1e-3, 1e-3])) == [False] * 4
+
+    @pytest.mark.parametrize("lam", [1e15, 1e16, 1e17, 1e18])
+    def test_rotated_huge_spectra_are_psd(self, lam):
+        S = random_skew(4, np.random.default_rng(0))
+        for theta in (0.3, 0.5, 1.0):
+            assert _psd_checks(rotated_hessian([1.0, 1.0, 1.0, lam], S, theta)) == [True] * 4

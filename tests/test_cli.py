@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import normdescent
-from normdescent import analysis, cli
-from normdescent import Euclidean, Max, make_quadratic, quad_oracle, run_steepest_descent, smoothness_constant
+from normdescent import analysis, cli, problems
+from normdescent import (
+    Euclidean, Max, SymMatrix, make_quadratic, quad_oracle, run_steepest_descent, smoothness_constant,
+)
+from normdescent.optimizers import Trace
 from normdescent.experiments import GRID_CSV_HEADER
 
 
@@ -433,6 +436,62 @@ class TestRun:
         b = run_cli(["run", "--config", str(cfg)], tmp_path)
         assert a.returncode == 0, a.stderr
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("lambda_max", [1e15, 1e16, 1e17, 1e18])
+    def test_huge_lambda_max_builds(self, tmp_path, lambda_max):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 4, "lambda_max": lambda_max, "theta": 0.5}},
+            "optimizer": {"method": "gd"}, "T": 2, "x0": [1e-4, -1e-4, 1e-4, 1e-4],
+        }))
+        code, out = _main_obeys_exit_contract(["run", "--config", str(cfg)])
+        assert code == 0 and len(out.splitlines()) == 4
+
+    def test_indefinite_hessian_exits_2(self, tmp_path, monkeypatch):
+        # a Hessian whose smallest eigenvalue is -1e-6 lambda_max, far beyond
+        # rounding at that scale, is still no quadratic problem
+        def indefinite(eigs, skew, theta):
+            return SymMatrix.diagonal(np.concatenate([[-1e-6 * eigs[-1]], eigs[1:]]))
+
+        monkeypatch.setattr(problems, "rotated_hessian", indefinite)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 4, "lambda_max": 1e17, "theta": 0.5}},
+            "optimizer": {"method": "gd"}, "T": 2,
+        }))
+        code, _ = _main_obeys_exit_contract(["run", "--config", str(cfg)])
+        assert code == 2
+
+
+def _per_row_csv(trace) -> str:
+    """The trace CSV formatted one row at a time."""
+    n = len(trace)
+    dist = trace.dist_sq if trace.dist_sq is not None else [math.nan] * n
+    rows = ["%d,%.17g,%.17g,%.17g" % (t, trace.f[t], trace.dual_grad_norm[t], dist[t]) for t in range(n)]
+    return "\n".join([cli.TRACE_CSV_HEADER, *rows])
+
+
+class TestTraceCsv:
+    """One format operation over the table gives the bytes of one per row."""
+
+    @pytest.mark.parametrize("rows, with_dist", [
+        ([[1.5, 2.0, 0.25]], True),  # one row
+        ([[1.5, 2.0, 0.25]], False),
+        ([[0.1, -0.0, 5e-324], [-0.0, 2.2250738585072014e-308 / 3, 1e300],
+          [math.inf, math.nan, -1e-310]], True),  # -0.0, subnormals, non-finite values
+        ([[1.0 / 3, 2.0 / 3, 0.0]] * 5, False),  # no dist_sq: a NaN column
+    ])
+    def test_bytes_equal_per_row_formatting(self, rows, with_dist):
+        a = np.array(rows)
+        trace = Trace(a[:, 0], a[:, 1], a[:, 2] if with_dist else None, np.zeros(2))
+        assert "\n".join(cli._trace_csv_lines(trace)) == _per_row_csv(trace)
+
+    def test_long_and_empty_traces(self):
+        a = np.random.default_rng(3).standard_normal((3, 2000)) * 10.0 ** np.arange(-200, 200, 0.2)
+        trace = Trace(a[0], np.abs(a[1]), np.abs(a[2]), np.zeros(2))
+        assert "\n".join(cli._trace_csv_lines(trace)) == _per_row_csv(trace)
+        empty = Trace(np.zeros(0), np.zeros(0), None, np.zeros(2))
+        assert cli._trace_csv_lines(empty) == [cli.TRACE_CSV_HEADER]
 
 
 GRID_CFG = {

@@ -113,6 +113,71 @@ class TestSignUnit:
         assert out.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0]
 
 
+class TestSignUnitStack:
+    def test_matches_the_comparison_on_a_stack(self):
+        z = np.random.default_rng(8).standard_normal((3, 5, 4))
+        z[0, 0] = [-0.0, 0.0, math.nan, -math.nan]
+        z[1, 2] = [math.inf, -math.inf, 5e-324, -5e-324]
+        out = sign_unit(z)
+        assert out.shape == z.shape and out.dtype == np.float64
+        assert out.tobytes() == np.where(z >= 0.0, 1.0, -1.0).tobytes()
+        assert out[0, 0].tolist() == [1.0, 1.0, -1.0, -1.0]
+        assert out[1, 2].tolist() == [1.0, -1.0, 1.0, -1.0]
+
+
+class TestCheckedEntryPoints:
+    """dual_norm and steepest_op check what the kernels they call do not."""
+
+    @pytest.mark.parametrize("kind", [
+        WeightedDiag((1.0, 2.0, 3.0)), BlockMax(BlockPartition(((0, 1, 2),))),
+    ], ids=lambda k: type(k).__name__)
+    def test_wrong_dimension(self, kind):
+        for fn in (dual_norm, steepest_op):
+            with pytest.raises(ValueError):
+                fn([1.0, 2.0], kind)
+
+    @pytest.mark.parametrize("kind", ["max", None, Euclidean])
+    def test_unknown_kind(self, kind):
+        for fn in (dual_norm, steepest_op):
+            with pytest.raises(TypeError, match="unknown norm kind"):
+                fn([1.0, 2.0], kind)
+
+    def test_euclidean_direction_is_a_copy(self):
+        z = np.array([1.0, -2.0])
+        p = steepest_op(z, Euclidean())
+        assert p is not z and p.tolist() == [1.0, -2.0]
+        p[0] = 7.0
+        assert z[0] == 1.0
+
+
+class TestEuclideanUnderflow:
+    """Nonzero vectors whose squares underflow keep a nonzero, accurate norm."""
+
+    def test_tiny_vectors(self):
+        assert dual_norm([1e-200, 0.0], Euclidean()) == 1e-200
+        assert norm([3e-200, 4e-200], Euclidean()) == pytest.approx(5e-200, rel=1e-15, abs=0.0)
+        assert norm([5e-324, 0.0], Euclidean()) == 5e-324
+        assert steepest_op([1e-200, 1.0], BlockMax(BlockPartition(((0,), (1,))))).tolist() == [1.0, 1.0]
+        X = np.array([[3e-200, 4e-200], [0.0, 0.0], [3.0, 4.0], [1e-160, 0.0]])
+        rows = dual_norm_rows(X, Euclidean())
+        assert rows.tolist() == [pytest.approx(5e-200, rel=1e-15, abs=0.0), 0.0, 5.0, 1e-160]
+
+    def test_tiny_weighted_and_block_norms(self):
+        weights = WeightedDiag((4.0, 1.0))
+        assert norm([1e-200, 0.0], weights) == pytest.approx(2e-200, rel=1e-15, abs=0.0)
+        assert dual_norm([1e-200, 0.0], weights) == pytest.approx(5e-201, rel=1e-15, abs=0.0)
+        assert dual_norm_rows(np.array([[1e-200, 0.0], [0.0, 0.0]]), weights).tolist() == [
+            pytest.approx(5e-201, rel=1e-15, abs=0.0), 0.0]
+        blocks = BlockMax(BlockPartition(((0, 1), (2,))))
+        assert dual_norm([3e-200, 4e-200, 1e-200], blocks) == pytest.approx(6e-200, rel=1e-15, abs=0.0)
+
+    def test_zero_and_non_finite_vectors_are_not_rescaled(self):
+        assert dual_norm([0.0, -0.0], Euclidean()) == 0.0
+        assert math.isnan(dual_norm([math.nan, 0.0], Euclidean()))
+        rows = dual_norm_rows(np.array([[0.0, 0.0], [math.nan, 1e-200], [math.inf, 0.0]]), Euclidean())
+        assert rows[0] == 0.0 and math.isnan(rows[1]) and rows[2] == math.inf
+
+
 class TestEuclideanOverflow:
     """Finite vectors whose squares overflow get a finite Euclidean norm;
     every other vector keeps the bits of sqrt(x'x)."""

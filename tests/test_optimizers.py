@@ -41,6 +41,7 @@ from normdescent import (
     smoothness_constant,
     steepest_descent_batch,
     steepest_descent_stack,
+    steepest_op,
     verify_rate_bounds,
 )
 from normdescent.optimizers import F_BLOWUP, ROW_CHUNK, STATIONARY_TOL
@@ -998,3 +999,62 @@ class TestStepLoopParity:
         assert len(seen) == len(tr)
         for x, copy in seen:
             assert np.array_equal(x, copy)
+
+
+class TestResolvedKernels:
+    """The update rules call each geometry's kernels, resolved once per run,
+    and give the bits of the checked public operators."""
+
+    def test_max_unit_direction_is_the_sign_vector(self):
+        rng = np.random.default_rng(60)
+        for scale in 10.0 ** np.arange(-300, 301, 25):
+            g = rng.standard_normal(8) * scale
+            g[rng.integers(8)] = rng.choice([0.0, -0.0])
+            unit = steepest_op(g, Max()) / np.array(dual_norm(g, Max()))
+            assert sign_unit(g).tobytes() == unit.tobytes()
+
+    def test_nsd_divides_by_an_infinite_dual_norm(self):
+        # sum |g| overflows on a finite gradient: P(g) / ||g||_1 is NaN, not sign(g)
+        def oracle(x):
+            return float(np.abs(x).sum()), np.full(2, 1e308) + x
+
+        def step(x, g, t, dual):
+            return x - reference_steepest_op(g, Max()) / dual * (1.0 / math.sqrt(t + 1.0))
+
+        with np.errstate(all="ignore"):
+            ref = reference_run(oracle, [0.0, 0.0], 5, step, one_norm, STATIONARY_TOL, mark_hit=False)
+            with pytest.raises(DivergenceError) as err:
+                run_normalized_sd(oracle, Max(), 1.0, [0.0, 0.0], 5)
+        assert ref.error == (1, "non-finite objective or gradient")
+        assert (err.value.step, err.value.reason) == ref.error
+        assert err.value.trace.dual_grad_norm.tolist() == [math.inf]
+
+    def test_cd_keeps_the_bits_of_untouched_coordinates(self):
+        p = make_quadratic(5, 20.0, 0.0, seed=4)  # diagonal: zero coordinates stay zero
+        x0 = np.array([-0.0, 2.0, 0.0, -3.0, -0.0])
+        L = smoothness_constant(p.matrix, One())
+        tr = run_steepest_descent(quad_oracle(p), One(), L, x0, 40)
+        ref = reference_run(
+            quad_oracle(p), x0, 40, lambda x, g, t, _: x - reference_steepest_op(g, One()) / L,
+            lambda g: dual_norm(g, One()),
+        )
+        assert_matches_reference(tr, ref)
+        assert np.signbit(tr.x_final[[0, 4]]).all()
+
+    @pytest.mark.parametrize("kind", [WeightedDiag((1.0, 2.0, 3.0)), BlockMax(BlockPartition(((0, 1, 2),)))],
+                             ids=lambda k: type(k).__name__)
+    def test_runs_check_the_dimension_once(self, kind):
+        calls = []
+
+        def oracle(x):
+            calls.append(x)
+            return 0.5 * float(x @ x), x.copy()
+
+        for run in (
+            lambda: run_steepest_descent(oracle, kind, 1.0, [1.0, 2.0], 3),
+            lambda: run_normalized_sd(oracle, kind, 1.0, [1.0, 2.0], 3),
+            lambda: run_relaxed_nsd(oracle, kind, 1.0, 1.0, [1.0, 2.0], 3, 1e-6),
+        ):
+            with pytest.raises(ValueError, match="expected 2"):
+                run()
+        assert calls == []

@@ -230,3 +230,17 @@ class TestCosh:
         p = CoshProblem(1)
         f, _ = cosh_eval(p, [1e-8])
         assert f == pytest.approx(0.5e-16, rel=1e-9)
+
+
+@pytest.mark.parametrize("lambda_max", [1e15, 1e16, 1e17, 1e18])
+def test_huge_lambda_max_builds(lambda_max):
+    # the eigensolver's error in lambda_min grows with lambda_max
+    for theta in (0.3, 0.5, 1.0):
+        for seed in range(3):
+            assert make_quadratic(4, lambda_max, theta, seed).dim == 4
+
+
+def test_rejects_an_indefinite_matrix_at_any_scale():
+    for lam in (1.0, 1e6, 1e17):
+        with pytest.raises(ValueError, match="semidefinite"):
+            QuadraticProblem.from_matrix(SymMatrix.diagonal([-1e-6 * lam, 1.0, lam]))
