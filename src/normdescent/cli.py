@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .experiments import GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import MatrixFormatError, parse_matrix_text
 from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, kind_from_json
 from .optimizers import (
+    ROW_CHUNK,
     AdamConfig,
     Constant,
     DivergenceError,
@@ -64,30 +67,45 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_lines(lines: list[str], out: str | None) -> bool:
-    """Writes the lines to stdout or ``out``; prints the error and returns
-    False when ``out`` cannot be written."""
-    text = "\n".join(lines) + "\n"
+def _write_lines(lines: Iterable[str], out: str | None) -> bool:
+    """Writes each line, and a newline after it, to stdout or ``out`` as the
+    lines arrive; prints the error and returns False when ``out`` cannot be
+    written.  A reader that closes stdout early (``| head``) ends the output
+    quietly."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            for line in lines:
+                sys.stdout.write(line + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the exit flush of the unwritten rest would fail again: point it at devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return True
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return False
     return True
 
 
-def _trace_csv_lines(trace: Trace) -> list[str]:
-    """The header, then all rows as one string: a single % formats the table."""
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g"
+_TRACE_ROWS = "\n".join([_TRACE_ROW] * ROW_CHUNK)
+
+
+def _trace_csv_lines(trace: Trace) -> Iterator[str]:
+    """The header, then the rows ROW_CHUNK at a time: one % formats a chunk."""
+    yield TRACE_CSV_HEADER
     n = len(trace)
-    if n == 0:
-        return [TRACE_CSV_HEADER]
-    dist = trace.dist_sq if trace.dist_sq is not None else np.full(n, np.nan)
-    rows = zip(range(n), trace.f.tolist(), trace.dual_grad_norm.tolist(), dist.tolist())
-    table = "\n".join(["%d,%.17g,%.17g,%.17g"] * n) % tuple(chain.from_iterable(rows))
-    return [TRACE_CSV_HEADER, table]
+    for start in range(0, n, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, n)
+        part = slice(start, stop)
+        dist = repeat(math.nan) if trace.dist_sq is None else trace.dist_sq[part].tolist()
+        rows = zip(range(start, stop), trace.f[part].tolist(), trace.dual_grad_norm[part].tolist(), dist)
+        template = _TRACE_ROWS if stop - start == ROW_CHUNK else "\n".join([_TRACE_ROW] * (stop - start))
+        yield template % tuple(chain.from_iterable(rows))
 
 
 def _load_json(path: str) -> dict:

@@ -55,7 +55,7 @@ __all__ = [
 
 F_BLOWUP = 1e12
 STATIONARY_TOL = 1e-14
-ROW_CHUNK = 1024  # trace rows the step loop allocates at first
+ROW_CHUNK = 1024  # trace rows the step loop holds before it reduces them
 
 # A batched oracle maps an (R, d) array of iterates, one per row, to the
 # per-row objective values (shape (R,)) and gradients (shape (R, d)); in
@@ -143,16 +143,19 @@ def _drive(
 ) -> Trace:
     """The step loop of the run_* methods.
 
-    Step t stores f_t, x_t and g_t in row t of buffers that start at
-    ROW_CHUNK rows and double when full.  A non-finite value or gradient,
+    The steps run in chunks of ROW_CHUNK: step t stores f_t, x_t and g_t in
+    the next row of the chunk's buffers.  A non-finite value or gradient,
     or an iterate past the oracle's overflow guard, aborts with rows
     0..t-1; a value above F_BLOWUP, with rows 0..t.  With ``stop_tol``, the
     step also stores dual = ||g_t||* in ``kind``, and the run stops once it
     is at most ``stop_tol`` (t is the hit index when ``mark_hit``).
     Otherwise, while t < T, x_{t+1} = update(x_t, g_t, t, dual), dual being
     None without ``stop_tol``; updates return new arrays, so no iterate
-    handed to the oracle changes.  The other dual norms, and the squared
-    distances to ``x_star``, are reduced over the rows after the loop.
+    handed to the oracle changes.  When a chunk is full, and when the run
+    ends, the other dual norms and the squared distances to ``x_star`` are
+    reduced over the chunk's rows and the rows are reused, so a run holds
+    three floats per step.  Each row reduces on its own, so the result does
+    not depend on where the chunks split.
 
     The dimension is checked against ``kind`` once, before the loop; the
     loop and the update rules call the kernels ``norms._kernels`` resolved
@@ -160,53 +163,66 @@ def _drive(
     rules are 0-d arrays: a numpy call with an array operand is cheaper
     than one with a Python float, and rounds the same.
     """
+    if T < 0:
+        raise ValueError("the number of steps must be nonnegative")
     x = _start(x0)
     _check_dim(kind, x.size)
     dual_kernel = _kernels(kind)[0]
     ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=float)
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
     X = np.empty((rows, x.size))
     G = np.empty((rows, x.size))
     D = None if stop_tol is None else np.empty(rows)
+    f_parts: list[np.ndarray] = []  # each reduced chunk's part of the trace's columns
+    dual_parts: list[np.ndarray] = []
+    dist_parts: list[np.ndarray] = []
+
+    def reduce_chunk(n: int) -> None:
+        f_parts.append(F[:n].copy())
+        dual_parts.append(D[:n].copy() if D is not None else dual_norm_rows(G[:n], kind))
+        if x_star is not None:
+            delta = X[:n] - x_star
+            dist_parts.append(_row_dots(delta, delta))
+
+    def joined(parts: list[np.ndarray]) -> np.ndarray:
+        column = np.concatenate(parts)
+        parts.clear()  # frees a column's parts before the next column is joined
+        return _frozen(column)
 
     def trace(n: int, x: np.ndarray, hit: int | None = None) -> Trace:
-        dual = D[:n].copy() if D is not None else dual_norm_rows(G[:n], kind)
-        dist = None
-        if x_star is not None:
-            delta = X[:n] - np.asarray(x_star, dtype=float)
-            dist = _frozen(_row_dots(delta, delta))
-        return Trace(_frozen(F[:n].copy()), _frozen(dual), dist, _frozen(x.copy()), hit)
+        reduce_chunk(n)
+        f, dual = joined(f_parts), joined(dual_parts)
+        dist = None if x_star is None else joined(dist_parts)
+        return Trace(f, dual, dist, _frozen(x.copy()), hit)
 
-    dual = hit = None
-    for t in range(T + 1):
-        if t == rows:  # np.resize keeps the leading rows
-            rows = min(2 * rows, T + 1)
-            F, X, G = np.resize(F, rows), np.resize(X, (rows, x.size)), np.resize(G, (rows, x.size))
-            D = None if D is None else np.resize(D, rows)
-        try:
-            f, g = oracle(x)
-        except OverflowGuardError as exc:
-            raise DivergenceError(t, trace(t, x), str(exc)) from exc
-        f = float(f)
-        g = np.asarray(g, dtype=float)
-        F[t] = f
-        X[t] = x
-        G[t] = g
-        # one sum per step; the elementwise test runs only when the sum is not finite
-        if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
-            raise DivergenceError(t, trace(t, x), "non-finite objective or gradient")
-        if D is not None:
-            dual = D[t] = dual_kernel(g)
-        if f > F_BLOWUP:
-            raise DivergenceError(t, trace(t + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
-        if dual is not None and dual <= stop_tol:
-            hit = t if mark_hit else None
-            break
-        if t == T:
-            break
-        x = update(x, g, t, dual)
-    return trace(t + 1, x, hit)
+    dual = None
+    for start in range(0, T + 1, rows):
+        for i, t in enumerate(range(start, min(start + rows, T + 1))):
+            try:
+                f, g = oracle(x)
+            except OverflowGuardError as exc:
+                raise DivergenceError(t, trace(i, x), str(exc)) from exc
+            f = float(f)
+            g = np.asarray(g, dtype=float)
+            F[i] = f
+            X[i] = x
+            G[i] = g
+            # one sum per step; the elementwise test runs only when the sum is not finite
+            if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
+                raise DivergenceError(t, trace(i, x), "non-finite objective or gradient")
+            if D is not None:
+                dual = D[i] = dual_kernel(g)
+            if f > F_BLOWUP:
+                raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
+            if dual is not None and dual <= stop_tol:
+                return trace(i + 1, x, t if mark_hit else None)
+            if t == T:
+                return trace(i + 1, x)
+            x = update(x, g, t, dual)
+        reduce_chunk(rows)
 
 
 def run_steepest_descent(
@@ -521,6 +537,8 @@ def run_adam_family(
             seg = gamma[idx]  # a view of gamma when idx is a slice
             if variant == "shuffled":
                 rng.shuffle(seg)  # the swaps, and the draws, of rng.permutation(seg.size)
+                if isinstance(idx, slice):
+                    continue  # seg shuffled gamma itself
             else:
                 seg = np.add.reduce(seg) / seg.size  # the bits of seg.mean()
             gamma[idx] = seg

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,8 +19,8 @@ from normdescent import analysis, cli, problems
 from normdescent import (
     Euclidean, Max, SymMatrix, make_quadratic, quad_oracle, run_steepest_descent, smoothness_constant,
 )
-from normdescent.optimizers import Trace
-from normdescent.experiments import GRID_CSV_HEADER
+from normdescent.optimizers import ROW_CHUNK, DivergenceError, Trace
+from normdescent.experiments import GRID_CSV_HEADER, GridConfig, grid_csv_lines, run_quad_grid
 
 
 # Directory holding the imported package, whether installed or run from src/.
@@ -486,12 +487,119 @@ class TestTraceCsv:
         trace = Trace(a[:, 0], a[:, 1], a[:, 2] if with_dist else None, np.zeros(2))
         assert "\n".join(cli._trace_csv_lines(trace)) == _per_row_csv(trace)
 
+    @pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1])
+    @pytest.mark.parametrize("with_dist", [True, False])
+    def test_chunks_join_to_the_per_row_table(self, n, with_dist):
+        a = np.random.default_rng(n).standard_normal((3, n)) * 1e3
+        trace = Trace(a[0], np.abs(a[1]), np.abs(a[2]) if with_dist else None, np.zeros(2))
+        pieces = list(cli._trace_csv_lines(trace))
+        assert len(pieces) == 1 + -(-n // ROW_CHUNK)  # the header, then one string per chunk
+        assert "\n".join(pieces) == _per_row_csv(trace)
+
     def test_long_and_empty_traces(self):
         a = np.random.default_rng(3).standard_normal((3, 2000)) * 10.0 ** np.arange(-200, 200, 0.2)
         trace = Trace(a[0], np.abs(a[1]), np.abs(a[2]), np.zeros(2))
         assert "\n".join(cli._trace_csv_lines(trace)) == _per_row_csv(trace)
         empty = Trace(np.zeros(0), np.zeros(0), None, np.zeros(2))
-        assert cli._trace_csv_lines(empty) == [cli.TRACE_CSV_HEADER]
+        assert list(cli._trace_csv_lines(empty)) == [cli.TRACE_CSV_HEADER]
+
+
+def _run_cfg(tmp_path, name, **cfg):
+    """The path of a gd run config on a d = 8 quadratic, ``cfg`` setting further keys."""
+    problem = {"quadratic": {"d": 8, "lambda_max": 50.0, "theta": 0.5, "seed": 1}}
+    path = tmp_path / name
+    path.write_text(json.dumps({"problem": problem, "optimizer": {"method": "gd"}, "x0_seed": 7, **cfg}))
+    return str(path)
+
+
+class TestStreamedOutput:
+    """The CSV is written a chunk at a time, to stdout or to ``--out``."""
+
+    LATE_BLOW_UP = {"optimizer": {"method": "gd", "L": 24.9}, "T": 5000}  # f grows ~1.6% a step
+
+    def test_out_file_bytes_equal_stdout(self, tmp_path):
+        cfg = _run_cfg(tmp_path, "run.json", T=2 * ROW_CHUNK + 10)
+        out = tmp_path / "trace.csv"
+        a = run_cli(["run", "--config", cfg], tmp_path)
+        b = run_cli(["run", "--config", cfg, "--out", str(out)], tmp_path)
+        assert a.returncode == b.returncode == 0, a.stderr + b.stderr
+        assert b.stdout == ""
+        assert len(a.stdout.splitlines()) == 2 * ROW_CHUNK + 12
+        assert out.read_bytes() == a.stdout.encode()
+
+    @pytest.mark.parametrize("late_blow_up", [False, True])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2_with_one_error(self, tmp_path, late_blow_up, target):
+        cfg = _run_cfg(tmp_path, "run.json", **(self.LATE_BLOW_UP if late_blow_up else {"T": 2 * ROW_CHUNK}))
+        res = run_cli(["run", "--config", cfg, "--out", str(tmp_path / target)], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        errors = res.stderr.splitlines()
+        assert [e for e in errors if e.startswith("error: cannot write")] == errors[-1:]
+        assert len(errors) == 1 + late_blow_up  # the divergence line comes first
+        assert "Traceback" not in res.stderr
+
+    def test_late_divergence_exits_3_with_the_partial_trace(self, tmp_path):
+        cfg = _run_cfg(tmp_path, "run.json", **self.LATE_BLOW_UP)
+        out = tmp_path / "partial.csv"
+        res = run_cli(["run", "--config", cfg], tmp_path)
+        res_out = run_cli(["run", "--config", cfg, "--out", str(out)], tmp_path)
+        assert res.returncode == res_out.returncode == 3
+        assert out.read_bytes() == res.stdout.encode()
+        with pytest.raises(DivergenceError) as err:
+            run_steepest_descent(
+                quad_oracle(make_quadratic(8, 50.0, 0.5, 1)), Euclidean(), 24.9,
+                np.random.default_rng(7).standard_normal(8), 5000, x_star=np.zeros(8),
+            )
+        assert ROW_CHUNK < err.value.step < 5000
+        assert res.stderr == f"error: {err.value}\n"
+        assert res.stdout == _per_row_csv(err.value.trace) + "\n"
+        assert len(res.stdout.splitlines()) == err.value.step + 2  # header, rows 0..step
+
+    def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
+        """``run ... | head -1``: the rows after the reader left are dropped
+        quietly, and the run exits as if they had been written."""
+        cfg = _run_cfg(tmp_path, "run.json", T=20 * ROW_CHUNK)  # ~1.3 MB, far past a pipe's buffer
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "normdescent.cli", "run", "--config", cfg],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+        )
+        assert proc.stdout.readline() == b"t,f,dual_grad_norm,dist_sq\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert stderr == b""
+
+    def test_quadgrid_output_is_its_joined_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CFG))
+        out = tmp_path / "grid.csv"
+        assert cli.main(["quadgrid", "--config", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        assert cli.main(["quadgrid", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        cells = run_quad_grid(GridConfig.from_json(GRID_CFG))
+        assert stdout == "\n".join(grid_csv_lines(cells)) + "\n"
+        assert out.read_text() == stdout
+
+    def test_run_memory_grows_by_at_most_96_bytes_a_step(self, tmp_path):
+        """tracemalloc's peak over a gd run writing to ``--out``: the trace
+        keeps three floats a step (24 B); whole-trace buffers and a
+        whole-table string took about 300 B a step."""
+
+        def peak(T):
+            cfg = _run_cfg(tmp_path, f"run{T}.json", T=T)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "trace.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(100_000) - peak(10_000)) / 90_000 <= 96
 
 
 GRID_CFG = {

@@ -44,6 +44,7 @@ from normdescent import (
     steepest_op,
     verify_rate_bounds,
 )
+from normdescent.norms import _row_dots, dual_norm_rows
 from normdescent.optimizers import F_BLOWUP, ROW_CHUNK, STATIONARY_TOL
 from normdescent.problems import OverflowGuardError
 
@@ -658,11 +659,15 @@ class Ref(NamedTuple):
     error: tuple[int, str] | None
 
 
-def reference_run(oracle, x0, T, step, dual, stop_tol=None, mark_hit=True, x_star=None):
+def dot_sq(delta):
+    return float(np.dot(delta, delta))
+
+
+def reference_run(oracle, x0, T, step, dual, stop_tol=None, mark_hit=True, x_star=None, sq_dist=dot_sq):
     """The step loop as one list-appending loop per method wrote it.
 
     Per step: evaluate, test finiteness, record f, ``dual(g)`` and the
-    squared distance to ``x_star``, test the blow-up threshold, stop once
+    squared distance ``sq_dist(x - x_star)``, test the blow-up threshold, stop once
     ``dual(g) <= stop_tol`` (recording t as hit index when ``mark_hit``),
     then ``x = step(x, g, t, dual(g))``.
     """
@@ -684,8 +689,7 @@ def reference_run(oracle, x0, T, step, dual, stop_tol=None, mark_hit=True, x_sta
         dn = dual(g)
         duals.append(dn)
         if x_star is not None:
-            delta = x - x_star
-            dists.append(float(np.dot(delta, delta)))
+            dists.append(sq_dist(x - x_star))
         if f > F_BLOWUP:
             return ref(error=(t, f"objective {f:.3e} exceeded {F_BLOWUP:.0e}"))
         if stop_tol is not None and dn <= stop_tol:
@@ -929,7 +933,7 @@ class TestStepLoopParity:
         assert tr.dual_grad_norm.tobytes() == ref.dual.tobytes()
 
     def test_runs_past_the_first_row_chunk(self):
-        """Rows stay right across buffer growth, in a full run and in an aborted one."""
+        """Rows stay right across chunk reductions, in a full run and in an aborted one."""
         p = make_quadratic(3, 5.0, 0.4, seed=9)
         x0, x_star = np.ones(3), np.zeros(3)
         T = 2 * ROW_CHUNK + 5
@@ -999,6 +1003,156 @@ class TestStepLoopParity:
         assert len(seen) == len(tr)
         for x, copy in seen:
             assert np.array_equal(x, copy)
+
+
+def row_dual(kind):
+    """The dual norm of one gradient as the trace's row reduction computes it."""
+    return lambda g: float(dual_norm_rows(g[None], kind)[0])
+
+
+def row_sq_dist(delta):
+    return float(_row_dots(delta[None], delta[None])[0])
+
+
+def assert_bytes_match(tr, ref):
+    """Every trace array, the final iterate and the hit index, bit for bit."""
+    assert tr.hit_index == ref.hit
+    assert tr.f.tobytes() == ref.f.tobytes()
+    assert tr.dual_grad_norm.tobytes() == ref.dual.tobytes()
+    assert tr.x_final.tobytes() == ref.x.tobytes()
+    if ref.dist is None:
+        assert tr.dist_sq is None
+    else:
+        assert tr.dist_sq.tobytes() == ref.dist.tobytes()
+
+
+class TestChunkBoundaries:
+    """The loop reduces its rows ROW_CHUNK at a time; where a run ends or
+    aborts relative to a chunk changes no bit of its trace."""
+
+    P = make_quadratic(6, 20.0, 0.4, seed=11)
+    X0 = np.random.default_rng(4).standard_normal(6)
+    PART = BlockPartition(((0, 1, 2), (3, 4, 5)))
+    AT = (ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1)
+
+    @staticmethod
+    def _counting(oracle, event_at, event):
+        """``oracle`` whose call number ``event_at`` (0-based) goes through ``event``."""
+        calls = [0]
+
+        def counted(x):
+            t, calls[0] = calls[0], calls[0] + 1
+            return event(oracle, x) if t == event_at else oracle(x)
+
+        return counted
+
+    def _assert_run(self, run, ref, error):
+        if error is None:
+            tr = run()
+        else:
+            with pytest.raises(DivergenceError) as err:
+                run()
+            assert (err.value.step, err.value.reason) == ref.error
+            assert ref.error[0] == error
+            tr = err.value.trace
+        assert_bytes_match(tr, ref)
+        return tr
+
+    @pytest.mark.parametrize("t", AT)
+    @pytest.mark.parametrize("event", ["blow_up", "non_finite_gradient"])
+    def test_signsgd_aborts_at_the_boundary(self, t, event):
+        def hit(oracle, x):
+            f, g = oracle(x)
+            if event == "blow_up":
+                return 2.0 * F_BLOWUP, g
+            g = g.copy()
+            g[2] = math.nan
+            return f, g
+
+        oracle = lambda: self._counting(quad_oracle(self.P), t, hit)
+        T, x_star = 3 * ROW_CHUNK, np.zeros(6)
+        tr = self._assert_run(
+            lambda: run_signsgd(oracle(), Constant(1e-3), self.X0, T, x_star=x_star),
+            reference_run(
+                oracle(), self.X0, T, lambda x, g, t, _: x - 1e-3 * signs(g), row_dual(Max()),
+                x_star=x_star, sq_dist=row_sq_dist,
+            ),
+            error=t,
+        )
+        assert len(tr) == (t + 1 if event == "blow_up" else t)
+
+    @pytest.mark.parametrize("t", AT)
+    def test_leaving_the_cosh_guard_at_the_boundary(self, t):
+        def outside(oracle, x):
+            return oracle(x + 1e3)  # the cosh oracle raises OverflowGuardError
+
+        oracle = lambda: self._counting(cosh_oracle(CoshProblem(6)), t, outside)
+        T, x_star = 3 * ROW_CHUNK, np.zeros(6)
+        tr = self._assert_run(
+            lambda: run_steepest_descent(oracle(), Euclidean(), 50.0, self.X0, T, x_star=x_star),
+            reference_run(
+                oracle(), self.X0, T, lambda x, g, t, _: x - g / 50.0, row_dual(Euclidean()),
+                x_star=x_star, sq_dist=row_sq_dist,
+            ),
+            error=t,
+        )
+        assert len(tr) == t
+
+    @pytest.mark.parametrize("t", AT)
+    @pytest.mark.parametrize("method", ["nsd", "relaxed_nsd"])
+    def test_stop_tol_hit_at_the_boundary(self, t, method):
+        def stationary(oracle, x):
+            f, g = oracle(x)
+            return f, np.zeros_like(g)
+
+        oracle = lambda: self._counting(quad_oracle(self.P), t, stationary)
+        T, x_star = 3 * ROW_CHUNK, np.zeros(6)
+        L = smoothness_constant(self.P.matrix, Max())
+        if method == "nsd":
+            run = lambda: run_normalized_sd(oracle(), Max(), L, self.X0, T, x_star=x_star)
+
+            def step(x, g, t, dual):
+                return x - (dual * signs(g) / dual) * ((1.0 / math.sqrt(t + 1.0)) / L)
+
+            stop_tol, mark_hit = STATIONARY_TOL, False
+        else:
+            run = lambda: run_relaxed_nsd(oracle(), Max(), L, 0.5, self.X0, T, 1e-300, x_star=x_star)
+
+            def step(x, g, t, dual):
+                return x - dual * signs(g) / (5.0 * L + 4.0 * 0.5 * dual)
+
+            stop_tol, mark_hit = 1e-300, True
+        ref = reference_run(
+            oracle(), self.X0, T, step, lambda g: dual_norm(g, Max()), stop_tol, mark_hit,
+            x_star=x_star, sq_dist=row_sq_dist,
+        )
+        tr = self._assert_run(run, ref, error=None)
+        assert len(tr) == t + 1 and tr.dual_grad_norm[-1] == 0.0
+        assert tr.hit_index == (t if mark_hit else None)
+
+    @pytest.mark.parametrize("T", [ROW_CHUNK - 1, ROW_CHUNK, 2 * ROW_CHUNK - 1, 2 * ROW_CHUNK])
+    @pytest.mark.parametrize("with_x_star", [True, False])
+    @pytest.mark.parametrize("method", ["gd", "cd", "blocknorm", "signsgd"])
+    def test_full_runs_of_whole_and_split_chunks(self, T, with_x_star, method):
+        kind = {"gd": Euclidean(), "cd": One(), "blocknorm": BlockMax(self.PART), "signsgd": Max()}[method]
+        x_star = np.zeros(6) if with_x_star else None
+        if method == "signsgd":
+            run = lambda: run_signsgd(quad_oracle(self.P), Constant(1e-3), self.X0, T, x_star=x_star)
+            step = lambda x, g, t, _: x - 1e-3 * signs(g)
+        else:
+            L = smoothness_constant(self.P.matrix, kind)
+            run = lambda: run_steepest_descent(quad_oracle(self.P), kind, L, self.X0, T, x_star=x_star)
+            step = lambda x, g, t, _: x - reference_steepest_op(g, kind) / L
+        ref = reference_run(
+            quad_oracle(self.P), self.X0, T, step, row_dual(kind), x_star=x_star, sq_dist=row_sq_dist
+        )
+        tr = self._assert_run(run, ref, error=None)
+        assert len(tr) == T + 1
+        assert tr.f.base is None and tr.dual_grad_norm.base is None
+
+    def test_negative_step_count_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_signsgd(quad_oracle(self.P), Constant(1e-3), self.X0, -1)
 
 
 class TestResolvedKernels:
