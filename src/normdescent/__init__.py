@@ -27,6 +27,7 @@ from .matrices import (
     is_psd,
     parse_matrix_text,
     random_skew,
+    rotate_spectrum,
     rotated_hessian,
 )
 from .norms import (

@@ -25,6 +25,7 @@ from .norms import (
     One,
     WeightedDiag,
     gradient_density,
+    sign_unit,
 )
 
 __all__ = [
@@ -108,23 +109,32 @@ def linf_bruteforce(H: SymMatrix) -> float:
     """Exact max over sign vectors s of ||H s||_1.
 
     The induced norm's maximum over the unit max-norm ball is attained at
-    sign vectors, so enumerating them is exact.  Since ||H(-s)||_1 =
-    ||H s||_1, the last coordinate is fixed at +1, leaving 2^(d-1) vectors.
-    The low k = min(d-1, 13) coordinates give the d x 2^k table T = H_low
-    S_low of all their sign patterns (1.5 MB at d = 24, so it stays in
-    cache).  Each sign pattern s_j of the other coordinates, with the last
-    at +1, gives the column z_j = H_high s_j + H_last, and block j holds the
-    2^k products T + z_j.  Row r of block j lies between min_c T[r,c] +
-    z_j[r] and max_c T[r,c] + z_j[r]; rounding is monotone, so the sum over
-    r of the larger of their magnitudes bounds every computed ||H s||_1 of
-    the block.  Blocks are visited in descending bound, and the walk stops
-    at the first bound below the best value found.  It also stops once the
-    best value is within 1e-9 relative of the row-sum bound sum_ij |H_ij|,
-    which no ||H s||_1 exceeds; that ends the walk after one block when the
-    sign vectors tie at the bound, as for a diagonal H or the rotated
-    identity, and the result is then the maximum to within 1e-9 relative.
-    In the worst case, where neither test fires, all 2^(d-1) vectors are
-    evaluated.
+    sign vectors, so enumerating them is exact.  No ||H s||_1 exceeds the
+    row-sum bound sum_ij |H_ij|, so a sign vector that reaches it within
+    1e-9 relative ends the search.
+
+    Before any enumeration, the d sign patterns of H's own columns
+    (sign_unit, so sign(0) = +1) are tried with one d x d product, O(d^3),
+    summed in the walk's order so that a pattern the walk would settle on
+    keeps the walk's bits.  The best of their ||H s||_1 is returned when it
+    reaches the bound.  That closes the paper's family I + (lambda - 1) u u'
+    (every column has the pattern of +-u, and ||H sign(u)||_1 =
+    sum_ij |H_ij|), every diagonal H and the rotated identity, which then
+    build no sign table.  Otherwise the walk below runs from scratch.
+
+    Since ||H(-s)||_1 = ||H s||_1, the walk fixes the last coordinate at
+    +1, leaving 2^(d-1) vectors.  The low k = min(d-1, 13) coordinates give
+    the d x 2^k table T = H_low S_low of all their sign patterns (1.5 MB at
+    d = 24, so it stays in cache).  Each sign pattern s_j of the other
+    coordinates, with the last at +1, gives the column z_j = H_high s_j +
+    H_last, and block j holds the 2^k products T + z_j.  Row r of block j
+    lies between min_c T[r,c] + z_j[r] and max_c T[r,c] + z_j[r]; rounding
+    is monotone, so the sum over r of the larger of their magnitudes bounds
+    every computed ||H s||_1 of the block.  Blocks are visited in descending
+    bound, and the walk stops at the first bound below the best value
+    found, or once the best value reaches the row-sum bound as above; the
+    result is then the maximum to within 1e-9 relative.  In the worst case,
+    where neither test fires, all 2^(d-1) vectors are evaluated.
     """
     d = H.dim
     if d > BRUTE_FORCE_CAP:
@@ -133,12 +143,18 @@ def linf_bruteforce(H: SymMatrix) -> float:
         )
     a = H.to_array()
     k = min(d - 1, _TABLE_BITS)
+    total = float(np.abs(a).sum())
+    s = sign_unit(a)
+    s *= s[d - 1]  # each column pattern up to sign, ending in +1 as in the walk
+    hs = a[:, :k] @ s[:k] + (a[:, k : d - 1] @ s[k : d - 1] + a[:, d - 1 :])  # the walk's sum order
+    best = float(np.abs(hs).sum(axis=0).max())
+    if best * (1.0 + 1e-9) >= total:
+        return best
     table = a[:, :k] @ _sign_table(k)  # d x 2^k
     z = a[:, k : d - 1] @ _sign_table(d - 1 - k) + a[:, d - 1 :]  # d x blocks
     t_max = table.max(axis=1)[:, None]
     t_min = table.min(axis=1)[:, None]
     bound = np.maximum(np.abs(t_max + z), np.abs(t_min + z)).sum(axis=0)
-    total = float(np.abs(a).sum())
     buf = np.empty_like(table)
     best = -math.inf
     for j in np.argsort(-bound):

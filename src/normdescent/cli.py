@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .analysis import analyze, smoothness_constant
-from .experiments import GridConfig, grid_csv_lines, run_quad_grid
+from .experiments import GridConfig, _json_int, grid_csv_lines, run_quad_grid
 from .matrices import MatrixFormatError, parse_matrix_text
 from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, kind_from_json
 from .optimizers import (
@@ -128,7 +128,7 @@ def _number(value, name: str) -> float:
 
 def _integer(value, name: str) -> int:
     try:
-        return int(value)
+        return _json_int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name!r} must be an integer, got {value!r}") from exc
 
@@ -169,13 +169,15 @@ def _build_problem(obj):
         seed = _integer(spec.pop("seed", 0), "seed")
         sigma = _number(spec.pop("sigma", 0.0), "sigma")
         noise_seed = spec.pop("noise_seed", None)
+        if noise_seed is not None:
+            noise_seed = _integer(noise_seed, "noise_seed")
         if spec:
             raise ConfigError(f"unknown quadratic keys: {sorted(spec)}")
+        if not sigma >= 0.0:
+            raise ConfigError("sigma must be nonnegative")
         problem = make_quadratic(d, lambda_max, theta, seed)
         if sigma > 0.0:
-            stream = np.random.default_rng(
-                [seed, 1] if noise_seed is None else _integer(noise_seed, "noise_seed")
-            )
+            stream = np.random.default_rng([seed, 1] if noise_seed is None else noise_seed)
             oracle = quad_noisy_oracle(problem, sigma, stream)
         else:
             oracle = quad_oracle(problem)
@@ -299,6 +301,7 @@ def _build_runner(obj, problem):
 
 
 def _resolve_x0(cfg: dict, d: int) -> np.ndarray:
+    seed = _integer(cfg.get("x0_seed", 0), "x0_seed")
     if "x0" in cfg:
         try:
             x0 = np.asarray(cfg["x0"], dtype=float)
@@ -307,7 +310,6 @@ def _resolve_x0(cfg: dict, d: int) -> np.ndarray:
         if x0.shape != (d,) or not np.isfinite(x0).all():
             raise ConfigError(f"x0 must be a finite vector of length {d}")
         return x0
-    seed = _integer(cfg.get("x0_seed", 0), "x0_seed")
     return np.random.default_rng(seed).standard_normal(d)
 
 

@@ -1,7 +1,8 @@
 """Paired quadratic benchmark grids: gradient descent vs norm-scaled sign descent.
 
 Each grid cell is a quadratic with spectrum (1, ..., 1, lambda_max) rotated
-by theta along one shared random path.  Both methods run from the same
+by theta along one shared random path; each theta's rotation is built once
+and shared by every lambda_max.  Both methods run from the same
 batch of standard-normal starting points with their natural step sizes
 (1/L2 and 1/Linf) and are compared by the mean squared Euclidean distance
 to the optimum after T steps.
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._record import record
 from .analysis import smoothness_constant
-from .matrices import SkewMatrix, random_skew, rotated_hessian
+from .matrices import OrthogonalMatrix, exp_skew, random_skew, rotate_spectrum
 from .norms import Euclidean, Max
 from .optimizers import BatchOracle, DivergenceError, steepest_descent_stack
 
@@ -102,6 +103,16 @@ class GridConfig:
         return cls(**kwargs)
 
 
+def _json_int(value) -> int:
+    """int(value) for a JSON integer or integral number such as 5.0; a bool
+    or a non-integral number raises TypeError or ValueError."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a bool")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(values) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError(f"expected a list, got {type(values).__name__}")
@@ -109,8 +120,8 @@ def _floats(values) -> tuple[float, ...]:
 
 
 _JSON_FIELDS = {
-    "d": int, "lambda_max_values": _floats, "theta_values": _floats, "T": int,
-    "repeats": int, "skew_seed": int, "x0_seed": int, "sigma": float,
+    "d": _json_int, "lambda_max_values": _floats, "theta_values": _floats, "T": _json_int,
+    "repeats": _json_int, "skew_seed": _json_int, "x0_seed": _json_int, "sigma": float,
 }
 
 
@@ -148,15 +159,16 @@ def _cell_x0(cfg: GridConfig, li: int, ti: int) -> np.ndarray:
     return rng.standard_normal((cfg.repeats, cfg.d))
 
 
-def _run_cell(cfg: GridConfig, skew: SkewMatrix, li: int, ti: int) -> _CellSetup:
+def _run_cell(cfg: GridConfig, rotations: list[OrthogonalMatrix], li: int, ti: int) -> _CellSetup:
     """The set-up of one cell: its Hessian, smoothness constants and starting
-    points.  perfbench/layertrace.py times this function by name as the
-    per-cell cost of a grid."""
+    points.  ``rotations[ti]`` is exp(theta * S) for theta_values[ti].
+    perfbench/layertrace.py times this function by name as the per-cell cost
+    of a grid."""
     lam = cfg.lambda_max_values[li]
     theta = cfg.theta_values[ti]
     eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
     try:  # a finite lambda_max can overflow the rotated Hessian, and d can be too large for exact Linf
-        H = rotated_hessian(eigs, skew, theta)
+        H = rotate_spectrum(eigs, rotations[ti])
         L2 = smoothness_constant(H, Euclidean())
         linf = smoothness_constant(H, Max())
     except ValueError as exc:
@@ -241,13 +253,14 @@ def run_quad_grid(
         dump_path.mkdir(parents=True, exist_ok=True)
 
     skew = random_skew(cfg.d, np.random.default_rng(cfg.skew_seed))
+    rotations = [exp_skew(skew, theta) for theta in cfg.theta_values]  # shared by every lambda_max
     lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
     theta_order = sorted(range(len(cfg.theta_values)), key=lambda i: cfg.theta_values[i])
     order = [(li, ti) for li in lam_order for ti in theta_order]
     size = max(1, _STACK_BUDGET // (cfg.d * (cfg.repeats + cfg.d)))  # a cell: x0 and H
     cells = []
     for start in range(0, len(order), size):
-        group = [_run_cell(cfg, skew, li, ti) for li, ti in order[start:start + size]]
+        group = [_run_cell(cfg, rotations, li, ti) for li, ti in order[start:start + size]]
         (dist_gd, fail_gd), (dist_sg, fail_sg) = _run_group(cfg, group)
         for k, c in enumerate(group):
             if dump_path is not None:

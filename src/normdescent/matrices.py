@@ -27,6 +27,7 @@ __all__ = [
     "random_skew",
     "exp_skew",
     "rotated_hessian",
+    "rotate_spectrum",
     "parse_matrix_text",
     "format_matrix_text",
 ]
@@ -221,17 +222,23 @@ def exp_skew(S: SkewMatrix, theta: float) -> OrthogonalMatrix:
 
 
 def rotated_hessian(eigs, S: SkewMatrix, theta: float) -> SymMatrix:
-    """Q diag(eigs) Q' with Q = exp(theta * S), symmetrized by averaging.
+    """Q diag(eigs) Q' with Q = exp(theta * S); see rotate_spectrum."""
+    return rotate_spectrum(eigs, exp_skew(S, theta))
+
+
+def rotate_spectrum(eigs, Q: OrthogonalMatrix) -> SymMatrix:
+    """Q diag(eigs) Q', symmetrized by averaging.
 
     The averaging only removes rounding-scale skew from the two matrix
-    products; the spectrum equals ``eigs`` up to the same rounding.
+    products; the spectrum equals ``eigs`` up to the same rounding.  Several
+    spectra under one rotation share one Q.
     """
     lam = np.asarray(eigs, dtype=float)
-    if lam.ndim != 1 or lam.size != S.dim:
-        raise ValueError("eigenvalue list does not match generator dimension")
+    if lam.ndim != 1 or lam.size != Q.dim:
+        raise ValueError("eigenvalue list does not match the rotation dimension")
     if not np.isfinite(lam).all() or (lam < 0.0).any():
         raise ValueError("eigenvalues must be finite and nonnegative")
-    q = exp_skew(S, theta).entries
+    q = Q.entries
     return SymMatrix.from_array((q * lam[None, :]) @ q.T)
 
 

@@ -17,6 +17,7 @@ from normdescent import (
     analyze,
     block_analysis,
     eigh,
+    exp_skew,
     improvement_ratio,
     is_psd,
     linf_bounds,
@@ -25,10 +26,13 @@ from normdescent import (
     lsep_rowsum,
     random_skew,
     rho_diag,
+    rotate_spectrum,
     rotated_hessian,
     smoothness_constant,
 )
+from normdescent import analysis
 from normdescent.analysis import _eigenspace_bound
+from normdescent.experiments import DEFAULT_LAMBDA_VALUES, DEFAULT_THETA_VALUES
 
 H_2x2 = SymMatrix.from_array([[2.0, 1.0], [1.0, 3.0]])
 
@@ -107,6 +111,82 @@ class TestLinfBruteforce:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension too large"):
             linf_bruteforce(SymMatrix.diagonal(np.ones(25)))
+
+
+def _count_tables(monkeypatch):
+    """Counts the sign tables linf_bruteforce builds, i.e. how often it walks."""
+    built = []
+    table = analysis._sign_table
+    monkeypatch.setattr(analysis, "_sign_table", lambda n: built.append(n) or table(n))
+    return built
+
+
+def _no_tables(n):
+    raise AssertionError("the sign-table walk ran")
+
+
+class TestLinfCertificate:
+    """The column-sign-pattern check that runs before any enumeration."""
+
+    def test_sound_on_random_matrices(self, monkeypatch):
+        built = _count_tables(monkeypatch)
+        rng = np.random.default_rng(11)
+        certified = walked = 0
+        for d in (2, 3, 5, 8, 10):
+            u = rng.standard_normal(d)
+            mats = [
+                random_psd(rng, d),
+                random_sym(rng, d),
+                SymMatrix.from_array(np.eye(d) + 9.0 * np.outer(u, u) + 0.01 * random_sym(rng, d).to_array()),
+                SymMatrix.from_array(-np.outer(u, u) + 0.3 * random_psd(rng, d).to_array()),
+            ] + [
+                # near a diagonal: the column patterns come within ~eps of the
+                # row-sum bound, and often miss the maximum by about as much
+                SymMatrix.from_array(np.diag(rng.uniform(-2.0, 2.0, d)) + eps * random_sym(rng, d).to_array())
+                for eps in (1e-4, 1e-7)
+            ]
+            for h in mats:
+                before = len(built)
+                val, want = linf_bruteforce(h), bruteforce_oracle(h)
+                assert val == pytest.approx(want, rel=1e-12)
+                assert val <= want * (1.0 + 1e-14)  # an attained value: above the maximum by rounding at most
+                walked += len(built) > before
+                certified += len(built) == before
+        assert certified >= 5 and walked >= 5  # both paths ran
+
+    @pytest.mark.parametrize("d", [8, 16, 24])
+    def test_closes_the_papers_family_without_a_table(self, monkeypatch, d):
+        monkeypatch.setattr(analysis, "_sign_table", _no_tables)
+        skew = random_skew(d, np.random.default_rng(d))
+        for theta in DEFAULT_THETA_VALUES:
+            q = exp_skew(skew, theta)
+            u1 = float(np.abs(q.entries[:, -1]).sum())  # ||u||_1 of the top eigenvector
+            for lam in DEFAULT_LAMBDA_VALUES:
+                val = linf_bruteforce(rotate_spectrum(np.r_[np.ones(d - 1), lam], q))
+                assert val == pytest.approx(d + (lam - 1.0) * u1 * u1, rel=1e-12)
+
+    def test_closes_diagonal_and_rank_one_matrices_without_a_table(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_sign_table", _no_tables)
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 9, 24):
+            diag = rng.uniform(-5.0, 5.0, d)
+            diag[::3] = 0.0  # zero entries take sign +1
+            assert linf_bruteforce(SymMatrix.diagonal(diag)) == pytest.approx(np.abs(diag).sum(), rel=1e-15)
+            v = rng.standard_normal(d)
+            for sign in (1.0, -1.0):
+                h = SymMatrix.from_array(sign * np.outer(v, v))
+                assert linf_bruteforce(h) == pytest.approx(np.abs(v).sum() ** 2, rel=1e-12)
+        assert linf_bruteforce(SymMatrix.diagonal(np.zeros(4))) == 0.0
+
+    def test_two_spikes_still_walk(self, monkeypatch):
+        # the row sum is loose off the family, so only the walk finds the maximum
+        built = _count_tables(monkeypatch)
+        d = 16
+        h = rotated_hessian(np.r_[np.ones(d - 2), 20.0, 50.0], random_skew(d, np.random.default_rng(4)), 0.5)
+        val = linf_bruteforce(h)
+        assert built
+        assert val == pytest.approx(bruteforce_oracle(h), rel=1e-12)
+        assert val < lsep_rowsum(h)[1] * (1.0 - 1e-3)
 
 
 class TestRhoDiag:

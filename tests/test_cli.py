@@ -291,6 +291,54 @@ class TestRun:
             res.stderr.strip()
         ]
 
+    @pytest.mark.parametrize("sigma", [-1, math.nan, "nan"])
+    def test_bad_sigma_exits_2(self, tmp_path, capsys, sigma):
+        # json.dumps writes math.nan as the bare NaN that json.load reads back
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": sigma}},
+            "optimizer": {"method": "gd"}, "T": 3,
+        }))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: sigma must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "field, cfg",
+        [
+            ("T", {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": 5.7}),
+            ("T", {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": True}),
+            ("d", {"problem": {"quadratic": {"d": 8.9, "lambda_max": 2.0}}, "optimizer": {"method": "gd"}}),
+            ("d", {"problem": {"cosh": {"d": True}}, "optimizer": {"method": "gd", "L": 1.0}}),
+            ("seed", {"problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "seed": 1.5}},
+                      "optimizer": {"method": "gd"}}),
+            ("noise_seed", {"problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": 0.5, "noise_seed": False}},
+                            "optimizer": {"method": "gd"}}),
+            ("x0_seed", {"problem": QUAD3, "optimizer": {"method": "gd"}, "x0_seed": 2.5}),
+            ("seed", {"problem": QUAD3, "optimizer": {"method": "adam", "seed": True}}),
+        ],
+    )
+    def test_non_integer_field_exits_2_naming_it(self, tmp_path, capsys, field, cfg):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(cfg, T=cfg.get("T", 3))))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {field!r} must be an integer")
+
+    def test_integral_float_fields_run_as_integers(self, tmp_path, capsys):
+        spec = {"d": 3, "lambda_max": 2.0, "seed": 4, "sigma": 0.5, "noise_seed": 9}
+        cfg = {"problem": {"quadratic": spec}, "optimizer": {"method": "adam", "seed": 2},
+               "T": 5, "x0_seed": 1}
+        as_floats = {"problem": {"quadratic": {k: float(v) for k, v in spec.items()}},
+                     "optimizer": {"method": "adam", "seed": 2.0}, "T": 5.0, "x0_seed": 1.0}
+        outs = []
+        for i, obj in enumerate((cfg, as_floats)):
+            path = tmp_path / f"run{i}.json"
+            path.write_text(json.dumps(obj))
+            assert cli.main(["run", "--config", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 7
+
     def test_leaving_cosh_guard_exits_3_with_partial_trace(self, tmp_path):
         # the first step jumps from x = 5 to about -7.4e4, past the 700 guard
         cfg = tmp_path / "run.json"
@@ -754,7 +802,11 @@ class TestQuadGrid:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("T", [3]), ("lambda_max_values", 5), ("d", [4]), ("theta_values", [[0]])],
+        [
+            ("T", [3]), ("lambda_max_values", 5), ("d", [4]), ("theta_values", [[0]]),
+            # booleans and non-integral numbers are not integers
+            ("T", 5.7), ("d", 8.9), ("repeats", True), ("skew_seed", 1.5), ("x0_seed", False),
+        ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, field, value):
         cfg = tmp_path / "grid.json"
@@ -765,6 +817,11 @@ class TestQuadGrid:
         assert "Traceback" not in res.stderr
         error = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
         assert len(error) == 1 and repr(field) in error[0]
+
+
+    def test_integral_float_fields_are_integers(self):
+        as_floats = {k: float(v) for k, v in GRID_CFG.items() if isinstance(v, int)}
+        assert GridConfig.from_json(dict(GRID_CFG, **as_floats)) == GridConfig.from_json(GRID_CFG)
 
 
 # The exit-code fuzz tests draw a well-formed run or grid config, then overwrite

@@ -12,6 +12,7 @@ from normdescent import (
     GridCell,
     GridConfig,
     Max,
+    exp_skew,
     grid_csv_lines,
     make_quadratic,
     quad_noisy_oracle,
@@ -184,6 +185,22 @@ def test_grid_rows_match_a_per_cell_per_step_reference(monkeypatch, sigma, cells
     lines, error, _, _ = stacked_grid(cfg)
     assert error is None
     assert lines == reference_grid(cfg)[0]
+
+
+def test_each_rotation_is_built_once_per_theta(monkeypatch):
+    calls = []
+
+    def counted(S, theta):
+        calls.append(theta)
+        return exp_skew(S, theta)
+
+    monkeypatch.setattr(experiments, "exp_skew", counted)
+    cfg = GridConfig(d=4, lambda_max_values=DEFAULT_LAMBDA_VALUES, theta_values=DEFAULT_THETA_VALUES,
+                     T=3, repeats=2, skew_seed=5, x0_seed=6)
+    lines, error, _, _ = stacked_grid(cfg)
+    assert sorted(calls) == sorted(DEFAULT_THETA_VALUES)  # 6 rotations for 42 cells
+    assert error is None
+    assert lines == reference_grid(cfg)[0]  # the reference rotates per cell
 
 
 def test_noise_blocks_cover_several_draws(monkeypatch):

@@ -14,6 +14,7 @@ from normdescent import (
     is_psd,
     parse_matrix_text,
     random_skew,
+    rotate_spectrum,
     rotated_hessian,
 )
 
@@ -174,6 +175,20 @@ class TestRotatedHessian:
         s = random_skew(3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             rotated_hessian([1.0, -1.0, 2.0], s, 0.5)
+
+
+class TestRotateSpectrum:
+    def test_is_rotated_hessian_from_its_rotation(self):
+        s = random_skew(6, np.random.default_rng(8))
+        eigs = [1.0, 1.0, 2.0, 3.0, 5.0, 50.0]
+        for theta in (0.0, 0.4, 1.0):
+            h = rotate_spectrum(eigs, exp_skew(s, theta))
+            assert np.array_equal(h.to_array(), rotated_hessian(eigs, s, theta).to_array())
+
+    def test_rejects_a_spectrum_of_another_dimension(self):
+        q = exp_skew(random_skew(3, np.random.default_rng(0)), 0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            rotate_spectrum([1.0, 2.0], q)
 
 
 class TestTextFormat:
