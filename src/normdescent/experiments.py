@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from ._json import json_int, json_number
 from ._record import record
 from .analysis import smoothness_constant
 from .matrices import OrthogonalMatrix, exp_skew, random_skew, rotate_spectrum
@@ -98,30 +99,20 @@ class GridConfig:
         for key, value in obj.items():
             try:
                 kwargs[key] = _JSON_FIELDS[key](value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"grid config field {key!r} has a bad value {value!r}") from exc
         return cls(**kwargs)
-
-
-def _json_int(value) -> int:
-    """int(value) for a JSON integer or integral number such as 5.0; a bool
-    or a non-integral number raises TypeError or ValueError."""
-    if isinstance(value, bool):
-        raise TypeError("expected an integer, got a bool")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _floats(values) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError(f"expected a list, got {type(values).__name__}")
-    return tuple(float(v) for v in values)
+    return tuple(json_number(v) for v in values)
 
 
 _JSON_FIELDS = {
-    "d": _json_int, "lambda_max_values": _floats, "theta_values": _floats, "T": _json_int,
-    "repeats": _json_int, "skew_seed": _json_int, "x0_seed": _json_int, "sigma": float,
+    "d": json_int, "lambda_max_values": _floats, "theta_values": _floats, "T": json_int,
+    "repeats": json_int, "skew_seed": json_int, "x0_seed": json_int, "sigma": json_number,
 }
 
 

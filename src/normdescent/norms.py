@@ -14,6 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ._json import json_int, json_number
 from ._record import record
 
 __all__ = [
@@ -349,7 +350,7 @@ def kind_from_json(obj) -> NormKind:
     if obj == "one":
         return One()
     if isinstance(obj, dict) and set(obj) == {"weighted"}:
-        return WeightedDiag(tuple(obj["weighted"]))
+        return WeightedDiag(tuple(map(json_number, obj["weighted"])))
     if isinstance(obj, dict) and set(obj) == {"blockmax"}:
-        return BlockMax(BlockPartition(tuple(tuple(b) for b in obj["blockmax"])))
+        return BlockMax(BlockPartition(tuple(tuple(map(json_int, b)) for b in obj["blockmax"])))
     raise ValueError(f"unrecognized norm kind: {obj!r}")

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -27,20 +28,26 @@ from normdescent.experiments import GRID_CSV_HEADER, GridConfig, grid_csv_lines,
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(normdescent.__file__)))
 
 
-def run_cli(args, tmp_path, env_extra=None):
+def child_env(env_extra=None) -> dict:
     # The child runs in tmp_path, where a relative PYTHONPATH entry such as
     # "src" no longer resolves, so hand it the absolute package root first.
+    # Its stdout is block-buffered, as a user's is, so output that only the
+    # flush at a normal exit writes is lost if the process skips it.
     env = dict(os.environ)
     env.pop("NORM_DESCENT_THREADS", None)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(args, tmp_path, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "normdescent.cli", *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=child_env(env_extra),
     )
 
 
@@ -291,7 +298,7 @@ class TestRun:
             res.stderr.strip()
         ]
 
-    @pytest.mark.parametrize("sigma", [-1, math.nan, "nan"])
+    @pytest.mark.parametrize("sigma", [-1, math.nan])
     def test_bad_sigma_exits_2(self, tmp_path, capsys, sigma):
         # json.dumps writes math.nan as the bare NaN that json.load reads back
         path = tmp_path / "run.json"
@@ -608,12 +615,23 @@ class TestStreamedOutput:
         """``run ... | head -1``: the rows after the reader left are dropped
         quietly, and the run exits as if they had been written."""
         cfg = _run_cfg(tmp_path, "run.json", T=20 * ROW_CHUNK)  # ~1.3 MB, far past a pipe's buffer
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
             [sys.executable, "-m", "normdescent.cli", "run", "--config", cfg],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=child_env(),
         )
         assert proc.stdout.readline() == b"t,f,dual_grad_norm,dist_sq\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert stderr == b""
+
+    def test_analyze_to_a_closed_reader_exits_0_quietly(self, tmp_path, matrix_file):
+        # the reader is gone before the child has imported numpy, so the report's write fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "normdescent.cli", "analyze", str(matrix_file)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=child_env(),
+        )
         proc.stdout.close()
         stderr = proc.stderr.read()
         proc.stderr.close()
@@ -822,6 +840,218 @@ class TestQuadGrid:
     def test_integral_float_fields_are_integers(self):
         as_floats = {k: float(v) for k, v in GRID_CFG.items() if isinstance(v, int)}
         assert GridConfig.from_json(dict(GRID_CFG, **as_floats)) == GridConfig.from_json(GRID_CFG)
+
+
+_BAD = object()  # where a numeric-field test puts a string or a boolean
+
+
+def _put(obj, value):
+    """``obj`` with every _BAD in it replaced by ``value``."""
+    if obj is _BAD:
+        return value
+    if isinstance(obj, dict):
+        return {k: _put(v, value) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_put(v, value) for v in obj]
+    return obj
+
+
+def _quad4(**spec):
+    return {"quadratic": {"d": 4, "lambda_max": 2.0, **spec}}
+
+
+_RUN_NUMBER_FIELDS = [  # (the field the error names, a run config with _BAD in it, a valid value there)
+    ("d", {"problem": {"quadratic": {"d": _BAD, "lambda_max": 2.0}}}, 4),
+    ("d", {"problem": {"cosh": {"d": _BAD}}, "optimizer": {"method": "gd", "L": 1.0}}, 4),
+    ("lambda_max", {"problem": _quad4(lambda_max=_BAD)}, 2.0),
+    ("theta", {"problem": _quad4(theta=_BAD)}, 0.5),
+    ("seed", {"problem": _quad4(seed=_BAD)}, 3),
+    ("sigma", {"problem": _quad4(sigma=_BAD)}, 1.0),
+    ("noise_seed", {"problem": _quad4(sigma=0.5, noise_seed=_BAD)}, 2),
+    ("T", {"T": _BAD}, 3),
+    ("x0_seed", {"x0_seed": _BAD}, 1),
+    ("x0", {"x0": [0.5, _BAD, 0.0, -1.0]}, 1.0),
+    ("L", {"optimizer": {"method": "gd", "L": _BAD}}, 2.0),
+    ("blocks", {"optimizer": {"method": "blocknorm", "blocks": [[0, _BAD], [2, 3]]}}, 1),
+    ("weighted", {"optimizer": {"method": "nsd", "norm": {"weighted": [2.0, _BAD, 1.0, 1.0]}}}, 1.0),
+    ("blockmax", {"optimizer": {"method": "nsd", "norm": {"blockmax": [[0, _BAD], [2, 3]]}}}, 1),
+    ("L0", {"optimizer": {"method": "relaxed_nsd", "L0": _BAD}}, 2.0),
+    ("L1", {"optimizer": {"method": "relaxed_nsd", "L0": 2.0, "L1": _BAD}}, 1.0),
+    ("eps", {"optimizer": {"method": "relaxed_nsd", "L0": 2.0, "eps": _BAD}}, 1.0),
+    ("constant", {"optimizer": {"method": "signgd", "step": {"constant": _BAD}}}, 1.0),
+    ("step", {"optimizer": {"method": "adam", "step": _BAD}}, 1.0),
+    ("beta1", {"optimizer": {"method": "adam", "beta1": _BAD}}, 0.5),
+    ("beta2", {"optimizer": {"method": "momentum_sign", "beta2": _BAD}}, 0.5),
+    ("epsilon", {"optimizer": {"method": "adam_averaged", "epsilon": _BAD}}, 1.0),
+    ("seed", {"optimizer": {"method": "adam_shuffled", "seed": _BAD}}, 1),
+    ("blocks", {"optimizer": {"method": "adam_shuffled", "blocks": [[0, _BAD], [2, 3]]}}, 1),
+]
+
+_GRID_NUMBER_FIELDS = [  # (field, a grid config with _BAD in it, a valid value there)
+    ("d", {"d": _BAD}, 4),
+    ("lambda_max_values", {"lambda_max_values": [50.0, _BAD]}, 1.0),
+    ("theta_values", {"theta_values": [_BAD, 0.0]}, 1.0),
+    ("T", {"T": _BAD}, 5),
+    ("repeats", {"repeats": _BAD}, 1),
+    ("skew_seed", {"skew_seed": _BAD}, 0),
+    ("x0_seed", {"x0_seed": _BAD}, 1),
+    ("sigma", {"sigma": _BAD}, 0.0),
+]
+
+
+def _as_string_or_bool(cases):
+    """Per case, the valid value as a JSON string padded with blanks and as
+    the boolean Python would read as that value: both pass float() or int()."""
+    return [
+        pytest.param(field, cfg, valid, bad, id=f"{field}-{bad!r}")
+        for field, cfg, valid in cases
+        for bad in (f" {valid} ", bool(valid))
+    ]
+
+
+def _main_on_config(tmp_path, capsys, command, cfg) -> tuple[int, str, str]:
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([command, "--config", str(path)])
+    return (code, *capsys.readouterr())
+
+
+def _names(line: str, field: str) -> bool:
+    return f"{field!r}" in line or line.startswith(f"error: {field} ")
+
+
+class TestJsonNumbers:
+    """A numeric config field takes a JSON number: a string or a boolean is an
+    input error naming the field, even where float() or int() would read it."""
+
+    @pytest.mark.parametrize("field, cfg, valid, bad", _as_string_or_bool(_RUN_NUMBER_FIELDS))
+    def test_run_field_exits_2_naming_it(self, tmp_path, capsys, field, cfg, valid, bad):
+        cfg = {"problem": _quad4(), "optimizer": {"method": "gd"}, "T": 3, **cfg}
+        code, out, _ = _main_on_config(tmp_path, capsys, "run", _put(cfg, valid))
+        assert code == 0 and out.startswith(cli.TRACE_CSV_HEADER)
+        code, out, err = _main_on_config(tmp_path, capsys, "run", _put(cfg, bad))
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and _names(line, field), line
+
+    @pytest.mark.parametrize("field, cfg, valid, bad", _as_string_or_bool(_GRID_NUMBER_FIELDS))
+    def test_quadgrid_field_exits_2_naming_it(self, tmp_path, capsys, field, cfg, valid, bad):
+        cfg = {**GRID_CFG, "T": 5, "repeats": 2, "sigma": 0.0, **cfg}
+        code, out, _ = _main_on_config(tmp_path, capsys, "quadgrid", _put(cfg, valid))
+        assert code == 0 and out.startswith(GRID_CSV_HEADER)
+        code, out, err = _main_on_config(tmp_path, capsys, "quadgrid", _put(cfg, bad))
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and _names(line, field), line
+
+    def test_integral_float_block_indices_are_integers(self, tmp_path, capsys):
+        outs = []
+        for blocks in ([[0, 1], [2, 3]], [[0.0, 1.0], [2.0, 3.0]]):
+            for optimizer in ({"method": "blocknorm", "blocks": blocks},
+                              {"method": "nsd", "norm": {"blockmax": blocks}, "L": 1.0}):
+                cfg = {"problem": _quad4(theta=0.5), "optimizer": optimizer, "T": 5}
+                code, out, _ = _main_on_config(tmp_path, capsys, "run", cfg)
+                assert code == 0
+                outs.append(out)
+        assert outs[:2] == outs[2:]
+
+    @pytest.mark.parametrize("index", [0.5, 1.5])
+    def test_fractional_block_index_exits_2(self, tmp_path, capsys, index):
+        cfg = {"problem": _quad4(), "optimizer": {"method": "blocknorm", "blocks": [[0, index], [2, 3]]}}
+        code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'blocks' must be a list of index lists")
+
+
+GRID_DIVERGES_AFTER_ONE_ROW = {"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
+                               "T": 50, "repeats": 4, "sigma": 3e5}
+
+
+class TestFlushedExits:
+    """Output that reaches its reader only when the process shuts down
+    normally, through the real entry (``python -m normdescent.cli``)."""
+
+    def test_quadgrid_out_file_bytes_equal_stdout(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CFG))
+        out = tmp_path / "grid.csv"
+        a = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
+        b = run_cli(["quadgrid", "--config", str(cfg), "--out", str(out)], tmp_path)
+        assert a.returncode == b.returncode == 0, a.stderr + b.stderr
+        assert b.stdout == "" and a.stderr == b.stderr
+        assert len(a.stdout.splitlines()) == 5
+        assert out.read_bytes() == a.stdout.encode()
+
+    def test_quadgrid_divergence_keeps_rows_and_starting_points(self, tmp_path, capsys):
+        """Exit 3: the finished rows reach stdout and ``--out``, and the
+        starting points of the finished cells and the diverging one reach
+        ``--dump-x0``, byte for byte as in-process."""
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_DIVERGES_AFTER_ONE_ROW))
+        out = tmp_path / "grid.csv"
+        a = run_cli(["quadgrid", "--config", str(cfg), "--dump-x0", "a"], tmp_path)
+        b = run_cli(["quadgrid", "--config", str(cfg), "--dump-x0", "b", "--out", str(out)], tmp_path)
+        assert a.returncode == b.returncode == 3, a.stderr + b.stderr
+        assert b.stdout == "" and a.stderr == b.stderr
+        assert len(a.stdout.splitlines()) == 2  # the header and one finished row
+        assert out.read_bytes() == a.stdout.encode()
+        assert cli.main(["quadgrid", "--config", str(cfg), "--dump-x0", str(tmp_path / "c")]) == 3
+        assert capsys.readouterr().out == a.stdout
+        dumps = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in "abc"]
+        assert len(dumps[0]) == 2 and dumps[0] == dumps[1] == dumps[2]
+
+
+class TestProcessEntry:
+    """``entry`` freezes the import-time heap for the process; ``main`` never
+    touches the collector."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys, matrix_file, enabled):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GRID_CFG))
+        diverging_grid = tmp_path / "diverging.json"
+        diverging_grid.write_text(json.dumps(GRID_DIVERGES_AFTER_ONE_ROW))
+        argvs = {
+            0: [["analyze", str(matrix_file)], ["run", "--config", _run_cfg(tmp_path, "ok.json", T=5)],
+                ["quadgrid", "--config", str(grid)]],
+            2: [["analyze", str(tmp_path / "missing.txt")],
+                ["run", "--config", _run_cfg(tmp_path, "bad.json", T="5")],
+                ["quadgrid", "--config", str(matrix_file)]],
+            3: [["run", "--config", _run_cfg(tmp_path, "blows.json", **TestStreamedOutput.LATE_BLOW_UP)],
+                ["quadgrid", "--config", str(diverging_grid)]],
+        }
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            for code, cases in argvs.items():
+                for argv in cases:
+                    assert cli.main(argv) == code, capsys.readouterr().err
+                    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_entry_freezes_the_import_time_heap(self, tmp_path, matrix_file):
+        # the module runs as __main__, as under -m; the atexit hook sees the
+        # collector's permanent generation after main has returned
+        hook = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            "runpy.run_module('normdescent.cli', run_name='__main__')\n"
+        )
+        res = subprocess.run([sys.executable, "-c", hook, "analyze", str(matrix_file)],
+                             capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["Linf_exact"] == 7.0
+        label, count = res.stderr.split()
+        assert label == "frozen" and int(count) > 10_000  # numpy and the package: ~20k objects
+
+    def test_installed_script_runs_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+        with open(pyproject, "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"norm-descent": "normdescent.cli:entry"}
 
 
 # The exit-code fuzz tests draw a well-formed run or grid config, then overwrite

@@ -28,3 +28,26 @@ def test_cli_import_leaves_dataclasses_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_only_the_process_entry_touches_the_collector():
+    # cli.entry freezes the import-time heap of a CLI process; main() and the
+    # library leave the collector to whoever imported them
+    entry = None
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "cli.py":
+            [entry] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "entry"]
+        inside = {id(n) for n in ast.walk(entry)} if path.name == "cli.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "gc" and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names):
+                if path.name != "cli.py" or node not in tree.body or any(a.asname for a in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    calls = [ast.unparse(n.func) for n in ast.walk(entry) if isinstance(n, ast.Call)]
+    assert calls[:2] == ["gc.freeze", "sys.exit"]
