@@ -2,12 +2,9 @@
 smoothness-geometry analysis and benchmark experiments."""
 
 from .analysis import (
-    BlockReport,
     SmoothnessReport,
     analyze,
-    block_analysis,
     improvement_ratio,
-    linf_bounds,
     linf_bruteforce,
     lsep_exact_2x2,
     lsep_rowsum,
@@ -23,8 +20,6 @@ from .matrices import (
     SymMatrix,
     eigh,
     exp_skew,
-    format_matrix_text,
-    is_psd,
     parse_matrix_text,
     random_skew,
     rotate_spectrum,
@@ -41,7 +36,6 @@ from .norms import (
     dual_norm,
     gradient_density,
     kind_from_json,
-    kind_to_json,
     norm,
     sign_unit,
     steepest_op,
@@ -59,7 +53,6 @@ from .optimizers import (
     run_relaxed_nsd,
     run_signsgd,
     run_steepest_descent,
-    steepest_descent_batch,
     steepest_descent_stack,
     verify_rate_bounds,
 )
@@ -68,11 +61,9 @@ from .problems import (
     Oracle,
     OverflowGuardError,
     QuadraticProblem,
-    cosh_eval,
     cosh_oracle,
     make_quadratic,
     noisy_grad,
-    quad_eval,
     quad_noisy_oracle,
     quad_oracle,
 )

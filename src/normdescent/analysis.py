@@ -2,9 +2,9 @@
 
 Computes the exact max-norm smoothness constant of a quadratic by sign
 enumeration, the diagonal-concentration ratio, eigenvalue-based upper and
-lower bounds on that constant, per-coordinate (separable) surrogates, block
-variants, and the local improvement ratio between sign descent and gradient
-descent.
+lower bounds on that constant, per-coordinate (separable) surrogates, an
+upper bound for the block-max geometry, and the local improvement ratio
+between sign descent and gradient descent.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "PSD_TOL",
     "SmoothnessReport",
-    "BlockReport",
     "linf_bruteforce",
     "rho_diag",
-    "linf_bounds",
     "lsep_rowsum",
     "lsep_exact_2x2",
-    "block_analysis",
     "improvement_ratio",
     "smoothness_constant",
     "analyze",
@@ -91,18 +88,6 @@ class SmoothnessReport:
             if value is not None:
                 out[name] = float(value)
         return out
-
-
-@record
-class BlockReport:
-    """Block-structure analysis: concentration ratio, upper bound on the
-    block matrix norm, a sampled lower estimate, and per-block top
-    eigenvalues."""
-
-    rho_block: float
-    bound: float
-    sampled_lower: float
-    block_lambda_max: tuple[float, ...]
 
 
 def linf_bruteforce(H: SymMatrix) -> float:
@@ -210,6 +195,9 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -
 
 
 def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
+    """Bounds on Linf from H's eigenpairs: rho_diag(H)**-1 * sum(lambda)
+    (None unless H is positive semidefinite), _eigenspace_bound, and the
+    lower bound max_i |lambda_i| ||v_i||_1 / ||v_i||_inf."""
     abs_lam = np.abs(values)
     l1 = np.abs(vectors).sum(axis=0)
     linf = np.abs(vectors).max(axis=0)
@@ -222,20 +210,6 @@ def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
         elif (rho := rho_diag(H)) > 0.0:  # a nonzero matrix with zero diagonal is indefinite
             bound_psd = float(values.sum()) / rho
     return bound_psd, bound_sym, lower
-
-
-def linf_bounds(H: SymMatrix) -> tuple[float | None, float, float]:
-    """(concentration bound or None, eigenvector bound, alignment lower bound).
-
-    The concentration bound ``rho_diag(H)**-1 * sum(lambda)`` is reported
-    only for positive semidefinite input (``is_psd_spectrum``); the eigenspace
-    bound ``sum_k |c_k| sum_ij |P_k,ij| + r_k d`` (see _eigenspace_bound; it
-    is ``sum |lambda_i| ||v_i||_1^2`` for distinct eigenvalues) and the lower bound
-    ``max_i |lambda_i| ||v_i||_1 / ||v_i||_inf`` apply to any symmetric
-    matrix.
-    """
-    dec = eigh(H)
-    return _linf_bounds_from(H, dec.values, dec.vectors)
 
 
 def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:
@@ -259,58 +233,22 @@ def lsep_exact_2x2(H: SymMatrix) -> float:
     return float(a[0, 0] + a[1, 1] + 2.0 * abs(a[0, 1]))
 
 
-def _block_bound(a: np.ndarray, partition: BlockPartition) -> tuple[float, float, tuple[float, ...]]:
-    """(rho_block, upper bound, per-block top eigenvalues) for PSD input."""
+def _block_bound(a: np.ndarray, partition: BlockPartition) -> float:
+    """Upper bound on the block-max constant of PSD input: the sum of the
+    per-block top eigenvalues over rho_block, the fraction of the total
+    block spectral-norm mass that sits on the diagonal blocks."""
     idx = [list(b) for b in partition.blocks]
     lam_max = []
     diag_norms = []
     for b in idx:
-        sub = eigh(SymMatrix.from_array(a[np.ix_(b, b)]))
+        sub = eigh(SymMatrix(a[np.ix_(b, b)]))
         lam_max.append(float(sub.values[-1]))
         diag_norms.append(float(max(abs(sub.values[0]), abs(sub.values[-1]))))
     off = 0.0
     for i, j in combinations(range(len(idx)), 2):
         off += 2.0 * float(np.linalg.norm(a[np.ix_(idx[i], idx[j])], 2))
     rho_block = sum(diag_norms) / (sum(diag_norms) + off)
-    bound = sum(lam_max) / rho_block
-    return rho_block, bound, tuple(lam_max)
-
-
-def block_analysis(
-    H: SymMatrix,
-    partition: BlockPartition,
-    samples: int,
-    rng: np.random.Generator,
-) -> BlockReport:
-    """Concentration of H on its block diagonal, plus bound and estimate.
-
-    ``rho_block`` is the fraction of total block spectral-norm mass sitting
-    on the diagonal blocks; the bound is ``rho_block**-1`` times the sum of
-    per-block top eigenvalues.  The sampled lower estimate maximizes the
-    block-sum norm of H x over random x whose blocks are each normalized to
-    the unit sphere (the extreme points of the unit block-max ball).
-    """
-    if partition.dim != H.dim:
-        raise ValueError("partition does not match matrix dimension")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if not is_psd_spectrum(eigh(H).values):
-        raise ValueError("block analysis requires a positive semidefinite matrix")
-    a = H.to_array()
-    rho_block, bound, lam_max = _block_bound(a, partition)
-
-    x = rng.standard_normal((samples, H.dim))
-    for b in partition.blocks:
-        idx = list(b)
-        nrm = np.sqrt((x[:, idx] ** 2).sum(axis=1, keepdims=True))
-        nrm[nrm == 0.0] = 1.0  # measure-zero guard; such rows stay feasible
-        x[:, idx] /= nrm
-    y = x @ a
-    vals = np.zeros(samples)
-    for b in partition.blocks:
-        idx = list(b)
-        vals += np.sqrt((y[:, idx] ** 2).sum(axis=1))
-    return BlockReport(rho_block, bound, float(vals.max()), lam_max)
+    return sum(lam_max) / rho_block
 
 
 def improvement_ratio(L2: float, Linf: float, grad) -> float:
@@ -346,7 +284,7 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
         if len(kind.weights) != H.dim:
             raise ValueError("weight vector does not match matrix dimension")
         root = np.sqrt(np.asarray(kind.weights))
-        scaled = SymMatrix.from_array(a / root[:, None] / root[None, :])
+        scaled = SymMatrix(a / root[:, None] / root[None, :])
         dec = eigh(scaled)
         return float(max(abs(dec.values[0]), abs(dec.values[-1])))
     if isinstance(kind, BlockMax):
@@ -354,8 +292,7 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
             raise ValueError("partition does not match matrix dimension")
         if not is_psd_spectrum(eigh(H).values):
             raise ValueError("block-max constant requires a positive semidefinite matrix")
-        _, bound, _ = _block_bound(a, kind.partition)
-        return bound
+        return _block_bound(a, kind.partition)
     raise TypeError(f"unknown norm kind: {kind!r}")
 
 

@@ -178,6 +178,8 @@ def _build_problem(obj):
             raise ConfigError(f"unknown quadratic keys: {sorted(spec)}")
         if not sigma >= 0.0:
             raise ConfigError("sigma must be nonnegative")
+        if not math.isfinite(sigma):
+            raise ConfigError("sigma must be finite")
         problem = make_quadratic(d, lambda_max, theta, seed)
         if sigma > 0.0:
             stream = np.random.default_rng([seed, 1] if noise_seed is None else noise_seed)

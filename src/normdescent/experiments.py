@@ -83,6 +83,8 @@ class GridConfig:
             raise ValueError("repeats must be at least 1")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.skew_seed < 0 or self.x0_seed < 0:
             raise ValueError("seeds must be nonnegative")
 

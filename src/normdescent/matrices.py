@@ -3,8 +3,8 @@
 Symmetric matrices stored as one validated read-only array, the
 eigendecomposition (LAPACK, through ``numpy.linalg.eigh``), skew-symmetric
 generators and their exponentials (smooth one-parameter orthogonal paths),
-spectrum-preserving conjugation for building test Hessians, and the matrix
-text format.
+spectrum-preserving conjugation for building test Hessians, and parsing
+of the matrix text format.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ __all__ = [
     "OrthogonalMatrix",
     "MatrixFormatError",
     "eigh",
-    "is_psd",
     "is_psd_spectrum",
     "random_skew",
     "exp_skew",
     "rotated_hessian",
     "rotate_spectrum",
     "parse_matrix_text",
-    "format_matrix_text",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -74,24 +72,9 @@ class SymMatrix:
         self.dim = a.shape[0]
         self._a = _readonly(sym)
 
-    @classmethod
-    def from_array(cls, a) -> "SymMatrix":
-        """Same as ``SymMatrix(a)``."""
-        return cls(a)
-
-    @classmethod
-    def diagonal(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
     def to_array(self) -> np.ndarray:
         """The full dense matrix (read-only)."""
         return self._a
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.to_array()[i, j])
-
-    def trace(self) -> float:
-        return float(np.trace(self.to_array()))
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
@@ -151,13 +134,6 @@ def eigh(H: SymMatrix) -> EigenDecomposition:
     from LAPACK's symmetric solver (``numpy.linalg.eigh``)."""
     values, vectors = np.linalg.eigh(H.to_array())
     return EigenDecomposition(_readonly(values), _readonly(vectors))
-
-
-def is_psd(H: SymMatrix, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue is at least -tol."""
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    return bool(eigh(H).values[0] >= -tol)
 
 
 def is_psd_spectrum(values: np.ndarray) -> bool:
@@ -239,7 +215,7 @@ def rotate_spectrum(eigs, Q: OrthogonalMatrix) -> SymMatrix:
     if not np.isfinite(lam).all() or (lam < 0.0).any():
         raise ValueError("eigenvalues must be finite and nonnegative")
     q = Q.entries
-    return SymMatrix.from_array((q * lam[None, :]) @ q.T)
+    return SymMatrix((q * lam[None, :]) @ q.T)
 
 
 def parse_matrix_text(text: str) -> SymMatrix:
@@ -275,11 +251,4 @@ def parse_matrix_text(text: str) -> SymMatrix:
     asym = float(np.abs(a - a.T).max())
     if asym > TEXT_SYMMETRY_TOL:
         raise MatrixFormatError(f"matrix asymmetry {asym:.3e} exceeds {TEXT_SYMMETRY_TOL}")
-    return SymMatrix.from_array(a)
-
-
-def format_matrix_text(H: SymMatrix) -> str:
-    a = H.to_array()
-    lines = [str(H.dim)]
-    lines += [" ".join(f"{x:.17g}" for x in row) for row in a]
-    return "\n".join(lines) + "\n"
+    return SymMatrix(a)

@@ -30,7 +30,6 @@ __all__ = [
     "dual_norm",
     "steepest_op",
     "gradient_density",
-    "kind_to_json",
     "kind_from_json",
 ]
 
@@ -326,20 +325,6 @@ def gradient_density(z) -> float:
     r = float(np.abs(u).sum()) / float(np.sqrt(np.dot(u, u)))
     d = z.size
     return min(max(r * r / d, 1.0 / d), 1.0)
-
-
-def kind_to_json(kind: NormKind):
-    if isinstance(kind, Euclidean):
-        return "euclidean"
-    if isinstance(kind, Max):
-        return "max"
-    if isinstance(kind, One):
-        return "one"
-    if isinstance(kind, WeightedDiag):
-        return {"weighted": list(kind.weights)}
-    if isinstance(kind, BlockMax):
-        return {"blockmax": [list(b) for b in kind.partition.blocks]}
-    raise TypeError(f"unknown norm kind: {kind!r}")
 
 
 def kind_from_json(obj) -> NormKind:

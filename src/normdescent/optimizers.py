@@ -42,7 +42,6 @@ __all__ = [
     "BatchOracle",
     "run_steepest_descent",
     "steepest_descent_stack",
-    "steepest_descent_batch",
     "run_normalized_sd",
     "run_relaxed_nsd",
     "run_signsgd",
@@ -57,9 +56,8 @@ F_BLOWUP = 1e12
 STATIONARY_TOL = 1e-14
 ROW_CHUNK = 1024  # trace rows the step loop holds before it reduces them
 
-# A batched oracle maps an (R, d) array of iterates, one per row, to the
-# per-row objective values (shape (R,)) and gradients (shape (R, d)); in
-# steepest_descent_stack it does the same for a (K, R, d) stack of batches.
+# A batched oracle maps a (K, R, d) stack of iterates, one per row, to the
+# per-row objective values (shape (K, R)) and gradients (shape (K, R, d)).
 BatchOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -88,8 +86,8 @@ class DivergenceError(RuntimeError):
 
     Carries the step index, the reason, and the partial trace of all finite
     iterates recorded before the abort (including the over-threshold one,
-    when it is finite).  ``trace`` is None when the run kept no trace, as in
-    steepest_descent_batch.
+    when it is finite).  ``trace`` is None when the run kept no trace, as
+    for a cell of quadgrid's stacked runs (see experiments.run_quad_grid).
     """
 
     def __init__(self, step: int, trace: Trace | None, reason: str):
@@ -104,8 +102,8 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("constant step size must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("constant step size must be positive and finite")
 
 
 @record
@@ -147,8 +145,9 @@ def _drive(
     the next row of the chunk's buffers.  A non-finite value or gradient,
     or an iterate past the oracle's overflow guard, aborts with rows
     0..t-1; a value above F_BLOWUP, with rows 0..t.  With ``stop_tol``, the
-    step also stores dual = ||g_t||* in ``kind``, and the run stops once it
-    is at most ``stop_tol`` (t is the hit index when ``mark_hit``).
+    step stores dual = ||g_t||* in ``kind`` in place of g_t, and the run
+    stops once it is at most ``stop_tol`` (t is the hit index when
+    ``mark_hit``).
     Otherwise, while t < T, x_{t+1} = update(x_t, g_t, t, dual), dual being
     None without ``stop_tol``; updates return new arrays, so no iterate
     handed to the oracle changes.  When a chunk is full, and when the run
@@ -174,8 +173,8 @@ def _drive(
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
     X = np.empty((rows, x.size))
-    G = np.empty((rows, x.size))
     D = None if stop_tol is None else np.empty(rows)
+    G = np.empty((rows, x.size)) if D is None else None
     f_parts: list[np.ndarray] = []  # each reduced chunk's part of the trace's columns
     dual_parts: list[np.ndarray] = []
     dist_parts: list[np.ndarray] = []
@@ -209,12 +208,13 @@ def _drive(
             g = np.asarray(g, dtype=float)
             F[i] = f
             X[i] = x
-            G[i] = g
             # one sum per step; the elementwise test runs only when the sum is not finite
             if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
                 raise DivergenceError(t, trace(i, x), "non-finite objective or gradient")
             if D is not None:
                 dual = D[i] = dual_kernel(g)
+            else:
+                G[i] = g
             if f > F_BLOWUP:
                 raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
             if dual is not None and dual <= stop_tol:
@@ -322,35 +322,6 @@ def steepest_descent_stack(
             G = np.abs(G).sum(axis=2, keepdims=True) * sign_unit(G)
         X = X - G / L
     return X, failures
-
-
-def steepest_descent_batch(
-    oracle: BatchOracle,
-    kind: NormKind,
-    L: float,
-    X0,
-    T: int,
-) -> np.ndarray:
-    """Constant-step steepest descent on every row of X0 at once.
-
-    steepest_descent_stack with one slice: each row follows
-    x <- x - P(grad)/L for T steps and the final (R, d) iterates are
-    returned.  The first step at which some row has a non-finite value or
-    gradient, or a value above F_BLOWUP, raises DivergenceError (with
-    ``trace`` None, since no per-row trace is kept).
-    """
-    X = np.array(X0, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("initial points must be a finite (R, d) array")
-
-    def stacked(X):
-        F, G = oracle(X[0])
-        return np.asarray(F, dtype=float)[None], np.asarray(G, dtype=float)[None]
-
-    X, (failure,) = steepest_descent_stack(stacked, kind, [L], X[None], T)
-    if failure is not None:
-        raise DivergenceError(failure[0], None, failure[1])
-    return X[0]
 
 
 def run_normalized_sd(
@@ -482,12 +453,12 @@ class AdamConfig:
     blocks: BlockPartition | None = None
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step size must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step size must be positive and finite")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
         if self.variant not in _ADAM_VARIANTS:
             raise ValueError(f"variant must be one of {_ADAM_VARIANTS}, got {self.variant!r}")
 

@@ -21,9 +21,7 @@ __all__ = [
     "QuadraticProblem",
     "CoshProblem",
     "make_quadratic",
-    "quad_eval",
     "noisy_grad",
-    "cosh_eval",
     "quad_oracle",
     "quad_noisy_oracle",
     "cosh_oracle",
@@ -88,9 +86,9 @@ def make_quadratic(d: int, lambda_max: float, theta: float, seed) -> QuadraticPr
     return QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
 
 
-# The oracles are built by private functions: perfbench/layertrace.py counts
-# the calls of every oracle the public factories return, and an oracle built
-# inside another must not count twice.
+# The quadratic oracles are built by a private function: perfbench/layertrace.py
+# counts the calls of every oracle the public factories return, and the exact
+# oracle inside quad_noisy_oracle must not count twice.
 
 
 def _quad_oracle(h: np.ndarray) -> Oracle:
@@ -100,11 +98,6 @@ def _quad_oracle(h: np.ndarray) -> Oracle:
         return 0.5 * float(x.dot(g)), g
 
     return oracle
-
-
-def quad_eval(p: QuadraticProblem, x) -> tuple[float, np.ndarray]:
-    """(x'Hx/2, Hx)."""
-    return _quad_oracle(p.matrix.to_array())(x)
 
 
 def noisy_grad(p: QuadraticProblem, x, sigma: float, stream: np.random.Generator) -> np.ndarray:
@@ -140,24 +133,15 @@ class CoshProblem:
             raise ValueError(f"dimension must be positive, got {self.dim}")
 
 
-def cosh_eval(p: CoshProblem, x) -> tuple[float, np.ndarray]:
-    """(sum cosh(x_i) - d, sinh(x)), guarded against overflow at |x_i| > 700.
-
-    The value is computed as sum of 2 sinh(x_i/2)^2, which equals
-    cosh(x_i) - 1 without cancellation near the optimum.
-    """
-    return _cosh_oracle(p.dim)(x)
-
-
 def quad_oracle(p: QuadraticProblem) -> Oracle:
-    """Deterministic oracle: exact value and gradient."""
+    """Deterministic oracle: (x'Hx/2, Hx)."""
     return _quad_oracle(p.matrix.to_array())
 
 
 def quad_noisy_oracle(p: QuadraticProblem, sigma: float, stream: np.random.Generator) -> Oracle:
     """Stochastic oracle: exact value, noisy gradient from the seeded stream.
 
-    Call k returns the value and gradient that quad_eval and the k-th
+    Call k returns the value of quad_oracle and the gradient that the k-th
     noisy_grad call on a fresh ``stream`` would return, with one product
     Hx per call.  The noise is drawn in (NOISE_BLOCK, d) blocks, which
     consume the stream exactly as that many single draws do, so the stream
@@ -183,7 +167,15 @@ def quad_noisy_oracle(p: QuadraticProblem, sigma: float, stream: np.random.Gener
 _HALF = np.array(0.5)  # a 0-d operand is cheaper in a numpy call than a float
 
 
-def _cosh_oracle(d: int) -> Oracle:
+def cosh_oracle(p: CoshProblem) -> Oracle:
+    """Deterministic oracle: (sum cosh(x_i) - d, sinh(x)).
+
+    An iterate with some |x_i| > COSH_GUARD (700) raises OverflowGuardError
+    instead of overflowing.  The value is computed as sum of 2 sinh(x_i/2)^2,
+    which equals cosh(x_i) - 1 without cancellation near the optimum.
+    """
+    d = p.dim
+
     def oracle(x):
         x = np.asarray(x, dtype=float)
         if x.size != d:
@@ -194,8 +186,3 @@ def _cosh_oracle(d: int) -> Oracle:
         return 2.0 * float(half.dot(half)), np.sinh(x)
 
     return oracle
-
-
-def cosh_oracle(p: CoshProblem) -> Oracle:
-    """Deterministic oracle: the value and gradient of cosh_eval."""
-    return _cosh_oracle(p.dim)

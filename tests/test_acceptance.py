@@ -24,16 +24,13 @@ from normdescent import (
     SymMatrix,
     WeightedDiag,
     adam_gamma,
-    cosh_eval,
+    analyze,
     cosh_oracle,
     eigh,
-    is_psd,
-    linf_bounds,
     linf_bruteforce,
     lsep_exact_2x2,
     lsep_rowsum,
     make_quadratic,
-    quad_eval,
     quad_oracle,
     rho_diag,
     run_adam_family,
@@ -97,15 +94,17 @@ def test_criterion_03_upper_and_lower_bounds():
         d = 2 + i % 9
         h = random_psd(rng, d)
         exact = linf_bruteforce(h)
-        bound_psd, bound_sym, lower = linf_bounds(h)
+        rep = analyze(h)
+        bound_psd, bound_sym, lower = rep.bound_psd, rep.bound_sym, rep.lower_bound
         slack = 1e-10 * max(1.0, exact)
         ok &= lower <= exact + slack
         ok &= exact <= min(bound_psd, bound_sym) + slack
     for i in range(50):
         d = 2 + i % 9
-        h = SymMatrix.diagonal(rng.uniform(0.1, 5.0, d))
+        h = SymMatrix(np.diag(rng.uniform(0.1, 5.0, d)))
         exact = linf_bruteforce(h)
-        bound_psd, bound_sym, _ = linf_bounds(h)
+        rep = analyze(h)
+        bound_psd, bound_sym = rep.bound_psd, rep.bound_sym
         ok &= abs(exact - bound_psd) <= 1e-10
         ok &= abs(exact - bound_sym) <= 1e-10
     report(3, "lower <= Linf <= min(upper bounds); all tight on diagonals", ok)
@@ -118,8 +117,8 @@ def test_criterion_04_separable_chain():
         d = 2 + i % 9
         h = random_psd(rng, d)
         l, total = lsep_rowsum(h)
-        gap = SymMatrix.from_array(np.diag(l) - h.to_array())
-        ok &= is_psd(gap, 1e-10)
+        gap = SymMatrix(np.diag(l) - h.to_array())
+        ok &= eigh(gap).values[0] >= -1e-10
         concentration = eigh(h).values.sum() / rho_diag(h)
         slack = 1e-10 * max(1.0, total)
         ok &= linf_bruteforce(h) <= total + slack
@@ -149,10 +148,10 @@ def test_criterion_06_rate_suite():
     for i in range(10):
         d = 4 + i % 5
         base = random_psd(rng, d).to_array() + 0.05 * np.eye(d)
-        p = QuadraticProblem.from_matrix(SymMatrix.from_array(base))
+        p = QuadraticProblem.from_matrix(SymMatrix(base))
         lam_min = eigh(p.matrix).values[0]
         x0 = rng.standard_normal(d)
-        f0, _ = quad_eval(p, x0)
+        f0, _ = quad_oracle(p)(x0)
         radius = math.sqrt(2.0 * f0 / lam_min)
         for kind in (Euclidean(), Max()):
             L = smoothness_constant(p.matrix, kind)
@@ -249,7 +248,7 @@ def test_criterion_10_moving_average_decomposition():
 
         def __call__(self, x):
             self.xs.append(np.array(x))
-            return quad_eval(p, x)
+            return quad_oracle(p)(x)
 
     for variant in ("shuffled", "averaged"):
         cfg = AdamConfig(step=0.05, variant=variant, blocks=part)
@@ -258,7 +257,7 @@ def test_criterion_10_moving_average_decomposition():
         mm = np.zeros(5)
         vv = np.zeros(5)
         for t in range(len(rec.xs) - 1):
-            _, g = quad_eval(p, rec.xs[t])
+            _, g = quad_oracle(p)(rec.xs[t])
             mm = cfg.beta1 * mm + (1.0 - cfg.beta1) * g
             vv = cfg.beta2 * vv + (1.0 - cfg.beta2) * g * g
             gam = adam_gamma(mm, vv, cfg.epsilon)
@@ -275,7 +274,7 @@ def test_criterion_10_moving_average_decomposition():
                     mean = gam[idx].mean()
                     ok &= bool(np.abs(applied[idx] - mean).max() <= 1e-12 * max(1.0, mean))
 
-    p1 = QuadraticProblem.from_matrix(SymMatrix.diagonal([2.0]))
+    p1 = QuadraticProblem.from_matrix(SymMatrix(np.diag([2.0])))
     a = run_adam_family(quad_oracle(p1), AdamConfig(step=0.05), [1.5], 100, np.random.default_rng(1))
     b = run_adam_family(
         quad_oracle(p1), AdamConfig(step=0.05, variant="shuffled"), [1.5], 100, np.random.default_rng(1)
@@ -336,8 +335,8 @@ def test_criterion_12_gradient_correctness():
     quad = make_quadratic(6, 9.0, 0.5, seed=21)
     cosh_p = CoshProblem(6)
     cases = [
-        (lambda x: quad_eval(quad, x), lambda: rng.standard_normal(6) * 2.0),
-        (lambda x: cosh_eval(cosh_p, x), lambda: rng.uniform(-3.0, 3.0, 6)),
+        (lambda x: quad_oracle(quad)(x), lambda: rng.standard_normal(6) * 2.0),
+        (lambda x: cosh_oracle(cosh_p)(x), lambda: rng.uniform(-3.0, 3.0, 6)),
     ]
     for oracle, draw in cases:
         for _ in range(50):

@@ -311,6 +311,23 @@ class TestRun:
         assert out == "" and err == "error: sigma must be nonnegative\n"
 
     @pytest.mark.parametrize(
+        "field, problem, optimizer",
+        [
+            ("step", QUAD3, {"method": "adam", "step": math.inf}),
+            ("epsilon", QUAD3, {"method": "adam", "epsilon": math.nan}),
+            ("constant", QUAD3, {"method": "signsgd", "step": {"constant": math.inf}}),
+            ("sigma", {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": math.inf}}, {"method": "gd"}),
+        ],
+    )
+    def test_non_finite_value_exits_2_naming_it(self, tmp_path, capsys, field, problem, optimizer):
+        # json.load reads Infinity and NaN (and 1e999) as floats; none is a usable value
+        cfg = {"problem": problem, "optimizer": optimizer, "T": 3}
+        code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and _names(line, field), line
+
+    @pytest.mark.parametrize(
         "field, cfg",
         [
             ("T", {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": 5.7}),
@@ -507,7 +524,7 @@ class TestRun:
         # a Hessian whose smallest eigenvalue is -1e-6 lambda_max, far beyond
         # rounding at that scale, is still no quadratic problem
         def indefinite(eigs, skew, theta):
-            return SymMatrix.diagonal(np.concatenate([[-1e-6 * eigs[-1]], eigs[1:]]))
+            return SymMatrix(np.diag(np.concatenate([[-1e-6 * eigs[-1]], eigs[1:]])))
 
         monkeypatch.setattr(problems, "rotated_hessian", indefinite)
         cfg = tmp_path / "run.json"
@@ -804,6 +821,10 @@ class TestQuadGrid:
         cfg.write_text(json.dumps(dict(GRID_CFG, repeats=0)))
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
+
+    def test_infinite_sigma_exits_2(self, tmp_path, capsys):
+        code, out, err = _main_on_config(tmp_path, capsys, "quadgrid", dict(GRID_CFG, sigma=math.inf))
+        assert (code, out, err) == (2, "", "error: sigma must be finite\n")
 
     def test_overflowing_hessian_exits_2(self, tmp_path):
         # lambda_max is finite, but the cell's Hessian overflows

@@ -20,7 +20,7 @@ from normdescent import (
     run_quad_grid,
     run_steepest_descent,
     smoothness_constant,
-    steepest_descent_batch,
+    steepest_descent_stack,
 )
 from normdescent import experiments
 from normdescent.experiments import (
@@ -93,10 +93,10 @@ def test_shipped_paper_config_is_the_default_grid():
 
 
 def per_cell_reference(cfg: GridConfig) -> list[tuple]:
-    """Every cell in output order, run one cell at a time with
-    steepest_descent_batch and the noise of each row drawn per step:
-    (lambda_max, theta, L2, Linf, per method the mean final squared
-    distance or the DivergenceError)."""
+    """Every cell in output order, run one cell at a time as a stack of one
+    slice, with the noise of each row drawn per step: (lambda_max, theta,
+    L2, Linf, per method the mean final squared distance or the (step,
+    reason) of its divergence)."""
     lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
     theta_order = sorted(range(len(cfg.theta_values)), key=lambda i: cfg.theta_values[i])
     out = []
@@ -113,19 +113,15 @@ def per_cell_reference(cfg: GridConfig) -> list[tuple]:
                            for r in range(cfg.repeats)]
 
                 def oracle(X, streams=streams):
-                    G = X @ H
-                    F = 0.5 * np.einsum("ij,ij->i", X, G)
+                    G = X[0] @ H
+                    F = 0.5 * np.einsum("ij,ij->i", X[0], G)
                     if cfg.sigma > 0.0:
                         G = G + cfg.sigma * np.stack([s.standard_normal(cfg.d) for s in streams])
-                    return F, G
+                    return F[None], G[None]
 
-                try:
-                    with np.errstate(all="ignore"):
-                        X = steepest_descent_batch(oracle, kind, L, x0, cfg.T)
-                except DivergenceError as exc:
-                    results.append(exc)
-                else:
-                    results.append(float(np.einsum("ij,ij->i", X, X).mean()))
+                with np.errstate(all="ignore"):
+                    X, (failure,) = steepest_descent_stack(oracle, kind, [L], x0[None], cfg.T)
+                results.append(failure or float(np.einsum("ij,ij->i", X[0], X[0]).mean()))
             out.append((lam, theta, L2, linf, results))
     return out
 
@@ -136,10 +132,11 @@ def reference_grid(cfg: GridConfig) -> tuple[list[str], str | None, int | None]:
     cells = []
     for lam, theta, L2, linf, results in per_cell_reference(cfg):
         for method, res in zip(("gd", "signgd_normscaled"), results):
-            if isinstance(res, DivergenceError):
-                msg = (f"divergence at step {res.step}: {res.reason} "
+            if isinstance(res, tuple):
+                step, reason = res
+                msg = (f"divergence at step {step}: {reason} "
                        f"(cell lambda_max={lam:g} theta={theta:g}, method {method})")
-                return grid_csv_lines(cells), msg, res.step
+                return grid_csv_lines(cells), msg, step
         gd, sg = results
         cells.append(GridCell(lam, theta, L2, linf, linf / (cfg.d * L2), gd, sg,
                               math.log10(max(sg, _DIST_FLOOR) / max(gd, _DIST_FLOOR))))
@@ -219,7 +216,7 @@ def test_noise_blocks_cover_several_draws(monkeypatch):
 def test_divergence_reports_the_first_cell_in_output_order(monkeypatch, tmp_path, name, cells_per_group):
     cfg = DIVERGING[name]
     ref = per_cell_reference(cfg)
-    steps = [[r.step if isinstance(r, DivergenceError) else None for r in cell[4]] for cell in ref]
+    steps = [[r[0] if isinstance(r, tuple) else None for r in cell[4]] for cell in ref]
     if name == "A_B":
         # an earlier cell diverging at a later step than a later cell, and
         # sign descent of cell k diverging later than gd of cell k + 1

@@ -29,7 +29,6 @@ from normdescent import (
     eigh,
     lsep_rowsum,
     make_quadratic,
-    quad_eval,
     quad_noisy_oracle,
     quad_oracle,
     run_adam_family,
@@ -39,7 +38,6 @@ from normdescent import (
     run_steepest_descent,
     sign_unit,
     smoothness_constant,
-    steepest_descent_batch,
     steepest_descent_stack,
     steepest_op,
     verify_rate_bounds,
@@ -58,7 +56,7 @@ ALL_KINDS_D6 = [
 
 
 def identity_problem(d):
-    return QuadraticProblem.from_matrix(SymMatrix.diagonal(np.ones(d)))
+    return QuadraticProblem.from_matrix(SymMatrix(np.diag(np.ones(d))))
 
 
 class TestSteepestDescent:
@@ -97,8 +95,8 @@ class TestSteepestDescent:
             x = rng.standard_normal(5) * 2.0
             s = 1.0 - 2.0 * rng.integers(0, 2, 5)
             a = rng.uniform(0.01, 2.0)
-            f0, g = quad_eval(p, x)
-            f1, _ = quad_eval(p, x + a * s)
+            f0, g = quad_oracle(p)(x)
+            f1, _ = quad_oracle(p)(x + a * s)
             assert f1 <= f0 + a * float(g @ s) + a * a * linf / 2.0 + 1e-10
 
     def test_scale_covariance(self):
@@ -107,7 +105,7 @@ class TestSteepestDescent:
         x0 = np.random.default_rng(1).standard_normal(5)
 
         def scaled_oracle(x):
-            f, g = quad_eval(p, x)
+            f, g = quad_oracle(p)(x)
             return c * f, c * g
 
         for kind in (Euclidean(), Max(), One()):
@@ -133,7 +131,7 @@ class TestSteepestDescent:
         p = make_quadratic(6, 5.0, 0.5, seed=5)
         L = smoothness_constant(p.matrix, kind)
         x = np.random.default_rng(3).standard_normal(6)
-        _, g = quad_eval(p, x)
+        _, g = quad_oracle(p)(x)
         tr = run_steepest_descent(quad_oracle(p), kind, L, x, 1)
         delta = x - tr.x_final
         dual = sum(math.sqrt(g[list(b)] @ g[list(b)]) for b in part.blocks)
@@ -229,7 +227,7 @@ class TestRelaxedNSD:
 
 class TestSignSGD:
     def test_updates_have_constant_magnitude(self):
-        p = QuadraticProblem.from_matrix(SymMatrix.diagonal([1.0, 2.0]))
+        p = QuadraticProblem.from_matrix(SymMatrix(np.diag([1.0, 2.0])))
         x = np.array([10.0, 10.0])
         for _ in range(20):
             tr = run_signsgd(quad_oracle(p), Constant(0.5), x, 1)
@@ -286,39 +284,36 @@ class TestDivergenceDetection:
 class TestSteepestDescentBatch:
     def test_aborts_on_any_row(self):
         def oracle(X):
-            F = 0.5 * (X * X).sum(axis=1)
-            F[1] = math.nan if F[0] < 1.0 else F[1]
+            F = 0.5 * (X * X).sum(axis=2)
+            F[0, 1] = math.nan if F[0, 0] < 1.0 else F[0, 1]
             return F, X
 
-        with pytest.raises(DivergenceError) as err:
-            steepest_descent_batch(oracle, Euclidean(), 2.0, [[4.0, 0.0], [0.0, 1.0]], 10)
-        assert err.value.step == 2  # row 0: f = 8, 2, 0.5
-        assert err.value.trace is None
+        _, failures = steepest_descent_stack(oracle, Euclidean(), [2.0], [[[4.0, 0.0], [0.0, 1.0]]], 10)
+        assert failures == [(2, "non-finite objective or gradient")]  # row 0: f = 8, 2, 0.5
 
     def test_blowup_aborts(self):
         def oracle(X):
-            return 0.5 * (X * X).sum(axis=1), -X
+            return 0.5 * (X * X).sum(axis=2), -X
 
-        with pytest.raises(DivergenceError, match="exceeded") as err:
-            steepest_descent_batch(oracle, Max(), 0.5, [[1.0, 1.0], [0.0, 0.0]], 100)
-        assert err.value.step > 0
+        _, (failure,) = steepest_descent_stack(oracle, Max(), [0.5], [[[1.0, 1.0], [0.0, 0.0]]], 100)
+        assert failure[0] > 0 and "exceeded" in failure[1]
 
     def test_other_geometries_rejected(self):
         with pytest.raises(TypeError):
-            steepest_descent_batch(lambda X: (X[:, 0], X), One(), 1.0, [[1.0, 2.0]], 3)
+            steepest_descent_stack(lambda X: (X[..., 0], X), One(), [1.0], [[[1.0, 2.0]]], 3)
 
 
 def stack_quadratics(K, R, d, seed):
     """K random PSD Hessians, K x R starting points, and the oracle of
-    x'Hx/2 on both the stack and one slice."""
+    x'Hx/2 on the stack and on a stack of slice k alone."""
     rng = np.random.default_rng(seed)
     H = np.stack([random_psd(rng, d).to_array() + np.eye(d) for _ in range(K)])
     X0 = rng.standard_normal((K, R, d))
 
     def slice_oracle(k):
         def oracle(X):
-            G = X @ H[k]
-            return 0.5 * np.einsum("ij,ij->i", X, G), G
+            G = X[0] @ H[k]
+            return 0.5 * np.einsum("ij,ij->i", X[0], G)[None], G[None]
         return oracle
 
     def oracle(X):
@@ -336,8 +331,8 @@ class TestSteepestDescentStack:
         X, failures = steepest_descent_stack(oracle, kind, L, X0, 40)
         assert failures == [None] * 5
         for k in range(5):
-            want = steepest_descent_batch(slice_oracle(k), kind, L[k], X0[k], 40)
-            assert X[k].tobytes() == want.tobytes()
+            want, _ = steepest_descent_stack(slice_oracle(k), kind, [L[k]], X0[k:k + 1], 40)
+            assert X[k].tobytes() == want[0].tobytes()
 
     def test_failing_slices_are_recorded_zeroed_and_frozen(self):
         H, X0, oracle, slice_oracle = stack_quadratics(4, 3, 3, seed=8)
@@ -347,14 +342,13 @@ class TestSteepestDescentStack:
             warnings.simplefilter("error", RuntimeWarning)  # frozen slices never overflow
             X, failures = steepest_descent_stack(oracle, Euclidean(), L, X0, 200)
         for k in range(4):
+            with np.errstate(all="ignore"):
+                want, (failure,) = steepest_descent_stack(slice_oracle(k), Euclidean(), [L[k]], X0[k:k + 1], 200)
+            assert failures[k] == failure
             if k in (0, 2):
                 assert failures[k] is None
-                want = steepest_descent_batch(slice_oracle(k), Euclidean(), L[k], X0[k], 200)
-                assert X[k].tobytes() == want.tobytes()
+                assert X[k].tobytes() == want[0].tobytes()
                 continue
-            with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-                steepest_descent_batch(slice_oracle(k), Euclidean(), L[k], X0[k], 200)
-            assert failures[k] == (err.value.step, err.value.reason)
             assert "exceeded" in failures[k][1]
             assert not X[k].any()
         assert failures[1][0] != failures[3][0]
@@ -454,14 +448,14 @@ class TestAdamFamily:
         x0 = np.random.default_rng(7).standard_normal(5)
         cfg = AdamConfig(step=0.1)
         tr = run_adam_family(quad_oracle(p), cfg, x0, 1, np.random.default_rng(0))
-        _, g = quad_eval(p, x0)
+        _, g = quad_oracle(p)(x0)
         m1 = (1.0 - cfg.beta1) * g
         v1 = (1.0 - cfg.beta2) * g * g
         expected = x0 - cfg.step * m1 / (np.sqrt(v1) + cfg.epsilon)
         assert np.abs(tr.x_final - expected).max() <= 1e-15
 
     def test_shuffled_d1_equals_standard(self):
-        p = QuadraticProblem.from_matrix(SymMatrix.diagonal([2.0]))
+        p = QuadraticProblem.from_matrix(SymMatrix(np.diag([2.0])))
         x0 = np.array([1.5])
         a = run_adam_family(quad_oracle(p), AdamConfig(step=0.05), x0, 100, np.random.default_rng(1))
         b = run_adam_family(
@@ -527,7 +521,7 @@ class TestRateBounds:
     def test_one_step_exact_has_large_slack(self):
         p = identity_problem(3)
         x0 = np.array([2.0, -1.0, 0.5])
-        f0, _ = quad_eval(p, x0)
+        f0, _ = quad_oracle(p)(x0)
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), 1.0, x0, 20)
         rc = verify_rate_bounds(tr, 1.0, 0.0, mu=1.0, radius=math.sqrt(2 * f0), kind=Euclidean())
         assert rc.passed
@@ -542,7 +536,7 @@ class TestRateBounds:
             p = make_quadratic(6, float(rng.uniform(3, 30)), float(rng.uniform(0, 1)), seed=seed)
             lam_min = eigh(p.matrix).values[0]
             x0 = rng.standard_normal(6)
-            f0, _ = quad_eval(p, x0)
+            f0, _ = quad_oracle(p)(x0)
             radius = math.sqrt(2.0 * f0 / lam_min)
             for kind in (Euclidean(), Max()):
                 L = smoothness_constant(p.matrix, kind)
@@ -948,7 +942,7 @@ class TestStepLoopParity:
 
             def oracle(x):
                 calls[0] += 1
-                f, g = quad_eval(p, x)
+                f, g = quad_oracle(p)(x)
                 return (math.nan if calls[0] > ROW_CHUNK + 7 else f), g
 
             return oracle

@@ -20,7 +20,7 @@ from normdescent import (
     WeightedDiag,
 )
 from normdescent._record import record
-from normdescent.analysis import BlockReport, SmoothnessReport
+from normdescent.analysis import SmoothnessReport
 from normdescent.optimizers import InvSqrt, RateCheck, Trace
 
 
@@ -63,9 +63,6 @@ class TestRepr:
         )
         assert repr(RateCheck(0.5, kind=Max())) == (
             "RateCheck(smooth_slack=0.5, pl_slack=None, kelner_slack=None, kind=Max(), tol=1e-09)"
-        )
-        assert repr(BlockReport(0.5, 2.0, 1.0, (1.0,))) == (
-            "BlockReport(rho_block=0.5, bound=2.0, sampled_lower=1.0, block_lambda_max=(1.0,))"
         )
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -51,3 +52,20 @@ def test_only_the_process_entry_touches_the_collector():
     assert found == []
     calls = [ast.unparse(n.func) for n in ast.walk(entry) if isinstance(n, ast.Call)]
     assert calls[:2] == ["gc.freeze", "sys.exit"]
+
+
+# the layers whose __all__ perfbench/layertrace.py wraps, one getattr per name
+LAYERS = ("matrices", "norms", "analysis", "problems", "optimizers", "experiments")
+
+
+def test_every_public_name_of_a_layer_resolves():
+    for layer in LAYERS:
+        mod = importlib.import_module(f"normdescent.{layer}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], layer
+
+
+def test_the_package_exports_only_public_names_of_the_layers():
+    public = {name for layer in LAYERS for name in importlib.import_module(f"normdescent.{layer}").__all__}
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert exported and [name for name in exported if name not in public] == []
