@@ -194,8 +194,8 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -
     return float(terms.sum())
 
 
-def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
-    """Bounds on Linf from H's eigenpairs: rho_diag(H)**-1 * sum(lambda)
+def _linf_bounds_from(values: np.ndarray, vectors: np.ndarray, rho: float):
+    """Bounds on Linf from H's eigenpairs and rho = rho_diag(H): sum(lambda) / rho
     (None unless H is positive semidefinite), _eigenspace_bound, and the
     lower bound max_i |lambda_i| ||v_i||_1 / ||v_i||_inf."""
     abs_lam = np.abs(values)
@@ -204,11 +204,8 @@ def _linf_bounds_from(H: SymMatrix, values: np.ndarray, vectors: np.ndarray):
     bound_sym = _eigenspace_bound(values, vectors, l1)
     lower = float((abs_lam * l1 / linf).max())
     bound_psd = None
-    if is_psd_spectrum(values):
-        if float(np.abs(H.to_array()).sum()) == 0.0:
-            bound_psd = 0.0
-        elif (rho := rho_diag(H)) > 0.0:  # a nonzero matrix with zero diagonal is indefinite
-            bound_psd = float(values.sum()) / rho
+    if is_psd_spectrum(values) and rho > 0.0:  # a nonzero matrix with zero diagonal is indefinite
+        bound_psd = float(values.sum()) / rho
     return bound_psd, bound_sym, lower
 
 
@@ -307,7 +304,7 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
     values = dec.values
     L2 = float(max(abs(values[0]), abs(values[-1])))
     rho = rho_diag(H)
-    bound_psd, bound_sym, lower = _linf_bounds_from(H, values, dec.vectors)
+    bound_psd, bound_sym, lower = _linf_bounds_from(values, dec.vectors, rho)
     _, total = lsep_rowsum(H)
 
     linf_exact = None

@@ -190,31 +190,47 @@ def norm(x, kind: NormKind) -> float:
     raise TypeError(f"unknown norm kind: {kind!r}")
 
 
-# The kernels of each geometry: its dual norm and its direction P, on a float
-# vector of the kind's dimension.  _kernels resolves a kind to them once;
-# dual_norm and steepest_op check their argument and call the same kernels.
+# The kernels of each geometry, on float arrays whose last axis has the
+# kind's dimension: the dual norm of a vector, the dual norms of the rows of
+# an (n, d) array (one last-axis function for the max and one norms), and
+# the step P(g)/c along the last axis of g, step(g, c, dual=None), which
+# uses dual = ||g||* when the caller has it.  For a vector g, c is a
+# positive float or 0-d array, and a float when dual (a float) is given; a
+# scalar quotient is one of Python floats, cheaper than one of numpy
+# scalars.  The Euclidean and max steps also take a (K, R, d) stack with c
+# of shape (K, 1, 1).  _kernels resolves
+# a kind to them once; dual_norm, dual_norm_rows and steepest_op check
+# their argument and call the same kernels.
 
-def _identity(z: np.ndarray) -> np.ndarray:
-    return z  # steepest_op copies it
-
-
-def _max_dual(z: np.ndarray) -> float:
-    return float(np.add.reduce(np.abs(z)))
-
-
-def _max_direction(z: np.ndarray) -> np.ndarray:
-    # the sum lands in a 0-d array, the cheapest operand for the product
-    return np.add.reduce(np.abs(z), out=np.empty(())) * sign_unit(z)
-
-
-def _one_dual(z: np.ndarray) -> float:
-    return float(np.abs(z).max())
+def _l2_step(g: np.ndarray, c, dual=None) -> np.ndarray:
+    return g / c
 
 
-def _one_direction(z: np.ndarray) -> np.ndarray:
-    i = int(np.abs(z).argmax())
-    out = np.zeros(z.shape)
-    out[i] = z[i]
+def _max_dual(z: np.ndarray):
+    return np.add.reduce(np.abs(z), axis=-1)
+
+
+def _max_step(g: np.ndarray, c, dual=None) -> np.ndarray:
+    # P(g) = ||g||_1 sign(g), and a product with +-1 is exact, so
+    # sign(g) * (||g||_1 / c) has the bits of P(g)/c with one array operation
+    # fewer; a quotient of exactly 1.0 (c = ||g||_1 in normalized descent) needs none
+    if dual is None:
+        if g.ndim > 1:
+            return sign_unit(g) * (np.add.reduce(np.abs(g), axis=-1, keepdims=True) / c)
+        dual, c = float(_max_dual(g)), float(c)
+    scale = dual / c
+    return sign_unit(g) if scale == 1.0 else sign_unit(g) * np.array(scale)
+
+
+def _one_dual(z: np.ndarray):
+    return np.abs(z).max(axis=-1)
+
+
+def _one_step(g: np.ndarray, c, dual=None) -> np.ndarray:
+    # only the largest |g_i|, the first on a tie, is kept: one quotient, not d
+    i = np.abs(g).argmax()
+    out = np.zeros(g.shape)
+    out[i] = g[i] / float(c)
     return out
 
 
@@ -226,73 +242,71 @@ def _weighted_kernels(weights: tuple[float, ...]):
         r = math.sqrt(np.dot(z / w, z))
         return _l2(z / root) if not _L2_TINY <= r < math.inf else r
 
-    return dual, lambda z: z / w
+    def rows(X):
+        r = np.sqrt(_row_dots(X / w, X))
+        rescale = (r < _L2_TINY) | (r == math.inf)
+        if rescale.any():
+            r[rescale] = _l2_rows(X[rescale] / root)
+        return r
+
+    return dual, rows, lambda g, c, dual=None: g / w / c
 
 
-def _blockmax_kernels(index: tuple):
+def _blockmax_kernels(partition: BlockPartition):
+    index = partition.index
+
     def dual(z):
         return sum(_block_norms(z, index))
 
-    def direction(z):
-        block_norms = _block_norms(z, index)
-        total = sum(block_norms)  # dual(z)
-        out = np.zeros(z.shape)
+    def rows(X):
+        out = np.zeros(X.shape[0])
+        for b in partition.blocks:
+            # X[:, list(b)] is an F-ordered copy, which _row_dots rounds unlike one row's
+            # np.dot (a slice of X rounds like it); the traces' printed bits rest on this form
+            out += _l2_rows(X[:, list(b)])
+        return out
+
+    def step(g, c, dual=None):
+        block_norms = _block_norms(g, index)
+        total = sum(block_norms) if dual is None else dual
+        out = np.zeros(g.shape)
         for i, nb in zip(index, block_norms):
             if nb > 0.0:
                 scale = total / nb
-                # z[i] / nb is at most 1 in magnitude, so this order cannot overflow a finite result
-                out[i] = z[i] * np.array(scale) if scale < math.inf else z[i] / nb * total
-        return out
+                # g[i] / nb is at most 1 in magnitude, so this order cannot overflow a finite result
+                out[i] = g[i] * np.array(scale) if scale < math.inf else g[i] / nb * total
+        return out / c
 
-    return dual, direction
+    return dual, rows, step
 
 
-def _kernels(kind: NormKind) -> tuple[Callable, Callable]:
-    """(dual norm, direction) kernels of ``kind``; they do not check the
-    dimension (see _check_dim), and the Euclidean direction returns its
-    argument itself."""
+def _kernels(kind: NormKind) -> tuple[Callable, Callable, Callable]:
+    """(dual norm, row dual norms, step) kernels of ``kind``; they do not
+    check the dimension (see _check_dim)."""
     if isinstance(kind, Euclidean):
-        return _l2, _identity
+        return _l2, _l2_rows, _l2_step
     if isinstance(kind, Max):
-        return _max_dual, _max_direction
+        return _max_dual, _max_dual, _max_step
     if isinstance(kind, One):
-        return _one_dual, _one_direction
+        return _one_dual, _one_dual, _one_step
     if isinstance(kind, WeightedDiag):
         return _weighted_kernels(kind.weights)
     if isinstance(kind, BlockMax):
-        return _blockmax_kernels(kind.partition.index)
+        return _blockmax_kernels(kind.partition)
     raise TypeError(f"unknown norm kind: {kind!r}")
 
 
 def dual_norm(x, kind: NormKind) -> float:
     x = np.asarray(x, dtype=float)
     _check_dim(kind, x.size)
-    return _kernels(kind)[0](x)
+    return float(_kernels(kind)[0](x))
 
 
 def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
     """dual_norm of every row of the (n, d) array X, as an (n,) array."""
     X = np.asarray(X, dtype=float)
     _check_dim(kind, X.shape[1])
-    if isinstance(kind, Euclidean):
-        return _l2_rows(X)
-    if isinstance(kind, Max):
-        return np.abs(X).sum(axis=1)
-    if isinstance(kind, One):
-        return np.abs(X).max(axis=1)
-    if isinstance(kind, WeightedDiag):
-        w = np.asarray(kind.weights)
-        r = np.sqrt(_row_dots(X / w, X))
-        rescale = (r < _L2_TINY) | (r == math.inf)
-        if rescale.any():
-            r[rescale] = _l2_rows(X[rescale] / np.sqrt(w))
-        return r
-    if isinstance(kind, BlockMax):
-        out = np.zeros(X.shape[0])
-        for b in kind.partition.blocks:
-            out += _l2_rows(X[:, list(b)])
-        return out
-    raise TypeError(f"unknown norm kind: {kind!r}")
+    return _kernels(kind)[1](X)
 
 
 def steepest_op(z, kind: NormKind) -> np.ndarray:
@@ -307,8 +321,7 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     _check_dim(kind, z.size)
-    p = _kernels(kind)[1](z)
-    return p.copy() if p is z else p
+    return _kernels(kind)[2](z, 1.0)
 
 
 def gradient_density(z) -> float:

@@ -25,8 +25,7 @@ import numpy as np
 
 from ._record import record
 from .norms import (
-    BlockPartition, Euclidean, Max, NormKind, One, _check_dim, _frozen, _kernels, _row_dots,
-    dual_norm_rows, sign_unit,
+    BlockPartition, Euclidean, Max, NormKind, _check_dim, _frozen, _kernels, _row_dots, sign_unit,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -156,17 +155,19 @@ def _drive(
     three floats per step.  Each row reduces on its own, so the result does
     not depend on where the chunks split.
 
-    The dimension is checked against ``kind`` once, before the loop; the
-    loop and the update rules call the kernels ``norms._kernels`` resolved
-    for the kind, which check nothing.  Per-step constants of the update
-    rules are 0-d arrays: a numpy call with an array operand is cheaper
-    than one with a Python float, and rounds the same.
+    The dimension is checked against ``kind`` once, before the loop.  The
+    loop takes dual (a Python float) and the chunks' dual norms from the
+    kind's dual-norm and row dual-norm kernels, and each steepest-descent
+    update rule is one call of its step kernel P(g)/c; ``norms._kernels``
+    resolves them once per run, and they check nothing.  Per-step array
+    operands of the update rules are 0-d arrays: a numpy call with one is
+    cheaper than with a Python float, and rounds the same.
     """
     if T < 0:
         raise ValueError("the number of steps must be nonnegative")
     x = _start(x0)
     _check_dim(kind, x.size)
-    dual_kernel = _kernels(kind)[0]
+    dual_kernel, rows_kernel, _ = _kernels(kind)
     ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
@@ -181,7 +182,7 @@ def _drive(
 
     def reduce_chunk(n: int) -> None:
         f_parts.append(F[:n].copy())
-        dual_parts.append(D[:n].copy() if D is not None else dual_norm_rows(G[:n], kind))
+        dual_parts.append(D[:n].copy() if D is not None else rows_kernel(G[:n]))
         if x_star is not None:
             delta = X[:n] - x_star
             dist_parts.append(_row_dots(delta, delta))
@@ -212,7 +213,7 @@ def _drive(
             if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
                 raise DivergenceError(t, trace(i, x), "non-finite objective or gradient")
             if D is not None:
-                dual = D[i] = dual_kernel(g)
+                dual = D[i] = float(dual_kernel(g))
             else:
                 G[i] = g
             if f > F_BLOWUP:
@@ -234,38 +235,15 @@ def run_steepest_descent(
     x_star=None,
 ) -> Trace:
     """Constant-step steepest descent: x <- x - P(grad)/L for T steps."""
-    if not L > 0.0:
-        raise ValueError("smoothness constant must be positive")
-    dual, direction = _kernels(kind)
-    if isinstance(kind, Max):
-        def update(x, g, t, _):
-            return x - _sign_step(g, dual(g), L)
-    elif isinstance(kind, One):
-        L = np.array(L, dtype=float)
+    if not 0.0 < L < math.inf:
+        raise ValueError("smoothness constant must be positive and finite")
+    step = _kernels(kind)[2]
+    L = np.array(L, dtype=float)
 
-        def update(x, g, t, _):
-            # only the largest |g_i| moves x_i: the others would subtract 0.0, keeping their bits
-            i = np.abs(g).argmax()
-            x = x.copy()
-            x[i] -= g[i] / L
-            return x
-    else:
-        L = np.array(L, dtype=float)
-
-        def update(x, g, t, _):
-            return x - direction(g) / L
+    def update(x, g, t, _):
+        return x - step(g, L)
 
     return _drive(oracle, x0, T, x_star, kind, update)
-
-
-def _sign_step(g: np.ndarray, dual: float, c: float) -> np.ndarray:
-    """P(g) / c in the max geometry, given dual = ||g||_1.
-
-    P(g) = dual * sign(g), and a product with +-1 is exact, so
-    sign(g) * (dual / c) has the bits of P(g) / c with one array operation
-    fewer.
-    """
-    return sign_unit(g) * np.array(dual / c)
 
 
 def steepest_descent_stack(
@@ -290,9 +268,10 @@ def steepest_descent_stack(
     """
     if not isinstance(kind, (Euclidean, Max)):
         raise TypeError(f"batched steepest descent supports Euclidean and Max, got {kind!r}")
+    step = _kernels(kind)[2]
     L = np.array(L, dtype=float)
-    if L.ndim != 1 or not (L > 0.0).all():
-        raise ValueError("smoothness constant must be positive")
+    if L.ndim != 1 or not ((L > 0.0) & (L < math.inf)).all():
+        raise ValueError("smoothness constant must be positive and finite")
     X = np.array(X0, dtype=float)
     if X.ndim != 3 or X.shape[0] != L.size or not np.isfinite(X).all():
         raise ValueError("initial points must be a finite (K, R, d) array, one slice per constant")
@@ -318,9 +297,7 @@ def steepest_descent_stack(
             break
         if keep is not None:
             G = np.where(keep, G, 0.0)
-        if isinstance(kind, Max):
-            G = np.abs(G).sum(axis=2, keepdims=True) * sign_unit(G)
-        X = X - G / L
+        X = X - step(G, L)
     return X, failures
 
 
@@ -339,19 +316,13 @@ def run_normalized_sd(
     descent with step alpha_t / L.  Stops early once the dual gradient norm
     falls to 1e-14, where the normalized direction is no longer defined.
     """
-    if not L > 0.0:
-        raise ValueError("smoothness constant must be positive")
-
+    if not 0.0 < L < math.inf:
+        raise ValueError("smoothness constant must be positive and finite")
     schedule = InvSqrt()
-    direction = _kernels(kind)[1]
-    sign_geometry = isinstance(kind, Max)
+    step = _kernels(kind)[2]
 
     def update(x, g, t, dual):
-        if sign_geometry and 0.0 < dual < math.inf:
-            unit = sign_unit(g)  # the bits of ||g||_1 sign(g) / ||g||_1 at such a norm
-        else:
-            unit = direction(g) / np.array(dual)
-        return x - unit * np.array(schedule_value(schedule, t) / L)
+        return x - step(g, dual, dual) * np.array(schedule_value(schedule, t) / L)
 
     return _drive(oracle, x0, T, x_star, kind, update, stop_tol=STATIONARY_TOL)
 
@@ -373,21 +344,16 @@ def run_relaxed_nsd(
     is recorded on the trace.  With L1 = 0 this is steepest descent with
     constant 5*L0.
     """
-    if not L0 > 0.0:
-        raise ValueError("L0 must be positive")
-    if L1 < 0.0:
-        raise ValueError("L1 must be nonnegative")
+    if not 0.0 < L0 < math.inf:
+        raise ValueError("L0 must be positive and finite")
+    if not 0.0 <= L1 < math.inf:
+        raise ValueError("L1 must be nonnegative and finite")
     if not eps > 0.0:
         raise ValueError("stationarity threshold must be positive")
-
-    direction = _kernels(kind)[1]
-    sign_geometry = isinstance(kind, Max)
+    step = _kernels(kind)[2]
 
     def update(x, g, t, dual):
-        denom = 5.0 * L0 + 4.0 * L1 * dual
-        if sign_geometry:
-            return x - _sign_step(g, dual, denom)
-        return x - direction(g) / np.array(denom)
+        return x - step(g, 5.0 * L0 + 4.0 * L1 * dual, dual)
 
     return _drive(oracle, x0, T, x_star, kind, update, stop_tol=eps, mark_hit=True)
 

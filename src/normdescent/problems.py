@@ -9,6 +9,7 @@ of zero at the origin.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -108,8 +109,8 @@ def noisy_grad(p: QuadraticProblem, x, sigma: float, stream: np.random.Generator
     quad_noisy_oracle gives the same values call for call, but draws them
     ahead in blocks.
     """
-    if sigma < 0.0:
-        raise ValueError("noise scale must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("noise scale must be nonnegative and finite")
     x = np.asarray(x, dtype=float)
     g = p.matrix.to_array().dot(x)
     xi = stream.standard_normal(p.dim)
@@ -147,8 +148,8 @@ def quad_noisy_oracle(p: QuadraticProblem, sigma: float, stream: np.random.Gener
     consume the stream exactly as that many single draws do, so the stream
     runs ahead of the calls by up to one block: it belongs to the oracle.
     """
-    if sigma < 0.0:
-        raise ValueError("noise scale must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("noise scale must be nonnegative and finite")
     exact = _quad_oracle(p.matrix.to_array())
 
     def draws():

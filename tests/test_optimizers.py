@@ -162,6 +162,32 @@ class TestSteepestDescent:
             run_steepest_descent(quad_oracle(p), Euclidean(), 0.0, [1.0, 1.0], 1)
 
 
+def _identity_oracle(x):
+    return 0.5 * float(x @ x), x.copy()
+
+
+@pytest.mark.parametrize("runner, bad", [
+    ("sd", math.inf), ("sd", math.nan), ("nsd", math.inf), ("stack", math.inf),
+    ("relaxed_L0", math.inf), ("relaxed_L1", math.nan), ("relaxed_L1", math.inf),
+])
+def test_runner_constants_must_be_finite(runner, bad):
+    # an infinite constant gave a run that never moves, and a NaN L1 a divergence at step 1
+    x0 = np.ones(3)
+    run, message = {
+        "sd": (lambda: run_steepest_descent(_identity_oracle, Max(), bad, x0, 3), "smoothness constant"),
+        "nsd": (lambda: run_normalized_sd(_identity_oracle, Euclidean(), bad, x0, 3), "smoothness constant"),
+        "stack": (
+            lambda: steepest_descent_stack(lambda X: (X[..., 0], X), Max(), [1.0, bad], np.ones((2, 1, 3)), 3),
+            "smoothness constant",
+        ),
+        "relaxed_L0": (lambda: run_relaxed_nsd(_identity_oracle, Max(), bad, 1.0, x0, 3, 1e-6), "L0"),
+        "relaxed_L1": (lambda: run_relaxed_nsd(_identity_oracle, Max(), 1.0, bad, x0, 3, 1e-6), "L1"),
+    }[runner]
+    finite = "nonnegative and finite" if runner == "relaxed_L1" else "positive and finite"
+    with pytest.raises(ValueError, match=f"{message} must be {finite}"):
+        run()
+
+
 class TestNormalizedSD:
     def test_immediate_stop_at_optimum(self):
         p = identity_problem(3)
@@ -373,6 +399,20 @@ class TestSteepestDescentStack:
         _, failures = steepest_descent_stack(oracle, Euclidean(), [2.0, 2.0], np.ones((2, 2, 1)), 3)
         assert failures == [None, (0, "objective 5.000e+12 exceeded 1e+12")]
 
+    @pytest.mark.parametrize("kind", [Euclidean(), Max()], ids=lambda k: type(k).__name__)
+    def test_a_step_is_the_single_vector_step_on_every_row(self, kind):
+        # the same gradients, over many scales and with signed zeros, step every row as run_steepest_descent steps
+        rng = np.random.default_rng(62)
+        X0 = rng.standard_normal((3, 5, 8))
+        G = rng.standard_normal((3, 5, 8)) * 10.0 ** rng.integers(-150, 151, size=(3, 5, 1))
+        G[0, 0, 2], G[1, 3, 5], G[2, 4] = 0.0, -0.0, 0.0
+        L = [0.7, 3.0, 1e3]
+        X1, failures = steepest_descent_stack(lambda X: (np.zeros((3, 5)), G), kind, L, X0, 1)
+        assert failures == [None] * 3
+        for k, r in np.ndindex(3, 5):
+            tr = run_steepest_descent(lambda x: (0.0, G[k, r]), kind, L[k], X0[k, r], 1)
+            assert X1[k, r].tobytes() == tr.x_final.tobytes()
+
     def test_rejects_bad_input(self):
         oracle = lambda X: (X[..., 0], X)
         with pytest.raises(TypeError):
@@ -583,12 +623,14 @@ GOLDEN_P = make_quadratic(GOLDEN_D, 50.0, 0.5, seed=3)
 GOLDEN_X0 = np.random.default_rng(5).standard_normal(GOLDEN_D)
 GOLDEN_PART = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
 GOLDEN_PART_NC = BlockPartition(((0, 2, 4), (1, 3, 5, 6, 7)))  # blocks that are not slices
+GOLDEN_W = WeightedDiag(tuple(np.diag(GOLDEN_P.matrix.to_array())))  # H's diagonal, positive
 GOLDEN_L = {
     "gd": smoothness_constant(GOLDEN_P.matrix, Euclidean()),
     "signgd_normscaled": smoothness_constant(GOLDEN_P.matrix, Max()),
     "cd": smoothness_constant(GOLDEN_P.matrix, One()),
     "blocknorm": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART)),
     "blocknorm_nc": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART_NC)),
+    "weighted": smoothness_constant(GOLDEN_P.matrix, GOLDEN_W),
 }
 GOLDEN_KIND = {
     "gd": Euclidean(),
@@ -596,7 +638,12 @@ GOLDEN_KIND = {
     "cd": One(),
     "blocknorm": BlockMax(GOLDEN_PART),
     "blocknorm_nc": BlockMax(GOLDEN_PART_NC),
+    "weighted": GOLDEN_W,
 }
+# the normalized runners beyond the max geometry ("nsd" and "relaxed_nsd"):
+# suffix -> the GOLDEN_KIND method whose geometry and constant they use
+GOLDEN_GEOMETRY = {"euclidean": "gd", "one": "cd", "weighted": "weighted", "blockmax": "blocknorm"}
+GOLDEN_NORMALIZED = tuple(f"{m}_{s}" for m in ("nsd", "relaxed_nsd") for s in GOLDEN_GEOMETRY)
 GOLDEN_ADAM = {
     "adam": AdamConfig(step=1e-3),
     "adam_shuffled": AdamConfig(step=1e-3, variant="shuffled", blocks=GOLDEN_PART),
@@ -607,7 +654,7 @@ GOLDEN_ADAM = {
     "adam_averaged_whole": AdamConfig(step=1e-3, variant="averaged"),
     "momentum_sign": AdamConfig(step=1e-3, variant="momentum_sign"),
 }
-GOLDEN_METHODS = (*GOLDEN_KIND, "nsd", "relaxed_nsd", "signsgd", *GOLDEN_ADAM)
+GOLDEN_METHODS = (*GOLDEN_KIND, "nsd", "relaxed_nsd", *GOLDEN_NORMALIZED, "signsgd", *GOLDEN_ADAM)
 
 
 def golden_runs(wrap=lambda oracle: oracle):
@@ -632,13 +679,21 @@ def golden_runs(wrap=lambda oracle: oracle):
         cfg = GOLDEN_ADAM[method]
         return lambda: run_adam_family(noisy(), cfg, x0, T, np.random.default_rng(9), x_star=x_star)
 
+    def nsd(kind, L):
+        return lambda: run_normalized_sd(exact(), kind, L, x0, T, x_star=x_star)
+
+    def relaxed(kind):
+        return lambda: run_relaxed_nsd(
+            wrap(cosh_oracle(CoshProblem(GOLDEN_D))), kind, float(GOLDEN_D), 1.0, x0, T, 1e-300,
+            x_star=x_star,
+        )
+
     return {
         **{method: sd(method) for method in GOLDEN_KIND},
-        "nsd": lambda: run_normalized_sd(exact(), Max(), GOLDEN_L["signgd_normscaled"], x0, T, x_star=x_star),
-        "relaxed_nsd": lambda: run_relaxed_nsd(
-            wrap(cosh_oracle(CoshProblem(GOLDEN_D))), Max(), float(GOLDEN_D), 1.0, x0, T, 1e-300,
-            x_star=x_star,
-        ),
+        "nsd": nsd(Max(), GOLDEN_L["signgd_normscaled"]),
+        "relaxed_nsd": relaxed(Max()),
+        **{f"nsd_{s}": nsd(GOLDEN_KIND[m], GOLDEN_L[m]) for s, m in GOLDEN_GEOMETRY.items()},
+        **{f"relaxed_nsd_{s}": relaxed(GOLDEN_KIND[m]) for s, m in GOLDEN_GEOMETRY.items()},
         "signsgd": lambda: run_signsgd(noisy(), Constant(1e-3), x0, T, x_star=x_star),
         **{method: adam(method) for method in GOLDEN_ADAM},
     }
@@ -730,6 +785,8 @@ def reference_steepest_op(g, kind):
         return g.copy()
     if isinstance(kind, Max):
         return one_norm(g) * signs(g)
+    if isinstance(kind, WeightedDiag):
+        return g / np.array(kind.weights)
     out = np.zeros_like(g)
     if isinstance(kind, One):
         i = int(np.argmax(np.abs(g)))
@@ -788,22 +845,31 @@ def golden_reference_runs():
         step = adam_reference_step(cfg, np.random.default_rng(9), cfg.blocks and cfg.blocks.blocks)
         return lambda: reference_run(noisy(), x0, T, step, one_norm, x_star=x_star)
 
-    def nsd_step(x, g, t, dual):
-        unit = reference_steepest_op(g, Max()) / dual
-        return x - unit * ((1.0 / math.sqrt(t + 1.0)) / GOLDEN_L["signgd_normscaled"])
+    def nsd(kind, L):
+        def step(x, g, t, dual):
+            unit = reference_steepest_op(g, kind) / dual
+            return x - unit * ((1.0 / math.sqrt(t + 1.0)) / L)
 
-    def relaxed_step(x, g, t, dual):
-        return x - reference_steepest_op(g, Max()) / (5.0 * GOLDEN_D + 4.0 * dual)
+        return lambda: reference_run(
+            reference_quad_oracle(p), x0, T, step, lambda g: dual_norm(g, kind), STATIONARY_TOL,
+            mark_hit=False, x_star=x_star,
+        )
+
+    def relaxed(kind):
+        def step(x, g, t, dual):
+            return x - reference_steepest_op(g, kind) / (5.0 * GOLDEN_D + 4.0 * dual)
+
+        return lambda: reference_run(
+            reference_cosh_oracle(GOLDEN_D), x0, T, step, lambda g: dual_norm(g, kind), 1e-300,
+            x_star=x_star,
+        )
 
     return {
         **{method: sd(method) for method in GOLDEN_KIND},
-        "nsd": lambda: reference_run(
-            reference_quad_oracle(p), x0, T, nsd_step, one_norm, STATIONARY_TOL, mark_hit=False,
-            x_star=x_star,
-        ),
-        "relaxed_nsd": lambda: reference_run(
-            reference_cosh_oracle(GOLDEN_D), x0, T, relaxed_step, one_norm, 1e-300, x_star=x_star
-        ),
+        "nsd": nsd(Max(), GOLDEN_L["signgd_normscaled"]),
+        "relaxed_nsd": relaxed(Max()),
+        **{f"nsd_{s}": nsd(GOLDEN_KIND[m], GOLDEN_L[m]) for s, m in GOLDEN_GEOMETRY.items()},
+        **{f"relaxed_nsd_{s}": relaxed(GOLDEN_KIND[m]) for s, m in GOLDEN_GEOMETRY.items()},
         "signsgd": lambda: reference_run(
             noisy(), x0, T, lambda x, g, t, _: x - 1e-3 * signs(g), one_norm, x_star=x_star
         ),

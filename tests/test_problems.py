@@ -146,6 +146,14 @@ class TestNoisyGrad:
         with pytest.raises(ValueError):
             quad_noisy_oracle(p, -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        p = make_quadratic(3, 2.0, 0.1, seed=1)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            noisy_grad(p, np.ones(3), sigma, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            quad_noisy_oracle(p, sigma, np.random.default_rng(0))
+
     def test_oracle_blocks_match_per_call_draws(self):
         # the oracle draws NOISE_BLOCK rows at a time; call k must still see
         # the k-th single draw, across three block boundaries

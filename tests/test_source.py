@@ -3,9 +3,11 @@ import importlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import normdescent
+from normdescent.norms import NormKind
 
 PACKAGE = Path(normdescent.__file__).resolve().parent
 
@@ -69,3 +71,19 @@ def test_the_package_exports_only_public_names_of_the_layers():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert exported and [name for name in exported if name not in public] == []
+
+
+def test_only_norms_dispatches_on_a_norm_kind():
+    # norms._kernels resolves a geometry once; the runners and the grid call its kernels
+    kinds = {cls.__name__ for cls in typing.get_args(NormKind)}
+    found = []
+    for name in ("optimizers.py", "experiments.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"):
+                    continue
+                classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(ast.unparse(c).rsplit(".", 1)[-1] in kinds for c in classes):
+                    found.append((name, getattr(top, "name", None)))
+    assert found == [("optimizers.py", "steepest_descent_stack")]
