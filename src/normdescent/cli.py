@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._json import is_json_number, json_int, json_number
+from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from .analysis import analyze, smoothness_constant
 from .experiments import GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import MatrixFormatError, parse_matrix_text
@@ -53,17 +53,6 @@ from .problems import (
 )
 
 TRACE_CSV_HEADER = "t,f,dual_grad_norm,dist_sq"
-
-_STEEPEST_KINDS = {
-    "gd": Euclidean(),
-    "signgd_normscaled": Max(),
-    "cd": One(),
-}
-
-
-class ConfigError(ValueError):
-    pass
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -110,29 +99,17 @@ def _trace_csv_lines(trace: Trace) -> Iterator[str]:
         yield template % tuple(chain.from_iterable(rows))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    return obj
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
-def _number(value, name: str) -> float:
-    try:
-        return json_number(value)
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"{name!r} must be a number, got {value!r}") from exc
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return json_int(value)
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"{name!r} must be an integer, got {value!r}") from exc
+def _or_null(reader):
+    """``reader`` for a field whose null means its default, None."""
+    return lambda value: None if value is None else reader(value)
 
 
 def _partition(blocks) -> BlockPartition:
@@ -140,8 +117,8 @@ def _partition(blocks) -> BlockPartition:
     partition's own checks (overlap, gaps, empty blocks) passes through."""
     try:
         indices = tuple(tuple(map(json_int, b)) for b in blocks)
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"'blocks' must be a list of index lists, got {blocks!r}") from exc
+    except TypeError as exc:
+        raise TypeError(f"must be a list of index lists, got {blocks!r}") from exc
     return BlockPartition(indices)
 
 
@@ -149,175 +126,121 @@ def _norm_kind(obj) -> NormKind:
     try:
         return kind_from_json(obj)
     except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"unrecognized norm kind: {obj!r}") from exc
+        raise TypeError(f"must be a norm kind, got {obj!r}") from exc
+
+
+def _schedule(obj) -> StepSchedule:
+    if obj is None or obj == "inv_sqrt":
+        return InvSqrt()
+    if isinstance(obj, dict):
+        return Constant(read_fields(obj, "step schedule", {"constant": (json_number, REQUIRED)})["constant"])
+    raise ValueError(f"unrecognized step schedule: {obj!r}")
+
+
+_QUADRATIC_FIELDS = {
+    "d": (json_int, REQUIRED),
+    "lambda_max": (json_number, REQUIRED),
+    "theta": (json_number, 0.0),
+    "seed": (json_int, 0),
+    "sigma": (json_number, 0.0),
+    "noise_seed": (_or_null(json_int), None),
+}
 
 
 def _build_problem(obj):
-    """Returns (problem, oracle, dim) from the problem config object."""
+    """Returns (problem, oracle) from the problem config object."""
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ConfigError("problem config must be an object with exactly one key")
+        raise ValueError("problem config must be an object with exactly one key")
     (family, spec), = obj.items()
-    if family not in ("quadratic", "cosh"):
-        raise ConfigError(f"unknown problem family: {family!r}")
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{family} problem spec must be an object")
-    spec = dict(spec)
-    if family == "quadratic":
-        try:
-            d = _integer(spec.pop("d"), "d")
-            lambda_max = _number(spec.pop("lambda_max"), "lambda_max")
-        except KeyError as exc:
-            raise ConfigError(f"quadratic problem requires {exc}") from exc
-        theta = _number(spec.pop("theta", 0.0), "theta")
-        seed = _integer(spec.pop("seed", 0), "seed")
-        sigma = _number(spec.pop("sigma", 0.0), "sigma")
-        noise_seed = spec.pop("noise_seed", None)
-        if noise_seed is not None:
-            noise_seed = _integer(noise_seed, "noise_seed")
-        if spec:
-            raise ConfigError(f"unknown quadratic keys: {sorted(spec)}")
-        if not sigma >= 0.0:
-            raise ConfigError("sigma must be nonnegative")
-        if not math.isfinite(sigma):
-            raise ConfigError("sigma must be finite")
-        problem = make_quadratic(d, lambda_max, theta, seed)
-        if sigma > 0.0:
-            stream = np.random.default_rng([seed, 1] if noise_seed is None else noise_seed)
-            oracle = quad_noisy_oracle(problem, sigma, stream)
-        else:
-            oracle = quad_oracle(problem)
-        return problem, oracle, d
-    try:
-        d = _integer(spec.pop("d"), "d")
-    except KeyError as exc:
-        raise ConfigError(f"cosh problem requires {exc}") from exc
-    if spec:
-        raise ConfigError(f"unknown cosh keys: {sorted(spec)}")
-    problem = CoshProblem(d)
-    return problem, cosh_oracle(problem), d
+    if family == "cosh":
+        problem = CoshProblem(read_fields(spec, "cosh problem", {"d": (json_int, REQUIRED)})["d"])
+        return problem, cosh_oracle(problem)
+    if family != "quadratic":
+        raise ValueError(f"unknown problem family: {family!r}")
+    q = read_fields(spec, "quadratic problem", _QUADRATIC_FIELDS)
+    if not q["sigma"] >= 0.0:
+        raise ValueError("sigma must be nonnegative")
+    if not math.isfinite(q["sigma"]):
+        raise ValueError("sigma must be finite")
+    problem = make_quadratic(q["d"], q["lambda_max"], q["theta"], q["seed"])
+    if q["sigma"] == 0.0:
+        return problem, quad_oracle(problem)
+    stream = np.random.default_rng([q["seed"], 1] if q["noise_seed"] is None else q["noise_seed"])
+    return problem, quad_noisy_oracle(problem, q["sigma"], stream)
 
 
-def _parse_schedule(obj) -> StepSchedule:
-    if obj is None or obj == "inv_sqrt":
-        return InvSqrt()
-    if isinstance(obj, dict) and set(obj) == {"constant"}:
-        return Constant(_number(obj["constant"], "constant"))
-    raise ConfigError(f"unrecognized step schedule: {obj!r}")
+def _runner(run, *args, **kwargs):
+    """The closure (oracle, x0, T, x_star) -> Trace of ``run`` with its other
+    arguments bound."""
+    return lambda oracle, x0, T, x_star: run(oracle, *args, x0=x0, T=T, x_star=x_star, **kwargs)
 
 
-def _smoothness_or_config(spec: dict, problem, kind: NormKind) -> float:
-    if "L" in spec:
-        L = _number(spec.pop("L"), "L")
-        if not (math.isfinite(L) and L > 0.0):
-            raise ConfigError(f"'L' must be positive and finite, got {L!r}")
-        return L
-    if not isinstance(problem, QuadraticProblem):
-        raise ConfigError("explicit 'L' required for non-quadratic problems")
-    return smoothness_constant(problem.matrix, kind)
+def _with_L(run, problem, kind: NormKind, L):
+    """The runner of ``run(oracle, kind, L, ...)``; without a configured
+    ``L``, the quadratic's own constant in ``kind``."""
+    if L is None:
+        if not isinstance(problem, QuadraticProblem):
+            raise ValueError("explicit 'L' required for non-quadratic problems")
+        L = smoothness_constant(problem.matrix, kind)
+    return _runner(run, kind, L)
 
 
-def _build_runner(obj, problem):
-    """Returns a closure (oracle, x0, T, x_star) -> Trace from the optimizer config."""
+def _adam(variant: str):
+    return lambda problem, seed=0, **params: _runner(
+        run_adam_family, AdamConfig(variant=variant, **params), rng=np.random.default_rng(seed)
+    )
+
+
+_L = {"L": (json_number, None)}
+_NORM = {"norm": (_norm_kind, Max())}
+_SIGN = ({"step": (_schedule, InvSqrt())}, lambda problem, step: _runner(run_signsgd, step))
+_MOMENTUM = {"step": (json_number, 1e-3), "beta1": (json_number, AdamConfig.beta1)}
+_MOMENTS = {**_MOMENTUM, "beta2": (json_number, AdamConfig.beta2), "epsilon": (json_number, AdamConfig.epsilon)}
+_BLOCKS = {"blocks": (_or_null(_partition), None)}
+
+# method -> (its fields besides "method", its builder): the builder takes the
+# problem and the field values as keywords and returns the method's runner.
+# The runners check their own constants.
+_METHODS = {
+    "gd": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, Euclidean(), L)),
+    "signgd_normscaled": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, Max(), L)),
+    "cd": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, One(), L)),
+    "blocknorm": (
+        {"blocks": (_partition, REQUIRED), **_L},
+        lambda problem, blocks, L: _with_L(run_steepest_descent, problem, BlockMax(blocks), L),
+    ),
+    "nsd": ({**_NORM, **_L}, lambda problem, norm, L: _with_L(run_normalized_sd, problem, norm, L)),
+    "relaxed_nsd": (
+        {**_NORM, "L0": (json_number, REQUIRED), "L1": (json_number, 0.0), "eps": (json_number, 1e-6)},
+        lambda problem, norm, L0, L1, eps: _runner(run_relaxed_nsd, norm, L0, L1, eps=eps),
+    ),
+    "signgd": _SIGN,
+    "signsgd": _SIGN,
+    "adam": (_MOMENTS, _adam("standard")),
+    "adam_shuffled": ({**_MOMENTS, **_BLOCKS, "seed": (json_int, 0)}, _adam("shuffled")),
+    "adam_averaged": ({**_MOMENTS, **_BLOCKS}, _adam("averaged")),
+    "momentum_sign": (_MOMENTUM, _adam("momentum_sign")),
+}
+
+
+def _read_optimizer(obj):
+    """(builder, field values) of the optimizer config object."""
     if not isinstance(obj, dict) or "method" not in obj:
-        raise ConfigError("optimizer config must be an object with a 'method' key")
-    spec = dict(obj)
-    method = spec.pop("method")
-    if not isinstance(method, str):
-        raise ConfigError(f"'method' must be a string, got {method!r}")
-
-    if method in _STEEPEST_KINDS or method == "blocknorm":
-        if method == "blocknorm":
-            try:
-                blocks = spec.pop("blocks")
-            except KeyError as exc:
-                raise ConfigError("blocknorm requires 'blocks'") from exc
-            kind: NormKind = BlockMax(_partition(blocks))
-        else:
-            kind = _STEEPEST_KINDS[method]
-        L = _smoothness_or_config(spec, problem, kind)
-        if spec:
-            raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
-        return lambda oracle, x0, T, x_star: run_steepest_descent(
-            oracle, kind, L, x0, T, x_star=x_star
-        )
-
-    if method == "nsd":
-        kind = _norm_kind(spec.pop("norm", "max"))
-        L = _smoothness_or_config(spec, problem, kind)
-        if spec:
-            raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
-        return lambda oracle, x0, T, x_star: run_normalized_sd(
-            oracle, kind, L, x0, T, x_star=x_star
-        )
-
-    if method == "relaxed_nsd":
-        kind = _norm_kind(spec.pop("norm", "max"))
-        try:
-            L0 = _number(spec.pop("L0"), "L0")
-        except KeyError as exc:
-            raise ConfigError("relaxed_nsd requires 'L0'") from exc
-        L1 = _number(spec.pop("L1", 0.0), "L1")
-        eps = _number(spec.pop("eps", 1e-6), "eps")
-        if not (math.isfinite(L0) and L0 > 0.0):
-            raise ConfigError(f"'L0' must be positive and finite, got {L0!r}")
-        if not (math.isfinite(L1) and L1 >= 0.0):
-            raise ConfigError(f"'L1' must be nonnegative and finite, got {L1!r}")
-        if not eps > 0.0:
-            raise ConfigError(f"'eps' must be positive, got {eps!r}")
-        if spec:
-            raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
-        return lambda oracle, x0, T, x_star: run_relaxed_nsd(
-            oracle, kind, L0, L1, x0, T, eps, x_star=x_star
-        )
-
-    if method in ("signgd", "signsgd"):
-        schedule = _parse_schedule(spec.pop("step", None))
-        if spec:
-            raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
-        return lambda oracle, x0, T, x_star: run_signsgd(
-            oracle, schedule, x0, T, x_star=x_star
-        )
-
-    if method in ("adam", "adam_shuffled", "adam_averaged", "momentum_sign"):
-        variant = {
-            "adam": "standard",
-            "adam_shuffled": "shuffled",
-            "adam_averaged": "averaged",
-            "momentum_sign": "momentum_sign",
-        }[method]
-        blocks = spec.pop("blocks", None)
-        partition = _partition(blocks) if blocks is not None else None
-        seed = _integer(spec.pop("seed", 0), "seed")
-        cfg = AdamConfig(
-            step=_number(spec.pop("step", 1e-3), "step"),
-            beta1=_number(spec.pop("beta1", 0.9), "beta1"),
-            beta2=_number(spec.pop("beta2", 0.999), "beta2"),
-            epsilon=_number(spec.pop("epsilon", 1e-8), "epsilon"),
-            variant=variant,
-            blocks=partition,
-        )
-        if spec:
-            raise ConfigError(f"unknown optimizer keys: {sorted(spec)}")
-        return lambda oracle, x0, T, x_star: run_adam_family(
-            oracle, cfg, x0, T, np.random.default_rng(seed), x_star=x_star
-        )
-
-    raise ConfigError(f"unknown method: {method!r}")
+        raise ValueError("optimizer config must be an object with a 'method' key")
+    method = obj["method"]
+    if not isinstance(method, str) or method not in _METHODS:
+        raise ValueError(f"unknown method: {method!r}")
+    fields, build = _METHODS[method]
+    return build, read_fields({k: v for k, v in obj.items() if k != "method"}, method, fields)
 
 
-def _resolve_x0(cfg: dict, d: int) -> np.ndarray:
-    seed = _integer(cfg.get("x0_seed", 0), "x0_seed")
-    if "x0" in cfg:
-        try:
-            x0 = np.asarray(cfg["x0"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"x0 must be a list of {d} numbers") from exc
-        if x0.shape != (d,) or not np.isfinite(x0).all():
-            raise ConfigError(f"x0 must be a finite vector of length {d}")
-        if not all(map(is_json_number, cfg["x0"])):  # np.asarray also reads numeric strings and booleans
-            raise ConfigError(f"x0 must be a list of {d} numbers")
-        return x0
-    return np.random.default_rng(seed).standard_normal(d)
+_RUN_FIELDS = {
+    "problem": (_build_problem, REQUIRED),
+    "optimizer": (_read_optimizer, REQUIRED),
+    "T": (json_int, 100),
+    "x0": (json_floats, None),
+    "x0_seed": (json_int, 0),
+}
 
 
 def cmd_analyze(args) -> int:
@@ -342,33 +265,32 @@ def cmd_analyze(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        cfg = _load_json(args.config)
-        known = {"problem", "optimizer", "T", "x0", "x0_seed"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in cfg or "optimizer" not in cfg:
-            raise ConfigError("config requires 'problem' and 'optimizer'")
         with np.errstate(all="ignore"):  # an overflowing Hessian is reported as an input error
-            problem, oracle, d = _build_problem(cfg["problem"])
-        runner = _build_runner(cfg["optimizer"], problem)
-        T = _integer(cfg.get("T", 100), "T")
-        if T < 1:
-            raise ConfigError("T must be positive")
-        x0 = _resolve_x0(cfg, d)
+            cfg = read_fields(_load_json(args.config), "config", _RUN_FIELDS)
+        (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
+        runner = build(problem, **params)
+        if cfg["T"] < 1:
+            raise ValueError("T must be positive")
+        d = problem.dim
+        if cfg["x0"] is None:
+            x0 = np.random.default_rng(cfg["x0_seed"]).standard_normal(d)
+        else:
+            x0 = np.array(cfg["x0"])
+            if x0.shape != (d,) or not np.isfinite(x0).all():
+                raise ValueError(f"x0 must be a finite vector of length {d}")
         if isinstance(problem, CoshProblem) and np.abs(x0).max() > COSH_GUARD:
-            raise ConfigError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
-    except (ConfigError, ValueError) as exc:
+            raise ValueError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     x_star = np.zeros(d)
     try:
         with np.errstate(all="ignore"):  # the runner's finiteness checks report divergence
-            trace = runner(oracle, x0, T, x_star)
+            trace = runner(oracle, x0, cfg["T"], x_star)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if _write_lines(_trace_csv_lines(exc.trace), args.out) else 2
-    except ValueError as exc:  # input the runner rejects once it sees the iterates
+    except ValueError as exc:  # input the runner rejects: its constants, or the iterates it sees
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if _write_lines(_trace_csv_lines(trace), args.out) else 2
@@ -377,7 +299,7 @@ def cmd_run(args) -> int:
 def cmd_quadgrid(args) -> int:
     try:
         cfg = GridConfig.from_json(_load_json(args.config))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

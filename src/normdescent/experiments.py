@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ._json import json_int, json_number
+from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from ._record import record
 from .analysis import smoothness_constant
 from .matrices import OrthogonalMatrix, exp_skew, random_skew, rotate_spectrum
@@ -92,29 +92,14 @@ class GridConfig:
     def from_json(cls, obj: dict) -> "GridConfig":
         """Config from a parsed JSON object; an unknown, missing or mistyped
         field raises ValueError naming it."""
-        unknown = set(obj) - set(_JSON_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown grid config keys: {sorted(unknown)}")
-        if "d" not in obj:
-            raise ValueError("grid config requires 'd'")
-        kwargs = {"lambda_max_values": DEFAULT_LAMBDA_VALUES, "theta_values": DEFAULT_THETA_VALUES}
-        for key, value in obj.items():
-            try:
-                kwargs[key] = _JSON_FIELDS[key](value)
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"grid config field {key!r} has a bad value {value!r}") from exc
-        return cls(**kwargs)
+        return cls(**read_fields(obj, "grid config", _JSON_FIELDS))
 
 
-def _floats(values) -> tuple[float, ...]:
-    if not isinstance(values, list):
-        raise TypeError(f"expected a list, got {type(values).__name__}")
-    return tuple(json_number(v) for v in values)
-
-
-_JSON_FIELDS = {
-    "d": json_int, "lambda_max_values": _floats, "theta_values": _floats, "T": json_int,
-    "repeats": json_int, "skew_seed": json_int, "x0_seed": json_int, "sigma": json_number,
+_JSON_FIELDS = {  # key -> (reader, default)
+    "d": (json_int, REQUIRED), "lambda_max_values": (json_floats, DEFAULT_LAMBDA_VALUES),
+    "theta_values": (json_floats, DEFAULT_THETA_VALUES), "T": (json_int, GridConfig.T),
+    "repeats": (json_int, GridConfig.repeats), "skew_seed": (json_int, GridConfig.skew_seed),
+    "x0_seed": (json_int, GridConfig.x0_seed), "sigma": (json_number, GridConfig.sigma),
 }
 
 

@@ -260,10 +260,10 @@ def _blockmax_kernels(partition: BlockPartition):
 
     def rows(X):
         out = np.zeros(X.shape[0])
-        for b in partition.blocks:
-            # X[:, list(b)] is an F-ordered copy, which _row_dots rounds unlike one row's
-            # np.dot (a slice of X rounds like it); the traces' printed bits rest on this form
-            out += _l2_rows(X[:, list(b)])
+        for i in index:
+            # _row_dots rounds an F-ordered gather (what X[:, i] gives for an integer
+            # index) unlike one row's np.dot; a C-ordered block rounds like dual()
+            out += _l2_rows(np.ascontiguousarray(X[:, i]))
         return out
 
     def step(g, c, dual=None):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import normdescent
 from normdescent import analysis, cli, problems
+from normdescent._json import REQUIRED
 from normdescent import (
     Euclidean, Max, SymMatrix, make_quadratic, quad_oracle, run_steepest_descent, smoothness_constant,
 )
@@ -274,7 +275,7 @@ class TestRun:
         "cfg",
         [
             {"problem": QUAD3, "optimizer": {"method": "blocknorm", "blocks": 3}},
-            {"problem": QUAD3, "optimizer": {"method": "adam", "blocks": [0, 1, 2]}},
+            {"problem": QUAD3, "optimizer": {"method": "adam_shuffled", "blocks": [0, 1, 2]}},
             {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": [3]},
             {"problem": QUAD3, "optimizer": {"method": "gd"}, "x0": {"a": 1}},
             {"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": -1}},
@@ -339,7 +340,7 @@ class TestRun:
             ("noise_seed", {"problem": {"quadratic": {"d": 3, "lambda_max": 2.0, "sigma": 0.5, "noise_seed": False}},
                             "optimizer": {"method": "gd"}}),
             ("x0_seed", {"problem": QUAD3, "optimizer": {"method": "gd"}, "x0_seed": 2.5}),
-            ("seed", {"problem": QUAD3, "optimizer": {"method": "adam", "seed": True}}),
+            ("seed", {"problem": QUAD3, "optimizer": {"method": "adam_shuffled", "seed": True}}),
         ],
     )
     def test_non_integer_field_exits_2_naming_it(self, tmp_path, capsys, field, cfg):
@@ -351,10 +352,10 @@ class TestRun:
 
     def test_integral_float_fields_run_as_integers(self, tmp_path, capsys):
         spec = {"d": 3, "lambda_max": 2.0, "seed": 4, "sigma": 0.5, "noise_seed": 9}
-        cfg = {"problem": {"quadratic": spec}, "optimizer": {"method": "adam", "seed": 2},
+        cfg = {"problem": {"quadratic": spec}, "optimizer": {"method": "adam_shuffled", "seed": 2},
                "T": 5, "x0_seed": 1}
         as_floats = {"problem": {"quadratic": {k: float(v) for k, v in spec.items()}},
-                     "optimizer": {"method": "adam", "seed": 2.0}, "T": 5.0, "x0_seed": 1.0}
+                     "optimizer": {"method": "adam_shuffled", "seed": 2.0}, "T": 5.0, "x0_seed": 1.0}
         outs = []
         for i, obj in enumerate((cfg, as_floats)):
             path = tmp_path / f"run{i}.json"
@@ -902,7 +903,7 @@ _RUN_NUMBER_FIELDS = [  # (the field the error names, a run config with _BAD in 
     ("constant", {"optimizer": {"method": "signgd", "step": {"constant": _BAD}}}, 1.0),
     ("step", {"optimizer": {"method": "adam", "step": _BAD}}, 1.0),
     ("beta1", {"optimizer": {"method": "adam", "beta1": _BAD}}, 0.5),
-    ("beta2", {"optimizer": {"method": "momentum_sign", "beta2": _BAD}}, 0.5),
+    ("beta2", {"optimizer": {"method": "adam", "beta2": _BAD}}, 0.5),
     ("epsilon", {"optimizer": {"method": "adam_averaged", "epsilon": _BAD}}, 1.0),
     ("seed", {"optimizer": {"method": "adam_shuffled", "seed": _BAD}}, 1),
     ("blocks", {"optimizer": {"method": "adam_shuffled", "blocks": [[0, _BAD], [2, 3]]}}, 1),
@@ -982,6 +983,32 @@ class TestJsonNumbers:
         code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
         assert (code, out) == (2, "")
         assert err.startswith("error: 'blocks' must be a list of index lists")
+
+
+class TestConfigKeys:
+    """Every config object rejects a key it does not read and requires the
+    keys it has no default for, in one error line naming the key."""
+
+    @pytest.mark.parametrize(
+        "command, key, cfg",
+        [
+            ("run", "problem", {"optimizer": {"method": "gd"}}),
+            ("run", "lambda_max", {"problem": {"quadratic": {"d": 3}}, "optimizer": {"method": "gd"}}),
+            ("run", "x", {"problem": {"cosh": {"d": 2, "x": 1}}, "optimizer": {"method": "gd", "L": 1.0}}),
+            ("run", "blocks", {"problem": QUAD3, "optimizer": {"method": "blocknorm"}}),
+            ("run", "L0", {"problem": COSH2, "optimizer": {"method": "relaxed_nsd"}}),
+            ("run", "x", {"problem": QUAD3, "optimizer": {"method": "signsgd", "step": {"constant": 1, "x": 2}}}),
+            ("run", "seed", {"problem": QUAD3, "optimizer": {"method": "adam", "seed": 1}}),
+            ("run", "blocks", {"problem": QUAD3, "optimizer": {"method": "momentum_sign", "blocks": [[0, 1, 2]]}}),
+            ("run", "beta2", {"problem": QUAD3, "optimizer": {"method": "momentum_sign", "beta2": 0.9}}),
+            ("quadgrid", "d", {"lambda_max_values": [2.0], "theta_values": [0.0], "T": 2, "repeats": 1}),
+        ],
+    )
+    def test_unknown_or_missing_key_exits_2_naming_it(self, tmp_path, capsys, command, key, cfg):
+        code, out, err = _main_on_config(tmp_path, capsys, command, dict(cfg, T=3) if command == "run" else cfg)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and repr(key) in line, line
 
 
 GRID_DIVERGES_AFTER_ONE_ROW = {"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
@@ -1090,14 +1117,14 @@ _JUNK = st.one_of(
     st.lists(st.integers(-1, 3), max_size=3),
     st.just({"a": 1}),
 )
-_ADAM_KEYS = ["step", "beta1", "epsilon", "seed", "blocks"]
-_METHOD_KEYS = {  # method -> (required keys, optional keys)
+_ADAM_KEYS = ["step", "beta1", "beta2", "epsilon"]
+_METHOD_KEYS = {  # method -> (required keys, optional keys), as README's method table
     "gd": ([], ["L"]), "signgd_normscaled": ([], ["L"]), "cd": ([], ["L"]),
     "blocknorm": (["blocks"], ["L"]), "nsd": ([], ["norm", "L"]),
     "relaxed_nsd": (["L0"], ["L1", "eps", "norm"]),
     "signgd": ([], ["step"]), "signsgd": ([], ["step"]),
-    "adam": ([], _ADAM_KEYS), "adam_shuffled": ([], _ADAM_KEYS),
-    "adam_averaged": ([], _ADAM_KEYS), "momentum_sign": ([], _ADAM_KEYS),
+    "adam": ([], _ADAM_KEYS), "adam_shuffled": ([], _ADAM_KEYS + ["blocks", "seed"]),
+    "adam_averaged": ([], _ADAM_KEYS + ["blocks"]), "momentum_sign": ([], ["step", "beta1"]),
 }
 
 
@@ -1128,6 +1155,7 @@ def _run_configs(draw):
         "step": (st.sampled_from(["inv_sqrt", {"constant": 0.1}])
                  if method in ("signgd", "signsgd") else st.sampled_from([0.05, 1.0])),
         "beta1": st.sampled_from([0.0, 0.9]),
+        "beta2": st.sampled_from([0.0, 0.999]),
         "epsilon": st.sampled_from([0.0, 1e-8]),
         "seed": st.integers(0, 5),
     }
@@ -1210,6 +1238,16 @@ def _main_obeys_exit_contract(argv) -> tuple[int, str]:
 
 
 class TestExitCodeContract:
+    def test_fuzzed_method_keys_are_the_methods_fields(self):
+        # the strategies draw each method's keys from _METHOD_KEYS; the CLI reads them from cli._METHODS
+        def split(table):
+            required = {key for key, (_, default) in table.items() if default is REQUIRED}
+            return sorted(required), sorted(table.keys() - required)
+
+        assert {m: (sorted(req), sorted(opt)) for m, (req, opt) in _METHOD_KEYS.items()} == {
+            m: split(table) for m, (table, _) in cli._METHODS.items()
+        }
+
     @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(cfg=_run_configs())
     @example(cfg={"problem": QUAD3, "optimizer": {"method": "blocknorm", "blocks": 3}, "T": 3})

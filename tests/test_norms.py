@@ -436,6 +436,18 @@ def test_blockmax_is_bit_identical_to_list_indexing(blocks):
         assert steepest_op(z, kind).tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("blocks", [
+    ((0, 1, 2, 3), (4, 5, 6, 7)),
+    ((0, 2, 4, 6), (1, 3, 5, 7)),
+], ids=str)
+def test_blockmax_rows_are_bit_identical_to_dual_norm(blocks):
+    # a trace's dual column comes from the rows kernel, a run's stopping test from dual_norm
+    kind = BlockMax(BlockPartition(blocks))
+    X = np.random.default_rng(0).standard_normal((1000, 8))
+    each = np.array([dual_norm(x, kind) for x in X])
+    assert dual_norm_rows(X, kind).tobytes() == each.tobytes()
+
+
 class TestJson:
     @pytest.mark.parametrize("obj, kind", zip(
         ["euclidean", "max", "one", {"weighted": [0.5, 1, 2, 4]}, {"blockmax": [[0, 1], [2, 3]]}],
