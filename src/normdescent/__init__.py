@@ -4,9 +4,7 @@ smoothness-geometry analysis and benchmark experiments."""
 from .analysis import (
     SmoothnessReport,
     analyze,
-    improvement_ratio,
     linf_bruteforce,
-    lsep_exact_2x2,
     lsep_rowsum,
     rho_diag,
     smoothness_constant,
@@ -34,7 +32,6 @@ from .norms import (
     One,
     WeightedDiag,
     dual_norm,
-    gradient_density,
     kind_from_json,
     norm,
     sign_unit,

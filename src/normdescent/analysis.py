@@ -1,10 +1,9 @@
 """Hessian geometry for sign-based methods.
 
-Computes the exact max-norm smoothness constant of a quadratic by sign
-enumeration, the diagonal-concentration ratio, eigenvalue-based upper and
-lower bounds on that constant, per-coordinate (separable) surrogates, an
-upper bound for the block-max geometry, and the local improvement ratio
-between sign descent and gradient descent.
+Computes the exact max-norm smoothness constant of a quadratic (from its
+column sign patterns, else by sign enumeration), the diagonal-concentration
+ratio, eigenvalue-based upper and lower bounds on that constant, the
+row-sum separable surrogate, and an upper bound for the block-max geometry.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .norms import (
     NormKind,
     One,
     WeightedDiag,
-    gradient_density,
     sign_unit,
 )
 
@@ -35,8 +33,6 @@ __all__ = [
     "linf_bruteforce",
     "rho_diag",
     "lsep_rowsum",
-    "lsep_exact_2x2",
-    "improvement_ratio",
     "smoothness_constant",
     "analyze",
 ]
@@ -50,12 +46,13 @@ class SmoothnessReport:
     """Smoothness constants and bounds of a quadratic with matrix H.
 
     ``L2`` is the largest-magnitude eigenvalue and ``Linf_exact`` the exact
-    max-norm constant (present only when d is within the brute-force cap).
+    max-norm constant (absent when it has no certificate and d exceeds the
+    brute-force cap).
     ``bound_psd`` is the concentration bound (positive semidefinite input
     only), ``bound_sym`` the eigenspace-weighted bound, ``lower_bound`` the
     eigenvector alignment lower bound, and ``lsep_rowsum`` the row-sum
-    separable surrogate.  ``lsep_exact_2x2`` is the closed form available
-    for positive definite 2x2 matrices.
+    separable surrogate, which for a positive definite 2x2
+    [[a, b], [b, d]] is its exact separable constant a + d + 2|b|.
     """
 
     L2: float
@@ -65,7 +62,6 @@ class SmoothnessReport:
     lsep_rowsum: float
     Linf_exact: float | None = None
     bound_psd: float | None = None
-    lsep_exact_2x2: float | None = None
     ratio_dL2_over_Linf: float | None = None
 
     _FIELD_ORDER = (
@@ -76,7 +72,6 @@ class SmoothnessReport:
         "bound_sym",
         "lower_bound",
         "lsep_rowsum",
-        "lsep_exact_2x2",
         "ratio_dL2_over_Linf",
     )
 
@@ -104,8 +99,9 @@ def linf_bruteforce(H: SymMatrix) -> float:
     keeps the walk's bits.  The best of their ||H s||_1 is returned when it
     reaches the bound.  That closes the paper's family I + (lambda - 1) u u'
     (every column has the pattern of +-u, and ||H sign(u)||_1 =
-    sum_ij |H_ij|), every diagonal H and the rotated identity, which then
-    build no sign table.  Otherwise the walk below runs from scratch.
+    sum_ij |H_ij|), every diagonal H and the rotated identity at any d,
+    which then build no sign table.  Otherwise the walk below runs from
+    scratch, and a d above BRUTE_FORCE_CAP raises ValueError instead.
 
     Since ||H(-s)||_1 = ||H s||_1, the walk fixes the last coordinate at
     +1, leaving 2^(d-1) vectors.  The low k = min(d-1, 13) coordinates give
@@ -122,10 +118,6 @@ def linf_bruteforce(H: SymMatrix) -> float:
     where neither test fires, all 2^(d-1) vectors are evaluated.
     """
     d = H.dim
-    if d > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"dimension too large for exact norm: d={d} exceeds cap {BRUTE_FORCE_CAP}"
-        )
     a = H.to_array()
     k = min(d - 1, _TABLE_BITS)
     total = float(np.abs(a).sum())
@@ -135,6 +127,10 @@ def linf_bruteforce(H: SymMatrix) -> float:
     best = float(np.abs(hs).sum(axis=0).max())
     if best * (1.0 + 1e-9) >= total:
         return best
+    if d > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"dimension too large for exact norm: d={d} exceeds cap {BRUTE_FORCE_CAP}"
+        )
     table = a[:, :k] @ _sign_table(k)  # d x 2^k
     z = a[:, k : d - 1] @ _sign_table(d - 1 - k) + a[:, d - 1 :]  # d x blocks
     t_max = table.max(axis=1)[:, None]
@@ -220,16 +216,6 @@ def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:
     return l, float(l.sum())
 
 
-def lsep_exact_2x2(H: SymMatrix) -> float:
-    """Closed form a + d + 2|b| for positive definite [[a, b], [b, d]]."""
-    if H.dim != 2:
-        raise ValueError(f"closed form requires d = 2, got d = {H.dim}")
-    if eigh(H).values[0] <= 0.0:
-        raise ValueError("closed form requires positive definite input")
-    a = H.to_array()
-    return float(a[0, 0] + a[1, 1] + 2.0 * abs(a[0, 1]))
-
-
 def _block_bound(a: np.ndarray, partition: BlockPartition) -> float:
     """Upper bound on the block-max constant of PSD input: the sum of the
     per-block top eigenvalues over rho_block, the fraction of the total
@@ -248,24 +234,12 @@ def _block_bound(a: np.ndarray, partition: BlockPartition) -> float:
     return sum(lam_max) / rho_block
 
 
-def improvement_ratio(L2: float, Linf: float, grad) -> float:
-    """Guaranteed-progress ratio of sign descent over gradient descent.
-
-    Equals gradient_density(grad) * d * L2 / Linf, which is the ratio of the
-    per-step improvement guarantees (||g||_1^2 / Linf) / (||g||_2^2 / L2).
-    """
-    if not (L2 > 0.0 and Linf > 0.0):
-        raise ValueError("smoothness constants must be positive")
-    grad = np.asarray(grad, dtype=float)
-    return gradient_density(grad) * grad.size * L2 / Linf
-
-
 def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
     """Gradient-map Lipschitz constant of f(x) = x'Hx/2 in the given geometry.
 
-    Exact for the Euclidean (largest |eigenvalue|), max (sign enumeration;
-    ValueError above the brute-force cap), one (largest |entry|), and weighted
-    (rescaled spectral norm) geometries.  For block-max geometry the exact
+    Exact for the Euclidean (largest |eigenvalue|), max (linf_bruteforce;
+    ValueError where it needs a walk above the brute-force cap), one
+    (largest |entry|), and weighted (rescaled spectral norm) geometries.  For block-max geometry the exact
     constant has no finite enumeration; the block-concentration upper bound
     is returned, which is still a valid Lipschitz constant.
     """
@@ -296,9 +270,10 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
 def analyze(H: SymMatrix) -> SmoothnessReport:
     """Full smoothness report for a symmetric matrix.
 
-    ``Linf_exact`` and the derived ratio are included only when the
-    dimension is within the brute-force cap.  The zero matrix is rejected
-    (its concentration ratio is undefined).
+    ``Linf_exact`` and the derived ratio are omitted where linf_bruteforce
+    raises its cap error.  The zero matrix is rejected (its concentration
+    ratio is undefined), and so is a matrix whose report holds a value
+    that is not finite (its sums overflow).
     """
     dec = eigh(H)
     values = dec.values
@@ -307,18 +282,13 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
     bound_psd, bound_sym, lower = _linf_bounds_from(values, dec.vectors, rho)
     _, total = lsep_rowsum(H)
 
-    linf_exact = None
-    ratio = None
-    if H.dim <= BRUTE_FORCE_CAP:
+    try:
         linf_exact = linf_bruteforce(H)
-        if linf_exact > 0.0:
-            ratio = H.dim * L2 / linf_exact
+    except ValueError:  # no certificate, and d above the brute-force cap
+        linf_exact = None
+    ratio = H.dim * L2 / linf_exact if linf_exact else None
 
-    lsep_2x2 = None
-    if H.dim == 2 and values[0] > 0.0:
-        lsep_2x2 = lsep_exact_2x2(H)
-
-    return SmoothnessReport(
+    report = SmoothnessReport(
         L2=L2,
         rho_diag=rho,
         bound_sym=bound_sym,
@@ -326,6 +296,9 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
         lsep_rowsum=total,
         Linf_exact=linf_exact,
         bound_psd=bound_psd,
-        lsep_exact_2x2=lsep_2x2,
         ratio_dL2_over_Linf=ratio,
     )
+    for name, value in report.to_json_dict().items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows: matrix entries too large")
+    return report

@@ -250,8 +250,9 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        matrix = parse_matrix_text(text)
-        report = analyze(matrix)
+        with np.errstate(all="ignore"):  # sums that overflow are reported as an input error
+            matrix = parse_matrix_text(text)
+            report = analyze(matrix)
     except (MatrixFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -145,7 +145,7 @@ def _run_cell(cfg: GridConfig, rotations: list[OrthogonalMatrix], li: int, ti: i
     lam = cfg.lambda_max_values[li]
     theta = cfg.theta_values[ti]
     eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
-    try:  # a finite lambda_max can overflow the rotated Hessian, and d can be too large for exact Linf
+    try:  # a finite lambda_max can overflow the rotated Hessian
         H = rotate_spectrum(eigs, rotations[ti])
         L2 = smoothness_constant(H, Euclidean())
         linf = smoothness_constant(H, Max())

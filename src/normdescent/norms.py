@@ -29,7 +29,6 @@ __all__ = [
     "norm",
     "dual_norm",
     "steepest_op",
-    "gradient_density",
     "kind_from_json",
 ]
 
@@ -322,22 +321,6 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     _check_dim(kind, z.size)
     return _kernels(kind)[2](z, 1.0)
-
-
-def gradient_density(z) -> float:
-    """||z||_1^2 / (d ||z||_2^2), clamped into its analytic range [1/d, 1].
-
-    The vector is prescaled by its largest magnitude so that extreme scales
-    can neither overflow nor underflow the intermediate squares.
-    """
-    z = np.asarray(z, dtype=float)
-    m = float(np.abs(z).max(initial=0.0))
-    if m == 0.0:
-        raise ValueError("gradient density undefined for the zero vector")
-    u = z / m
-    r = float(np.abs(u).sum()) / float(np.sqrt(np.dot(u, u)))
-    d = z.size
-    return min(max(r * r / d, 1.0 / d), 1.0)
 
 
 def kind_from_json(obj) -> NormKind:

@@ -17,9 +17,7 @@ from normdescent import (
     analyze,
     eigh,
     exp_skew,
-    improvement_ratio,
     linf_bruteforce,
-    lsep_exact_2x2,
     lsep_rowsum,
     random_skew,
     rho_diag,
@@ -107,7 +105,17 @@ class TestLinfBruteforce:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension too large"):
-            linf_bruteforce(SymMatrix(np.diag(np.ones(25))))
+            linf_bruteforce(_two_spikes(25))
+
+    def test_off_family_above_the_cap_names_the_cap(self):
+        with pytest.raises(ValueError, match=r"^dimension too large for exact norm: d=32 exceeds cap 24$"):
+            linf_bruteforce(_two_spikes(32))
+
+
+def _two_spikes(d: int) -> SymMatrix:
+    """An off-family matrix: spectrum (1, ..., 1, 20, 50) rotated at theta = 0.5,
+    whose column sign patterns stay below the row-sum bound."""
+    return rotated_hessian(np.r_[np.ones(d - 2), 20.0, 50.0], random_skew(d, np.random.default_rng(4)), 0.5)
 
 
 def _count_tables(monkeypatch):
@@ -151,7 +159,7 @@ class TestLinfCertificate:
                 certified += len(built) == before
         assert certified >= 5 and walked >= 5  # both paths ran
 
-    @pytest.mark.parametrize("d", [8, 16, 24])
+    @pytest.mark.parametrize("d", [8, 16, 24, 64])
     def test_closes_the_papers_family_without_a_table(self, monkeypatch, d):
         monkeypatch.setattr(analysis, "_sign_table", _no_tables)
         skew = random_skew(d, np.random.default_rng(d))
@@ -178,8 +186,7 @@ class TestLinfCertificate:
     def test_two_spikes_still_walk(self, monkeypatch):
         # the row sum is loose off the family, so only the walk finds the maximum
         built = _count_tables(monkeypatch)
-        d = 16
-        h = rotated_hessian(np.r_[np.ones(d - 2), 20.0, 50.0], random_skew(d, np.random.default_rng(4)), 0.5)
+        h = _two_spikes(16)
         val = linf_bruteforce(h)
         assert built
         assert val == pytest.approx(bruteforce_oracle(h), rel=1e-12)
@@ -314,15 +321,10 @@ class TestLsep:
             assert linf_bruteforce(h) <= total + 1e-9
 
     def test_exact_2x2_values(self):
-        assert lsep_exact_2x2(H_2x2) == 7.0
-        assert lsep_exact_2x2(SymMatrix(np.diag([1.0, 1.0]))) == 2.0
-        assert lsep_exact_2x2(SymMatrix([[2.0, -1.0], [-1.0, 3.0]])) == 7.0
-
-    def test_exact_2x2_misuse(self):
-        with pytest.raises(ValueError, match="d = 2"):
-            lsep_exact_2x2(SymMatrix(np.diag([1.0, 2.0, 3.0])))
-        with pytest.raises(ValueError, match="positive definite"):
-            lsep_exact_2x2(SymMatrix(np.diag([1.0, -1.0])))
+        # on a 2x2 the separable optimum is the closed form a + d + 2|b|
+        assert lsep_rowsum(H_2x2)[1] == 7.0
+        assert lsep_rowsum(SymMatrix(np.diag([1.0, 1.0])))[1] == 2.0
+        assert lsep_rowsum(SymMatrix([[2.0, -1.0], [-1.0, 3.0]]))[1] == 7.0
 
     def test_rowsum_realizes_2x2_closed_form(self):
         rng = np.random.default_rng(14)
@@ -332,7 +334,7 @@ class TestLsep:
             l, total = lsep_rowsum(h)
             assert l[0] == pytest.approx(a[0, 0] + abs(a[0, 1]), rel=1e-14)
             assert l[1] == pytest.approx(a[1, 1] + abs(a[0, 1]), rel=1e-14)
-            assert total == pytest.approx(lsep_exact_2x2(h), rel=1e-12)
+            assert total == pytest.approx(a[0, 0] + a[1, 1] + 2.0 * abs(a[0, 1]), rel=1e-12)
 
 
 class TestBlockAnalysis:
@@ -357,27 +359,6 @@ class TestBlockAnalysis:
                 SymMatrix(np.diag([1.0, -1.0])),
                 BlockMax(BlockPartition(((0,), (1,)))),
             )
-
-
-class TestImprovementRatio:
-    def test_dense_gradient(self):
-        assert improvement_ratio(1.0, 1.0, [1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_sparse_gradient_cancels_dimension(self):
-        assert improvement_ratio(3.0, 5.0, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(3.0 / 5.0)
-
-    def test_two_formulations_agree(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            g = rng.standard_normal(6)
-            L2 = rng.uniform(0.5, 5.0)
-            linf = rng.uniform(L2, 6.0 * L2)
-            direct = (np.abs(g).sum() ** 2 / linf) / ((g @ g) / L2)
-            assert improvement_ratio(L2, linf, g) == pytest.approx(direct, rel=1e-12)
-
-    def test_zero_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            improvement_ratio(1.0, 1.0, np.zeros(3))
 
 
 class TestSmoothnessConstant:
@@ -416,7 +397,6 @@ class TestAnalyze:
         assert rep.rho_diag == pytest.approx(5.0 / 7.0)
         assert rep.bound_psd == pytest.approx(7.0, rel=1e-12)
         assert rep.lsep_rowsum == 7.0
-        assert rep.lsep_exact_2x2 == 7.0
         assert rep.ratio_dL2_over_Linf == pytest.approx(2 * rep.L2 / 7.0, rel=1e-12)
 
     def test_report_invariants(self):
@@ -430,17 +410,28 @@ class TestAnalyze:
             assert rep.Linf_exact <= min(rep.bound_psd, rep.bound_sym) + 1e-9
 
     def test_large_dimension_omits_exact_norm(self):
-        h = SymMatrix(np.diag(np.ones(30)))
-        rep = analyze(h)
+        rep = analyze(_two_spikes(30))
         assert rep.Linf_exact is None
         assert rep.ratio_dL2_over_Linf is None
         assert "Linf_exact" not in rep.to_json_dict()
+
+    def test_family_above_the_cap_reports_exact_norm(self):
+        # the column check certifies the paper's family at any d, with no walk
+        h = rotated_hessian(np.r_[np.ones(29), 50.0], random_skew(30, np.random.default_rng(30)), 0.5)
+        rep = analyze(h)
+        assert rep.Linf_exact == pytest.approx(np.abs(h.to_array()).sum(), rel=1e-12)
+        assert rep.ratio_dL2_over_Linf == pytest.approx(30 * rep.L2 / rep.Linf_exact, rel=1e-12)
+
+    def test_overflowing_sums_are_rejected_naming_the_value(self):
+        h = SymMatrix(np.full((3, 3), 5e307))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^\w+ overflows: matrix entries too large$"):
+            analyze(h)
 
     def test_json_dict_order_and_presence(self):
         fields = list(analyze(H_2x2).to_json_dict())
         assert fields == [
             "L2", "Linf_exact", "rho_diag", "bound_psd", "bound_sym",
-            "lower_bound", "lsep_rowsum", "lsep_exact_2x2", "ratio_dL2_over_Linf",
+            "lower_bound", "lsep_rowsum", "ratio_dL2_over_Linf",
         ]
 
 

@@ -19,7 +19,8 @@ import normdescent
 from normdescent import analysis, cli, problems
 from normdescent._json import REQUIRED
 from normdescent import (
-    Euclidean, Max, SymMatrix, make_quadratic, quad_oracle, run_steepest_descent, smoothness_constant,
+    Euclidean, Max, SymMatrix, exp_skew, make_quadratic, quad_oracle, random_skew, rotated_hessian,
+    run_steepest_descent, smoothness_constant,
 )
 from normdescent.optimizers import ROW_CHUNK, DivergenceError, Trace
 from normdescent.experiments import GRID_CSV_HEADER, GridConfig, grid_csv_lines, run_quad_grid
@@ -66,7 +67,7 @@ class TestAnalyze:
         report = json.loads(res.stdout)
         assert report["Linf_exact"] == 7.0
         assert report["rho_diag"] == pytest.approx(5.0 / 7.0)
-        assert report["lsep_exact_2x2"] == 7.0
+        assert report["lsep_rowsum"] == 7.0
         assert report["bound_psd"] == pytest.approx(7.0, rel=1e-12)
 
     def test_identity(self, tmp_path):
@@ -104,14 +105,33 @@ class TestAnalyze:
         assert "undefined" in res.stderr
 
     def test_large_dimension_warns_and_omits_exact(self, tmp_path):
+        # off the paper's family: no column sign pattern certifies Linf, and d is above the walk's cap
         d = 26
-        rows = "\n".join(" ".join("1" if i == j else "0" for j in range(d)) for i in range(d))
+        h = rotated_hessian(np.r_[np.ones(d - 2), 20.0, 50.0], random_skew(d, np.random.default_rng(4)), 0.5)
+        rows = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in h.to_array())
         path = tmp_path / "big.txt"
         path.write_text(f"{d}\n{rows}\n")
         res = run_cli(["analyze", str(path)], tmp_path)
         assert res.returncode == 0, res.stderr
         assert "Linf_exact" not in json.loads(res.stdout)
         assert "cap" in res.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # finite entries whose reported sums overflow
+            ("3\n" + "5e307 5e307 5e307\n" * 3, "error: Linf_exact overflows: matrix entries too large"),
+            # finite entries whose symmetrised mean overflows
+            ("2\n" + "1e308 1e308\n" * 2, "error: matrix entries must be finite"),
+        ],
+    )
+    def test_overflowing_sums_exit_2_with_one_error_line(self, tmp_path, text, message):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        res = run_cli(["analyze", str(path)], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [message]
 
 
 RUN_CFG = {
@@ -206,6 +226,26 @@ class TestRun:
         tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10, x_star=np.zeros(4))
         assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
 
+    def test_default_max_L_above_the_walk_cap(self, tmp_path):
+        # the paper's family is certified by its column sign patterns at any d:
+        # Linf is the row-sum bound sum_ij |H_ij|, with no enumeration
+        d = 25
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": d, "lambda_max": 2.0, "theta": 0.5, "seed": 5}},
+            "optimizer": {"method": "signgd_normscaled"},
+            "T": 10,
+            "x0_seed": 2,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        p = make_quadratic(d, 2.0, 0.5, seed=5)
+        linf = smoothness_constant(p.matrix, Max())
+        assert linf == pytest.approx(np.abs(p.matrix.to_array()).sum(), rel=1e-12)
+        x0 = np.random.default_rng(2).standard_normal(d)
+        tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10, x_star=np.zeros(d))
+        assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
+
     def test_no_unused_max_norm_constant_is_computed(self, tmp_path, monkeypatch):
         # neither building a quadratic nor a method outside the max geometry
         # may enumerate sign vectors, at the cap or above it
@@ -282,10 +322,9 @@ class TestRun:
             {"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": 1, "eps": 0}},
             {"problem": COSH2, "optimizer": {"method": "relaxed_nsd", "L0": 1, "L1": -1}},
             {"problem": COSH2, "optimizer": {"method": "gd", "L": 1.0}, "x0": [800, 0]},
-            {"problem": {"quadratic": {"d": 25, "lambda_max": 2.0}},
-             "optimizer": {"method": "signgd_normscaled"}},
             # epsilon 0 with a zero gradient coordinate: rejected by the runner itself
             {"problem": COSH2, "optimizer": {"method": "adam", "epsilon": 0}, "x0": [0, 1]},
+            {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": 0},
         ],
     )
     def test_mistyped_or_out_of_range_exits_2(self, tmp_path, cfg):
@@ -808,14 +847,20 @@ class TestQuadGrid:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
 
-    def test_dimension_cap_exits_2(self, tmp_path):
+    def test_above_the_walk_cap_prints_the_closed_form_linf(self, tmp_path):
+        # every cell of the family is closed by the column check, at any d
+        d = 25
         cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps(dict(GRID_CFG, d=25)))
+        cfg.write_text(json.dumps(dict(GRID_CFG, d=d)))
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        [line] = res.stderr.splitlines()
-        assert line.startswith("error: ") and "exceeds cap 24" in line
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == GRID_CSV_HEADER and len(lines) == 5
+        skew = random_skew(d, np.random.default_rng(GRID_CFG["skew_seed"]))
+        for line in lines[1:]:
+            lam, theta, _, linf = map(float, line.split(",")[:4])
+            u1 = float(np.abs(exp_skew(skew, theta).entries[:, -1]).sum())
+            assert linf == pytest.approx(d + (lam - 1.0) * u1 * u1, rel=1e-12)
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "grid.json"
@@ -1203,9 +1248,11 @@ def _matrix_texts(draw):
     entry = st.floats(-5.0, 5.0, allow_nan=False)
     a = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
     a = a + a.T
-    fault = draw(st.sampled_from(["none", "ragged", "text", "nonfinite", "asymmetric", "zero"]))
+    fault = draw(st.sampled_from(["none", "ragged", "text", "nonfinite", "asymmetric", "zero", "huge"]))
     if fault == "zero":
         a[:] = 0.0
+    if fault == "huge":  # finite entries whose sums may overflow
+        a = a * 1e307
     if fault == "asymmetric" and d > 1:
         a[0, 1] += draw(st.sampled_from([2e-12, 1e-6, 1.0]))
     rows = [[f"{v:.17g}" for v in row] for row in a]
@@ -1279,6 +1326,8 @@ class TestExitCodeContract:
 
     @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(text=_matrix_texts())
+    @example(text="3\n" + "5e307 5e307 5e307\n" * 3)
+    @example(text="2\n" + "1e308 1e308\n" * 2)
     def test_analyze_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "m.txt"
         path.write_text(text)

@@ -17,6 +17,7 @@ from normdescent import (
     make_quadratic,
     quad_noisy_oracle,
     quad_oracle,
+    random_skew,
     run_quad_grid,
     run_steepest_descent,
     smoothness_constant,
@@ -256,7 +257,12 @@ def test_diverging_grid_raises_no_runtime_warning():
             run_quad_grid(cfg)
 
 
-def test_grid_above_the_exact_linf_cap_names_the_cell_and_the_cap():
-    cfg = GridConfig(d=25, lambda_max_values=(2.0,), theta_values=(0.5,), T=3, repeats=2)
-    with pytest.raises(ValueError, match=r"^cell lambda_max=2 theta=0\.5: .*exceeds cap 24"):
-        run_quad_grid(cfg)
+def test_grid_above_the_walk_cap_has_the_closed_form_linf():
+    # the column check closes every cell of the family, so no cell needs the walk's cap
+    cfg = GridConfig(d=25, lambda_max_values=(2.0, 50.0), theta_values=(0.0, 0.5), T=3, repeats=2)
+    skew = random_skew(cfg.d, np.random.default_rng(cfg.skew_seed))
+    u1 = {theta: float(np.abs(exp_skew(skew, theta).entries[:, -1]).sum()) for theta in cfg.theta_values}
+    cells = run_quad_grid(cfg)
+    assert len(cells) == 4
+    for c in cells:
+        assert c.Linf == pytest.approx(cfg.d + (c.lambda_max - 1.0) * u1[c.theta] ** 2, rel=1e-12)

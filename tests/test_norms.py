@@ -2,9 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from normdescent import (
     BlockMax,
@@ -14,7 +11,6 @@ from normdescent import (
     One,
     WeightedDiag,
     dual_norm,
-    gradient_density,
     kind_from_json,
     norm,
     sign_unit,
@@ -348,33 +344,6 @@ class TestHoelder:
             assert l2 <= l1 + eps
             assert l1 <= math.sqrt(d) * l2 + eps
             assert math.sqrt(d) * l2 <= d * linf + eps
-
-
-finite_vecs = arrays(
-    np.float64,
-    st.integers(min_value=1, max_value=8),
-    elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-)
-
-
-class TestGradientDensity:
-    def test_examples(self):
-        assert gradient_density([1.0, 1.0, 1.0, 1.0]) == pytest.approx(1.0)
-        assert gradient_density([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-        assert gradient_density([3.0, 4.0]) == pytest.approx(0.98)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_density(np.zeros(3))
-
-    @settings(deadline=None)
-    @given(finite_vecs, st.floats(min_value=-1e3, max_value=1e3).filter(lambda c: abs(c) > 1e-3))
-    def test_scale_invariance_and_range(self, z, c):
-        if not np.any(z):
-            return
-        val = gradient_density(z)
-        assert 1.0 / z.size <= val <= 1.0
-        assert gradient_density(c * z) == pytest.approx(val, rel=1e-12)
 
 
 class TestBlockPartition:
