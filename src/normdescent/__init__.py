@@ -39,9 +39,7 @@ from .norms import (
 )
 from .optimizers import (
     AdamConfig,
-    Constant,
     DivergenceError,
-    InvSqrt,
     RateCheck,
     Trace,
     adam_gamma,

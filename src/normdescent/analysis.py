@@ -241,8 +241,16 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
     ValueError where it needs a walk above the brute-force cap), one
     (largest |entry|), and weighted (rescaled spectral norm) geometries.  For block-max geometry the exact
     constant has no finite enumeration; the block-concentration upper bound
-    is returned, which is still a valid Lipschitz constant.
+    is returned, which is still a valid Lipschitz constant.  A constant
+    that overflows raises ValueError.
     """
+    value = _smoothness_value(H, kind)
+    if not math.isfinite(value):
+        raise ValueError("smoothness constant overflows: matrix entries too large")
+    return value
+
+
+def _smoothness_value(H: SymMatrix, kind: NormKind) -> float:
     a = H.to_array()
     if isinstance(kind, Euclidean):
         dec = eigh(H)

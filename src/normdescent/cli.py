@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,10 +31,7 @@ from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, kind
 from .optimizers import (
     ROW_CHUNK,
     AdamConfig,
-    Constant,
     DivergenceError,
-    InvSqrt,
-    StepSchedule,
     Trace,
     run_adam_family,
     run_normalized_sd,
@@ -93,8 +90,8 @@ def _trace_csv_lines(trace: Trace) -> Iterator[str]:
     for start in range(0, n, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n)
         part = slice(start, stop)
-        dist = repeat(math.nan) if trace.dist_sq is None else trace.dist_sq[part].tolist()
-        rows = zip(range(start, stop), trace.f[part].tolist(), trace.dual_grad_norm[part].tolist(), dist)
+        columns = (trace.f, trace.dual_grad_norm, trace.dist_sq)
+        rows = zip(range(start, stop), *(column[part].tolist() for column in columns))
         template = _TRACE_ROWS if stop - start == ROW_CHUNK else "\n".join([_TRACE_ROW] * (stop - start))
         yield template % tuple(chain.from_iterable(rows))
 
@@ -129,11 +126,12 @@ def _norm_kind(obj) -> NormKind:
         raise TypeError(f"must be a norm kind, got {obj!r}") from exc
 
 
-def _schedule(obj) -> StepSchedule:
+def _schedule(obj) -> float | None:
+    """The constant step of a step schedule, or None for 1/sqrt(t + 1)."""
     if obj is None or obj == "inv_sqrt":
-        return InvSqrt()
+        return None
     if isinstance(obj, dict):
-        return Constant(read_fields(obj, "step schedule", {"constant": (json_number, REQUIRED)})["constant"])
+        return read_fields(obj, "step schedule", {"constant": (json_number, REQUIRED)})["constant"]
     raise ValueError(f"unrecognized step schedule: {obj!r}")
 
 
@@ -170,9 +168,9 @@ def _build_problem(obj):
 
 
 def _runner(run, *args, **kwargs):
-    """The closure (oracle, x0, T, x_star) -> Trace of ``run`` with its other
+    """The closure (oracle, x0, T) -> Trace of ``run`` with its other
     arguments bound."""
-    return lambda oracle, x0, T, x_star: run(oracle, *args, x0=x0, T=T, x_star=x_star, **kwargs)
+    return lambda oracle, x0, T: run(oracle, *args, x0=x0, T=T, **kwargs)
 
 
 def _with_L(run, problem, kind: NormKind, L):
@@ -193,7 +191,7 @@ def _adam(variant: str):
 
 _L = {"L": (json_number, None)}
 _NORM = {"norm": (_norm_kind, Max())}
-_SIGN = ({"step": (_schedule, InvSqrt())}, lambda problem, step: _runner(run_signsgd, step))
+_SIGN = ({"step": (_schedule, None)}, lambda problem, step: _runner(run_signsgd, step))
 _MOMENTUM = {"step": (json_number, 1e-3), "beta1": (json_number, AdamConfig.beta1)}
 _MOMENTS = {**_MOMENTUM, "beta2": (json_number, AdamConfig.beta2), "epsilon": (json_number, AdamConfig.epsilon)}
 _BLOCKS = {"blocks": (_or_null(_partition), None)}
@@ -266,10 +264,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        with np.errstate(all="ignore"):  # an overflowing Hessian is reported as an input error
+        with np.errstate(all="ignore"):  # an overflowing Hessian or L is reported as an input error
             cfg = read_fields(_load_json(args.config), "config", _RUN_FIELDS)
-        (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
-        runner = build(problem, **params)
+            (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
+            runner = build(problem, **params)
         if cfg["T"] < 1:
             raise ValueError("T must be positive")
         d = problem.dim
@@ -284,10 +282,9 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    x_star = np.zeros(d)
     try:
         with np.errstate(all="ignore"):  # the runner's finiteness checks report divergence
-            trace = runner(oracle, x0, cfg["T"], x_star)
+            trace = runner(oracle, x0, cfg["T"])
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if _write_lines(_trace_csv_lines(exc.trace), args.out) else 2

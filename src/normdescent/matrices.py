@@ -48,8 +48,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class SymMatrix:
     """Real symmetric d x d matrix, held as one read-only array.
 
-    The constructor averages its input with its transpose.  Floating-point
-    addition is commutative, so entry (i, j) and entry (j, i) are the same
+    The constructor averages its input with its transpose, halving before
+    adding when the sum overflows.  Floating-point addition is
+    commutative, so entry (i, j) and entry (j, i) are the same
     float by construction rather than by convention.  Instances are
     immutable.
     """
@@ -66,9 +67,12 @@ class SymMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
-        sym = 0.5 * (a + a.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (a + a.T)
         if not np.isfinite(sym).all():
-            raise ValueError("matrix entries must be finite")
+            if not np.isfinite(a).all():
+                raise ValueError("matrix entries must be finite")
+            sym = 0.5 * a + 0.5 * a.T  # a + a.T overflowed: halving first cannot, and is as symmetric
         self.dim = a.shape[0]
         self._a = _readonly(sym)
 

@@ -10,16 +10,17 @@ shuffled and averaged magnitude variants.
 
 Every run_* method is an update rule handed to one step loop, which
 records per iterate the objective value, the dual gradient norm in the
-run's geometry, and (when the optimum is known) the squared Euclidean
-distance to it.  The batched steepest descent advances a (K, R, d) stack
-of starting points at once, each of the K slices with its own step size,
-and records nothing but the final iterates and each slice's divergence.
+run's geometry, and the squared Euclidean distance to the origin, the
+optimum of both problem families.  The batched steepest descent advances
+a (K, R, d) stack of starting points at once, each of the K slices with
+its own step size, and records nothing but the final iterates and each
+slice's divergence.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -32,10 +33,6 @@ from .problems import Oracle, OverflowGuardError
 __all__ = [
     "Trace",
     "DivergenceError",
-    "Constant",
-    "InvSqrt",
-    "StepSchedule",
-    "schedule_value",
     "AdamConfig",
     "RateCheck",
     "BatchOracle",
@@ -64,17 +61,14 @@ BatchOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 class Trace:
     """Per-iteration record of a run; arrays have one row per iterate.
 
-    ``dist_sq`` is the squared Euclidean distance to the known optimum and
-    is None when no optimum was supplied.  ``hit_index`` marks the first
-    iterate whose dual gradient norm reached a requested threshold (set by
-    the soft-normalized runner only).
+    ``dist_sq`` is the squared Euclidean distance to the origin.  A run
+    that stops on a dual-norm threshold stops at its last row.
     """
 
     f: np.ndarray
     dual_grad_norm: np.ndarray
-    dist_sq: np.ndarray | None
+    dist_sq: np.ndarray
     x_final: np.ndarray
-    hit_index: int | None = None
 
     def __len__(self) -> int:
         return self.f.size
@@ -96,31 +90,6 @@ class DivergenceError(RuntimeError):
         self.reason = reason
 
 
-@record
-class Constant:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("constant step size must be positive and finite")
-
-
-@record
-class InvSqrt:
-    """alpha_t = 1/sqrt(t + 1)."""
-
-
-StepSchedule = Union[Constant, InvSqrt]
-
-
-def schedule_value(schedule: StepSchedule, t: int) -> float:
-    if isinstance(schedule, Constant):
-        return schedule.alpha
-    if isinstance(schedule, InvSqrt):
-        return 1.0 / math.sqrt(t + 1.0)
-    raise TypeError(f"unknown step schedule: {schedule!r}")
-
-
 def _start(x0) -> np.ndarray:
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or not np.isfinite(x).all():
@@ -132,11 +101,9 @@ def _drive(
     oracle: Oracle,
     x0,
     T: int,
-    x_star,
     kind: NormKind,
     update: Callable,
     stop_tol: float | None = None,
-    mark_hit: bool = False,
 ) -> Trace:
     """The step loop of the run_* methods.
 
@@ -144,16 +111,16 @@ def _drive(
     the next row of the chunk's buffers.  A non-finite value or gradient,
     or an iterate past the oracle's overflow guard, aborts with rows
     0..t-1; a value above F_BLOWUP, with rows 0..t.  With ``stop_tol``, the
-    step stores dual = ||g_t||* in ``kind`` in place of g_t, and the run
-    stops once it is at most ``stop_tol`` (t is the hit index when
-    ``mark_hit``).
+    step computes dual = ||g_t||* in ``kind``, and the run stops once it is
+    at most ``stop_tol``.
     Otherwise, while t < T, x_{t+1} = update(x_t, g_t, t, dual), dual being
     None without ``stop_tol``; updates return new arrays, so no iterate
     handed to the oracle changes.  When a chunk is full, and when the run
-    ends, the other dual norms and the squared distances to ``x_star`` are
+    ends, the dual norms and the squared distances to the origin are
     reduced over the chunk's rows and the rows are reused, so a run holds
     three floats per step.  Each row reduces on its own, so the result does
-    not depend on where the chunks split.
+    not depend on where the chunks split, and a row's dual norm has the
+    bits of the dual a stopping run computed for it.
 
     The dimension is checked against ``kind`` once, before the loop.  The
     loop takes dual (a Python float) and the chunks' dual norms from the
@@ -169,34 +136,27 @@ def _drive(
     _check_dim(kind, x.size)
     dual_kernel, rows_kernel, _ = _kernels(kind)
     ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
     X = np.empty((rows, x.size))
-    D = None if stop_tol is None else np.empty(rows)
-    G = np.empty((rows, x.size)) if D is None else None
+    G = np.empty((rows, x.size))
     f_parts: list[np.ndarray] = []  # each reduced chunk's part of the trace's columns
     dual_parts: list[np.ndarray] = []
     dist_parts: list[np.ndarray] = []
 
     def reduce_chunk(n: int) -> None:
         f_parts.append(F[:n].copy())
-        dual_parts.append(D[:n].copy() if D is not None else rows_kernel(G[:n]))
-        if x_star is not None:
-            delta = X[:n] - x_star
-            dist_parts.append(_row_dots(delta, delta))
+        dual_parts.append(rows_kernel(G[:n]))
+        dist_parts.append(_row_dots(X[:n], X[:n]))
 
     def joined(parts: list[np.ndarray]) -> np.ndarray:
         column = np.concatenate(parts)
         parts.clear()  # frees a column's parts before the next column is joined
         return _frozen(column)
 
-    def trace(n: int, x: np.ndarray, hit: int | None = None) -> Trace:
+    def trace(n: int, x: np.ndarray) -> Trace:
         reduce_chunk(n)
-        f, dual = joined(f_parts), joined(dual_parts)
-        dist = None if x_star is None else joined(dist_parts)
-        return Trace(f, dual, dist, _frozen(x.copy()), hit)
+        return Trace(joined(f_parts), joined(dual_parts), joined(dist_parts), _frozen(x.copy()))
 
     dual = None
     for start in range(0, T + 1, rows):
@@ -212,14 +172,13 @@ def _drive(
             # one sum per step; the elementwise test runs only when the sum is not finite
             if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
                 raise DivergenceError(t, trace(i, x), "non-finite objective or gradient")
-            if D is not None:
-                dual = D[i] = float(dual_kernel(g))
-            else:
-                G[i] = g
+            G[i] = g
             if f > F_BLOWUP:
                 raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
-            if dual is not None and dual <= stop_tol:
-                return trace(i + 1, x, t if mark_hit else None)
+            if stop_tol is not None:
+                dual = float(dual_kernel(g))
+                if dual <= stop_tol:
+                    return trace(i + 1, x)
             if t == T:
                 return trace(i + 1, x)
             x = update(x, g, t, dual)
@@ -232,9 +191,8 @@ def run_steepest_descent(
     L: float,
     x0,
     T: int,
-    x_star=None,
 ) -> Trace:
-    """Constant-step steepest descent: x <- x - P(grad)/L for T steps."""
+    """Steepest descent with a constant step: x <- x - P(grad)/L for T steps."""
     if not 0.0 < L < math.inf:
         raise ValueError("smoothness constant must be positive and finite")
     step = _kernels(kind)[2]
@@ -243,7 +201,7 @@ def run_steepest_descent(
     def update(x, g, t, _):
         return x - step(g, L)
 
-    return _drive(oracle, x0, T, x_star, kind, update)
+    return _drive(oracle, x0, T, kind, update)
 
 
 def steepest_descent_stack(
@@ -253,7 +211,7 @@ def steepest_descent_stack(
     X0,
     T: int,
 ) -> tuple[np.ndarray, list[tuple[int, str] | None]]:
-    """Constant-step steepest descent on a stack of independent batches.
+    """Steepest descent with constant steps on a stack of independent batches.
 
     X0 has shape (K, R, d), and L one positive constant per slice; the
     oracle maps (K, R, d) iterates to (K, R) values and (K, R, d)
@@ -307,7 +265,6 @@ def run_normalized_sd(
     L: float,
     x0,
     T: int,
-    x_star=None,
 ) -> Trace:
     """Normalized steepest descent with the decreasing schedule 1/sqrt(t+1).
 
@@ -318,13 +275,12 @@ def run_normalized_sd(
     """
     if not 0.0 < L < math.inf:
         raise ValueError("smoothness constant must be positive and finite")
-    schedule = InvSqrt()
     step = _kernels(kind)[2]
 
     def update(x, g, t, dual):
-        return x - step(g, dual, dual) * np.array(schedule_value(schedule, t) / L)
+        return x - step(g, dual, dual) * np.array(1.0 / math.sqrt(t + 1.0) / L)
 
-    return _drive(oracle, x0, T, x_star, kind, update, stop_tol=STATIONARY_TOL)
+    return _drive(oracle, x0, T, kind, update, stop_tol=STATIONARY_TOL)
 
 
 def run_relaxed_nsd(
@@ -335,14 +291,12 @@ def run_relaxed_nsd(
     x0,
     T: int,
     eps: float,
-    x_star=None,
 ) -> Trace:
     """Soft-normalized steepest descent for gradient-growing curvature.
 
     Update: x <- x - P(grad) / (5*L0 + 4*L1*||grad||*).  Runs until the dual
-    gradient norm reaches eps or T steps elapse; the first-hit iterate index
-    is recorded on the trace.  With L1 = 0 this is steepest descent with
-    constant 5*L0.
+    gradient norm reaches eps, at the trace's last row, or T steps elapse.
+    With L1 = 0 this is steepest descent with constant 5*L0.
     """
     if not 0.0 < L0 < math.inf:
         raise ValueError("L0 must be positive and finite")
@@ -355,29 +309,31 @@ def run_relaxed_nsd(
     def update(x, g, t, dual):
         return x - step(g, 5.0 * L0 + 4.0 * L1 * dual, dual)
 
-    return _drive(oracle, x0, T, x_star, kind, update, stop_tol=eps, mark_hit=True)
+    return _drive(oracle, x0, T, kind, update, stop_tol=eps)
 
 
 def run_signsgd(
     oracle: Oracle,
-    schedule: StepSchedule,
+    step: float | None,
     x0,
     T: int,
-    x_star=None,
 ) -> Trace:
     """Sign descent on (possibly stochastic) gradients: x <- x - alpha_t sign(g).
 
-    The trace records the one-norm of the oracle's gradient (the dual norm
-    of the max geometry); for stochastic oracles this is the norm of the
-    sampled estimate.
+    alpha_t is the constant ``step``, a positive finite float, or
+    1/sqrt(t + 1) when ``step`` is None.  The trace records the one-norm of
+    the oracle's gradient (the dual norm of the max geometry); for
+    stochastic oracles this is the norm of the sampled estimate.
     """
-    alpha = np.array(schedule.alpha) if isinstance(schedule, Constant) else None
+    if step is not None and not 0.0 < step < math.inf:
+        raise ValueError("constant step size must be positive and finite")
+    alpha = None if step is None else np.array(step, dtype=float)
 
     def update(x, g, t, _):
-        step = alpha if alpha is not None else np.array(schedule_value(schedule, t))
-        return x - step * sign_unit(g)
+        a = alpha if alpha is not None else np.array(1.0 / math.sqrt(t + 1.0))
+        return x - a * sign_unit(g)
 
-    return _drive(oracle, x0, T, x_star, Max(), update)
+    return _drive(oracle, x0, T, Max(), update)
 
 
 def adam_gamma(m, v, epsilon: float) -> np.ndarray:
@@ -435,7 +391,6 @@ def run_adam_family(
     x0,
     T: int,
     rng: np.random.Generator,
-    x_star=None,
 ) -> Trace:
     """Moving-average methods: m_t, v_t recursions plus the variant update.
 
@@ -481,7 +436,7 @@ def run_adam_family(
             gamma[idx] = seg
         return x - step * (gamma * sign_unit(m))
 
-    return _drive(oracle, x, T, x_star, Max(), update)
+    return _drive(oracle, x, T, Max(), update)
 
 
 @record

@@ -121,8 +121,8 @@ class TestAnalyze:
         [
             # finite entries whose reported sums overflow
             ("3\n" + "5e307 5e307 5e307\n" * 3, "error: Linf_exact overflows: matrix entries too large"),
-            # finite entries whose symmetrised mean overflows
-            ("2\n" + "1e308 1e308\n" * 2, "error: matrix entries must be finite"),
+            # finite entries whose largest eigenvalue overflows
+            ("2\n" + "1e308 1e308\n" * 2, "error: L2 overflows: matrix entries too large"),
         ],
     )
     def test_overflowing_sums_exit_2_with_one_error_line(self, tmp_path, text, message):
@@ -132,6 +132,17 @@ class TestAnalyze:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [message]
+
+    def test_entry_whose_doubled_value_overflows_is_reported(self, tmp_path):
+        # 1e308 + 1e308 overflows, but the symmetrised matrix halves before it adds
+        path = tmp_path / "huge.txt"
+        path.write_text("1\n1e308\n")
+        res = run_cli(["analyze", str(path)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads(res.stdout)
+        assert report["L2"] == 1e308 and report["ratio_dL2_over_Linf"] == 1.0
+        assert '"L2": 1e+308' in res.stdout
 
 
 RUN_CFG = {
@@ -205,7 +216,7 @@ class TestRun:
         p = make_quadratic(4, 8.0, 0.3, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
         L2 = smoothness_constant(p.matrix, Euclidean())
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, x0, 10, x_star=np.zeros(4))
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, x0, 10)
         f_row3 = float(res.stdout.splitlines()[4].split(",")[1])
         assert f_row3 == tr.f[3]
 
@@ -223,7 +234,7 @@ class TestRun:
         p = make_quadratic(4, 8.0, 0.3, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
         linf = smoothness_constant(p.matrix, Max())
-        tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10, x_star=np.zeros(4))
+        tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10)
         assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
 
     def test_default_max_L_above_the_walk_cap(self, tmp_path):
@@ -243,7 +254,7 @@ class TestRun:
         linf = smoothness_constant(p.matrix, Max())
         assert linf == pytest.approx(np.abs(p.matrix.to_array()).sum(), rel=1e-12)
         x0 = np.random.default_rng(2).standard_normal(d)
-        tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10, x_star=np.zeros(d))
+        tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10)
         assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
 
     def test_no_unused_max_norm_constant_is_computed(self, tmp_path, monkeypatch):
@@ -467,16 +478,29 @@ class TestRun:
         assert t == "0" and all(math.isfinite(float(v)) for v in (f, dist))
         assert 1e299 < float(dual) < 1e302
 
-    def test_overflowing_hessian_exits_2(self, tmp_path):
+    def test_huge_hessian_diverges_at_step_0(self, tmp_path):
+        # the Hessian's entries are finite, so its run starts and blows up at once
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "problem": {"quadratic": {"d": 3, "lambda_max": 1e308, "theta": 0.5}},
             "optimizer": {"method": "gd"},
         }))
         res = run_cli(["run", "--config", str(cfg)], tmp_path)
-        assert res.returncode == 2, res.stderr
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.splitlines() == ["error: divergence at step 0: objective 6.192e+305 exceeded 1e+12"]
+        lines = res.stdout.splitlines()
+        assert lines[0] == "t,f,dual_grad_norm,dist_sq" and len(lines) == 2 and lines[1].startswith("0,")
+
+    def test_overflowing_default_L_exits_2_with_one_error_line(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 16, "lambda_max": 8e307, "theta": 1}},
+            "optimizer": {"method": "signgd_normscaled"}, "T": 3,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.splitlines() == ["error: matrix entries must be finite"]
+        assert res.stderr.splitlines() == ["error: smoothness constant overflows: matrix entries too large"]
 
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -578,32 +602,30 @@ class TestRun:
 
 def _per_row_csv(trace) -> str:
     """The trace CSV formatted one row at a time."""
-    n = len(trace)
-    dist = trace.dist_sq if trace.dist_sq is not None else [math.nan] * n
-    rows = ["%d,%.17g,%.17g,%.17g" % (t, trace.f[t], trace.dual_grad_norm[t], dist[t]) for t in range(n)]
+    rows = [
+        "%d,%.17g,%.17g,%.17g" % (t, trace.f[t], trace.dual_grad_norm[t], trace.dist_sq[t]) for t in range(len(trace))
+    ]
     return "\n".join([cli.TRACE_CSV_HEADER, *rows])
 
 
 class TestTraceCsv:
     """One format operation over the table gives the bytes of one per row."""
 
-    @pytest.mark.parametrize("rows, with_dist", [
-        ([[1.5, 2.0, 0.25]], True),  # one row
-        ([[1.5, 2.0, 0.25]], False),
-        ([[0.1, -0.0, 5e-324], [-0.0, 2.2250738585072014e-308 / 3, 1e300],
-          [math.inf, math.nan, -1e-310]], True),  # -0.0, subnormals, non-finite values
-        ([[1.0 / 3, 2.0 / 3, 0.0]] * 5, False),  # no dist_sq: a NaN column
+    @pytest.mark.parametrize("rows", [
+        [[1.5, 2.0, 0.25]],  # one row
+        [[0.1, -0.0, 5e-324], [-0.0, 2.2250738585072014e-308 / 3, 1e300],
+         [math.inf, math.nan, -1e-310]],  # -0.0, subnormals, non-finite values
+        [[1.0 / 3, 2.0 / 3, 0.0]] * 5,
     ])
-    def test_bytes_equal_per_row_formatting(self, rows, with_dist):
+    def test_bytes_equal_per_row_formatting(self, rows):
         a = np.array(rows)
-        trace = Trace(a[:, 0], a[:, 1], a[:, 2] if with_dist else None, np.zeros(2))
+        trace = Trace(a[:, 0], a[:, 1], a[:, 2], np.zeros(2))
         assert "\n".join(cli._trace_csv_lines(trace)) == _per_row_csv(trace)
 
     @pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1])
-    @pytest.mark.parametrize("with_dist", [True, False])
-    def test_chunks_join_to_the_per_row_table(self, n, with_dist):
+    def test_chunks_join_to_the_per_row_table(self, n):
         a = np.random.default_rng(n).standard_normal((3, n)) * 1e3
-        trace = Trace(a[0], np.abs(a[1]), np.abs(a[2]) if with_dist else None, np.zeros(2))
+        trace = Trace(a[0], np.abs(a[1]), np.abs(a[2]), np.zeros(2))
         pieces = list(cli._trace_csv_lines(trace))
         assert len(pieces) == 1 + -(-n // ROW_CHUNK)  # the header, then one string per chunk
         assert "\n".join(pieces) == _per_row_csv(trace)
@@ -612,7 +634,7 @@ class TestTraceCsv:
         a = np.random.default_rng(3).standard_normal((3, 2000)) * 10.0 ** np.arange(-200, 200, 0.2)
         trace = Trace(a[0], np.abs(a[1]), np.abs(a[2]), np.zeros(2))
         assert "\n".join(cli._trace_csv_lines(trace)) == _per_row_csv(trace)
-        empty = Trace(np.zeros(0), np.zeros(0), None, np.zeros(2))
+        empty = Trace(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(2))
         assert list(cli._trace_csv_lines(empty)) == [cli.TRACE_CSV_HEADER]
 
 
@@ -661,7 +683,7 @@ class TestStreamedOutput:
         with pytest.raises(DivergenceError) as err:
             run_steepest_descent(
                 quad_oracle(make_quadratic(8, 50.0, 0.5, 1)), Euclidean(), 24.9,
-                np.random.default_rng(7).standard_normal(8), 5000, x_star=np.zeros(8),
+                np.random.default_rng(7).standard_normal(8), 5000,
             )
         assert ROW_CHUNK < err.value.step < 5000
         assert res.stderr == f"error: {err.value}\n"
@@ -798,7 +820,7 @@ class TestQuadGrid:
         for start in x0:
             for kind, acc in ((Euclidean(), dist_gd), (Max(), dist_sg)):
                 L = smoothness_constant(p.matrix, kind)
-                tr = run_steepest_descent(quad_oracle(p), kind, L, start, 50, x_star=np.zeros(4))
+                tr = run_steepest_descent(quad_oracle(p), kind, L, start, 50)
                 acc.append(tr.dist_sq[-1])
         assert float(row[5]) == pytest.approx(np.mean(dist_gd), rel=1e-15)
         assert float(row[6]) == pytest.approx(np.mean(dist_sg), rel=1e-15)
@@ -872,17 +894,29 @@ class TestQuadGrid:
         code, out, err = _main_on_config(tmp_path, capsys, "quadgrid", dict(GRID_CFG, sigma=math.inf))
         assert (code, out, err) == (2, "", "error: sigma must be finite\n")
 
-    def test_overflowing_hessian_exits_2(self, tmp_path):
-        # lambda_max is finite, but the cell's Hessian overflows
+    def test_huge_hessian_diverges_in_its_cell(self, tmp_path):
+        # lambda_max is finite, and so are the cell's Hessian and constants, but its gradients overflow
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(
             {"d": 3, "lambda_max_values": [1, 1e308], "theta_values": [0, 0.5], "T": 5, "repeats": 2}
         ))
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
-        assert res.returncode == 2, res.stderr
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.splitlines()[-1] == (
+            "error: divergence at step 0: non-finite objective or gradient (cell lambda_max=1e+308 theta=0, method gd)"
+        )
+        assert res.stdout.splitlines()[0] == GRID_CSV_HEADER and len(res.stdout.splitlines()) == 3
+
+    def test_overflowing_smoothness_constant_names_its_cell(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(
+            {"d": 8, "lambda_max_values": [5e307], "theta_values": [1], "T": 5, "repeats": 2}
+        ))
+        res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [
-            "error: cell lambda_max=1e+308 theta=0: matrix entries must be finite"
+            "error: cell lambda_max=5e+307 theta=1: smoothness constant overflows: matrix entries too large"
         ]
 
     @pytest.mark.parametrize(
@@ -1305,6 +1339,8 @@ class TestExitCodeContract:
     @example(cfg={"problem": {"quadratic": {"d": 3, "lambda_max": 1e308, "theta": 0.5}},
                   "optimizer": {"method": "gd"}, "T": 3})
     @example(cfg={"problem": COSH2, "optimizer": {"method": "gd", "L": 0.001}, "x0": [5, 0], "T": 3})
+    @example(cfg={"problem": {"quadratic": {"d": 16, "lambda_max": 8e307, "theta": 1}},
+                  "optimizer": {"method": "signgd_normscaled"}, "T": 3})
     def test_run_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "run.json"
         path.write_text(json.dumps(cfg))
@@ -1317,6 +1353,7 @@ class TestExitCodeContract:
     @example(cfg=dict(GRID_CFG, skew_seed=-1))
     @example(cfg=dict(GRID_CFG, lambda_max_values=[math.inf]))
     @example(cfg=dict(GRID_CFG, lambda_max_values=[1.0, 1e308]))
+    @example(cfg={"d": 8, "lambda_max_values": [5e307], "theta_values": [1], "T": 5, "repeats": 2})
     def test_quadgrid_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "grid.json"
         path.write_text(json.dumps(cfg))
@@ -1328,6 +1365,7 @@ class TestExitCodeContract:
     @given(text=_matrix_texts())
     @example(text="3\n" + "5e307 5e307 5e307\n" * 3)
     @example(text="2\n" + "1e308 1e308\n" * 2)
+    @example(text="1\n1e308\n")
     def test_analyze_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "m.txt"
         path.write_text(text)

@@ -48,7 +48,7 @@ def scalar_reference(cfg: GridConfig, li: int, ti: int) -> tuple[float, float]:
                 oracle = quad_noisy_oracle(p, cfg.sigma, stream)
             else:
                 oracle = quad_oracle(p)
-            tr = run_steepest_descent(oracle, kind, L, start, cfg.T, x_star=np.zeros(cfg.d))
+            tr = run_steepest_descent(oracle, kind, L, start, cfg.T)
             dists.append(tr.dist_sq[-1])
         means.append(float(np.mean(dists)))
     return means[0], means[1]

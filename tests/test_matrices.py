@@ -34,6 +34,19 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix([[1.0, np.nan], [np.nan, 1.0]])
 
+    def test_finite_entries_whose_sum_with_the_transpose_overflows(self):
+        a = np.array([[1e308, 1.7e308], [1.6e308, -1.7e308]])
+        h = SymMatrix(a).to_array()
+        assert np.isfinite(h).all() and np.array_equal(h, h.T)
+        assert h[0, 0] == 1e308 and h[1, 1] == -1.7e308
+        assert h[0, 1] == 0.5 * a[0, 1] + 0.5 * a[1, 0]
+
+    def test_averaging_keeps_the_bits_of_odd_subnormals(self):
+        # halving first would round 5e-324 to 0 before the sum
+        a = np.array([[5e-324, 1.5e-323], [5e-324, 1.0]])
+        h = SymMatrix(a).to_array()
+        assert h[0, 0] == 5e-324 and h[0, 1] == h[1, 0] == 0.5 * (1.5e-323 + 5e-324)
+
     def test_entry_and_trace(self):
         a = SymMatrix([[2.0, 1.0], [1.0, 3.0]]).to_array()
         assert a[0, 1] == a[1, 0] == 1.0

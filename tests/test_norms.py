@@ -405,16 +405,25 @@ def test_blockmax_is_bit_identical_to_list_indexing(blocks):
         assert steepest_op(z, kind).tobytes() == out.tobytes()
 
 
-@pytest.mark.parametrize("blocks", [
-    ((0, 1, 2, 3), (4, 5, 6, 7)),
-    ((0, 2, 4, 6), (1, 3, 5, 7)),
-], ids=str)
-def test_blockmax_rows_are_bit_identical_to_dual_norm(blocks):
-    # a trace's dual column comes from the rows kernel, a run's stopping test from dual_norm
-    kind = BlockMax(BlockPartition(blocks))
-    X = np.random.default_rng(0).standard_normal((1000, 8))
-    each = np.array([dual_norm(x, kind) for x in X])
-    assert dual_norm_rows(X, kind).tobytes() == each.tobytes()
+@pytest.mark.parametrize("kind", [
+    Euclidean(),
+    Max(),
+    One(),
+    WeightedDiag((0.3, 1.0, 1.7, 2.0, 0.5, 3.1, 7.0, 0.9)),
+    BlockMax(BlockPartition(((0, 1, 2, 3), (4, 5, 6, 7)))),  # blocks selected by slices
+    BlockMax(BlockPartition(((0, 2, 4, 6), (1, 3, 5, 7)))),  # blocks selected by index arrays
+], ids=repr)
+def test_rows_are_bit_identical_to_dual_norm(kind):
+    # a trace's dual column comes from the rows kernel, a run's stopping test and update from dual_norm
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((1000, 8))
+    X[::7, rng.integers(8)] = 0.0  # rows with a zero coordinate, and so some with a zero block
+    scaled = [X[:200] * s for s in (1e-160, 1e160, 1e-310)]  # rescaled paths: tiny, huge, subnormal
+    X = np.concatenate([X, np.zeros((2, 8)), *scaled])
+    with np.errstate(over="ignore"):  # the plain squares of the huge rows overflow before their rescaling
+        each = np.array([dual_norm(x, kind) for x in X])
+        rows = dual_norm_rows(X, kind)
+    assert rows.tobytes() == each.tobytes()
 
 
 class TestJson:

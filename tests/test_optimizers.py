@@ -13,11 +13,9 @@ from normdescent import (
     AdamConfig,
     BlockMax,
     BlockPartition,
-    Constant,
     CoshProblem,
     DivergenceError,
     Euclidean,
-    InvSqrt,
     Max,
     One,
     QuadraticProblem,
@@ -62,7 +60,7 @@ def identity_problem(d):
 class TestSteepestDescent:
     def test_one_step_exact_euclidean(self):
         p = identity_problem(3)
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), 1.0, [2.0, -1.0, 0.5], 2, x_star=np.zeros(3))
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), 1.0, [2.0, -1.0, 0.5], 2)
         assert tr.f[1] == 0.0
         assert tr.dist_sq[1] == 0.0
         assert np.array_equal(tr.x_final, np.zeros(3))
@@ -110,8 +108,8 @@ class TestSteepestDescent:
 
         for kind in (Euclidean(), Max(), One()):
             L = smoothness_constant(p.matrix, kind)
-            tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 50, x_star=np.zeros(5))
-            trc = run_steepest_descent(scaled_oracle, kind, c * L, x0, 50, x_star=np.zeros(5))
+            tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 50)
+            trc = run_steepest_descent(scaled_oracle, kind, c * L, x0, 50)
             assert np.abs(tr.x_final - trc.x_final).max() <= 1e-12
             assert np.abs(tr.f * c - trc.f).max() <= 1e-10
 
@@ -229,10 +227,9 @@ class TestRelaxedNSD:
         p = CoshProblem(4)
         for eps in (1e-1, 1e-2):
             tr = run_relaxed_nsd(cosh_oracle(p), Max(), 4.0, 1.0, [3.0] * 4, 200_000, eps)
-            assert tr.hit_index is not None
-            assert tr.dual_grad_norm[tr.hit_index] <= eps
+            assert tr.dual_grad_norm[-1] <= eps  # the run stopped at its hit
             bound = 18.0 * tr.f[0] * max(4.0 / eps**2, 1.0 / 4.0)
-            assert tr.hit_index <= bound
+            assert len(tr) - 1 <= bound
 
     def test_per_step_descent(self):
         p = CoshProblem(4)
@@ -256,15 +253,15 @@ class TestSignSGD:
         p = QuadraticProblem.from_matrix(SymMatrix(np.diag([1.0, 2.0])))
         x = np.array([10.0, 10.0])
         for _ in range(20):
-            tr = run_signsgd(quad_oracle(p), Constant(0.5), x, 1)
+            tr = run_signsgd(quad_oracle(p), 0.5, x, 1)
             assert np.all(np.abs(tr.x_final - x) == 0.5)
             x = tr.x_final
 
     def test_matches_normalized_max_descent(self):
         p = make_quadratic(6, 10.0, 0.5, seed=9)
         x0 = np.random.default_rng(6).standard_normal(6)
-        tr_sign = run_signsgd(quad_oracle(p), InvSqrt(), x0, 300, x_star=np.zeros(6))
-        tr_nsd = run_normalized_sd(quad_oracle(p), Max(), 1.0, x0, 300, x_star=np.zeros(6))
+        tr_sign = run_signsgd(quad_oracle(p), None, x0, 300)
+        tr_nsd = run_normalized_sd(quad_oracle(p), Max(), 1.0, x0, 300)
         assert len(tr_sign) == len(tr_nsd)
         assert np.abs(tr_sign.x_final - tr_nsd.x_final).max() <= 1e-12
         assert np.abs(tr_sign.f - tr_nsd.f).max() <= 1e-12
@@ -276,7 +273,7 @@ class TestSignSGD:
         for s in range(32):
             x0 = np.random.default_rng([100, s]).standard_normal(6)
             stream = np.random.default_rng([200, s])
-            tr = run_signsgd(quad_noisy_oracle(p, 0.5, stream), InvSqrt(), x0, 2000)
+            tr = run_signsgd(quad_noisy_oracle(p, 0.5, stream), None, x0, 2000)
             ratios.append(tr.f[-1] / tr.f[0])
         assert np.median(ratios) < 0.1
 
@@ -286,7 +283,7 @@ class TestDivergenceDetection:
         p = make_quadratic(4, 1e11, 0.0, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
         with pytest.raises(DivergenceError) as err:
-            run_signsgd(quad_oracle(p), Constant(10.0), x0, 50, x_star=np.zeros(4))
+            run_signsgd(quad_oracle(p), 10.0, x0, 50)
         trace = err.value.trace
         assert len(trace) == err.value.step + 1
         assert trace.f[-1] > 1e12
@@ -604,18 +601,12 @@ class TestTrace:
     def test_lengths_and_finiteness(self):
         p = make_quadratic(4, 5.0, 0.3, seed=13)
         L2 = smoothness_constant(p.matrix, Euclidean())
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, np.ones(4), 37, x_star=np.zeros(4))
+        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, np.ones(4), 37)
         assert len(tr) == 38
         assert tr.dist_sq.shape == (38,)
         assert np.isfinite(tr.f).all()
         assert np.isfinite(tr.dual_grad_norm).all()
         assert np.isfinite(tr.dist_sq).all()
-
-    def test_dist_absent_without_optimum(self):
-        p = make_quadratic(4, 5.0, 0.3, seed=13)
-        L2 = smoothness_constant(p.matrix, Euclidean())
-        tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, np.ones(4), 5)
-        assert tr.dist_sq is None
 
 
 GOLDEN_D, GOLDEN_T = 8, 300
@@ -663,7 +654,7 @@ def golden_runs(wrap=lambda oracle: oracle):
 
     Each run's oracle is passed through ``wrap`` first.
     """
-    p, x0, T, x_star = GOLDEN_P, GOLDEN_X0, GOLDEN_T, np.zeros(GOLDEN_D)
+    p, x0, T = GOLDEN_P, GOLDEN_X0, GOLDEN_T
 
     def exact():
         return wrap(quad_oracle(p))
@@ -673,19 +664,18 @@ def golden_runs(wrap=lambda oracle: oracle):
 
     def sd(method):
         kind, L = GOLDEN_KIND[method], GOLDEN_L[method]
-        return lambda: run_steepest_descent(exact(), kind, L, x0, T, x_star=x_star)
+        return lambda: run_steepest_descent(exact(), kind, L, x0, T)
 
     def adam(method):
         cfg = GOLDEN_ADAM[method]
-        return lambda: run_adam_family(noisy(), cfg, x0, T, np.random.default_rng(9), x_star=x_star)
+        return lambda: run_adam_family(noisy(), cfg, x0, T, np.random.default_rng(9))
 
     def nsd(kind, L):
-        return lambda: run_normalized_sd(exact(), kind, L, x0, T, x_star=x_star)
+        return lambda: run_normalized_sd(exact(), kind, L, x0, T)
 
     def relaxed(kind):
         return lambda: run_relaxed_nsd(
-            wrap(cosh_oracle(CoshProblem(GOLDEN_D))), kind, float(GOLDEN_D), 1.0, x0, T, 1e-300,
-            x_star=x_star,
+            wrap(cosh_oracle(CoshProblem(GOLDEN_D))), kind, float(GOLDEN_D), 1.0, x0, T, 1e-300
         )
 
     return {
@@ -694,7 +684,7 @@ def golden_runs(wrap=lambda oracle: oracle):
         "relaxed_nsd": relaxed(Max()),
         **{f"nsd_{s}": nsd(GOLDEN_KIND[m], GOLDEN_L[m]) for s, m in GOLDEN_GEOMETRY.items()},
         **{f"relaxed_nsd_{s}": relaxed(GOLDEN_KIND[m]) for s, m in GOLDEN_GEOMETRY.items()},
-        "signsgd": lambda: run_signsgd(noisy(), Constant(1e-3), x0, T, x_star=x_star),
+        "signsgd": lambda: run_signsgd(noisy(), 1e-3, x0, T),
         **{method: adam(method) for method in GOLDEN_ADAM},
     }
 
@@ -702,9 +692,8 @@ def golden_runs(wrap=lambda oracle: oracle):
 class Ref(NamedTuple):
     f: np.ndarray
     dual: np.ndarray
-    dist: np.ndarray | None
+    dist: np.ndarray
     x: np.ndarray
-    hit: int | None
     error: tuple[int, str] | None
 
 
@@ -712,20 +701,19 @@ def dot_sq(delta):
     return float(np.dot(delta, delta))
 
 
-def reference_run(oracle, x0, T, step, dual, stop_tol=None, mark_hit=True, x_star=None, sq_dist=dot_sq):
+def reference_run(oracle, x0, T, step, dual, stop_tol=None, sq_dist=dot_sq):
     """The step loop as one list-appending loop per method wrote it.
 
     Per step: evaluate, test finiteness, record f, ``dual(g)`` and the
-    squared distance ``sq_dist(x - x_star)``, test the blow-up threshold, stop once
-    ``dual(g) <= stop_tol`` (recording t as hit index when ``mark_hit``),
-    then ``x = step(x, g, t, dual(g))``.
+    squared distance to the origin ``sq_dist(x)``, test the blow-up
+    threshold, stop once ``dual(g) <= stop_tol``, then
+    ``x = step(x, g, t, dual(g))``.
     """
     x = np.array(x0, dtype=float)
     fs, duals, dists = [], [], []
 
-    def ref(hit=None, error=None):
-        dist = None if x_star is None else np.array(dists)
-        return Ref(np.array(fs), np.array(duals), dist, x, hit, error)
+    def ref(error=None):
+        return Ref(np.array(fs), np.array(duals), np.array(dists), x, error)
 
     for t in range(T + 1):
         try:
@@ -737,12 +725,11 @@ def reference_run(oracle, x0, T, step, dual, stop_tol=None, mark_hit=True, x_sta
         fs.append(f)
         dn = dual(g)
         duals.append(dn)
-        if x_star is not None:
-            dists.append(sq_dist(x - x_star))
+        dists.append(sq_dist(x))
         if f > F_BLOWUP:
             return ref(error=(t, f"objective {f:.3e} exceeded {F_BLOWUP:.0e}"))
         if stop_tol is not None and dn <= stop_tol:
-            return ref(hit=t if mark_hit else None)
+            return ref()
         if t == T:
             break
         x = step(x, g, t, dn)
@@ -828,7 +815,7 @@ def adam_reference_step(cfg, rng=None, blocks=None):
 
 def golden_reference_runs():
     """golden_runs through reference_run, with the oracles and updates written out."""
-    p, x0, T, x_star = GOLDEN_P, GOLDEN_X0, GOLDEN_T, np.zeros(GOLDEN_D)
+    p, x0, T = GOLDEN_P, GOLDEN_X0, GOLDEN_T
 
     def noisy():
         return reference_quad_oracle(p, 0.5, np.random.default_rng(7))
@@ -837,13 +824,13 @@ def golden_reference_runs():
         kind, L = GOLDEN_KIND[method], GOLDEN_L[method]
         return lambda: reference_run(
             reference_quad_oracle(p), x0, T, lambda x, g, t, _: x - reference_steepest_op(g, kind) / L,
-            lambda g: dual_norm(g, kind), x_star=x_star,
+            lambda g: dual_norm(g, kind),
         )
 
     def adam(method):
         cfg = GOLDEN_ADAM[method]
         step = adam_reference_step(cfg, np.random.default_rng(9), cfg.blocks and cfg.blocks.blocks)
-        return lambda: reference_run(noisy(), x0, T, step, one_norm, x_star=x_star)
+        return lambda: reference_run(noisy(), x0, T, step, one_norm)
 
     def nsd(kind, L):
         def step(x, g, t, dual):
@@ -851,8 +838,7 @@ def golden_reference_runs():
             return x - unit * ((1.0 / math.sqrt(t + 1.0)) / L)
 
         return lambda: reference_run(
-            reference_quad_oracle(p), x0, T, step, lambda g: dual_norm(g, kind), STATIONARY_TOL,
-            mark_hit=False, x_star=x_star,
+            reference_quad_oracle(p), x0, T, step, lambda g: dual_norm(g, kind), STATIONARY_TOL
         )
 
     def relaxed(kind):
@@ -860,8 +846,7 @@ def golden_reference_runs():
             return x - reference_steepest_op(g, kind) / (5.0 * GOLDEN_D + 4.0 * dual)
 
         return lambda: reference_run(
-            reference_cosh_oracle(GOLDEN_D), x0, T, step, lambda g: dual_norm(g, kind), 1e-300,
-            x_star=x_star,
+            reference_cosh_oracle(GOLDEN_D), x0, T, step, lambda g: dual_norm(g, kind), 1e-300
         )
 
     return {
@@ -871,7 +856,7 @@ def golden_reference_runs():
         **{f"nsd_{s}": nsd(GOLDEN_KIND[m], GOLDEN_L[m]) for s, m in GOLDEN_GEOMETRY.items()},
         **{f"relaxed_nsd_{s}": relaxed(GOLDEN_KIND[m]) for s, m in GOLDEN_GEOMETRY.items()},
         "signsgd": lambda: reference_run(
-            noisy(), x0, T, lambda x, g, t, _: x - 1e-3 * signs(g), one_norm, x_star=x_star
+            noisy(), x0, T, lambda x, g, t, _: x - 1e-3 * signs(g), one_norm
         ),
         **{method: adam(method) for method in GOLDEN_ADAM},
     }
@@ -879,15 +864,11 @@ def golden_reference_runs():
 
 def assert_matches_reference(tr, ref):
     """Bit-identical f rows and final iterate; row reductions within 1e-14 relative."""
-    assert tr.hit_index == ref.hit
     assert len(tr) == len(ref.f)
     assert tr.f.tobytes() == ref.f.tobytes()
     assert tr.x_final.tobytes() == ref.x.tobytes()
     np.testing.assert_allclose(tr.dual_grad_norm, ref.dual, rtol=1e-14, atol=0.0)
-    if ref.dist is None:
-        assert tr.dist_sq is None
-    else:
-        np.testing.assert_allclose(tr.dist_sq, ref.dist, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(tr.dist_sq, ref.dist, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("method", GOLDEN_METHODS)
@@ -899,7 +880,7 @@ def test_golden_iterates(method):
 
 
 class TestStepLoopParity:
-    """Divergence, early stops and hit indices agree with a plain loop."""
+    """Divergence and early stops agree with a plain loop."""
 
     QUAD = make_quadratic(4, 1e11, 0.0, seed=5)
     X0 = np.random.default_rng(2).standard_normal(4)
@@ -917,22 +898,22 @@ class TestStepLoopParity:
 
     def test_gd_with_too_small_L_blows_up(self):
         p = make_quadratic(5, 20.0, 0.5, seed=1)
-        x0, x_star = np.ones(5), np.zeros(5)
+        x0 = np.ones(5)
         L = smoothness_constant(p.matrix, Euclidean()) / 3.0
         self._assert_parity(
-            lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500, x_star=x_star),
+            lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500),
             reference_run(
                 quad_oracle(p), x0, 500, lambda x, g, t, _: x - g / L,
-                lambda g: float(np.sqrt(np.dot(g, g))), x_star=x_star,
+                lambda g: float(np.sqrt(np.dot(g, g))),
             ),
         )
 
     def test_signsgd_with_large_constant_step_blows_up(self):
         oracle = quad_oracle(self.QUAD)
         tr = self._assert_parity(
-            lambda: run_signsgd(oracle, Constant(10.0), self.X0, 50, x_star=np.zeros(4)),
+            lambda: run_signsgd(oracle, 10.0, self.X0, 50),
             reference_run(
-                oracle, self.X0, 50, lambda x, g, t, _: x - 10.0 * signs(g), one_norm, x_star=np.zeros(4)
+                oracle, self.X0, 50, lambda x, g, t, _: x - 10.0 * signs(g), one_norm
             ),
         )
         assert tr.f[-1] > F_BLOWUP
@@ -955,8 +936,7 @@ class TestStepLoopParity:
 
     def test_nsd_started_at_the_optimum(self):
         p = make_quadratic(4, 6.0, 0.3, seed=6)
-        ref = reference_run(quad_oracle(p), np.zeros(4), 50, None, one_norm, STATIONARY_TOL, mark_hit=False)
-        # nsd stops without recording a hit index
+        ref = reference_run(quad_oracle(p), np.zeros(4), 50, None, one_norm, STATIONARY_TOL)
         tr = self._assert_parity(lambda: run_normalized_sd(quad_oracle(p), Max(), 2.0, np.zeros(4), 50), ref)
         assert len(tr) == 1 and tr.dual_grad_norm[0] == 0.0
 
@@ -972,7 +952,7 @@ class TestStepLoopParity:
             lambda: run_relaxed_nsd(oracle, Max(), L0, L1, x0, 100_000, eps),
             reference_run(oracle, x0, 100_000, step, one_norm, eps),
         )
-        assert tr.hit_index == len(tr) - 1 and tr.dual_grad_norm[-1] <= eps
+        assert tr.dual_grad_norm[-1] <= eps
 
     @pytest.mark.parametrize("method", ["nsd", "relaxed_nsd"])
     def test_stopping_runs_blow_up_at_the_start(self, method):
@@ -982,12 +962,12 @@ class TestStepLoopParity:
         start = {"nsd": (quad_oracle(p), [3e6, -2e6]), "relaxed_nsd": (cosh, [30.0, 0.0])}
         oracle, x0 = start[method]
         if method == "nsd":
-            run = lambda: run_normalized_sd(oracle, Max(), 4.0, x0, 20, x_star=np.zeros(2))
+            run = lambda: run_normalized_sd(oracle, Max(), 4.0, x0, 20)
             stop_tol = STATIONARY_TOL
         else:
-            run = lambda: run_relaxed_nsd(oracle, Max(), 2.0, 1.0, x0, 20, 1e-3, x_star=np.zeros(2))
+            run = lambda: run_relaxed_nsd(oracle, Max(), 2.0, 1.0, x0, 20, 1e-3)
             stop_tol = 1e-3
-        ref = reference_run(oracle, x0, 20, None, one_norm, stop_tol, x_star=np.zeros(2))
+        ref = reference_run(oracle, x0, 20, None, one_norm, stop_tol)
         assert ref.error[0] == 0 and len(ref.f) == 1
         tr = self._assert_parity(run, ref)
         assert tr.dual_grad_norm.tobytes() == ref.dual.tobytes()
@@ -995,12 +975,12 @@ class TestStepLoopParity:
     def test_runs_past_the_first_row_chunk(self):
         """Rows stay right across chunk reductions, in a full run and in an aborted one."""
         p = make_quadratic(3, 5.0, 0.4, seed=9)
-        x0, x_star = np.ones(3), np.zeros(3)
+        x0 = np.ones(3)
         T = 2 * ROW_CHUNK + 5
         step = lambda x, g, t, _: x - 1e-3 * signs(g)
         self._assert_parity(
-            lambda: run_signsgd(quad_oracle(p), Constant(1e-3), x0, T, x_star=x_star),
-            reference_run(quad_oracle(p), x0, T, step, one_norm, x_star=x_star),
+            lambda: run_signsgd(quad_oracle(p), 1e-3, x0, T),
+            reference_run(quad_oracle(p), x0, T, step, one_norm),
         )
 
         def failing():
@@ -1014,14 +994,14 @@ class TestStepLoopParity:
             return oracle
 
         self._assert_parity(
-            lambda: run_signsgd(failing(), Constant(1e-3), x0, T, x_star=x_star),
-            reference_run(failing(), x0, T, step, one_norm, x_star=x_star),
+            lambda: run_signsgd(failing(), 1e-3, x0, T),
+            reference_run(failing(), x0, T, step, one_norm),
         )
 
     def test_relaxed_nsd_with_a_huge_step_cap_stops_at_eps(self):
         oracle = cosh_oracle(CoshProblem(3))
         tr = run_relaxed_nsd(oracle, Max(), 3.0, 1.0, [2.0, -1.0, 0.5], 10**15, 1e-6)
-        assert tr.hit_index == len(tr) - 1 < 10_000
+        assert tr.dual_grad_norm[-1] <= 1e-6 and len(tr) < 10_000
         assert tr.f.base is None and tr.dual_grad_norm.base is None
 
     def test_non_finite_gradient_with_finite_value(self):
@@ -1075,15 +1055,11 @@ def row_sq_dist(delta):
 
 
 def assert_bytes_match(tr, ref):
-    """Every trace array, the final iterate and the hit index, bit for bit."""
-    assert tr.hit_index == ref.hit
+    """Every trace array and the final iterate, bit for bit."""
     assert tr.f.tobytes() == ref.f.tobytes()
     assert tr.dual_grad_norm.tobytes() == ref.dual.tobytes()
     assert tr.x_final.tobytes() == ref.x.tobytes()
-    if ref.dist is None:
-        assert tr.dist_sq is None
-    else:
-        assert tr.dist_sq.tobytes() == ref.dist.tobytes()
+    assert tr.dist_sq.tobytes() == ref.dist.tobytes()
 
 
 class TestChunkBoundaries:
@@ -1130,12 +1106,12 @@ class TestChunkBoundaries:
             return f, g
 
         oracle = lambda: self._counting(quad_oracle(self.P), t, hit)
-        T, x_star = 3 * ROW_CHUNK, np.zeros(6)
+        T = 3 * ROW_CHUNK
         tr = self._assert_run(
-            lambda: run_signsgd(oracle(), Constant(1e-3), self.X0, T, x_star=x_star),
+            lambda: run_signsgd(oracle(), 1e-3, self.X0, T),
             reference_run(
                 oracle(), self.X0, T, lambda x, g, t, _: x - 1e-3 * signs(g), row_dual(Max()),
-                x_star=x_star, sq_dist=row_sq_dist,
+                sq_dist=row_sq_dist,
             ),
             error=t,
         )
@@ -1147,12 +1123,12 @@ class TestChunkBoundaries:
             return oracle(x + 1e3)  # the cosh oracle raises OverflowGuardError
 
         oracle = lambda: self._counting(cosh_oracle(CoshProblem(6)), t, outside)
-        T, x_star = 3 * ROW_CHUNK, np.zeros(6)
+        T = 3 * ROW_CHUNK
         tr = self._assert_run(
-            lambda: run_steepest_descent(oracle(), Euclidean(), 50.0, self.X0, T, x_star=x_star),
+            lambda: run_steepest_descent(oracle(), Euclidean(), 50.0, self.X0, T),
             reference_run(
                 oracle(), self.X0, T, lambda x, g, t, _: x - g / 50.0, row_dual(Euclidean()),
-                x_star=x_star, sq_dist=row_sq_dist,
+                sq_dist=row_sq_dist,
             ),
             error=t,
         )
@@ -1166,53 +1142,76 @@ class TestChunkBoundaries:
             return f, np.zeros_like(g)
 
         oracle = lambda: self._counting(quad_oracle(self.P), t, stationary)
-        T, x_star = 3 * ROW_CHUNK, np.zeros(6)
+        T = 3 * ROW_CHUNK
         L = smoothness_constant(self.P.matrix, Max())
         if method == "nsd":
-            run = lambda: run_normalized_sd(oracle(), Max(), L, self.X0, T, x_star=x_star)
+            run = lambda: run_normalized_sd(oracle(), Max(), L, self.X0, T)
 
             def step(x, g, t, dual):
                 return x - (dual * signs(g) / dual) * ((1.0 / math.sqrt(t + 1.0)) / L)
 
-            stop_tol, mark_hit = STATIONARY_TOL, False
+            stop_tol = STATIONARY_TOL
         else:
-            run = lambda: run_relaxed_nsd(oracle(), Max(), L, 0.5, self.X0, T, 1e-300, x_star=x_star)
+            run = lambda: run_relaxed_nsd(oracle(), Max(), L, 0.5, self.X0, T, 1e-300)
 
             def step(x, g, t, dual):
                 return x - dual * signs(g) / (5.0 * L + 4.0 * 0.5 * dual)
 
-            stop_tol, mark_hit = 1e-300, True
+            stop_tol = 1e-300
         ref = reference_run(
-            oracle(), self.X0, T, step, lambda g: dual_norm(g, Max()), stop_tol, mark_hit,
-            x_star=x_star, sq_dist=row_sq_dist,
+            oracle(), self.X0, T, step, lambda g: dual_norm(g, Max()), stop_tol, sq_dist=row_sq_dist
         )
         tr = self._assert_run(run, ref, error=None)
         assert len(tr) == t + 1 and tr.dual_grad_norm[-1] == 0.0
-        assert tr.hit_index == (t if mark_hit else None)
 
     @pytest.mark.parametrize("T", [ROW_CHUNK - 1, ROW_CHUNK, 2 * ROW_CHUNK - 1, 2 * ROW_CHUNK])
-    @pytest.mark.parametrize("with_x_star", [True, False])
     @pytest.mark.parametrize("method", ["gd", "cd", "blocknorm", "signsgd"])
-    def test_full_runs_of_whole_and_split_chunks(self, T, with_x_star, method):
+    def test_full_runs_of_whole_and_split_chunks(self, T, method):
         kind = {"gd": Euclidean(), "cd": One(), "blocknorm": BlockMax(self.PART), "signsgd": Max()}[method]
-        x_star = np.zeros(6) if with_x_star else None
         if method == "signsgd":
-            run = lambda: run_signsgd(quad_oracle(self.P), Constant(1e-3), self.X0, T, x_star=x_star)
+            run = lambda: run_signsgd(quad_oracle(self.P), 1e-3, self.X0, T)
             step = lambda x, g, t, _: x - 1e-3 * signs(g)
         else:
             L = smoothness_constant(self.P.matrix, kind)
-            run = lambda: run_steepest_descent(quad_oracle(self.P), kind, L, self.X0, T, x_star=x_star)
+            run = lambda: run_steepest_descent(quad_oracle(self.P), kind, L, self.X0, T)
             step = lambda x, g, t, _: x - reference_steepest_op(g, kind) / L
         ref = reference_run(
-            quad_oracle(self.P), self.X0, T, step, row_dual(kind), x_star=x_star, sq_dist=row_sq_dist
+            quad_oracle(self.P), self.X0, T, step, row_dual(kind), sq_dist=row_sq_dist
         )
         tr = self._assert_run(run, ref, error=None)
         assert len(tr) == T + 1
         assert tr.f.base is None and tr.dual_grad_norm.base is None
 
+    @pytest.mark.parametrize("T", [ROW_CHUNK, 2 * ROW_CHUNK - 1])
+    @pytest.mark.parametrize("kind", ALL_KINDS_D6, ids=lambda kind: type(kind).__name__)
+    @pytest.mark.parametrize("method", ["nsd", "relaxed_nsd"])
+    def test_stopping_runs_record_the_duals_they_step_with(self, T, kind, method):
+        """A stopping run's dual column, reduced per chunk, has the bits of
+        the per-step dual norm that its stop test and update used."""
+        L = smoothness_constant(self.P.matrix, kind)
+        if method == "nsd":
+            run = lambda: run_normalized_sd(quad_oracle(self.P), kind, L, self.X0, T)
+
+            def step(x, g, t, dual):
+                return x - reference_steepest_op(g, kind) / dual * ((1.0 / math.sqrt(t + 1.0)) / L)
+
+            stop_tol = STATIONARY_TOL
+        else:
+            run = lambda: run_relaxed_nsd(quad_oracle(self.P), kind, L, 0.5, self.X0, T, 1e-300)
+
+            def step(x, g, t, dual):
+                return x - reference_steepest_op(g, kind) / (5.0 * L + 4.0 * 0.5 * dual)
+
+            stop_tol = 1e-300
+        ref = reference_run(
+            quad_oracle(self.P), self.X0, T, step, lambda g: dual_norm(g, kind), stop_tol, sq_dist=row_sq_dist
+        )
+        tr = self._assert_run(run, ref, error=None)
+        assert len(tr) == T + 1
+
     def test_negative_step_count_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            run_signsgd(quad_oracle(self.P), Constant(1e-3), self.X0, -1)
+            run_signsgd(quad_oracle(self.P), 1e-3, self.X0, -1)
 
 
 class TestResolvedKernels:
@@ -1236,7 +1235,7 @@ class TestResolvedKernels:
             return x - reference_steepest_op(g, Max()) / dual * (1.0 / math.sqrt(t + 1.0))
 
         with np.errstate(all="ignore"):
-            ref = reference_run(oracle, [0.0, 0.0], 5, step, one_norm, STATIONARY_TOL, mark_hit=False)
+            ref = reference_run(oracle, [0.0, 0.0], 5, step, one_norm, STATIONARY_TOL)
             with pytest.raises(DivergenceError) as err:
                 run_normalized_sd(oracle, Max(), 1.0, [0.0, 0.0], 5)
         assert ref.error == (1, "non-finite objective or gradient")

@@ -10,7 +10,6 @@ from normdescent import (
     AdamConfig,
     BlockMax,
     BlockPartition,
-    Constant,
     CoshProblem,
     Euclidean,
     GridConfig,
@@ -21,7 +20,7 @@ from normdescent import (
 )
 from normdescent._record import record
 from normdescent.analysis import SmoothnessReport
-from normdescent.optimizers import InvSqrt, RateCheck, Trace
+from normdescent.optimizers import RateCheck, Trace
 
 
 class TestEqualityAndHash:
@@ -29,15 +28,15 @@ class TestEqualityAndHash:
         assert WeightedDiag((1, 2)) == WeightedDiag([1.0, 2.0])
         assert hash(WeightedDiag((1, 2))) == hash(WeightedDiag((1.0, 2.0)))
         assert WeightedDiag((1.0, 2.0)) != WeightedDiag((2.0, 1.0))
-        assert Constant(0.5) == Constant(alpha=0.5) and Constant(0.5) != Constant(0.25)
+        assert CoshProblem(5) == CoshProblem(dim=5) and CoshProblem(5) != CoshProblem(4)
         kinds = {Max(), Max(), BlockMax(BlockPartition(((0,), (1,)))), BlockMax(BlockPartition([[0], [1]]))}
         assert len(kinds) == 2
 
     def test_no_equality_across_classes(self):
         assert Euclidean() != Max()
         assert Max() != One() and One() != Euclidean()
-        assert InvSqrt() != Euclidean()
-        assert Max() != () and Constant(1.0) != 1.0
+        assert WeightedDiag((1.0,)) != BlockMax(BlockPartition(((0,),)))
+        assert Max() != () and CoshProblem(1) != 1
 
     def test_copies_and_pickles_are_equal(self):
         cfg = AdamConfig(0.1, variant="shuffled", blocks=BlockPartition([[0, 1], [2]]))
@@ -46,7 +45,7 @@ class TestEqualityAndHash:
         assert pickle.loads(pickle.dumps(cfg.blocks)).index == cfg.blocks.index
 
     def test_array_fields_make_a_record_unhashable(self):
-        trace = Trace(np.zeros(2), np.zeros(2), None, np.zeros(3))
+        trace = Trace(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(3))
         with pytest.raises(TypeError):
             hash(trace)
 
@@ -69,7 +68,7 @@ class TestRepr:
 class TestFrozen:
     @pytest.mark.parametrize("obj, name", [
         (Max(), "x"),
-        (Constant(1.0), "alpha"),
+        (AdamConfig(1.0), "step"),
         (WeightedDiag((1.0,)), "weights"),
         (BlockPartition(((0,),)), "index"),
         (CoshProblem(2), "dim"),
