@@ -26,7 +26,7 @@ import numpy as np
 from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from .analysis import analyze, smoothness_constant
 from .experiments import GridConfig, grid_csv_lines, run_quad_grid
-from .matrices import MatrixFormatError, parse_matrix_text
+from .matrices import parse_matrix_text
 from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, kind_from_json
 from .optimizers import (
     ROW_CHUNK,
@@ -100,7 +100,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -241,66 +241,42 @@ _RUN_FIELDS = {
 }
 
 
-def cmd_analyze(args) -> int:
-    try:
-        text = Path(args.matrix).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with np.errstate(all="ignore"):  # sums that overflow are reported as an input error
-            matrix = parse_matrix_text(text)
-            report = analyze(matrix)
-    except (MatrixFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+# Each command returns its output lines and None, or on divergence the partial
+# output and the DivergenceError; bad input raises, and main picks the exit code.
+def cmd_analyze(args):
+    matrix = parse_matrix_text(Path(args.matrix).read_text())
+    report = analyze(matrix)
     if report.Linf_exact is None:
         print(f"warning: d={matrix.dim} exceeds the exact-norm cap; Linf_exact omitted", file=sys.stderr)
     fields = report.to_json_dict()
     body = ", ".join(f'"{k}": {_fmt(v)}' for k, v in fields.items())
-    _write_lines(["{" + body + "}"], None)
-    return 0
+    return ["{" + body + "}"], None
 
 
-def cmd_run(args) -> int:
+def cmd_run(args):
+    cfg = read_fields(_load_json(args.config), "config", _RUN_FIELDS)
+    (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
+    runner = build(problem, **params)
+    if cfg["T"] < 1:
+        raise ValueError("T must be positive")
+    d = problem.dim
+    if cfg["x0"] is None:
+        x0 = np.random.default_rng(cfg["x0_seed"]).standard_normal(d)
+    else:
+        x0 = np.array(cfg["x0"])
+        if x0.shape != (d,) or not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be a finite vector of length {d}")
+    if isinstance(problem, CoshProblem) and np.abs(x0).max() > COSH_GUARD:
+        raise ValueError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
     try:
-        with np.errstate(all="ignore"):  # an overflowing Hessian or L is reported as an input error
-            cfg = read_fields(_load_json(args.config), "config", _RUN_FIELDS)
-            (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
-            runner = build(problem, **params)
-        if cfg["T"] < 1:
-            raise ValueError("T must be positive")
-        d = problem.dim
-        if cfg["x0"] is None:
-            x0 = np.random.default_rng(cfg["x0_seed"]).standard_normal(d)
-        else:
-            x0 = np.array(cfg["x0"])
-            if x0.shape != (d,) or not np.isfinite(x0).all():
-                raise ValueError(f"x0 must be a finite vector of length {d}")
-        if isinstance(problem, CoshProblem) and np.abs(x0).max() > COSH_GUARD:
-            raise ValueError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with np.errstate(all="ignore"):  # the runner's finiteness checks report divergence
-            trace = runner(oracle, x0, cfg["T"])
+        trace = runner(oracle, x0, cfg["T"])
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if _write_lines(_trace_csv_lines(exc.trace), args.out) else 2
-    except ValueError as exc:  # input the runner rejects: its constants, or the iterates it sees
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if _write_lines(_trace_csv_lines(trace), args.out) else 2
+        return _trace_csv_lines(exc.trace), exc
+    return _trace_csv_lines(trace), None
 
 
-def cmd_quadgrid(args) -> int:
-    try:
-        cfg = GridConfig.from_json(_load_json(args.config))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+def cmd_quadgrid(args):
+    cfg = GridConfig.from_json(_load_json(args.config))
     done = []
 
     def progress(cell):
@@ -310,20 +286,13 @@ def cmd_quadgrid(args) -> int:
             file=sys.stderr,
         )
 
-    status = 0
     try:
-        with np.errstate(all="ignore"):  # the grid's finiteness checks report divergence
-            run_quad_grid(cfg, dump_dir=args.dump_x0, progress=progress)
+        run_quad_grid(cfg, dump_dir=args.dump_x0, progress=progress)
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = 3
-    except ValueError as exc:  # a cell whose Hessian or smoothness constants cannot be computed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return grid_csv_lines(done), exc
     except OSError as exc:
-        print(f"error: cannot write starting points to {args.dump_x0}: {exc}", file=sys.stderr)
-        return 2
-    return status if _write_lines(grid_csv_lines(done), args.out) else 2
+        raise OSError(f"cannot write starting points to {args.dump_x0}: {exc}") from exc
+    return grid_csv_lines(done), None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,8 +320,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one command and returns its exit code: 0, or 2 on an input error
+    (nothing written to stdout), or 3 on divergence (the partial output
+    written).  Overflow warnings are silenced: the checks that follow them
+    report an input error or a divergence."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        with np.errstate(all="ignore"):
+            lines, divergence = args.func(args)
+    except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+    if divergence is not None:
+        print(f"error: {divergence}", file=sys.stderr)
+    if not _write_lines(lines, getattr(args, "out", None)):
+        return 2
+    return 0 if divergence is None else 3
 
 
 def entry() -> None:

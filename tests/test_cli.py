@@ -133,6 +133,14 @@ class TestAnalyze:
         assert res.stdout == ""
         assert res.stderr.splitlines() == [message]
 
+    def test_undecodable_file_exits_2(self, tmp_path):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe\n")
+        res = run_cli(["analyze", str(path)], tmp_path, {"PYTHONUTF8": "1"})
+        assert (res.returncode, res.stdout) == (2, "")
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert res.stderr.splitlines() == [f"error: {reason}"]
+
     def test_entry_whose_doubled_value_overflows_is_reported(self, tmp_path):
         # 1e308 + 1e308 overflows, but the symmetrised matrix halves before it adds
         path = tmp_path / "huge.txt"
@@ -151,6 +159,26 @@ RUN_CFG = {
     "T": 3,
     "x0_seed": 1,
 }
+
+
+# Config bytes that are no readable JSON, and the reason that follows
+# "cannot read config PATH: ".  The nesting is written as text: json.dumps
+# recurses once per level and cannot build it.
+UNREADABLE_CONFIGS = {
+    "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    "not-utf-8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+}
+
+
+def _unreadable_config_exits_2(tmp_path, capsys, command, case):
+    data, reason = UNREADABLE_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    code = cli.main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot read config {path}: {reason}")
 
 
 QUAD3 = {"quadratic": {"d": 3, "lambda_max": 2.0}}
@@ -501,6 +529,10 @@ class TestRun:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: smoothness constant overflows: matrix entries too large"]
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, case):
+        _unreadable_config_exits_2(tmp_path, capsys, "run", case)
 
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -883,6 +915,10 @@ class TestQuadGrid:
             lam, theta, _, linf = map(float, line.split(",")[:4])
             u1 = float(np.abs(exp_skew(skew, theta).entries[:, -1]).sum())
             assert linf == pytest.approx(d + (lam - 1.0) * u1 * u1, rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, case):
+        _unreadable_config_exits_2(tmp_path, capsys, "quadgrid", case)
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "grid.json"
@@ -1329,6 +1365,14 @@ class TestExitCodeContract:
             m: split(table) for m, (table, _) in cli._METHODS.items()
         }
 
+    def test_bare_memory_error_exits_2_naming_it(self, matrix_file, monkeypatch, capsys):
+        def no_memory(matrix):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "analyze", no_memory)
+        assert cli.main(["analyze", str(matrix_file)]) == 2
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
+
     @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(cfg=_run_configs())
     @example(cfg={"problem": QUAD3, "optimizer": {"method": "blocknorm", "blocks": 3}, "T": 3})
@@ -1341,6 +1385,8 @@ class TestExitCodeContract:
     @example(cfg={"problem": COSH2, "optimizer": {"method": "gd", "L": 0.001}, "x0": [5, 0], "T": 3})
     @example(cfg={"problem": {"quadratic": {"d": 16, "lambda_max": 8e307, "theta": 1}},
                   "optimizer": {"method": "signgd_normscaled"}, "T": 3})
+    # an allocation above 2**62 bytes, which numpy refuses on any host before mapping a page
+    @example(cfg={"problem": {"quadratic": {"d": 10**9, "lambda_max": 2.0}}, "optimizer": {"method": "gd"}, "T": 3})
     def test_run_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "run.json"
         path.write_text(json.dumps(cfg))
@@ -1354,6 +1400,7 @@ class TestExitCodeContract:
     @example(cfg=dict(GRID_CFG, lambda_max_values=[math.inf]))
     @example(cfg=dict(GRID_CFG, lambda_max_values=[1.0, 1e308]))
     @example(cfg={"d": 8, "lambda_max_values": [5e307], "theta_values": [1], "T": 5, "repeats": 2})
+    @example(cfg=dict(GRID_CFG, d=8, repeats=10**17))  # starting points above 2**62 bytes, refused at once
     def test_quadgrid_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("fuzz") / "grid.json"
         path.write_text(json.dumps(cfg))

@@ -87,3 +87,19 @@ def test_only_norms_dispatches_on_a_norm_kind():
                 if any(ast.unparse(c).rsplit(".", 1)[-1] in kinds for c in classes):
                     found.append((name, getattr(top, "name", None)))
     assert found == [("optimizers.py", "steepest_descent_stack")]
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    # the commands compute and raise; cli.main alone silences numpy's warnings
+    # and prints the error line, except _write_lines's for an unwritable output
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    errstate, error_lines = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.errstate":
+                errstate.add(getattr(top, "name", None))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "print" and node.args:
+                if ast.unparse(node.args[0]).lstrip("f").strip("'\"").startswith("error:"):
+                    error_lines.add(getattr(top, "name", None))
+    assert errstate == {"main"}
+    assert error_lines == {"main", "_write_lines"}
