@@ -90,8 +90,10 @@ def linf_bruteforce(H: SymMatrix) -> float:
 
     The induced norm's maximum over the unit max-norm ball is attained at
     sign vectors, so enumerating them is exact.  No ||H s||_1 exceeds the
-    row-sum bound sum_ij |H_ij|, so a sign vector that reaches it within
-    1e-9 relative ends the search.
+    row-sum bound sum_ij |H_ij| (the total of lsep_rowsum), so a sign vector
+    that reaches it within 1e-9 relative ends the search.  The result is
+    clamped to that total, which a sum in another order can exceed by an
+    ulp, so it never exceeds what lsep_rowsum reports.
 
     Before any enumeration, the d sign patterns of H's own columns
     (sign_unit, so sign(0) = +1) are tried with one d x d product, O(d^3),
@@ -120,13 +122,13 @@ def linf_bruteforce(H: SymMatrix) -> float:
     d = H.dim
     a = H.to_array()
     k = min(d - 1, _TABLE_BITS)
-    total = float(np.abs(a).sum())
+    total = lsep_rowsum(H)[1]
     s = sign_unit(a)
     s *= s[d - 1]  # each column pattern up to sign, ending in +1 as in the walk
     hs = a[:, :k] @ s[:k] + (a[:, k : d - 1] @ s[k : d - 1] + a[:, d - 1 :])  # the walk's sum order
     best = float(np.abs(hs).sum(axis=0).max())
     if best * (1.0 + 1e-9) >= total:
-        return best
+        return min(best, total)
     if d > BRUTE_FORCE_CAP:
         raise ValueError(
             f"dimension too large for exact norm: d={d} exceeds cap {BRUTE_FORCE_CAP}"
@@ -145,7 +147,7 @@ def linf_bruteforce(H: SymMatrix) -> float:
         np.add(table, z[:, j : j + 1], out=buf)
         np.abs(buf, out=buf)
         best = max(best, float(buf.sum(axis=0).max()))
-    return best
+    return min(best, total)
 
 
 def _sign_table(n: int) -> np.ndarray:

@@ -77,6 +77,10 @@ class GridConfig:
             raise ValueError("lambda_max values must be finite and at least 1")
         if any(not 0.0 <= v <= 1.0 for v in self.theta_values):
             raise ValueError("theta values must lie in [0, 1]")
+        for axis in ("lambda_max_values", "theta_values"):
+            values = getattr(self, axis)
+            if len(set(values)) < len(values):  # two rows would share one (lambda_max, theta)
+                raise ValueError(f"{axis} holds a repeated value")
         if self.T < 1:
             raise ValueError("T must be positive")
         if self.repeats < 1:

@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 ORTHOGONALITY_TOL = 1e-10
-EXPM_SCALE_LIMIT = 0.5
 TEXT_SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10  # the relative tolerance of the package's positive semidefinite test, is_psd_spectrum
 
@@ -172,33 +171,29 @@ def random_skew(d: int, rng: np.random.Generator) -> SkewMatrix:
 
 
 def exp_skew(S: SkewMatrix, theta: float) -> OrthogonalMatrix:
-    """exp(theta * S) by scaling and squaring with a truncated Taylor series.
+    """exp(theta * S) in closed form, from one symmetric eigendecomposition.
 
-    The argument is halved until its Frobenius norm is at most 0.5, the
-    series is summed until terms vanish at double precision, and the result
-    is squared back up.  exp of an exactly skew matrix is orthogonal, so the
-    output satisfies the OrthogonalMatrix residual by construction.
+    S is normal, so exp(theta * S) is a function of S's spectrum: with
+    S S = W diag(-mu^2) W' (LAPACK, through eigh),
+    exp(theta * S) = W diag(cos(theta mu)) W' + S W diag(sin(theta mu) / mu) W',
+    the even and odd parts of the exponential series, with sin(theta mu) / mu
+    = theta at mu = 0.  Both are functions of S S alone, so they do not
+    depend on the eigenbasis LAPACK picks inside a repeated -mu^2, and every
+    nonzero one is repeated: S's eigenvalues come in pairs +-i mu.
+    theta = 0 gives the identity exactly.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    a = theta * S.entries
-    nrm = math.sqrt(float((a * a).sum()))
-    squarings = 0 if nrm <= EXPM_SCALE_LIMIT else int(
-        math.ceil(math.log2(nrm / EXPM_SCALE_LIMIT))
-    )
-    b = a / (2.0 ** squarings)
-    d = S.dim
-    q = np.eye(d)
-    term = np.eye(d)
-    for j in range(1, 41):
-        term = term @ b / j
-        q = q + term
-        if np.abs(term).max() < 1e-17:
-            break
-    for _ in range(squarings):
-        q = q @ q
-    return OrthogonalMatrix(q)
+    if theta == 0.0:
+        return OrthogonalMatrix(np.eye(S.dim))
+    s = S.entries
+    dec = eigh(SymMatrix(s @ s))
+    mu = np.sqrt(np.maximum(-dec.values, 0.0))  # S S is negative semidefinite up to rounding
+    w = dec.vectors
+    even = (w * np.cos(theta * mu)) @ w.T
+    odd = (w * (theta * np.sinc(theta * mu / math.pi))) @ w.T
+    return OrthogonalMatrix(even + s @ odd)
 
 
 def rotated_hessian(eigs, S: SkewMatrix, theta: float) -> SymMatrix:

@@ -11,6 +11,7 @@ from normdescent import (
     Euclidean,
     Max,
     One,
+    OrthogonalMatrix,
     QuadraticProblem,
     SymMatrix,
     WeightedDiag,
@@ -87,6 +88,17 @@ class TestLinfBruteforce:
         g = rng.standard_normal((16, 16))
         h = SymMatrix(np.diag(rng.uniform(1.0, 2.0, 16)) + 1e-6 * (g + g.T))
         assert linf_bruteforce(h) == pytest.approx(bruteforce_oracle(h), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_never_above_the_row_sum_total(self, seed):
+        # spike spectra under a QR rotation: the column check settles each one with a
+        # sum in another order than lsep_rowsum's, which can be an ulp larger
+        rng = np.random.default_rng(seed)
+        for d in (8, 16, 64):
+            q = OrthogonalMatrix(np.linalg.qr(rng.standard_normal((d, d)))[0])
+            for lam in (2.0, 5.0, 50.0, 100.0):
+                h = rotate_spectrum(np.concatenate([np.ones(d - 1), [lam]]), q)
+                assert linf_bruteforce(h) <= lsep_rowsum(h)[1]
 
     def test_one_dimension(self):
         assert linf_bruteforce(SymMatrix([[-3.0]])) == 3.0

@@ -926,6 +926,16 @@ class TestQuadGrid:
         res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("axis", ["lambda_max_values", "theta_values"])
+    def test_repeated_axis_value_exits_2_naming_the_axis(self, tmp_path, capsys, axis):
+        # the two rows would share one (lambda_max, theta) and one --dump-x0 file
+        cfg = dict(GRID_CFG, **{axis: GRID_CFG[axis][:1] * 2})
+        path, dump = tmp_path / "grid.json", tmp_path / "x0s"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["quadgrid", "--config", str(path), "--dump-x0", str(dump)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {axis} holds a repeated value\n")
+        assert not dump.exists()
+
     def test_infinite_sigma_exits_2(self, tmp_path, capsys):
         code, out, err = _main_on_config(tmp_path, capsys, "quadgrid", dict(GRID_CFG, sigma=math.inf))
         assert (code, out, err) == (2, "", "error: sigma must be finite\n")
@@ -1292,7 +1302,7 @@ def _run_configs(draw):
 
 @st.composite
 def _grid_configs(draw):
-    axis = lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=3)
+    axis = lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
     cfg = {
         "d": draw(st.integers(2, 5)),
         "lambda_max_values": draw(axis([1.0, 2.0, 50.0])),
@@ -1399,6 +1409,7 @@ class TestExitCodeContract:
     @example(cfg=dict(GRID_CFG, skew_seed=-1))
     @example(cfg=dict(GRID_CFG, lambda_max_values=[math.inf]))
     @example(cfg=dict(GRID_CFG, lambda_max_values=[1.0, 1e308]))
+    @example(cfg=dict(GRID_CFG, lambda_max_values=[2.0, 2.0]))
     @example(cfg={"d": 8, "lambda_max_values": [5e307], "theta_values": [1], "T": 5, "repeats": 2})
     @example(cfg=dict(GRID_CFG, d=8, repeats=10**17))  # starting points above 2**62 bytes, refused at once
     def test_quadgrid_exits_0_2_or_3_and_never_raises(self, tmp_path_factory, cfg):

@@ -90,6 +90,36 @@ def test_shipped_paper_config_is_the_default_grid():
     )
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("lambda_max_values", (2, 2.0)), ("lambda_max_values", (1.0, 5.0, 1.0)), ("theta_values", (0.5, 0.5)),
+])
+def test_repeated_axis_value_is_rejected(axis, values):
+    # two rows would share one (lambda_max, theta), and --dump-x0 one file name
+    fields = {"d": 3, "lambda_max_values": (2.0,), "theta_values": (0.5,), axis: values}
+    with pytest.raises(ValueError, match=f"^{axis} holds a repeated value$"):
+        GridConfig(**fields)
+
+
+def test_cell_hessians_are_make_quadratic_matrices(monkeypatch):
+    # run and quadgrid build the same matrix, bit for bit
+    built = []
+
+    def recorded(cfg, rotations, li, ti):
+        cell = run_cell(cfg, rotations, li, ti)
+        built.append(cell)
+        return cell
+
+    run_cell = experiments._run_cell
+    monkeypatch.setattr(experiments, "_run_cell", recorded)
+    cfg = GridConfig(d=7, lambda_max_values=(1.0, 3.0, 50.0), theta_values=(0.0, 0.3, 1.0),
+                     T=2, repeats=1, skew_seed=4)
+    run_quad_grid(cfg)
+    assert len(built) == 9
+    for cell in built:
+        want = make_quadratic(cfg.d, cell.lam, cell.theta, cfg.skew_seed).matrix.to_array()
+        assert cell.H.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------ stacked cells
 
 

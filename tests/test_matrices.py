@@ -158,6 +158,15 @@ class TestExpSkew:
             q = exp_skew(s, theta).entries  # constructor enforces the residual
             assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 25, 64])
+    def test_matches_scipy_expm(self, d):
+        # an independent reference; at odd d, S has a zero eigenvalue
+        linalg = pytest.importorskip("scipy.linalg")
+        s = random_skew(d, np.random.default_rng(d))
+        for theta in (-0.7, 1e-9, 0.5, 1.0, 3.0):
+            want = linalg.expm(theta * s.entries)
+            assert np.abs(exp_skew(s, theta).entries - want).max() <= 1e-13
+
 
 class TestRotatedHessian:
     def test_theta_zero_is_exact_diagonal(self):
