@@ -48,11 +48,12 @@ class SmoothnessReport:
     ``L2`` is the largest-magnitude eigenvalue and ``Linf_exact`` the exact
     max-norm constant (absent when it has no certificate and d exceeds the
     brute-force cap).
-    ``bound_psd`` is the concentration bound (positive semidefinite input
-    only), ``bound_sym`` the eigenspace-weighted bound, ``lower_bound`` the
-    eigenvector alignment lower bound, and ``lsep_rowsum`` the row-sum
-    separable surrogate, which for a positive definite 2x2
-    [[a, b], [b, d]] is its exact separable constant a + d + 2|b|.
+    ``bound_psd`` is the concentration bound sum(lambda) / rho_diag
+    (positive semidefinite input only), ``bound_sym`` the eigenspace-weighted
+    bound, ``lower_bound`` the eigenvector alignment lower bound, and
+    ``lsep_rowsum`` the row-sum separable surrogate, which for a positive
+    definite 2x2 [[a, b], [b, d]] is its exact separable constant
+    a + d + 2|b|.
     """
 
     L2: float
@@ -192,19 +193,12 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -
     return float(terms.sum())
 
 
-def _linf_bounds_from(values: np.ndarray, vectors: np.ndarray, rho: float):
-    """Bounds on Linf from H's eigenpairs and rho = rho_diag(H): sum(lambda) / rho
-    (None unless H is positive semidefinite), _eigenspace_bound, and the
-    lower bound max_i |lambda_i| ||v_i||_1 / ||v_i||_inf."""
-    abs_lam = np.abs(values)
+def _linf_bounds_from(values: np.ndarray, vectors: np.ndarray):
+    """Bounds on Linf from H's eigenpairs: _eigenspace_bound, and the lower
+    bound max_i |lambda_i| ||v_i||_1 / ||v_i||_inf."""
     l1 = np.abs(vectors).sum(axis=0)
     linf = np.abs(vectors).max(axis=0)
-    bound_sym = _eigenspace_bound(values, vectors, l1)
-    lower = float((abs_lam * l1 / linf).max())
-    bound_psd = None
-    if is_psd_spectrum(values) and rho > 0.0:  # a nonzero matrix with zero diagonal is indefinite
-        bound_psd = float(values.sum()) / rho
-    return bound_psd, bound_sym, lower
+    return _eigenspace_bound(values, vectors, l1), float((np.abs(values) * l1 / linf).max())
 
 
 def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:
@@ -281,21 +275,29 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
     """Full smoothness report for a symmetric matrix.
 
     ``Linf_exact`` and the derived ratio are omitted where linf_bruteforce
-    raises its cap error.  The zero matrix is rejected (its concentration
-    ratio is undefined), and so is a matrix whose report holds a value
-    that is not finite (its sums overflow).
+    raises its cap error.  On positive semidefinite H, tr H = sum_i |H_ii|,
+    so sum(lambda) / rho_diag equals sum_ij |H_ij|: ``bound_psd`` is the
+    total of lsep_rowsum, which Linf_exact never exceeds.  ``bound_sym`` is
+    clamped to at least Linf_exact, which its rounding can miss by an ulp.
+    The zero matrix is rejected (its concentration ratio is undefined),
+    and so is a matrix whose report holds a value that is not finite (its
+    sums overflow).
     """
     dec = eigh(H)
     values = dec.values
     L2 = float(max(abs(values[0]), abs(values[-1])))
     rho = rho_diag(H)
-    bound_psd, bound_sym, lower = _linf_bounds_from(values, dec.vectors, rho)
+    bound_sym, lower = _linf_bounds_from(values, dec.vectors)
     _, total = lsep_rowsum(H)
+    # a nonzero matrix with zero diagonal is indefinite
+    bound_psd = total if is_psd_spectrum(values) and rho > 0.0 else None
 
     try:
         linf_exact = linf_bruteforce(H)
     except ValueError:  # no certificate, and d above the brute-force cap
         linf_exact = None
+    if linf_exact is not None:
+        bound_sym = max(bound_sym, linf_exact)
     ratio = H.dim * L2 / linf_exact if linf_exact else None
 
     report = SmoothnessReport(

@@ -27,7 +27,7 @@ from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from .analysis import analyze, smoothness_constant
 from .experiments import GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import parse_matrix_text
-from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, kind_from_json
+from .norms import BlockMax, Euclidean, Max, NormKind, One, _partition_from_json, kind_from_json
 from .optimizers import (
     ROW_CHUNK,
     AdamConfig,
@@ -109,16 +109,6 @@ def _or_null(reader):
     return lambda value: None if value is None else reader(value)
 
 
-def _partition(blocks) -> BlockPartition:
-    """BlockPartition from a JSON list of index lists; ValueError from the
-    partition's own checks (overlap, gaps, empty blocks) passes through."""
-    try:
-        indices = tuple(tuple(map(json_int, b)) for b in blocks)
-    except TypeError as exc:
-        raise TypeError(f"must be a list of index lists, got {blocks!r}") from exc
-    return BlockPartition(indices)
-
-
 def _norm_kind(obj) -> NormKind:
     try:
         return kind_from_json(obj)
@@ -194,7 +184,7 @@ _NORM = {"norm": (_norm_kind, Max())}
 _SIGN = ({"step": (_schedule, None)}, lambda problem, step: _runner(run_signsgd, step))
 _MOMENTUM = {"step": (json_number, 1e-3), "beta1": (json_number, AdamConfig.beta1)}
 _MOMENTS = {**_MOMENTUM, "beta2": (json_number, AdamConfig.beta2), "epsilon": (json_number, AdamConfig.epsilon)}
-_BLOCKS = {"blocks": (_or_null(_partition), None)}
+_BLOCKS = {"blocks": (_or_null(_partition_from_json), None)}
 
 # method -> (its fields besides "method", its builder): the builder takes the
 # problem and the field values as keywords and returns the method's runner.
@@ -204,7 +194,7 @@ _METHODS = {
     "signgd_normscaled": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, Max(), L)),
     "cd": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, One(), L)),
     "blocknorm": (
-        {"blocks": (_partition, REQUIRED), **_L},
+        {"blocks": (_partition_from_json, REQUIRED), **_L},
         lambda problem, blocks, L: _with_L(run_steepest_descent, problem, BlockMax(blocks), L),
     ),
     "nsd": ({**_NORM, **_L}, lambda problem, norm, L: _with_L(run_normalized_sd, problem, norm, L)),

@@ -5,12 +5,24 @@ closed form per norm turns one descent template into gradient descent
 (Euclidean), sign descent (max norm), greedy coordinate descent (one norm),
 per-coordinate scaling (weighted norm), and block-normalized descent
 (block-max norm).
+
+Each norm kind owns its geometry as three methods, the only code that
+knows it.  They take float arrays whose last axis has the kind's dimension
+``dim``, if it has one, and check nothing: their callers, here and the
+runners of optimizers, call _check first.  ``norm(x)`` is the norm of a
+vector x, a float; ``dual_rows(X)`` the dual norms of the rows of an
+(n, d) array X, and a vector's dual norm that of its one-row view; and
+``step(g, c, dual=None)`` is P(g)/c along the last axis of g, using
+dual = ||g||* when the caller has it.  For a vector g, c is a positive
+float or 0-d array, and a float when dual (a float) is given, as a
+quotient of Python floats is the cheaper.  The Euclidean and max steps
+also take a (K, R, d) stack, with c of shape (K, 1, 1).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -60,42 +72,6 @@ class BlockPartition:
         return sum(len(b) for b in self.blocks)
 
 
-@record
-class Euclidean:
-    pass
-
-
-@record
-class Max:
-    pass
-
-
-@record
-class One:
-    pass
-
-
-@record
-class WeightedDiag:
-    """sqrt(sum_i w_i x_i^2) with strictly positive weights."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if not w or any(not np.isfinite(x) or x <= 0.0 for x in w):
-            raise ValueError("weights must be finite and strictly positive")
-        object.__setattr__(self, "weights", w)
-
-
-@record
-class BlockMax:
-    partition: BlockPartition
-
-
-NormKind = Union[Euclidean, Max, One, WeightedDiag, BlockMax]
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -120,19 +96,10 @@ def sign_unit(z: np.ndarray) -> np.ndarray:
     return _SIGNS.take(np.asarray(z, dtype=float) >= _ZERO)
 
 
-def _check_dim(kind: NormKind, d: int) -> None:
-    if isinstance(kind, WeightedDiag) and len(kind.weights) != d:
-        raise ValueError(f"weight vector has length {len(kind.weights)}, expected {d}")
-    if isinstance(kind, BlockMax) and kind.partition.dim != d:
-        raise ValueError(f"partition covers {kind.partition.dim} indices, expected {d}")
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b.
-
-    Computed as a stack of (1, d) @ (d, 1) products, which round like np.dot
-    on each row (a row sum of elementwise products does not).
-    """
+    """Dot product of each row of a with the same row of b, as a stack of
+    (1, d) @ (d, 1) products: they round like np.dot on each row (a row sum
+    of elementwise products does not)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -165,147 +132,145 @@ def _l2_rows(X: np.ndarray) -> np.ndarray:
     return r
 
 
-def _block_norms(x: np.ndarray, index) -> list[float]:
-    """The Euclidean norm (_l2) of each block of x, for a partition's index."""
-    return [_l2(x[i]) for i in index]
+@record
+class Euclidean:
+    norm = staticmethod(_l2)
+    dual_rows = staticmethod(_l2_rows)
+
+    def step(self, g, c, dual=None):
+        return g / c
 
 
-def norm(x, kind: NormKind) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(kind, x.size)
-    if isinstance(kind, Euclidean):
-        return _l2(x)
-    if isinstance(kind, Max):
+@record
+class Max:
+    def norm(self, x):
         return float(np.abs(x).max())
-    if isinstance(kind, One):
+
+    def dual_rows(self, X):
+        return np.add.reduce(np.abs(X), axis=-1)
+
+    def step(self, g, c, dual=None):
+        # P(g) = ||g||_1 sign(g), and a product with +-1 is exact, so
+        # sign(g) * (||g||_1 / c) has the bits of P(g)/c with one array operation
+        # fewer; a quotient of exactly 1.0 (c = ||g||_1 in normalized descent) needs none
+        if dual is None:
+            if g.ndim > 1:
+                return sign_unit(g) * (np.add.reduce(np.abs(g), axis=-1, keepdims=True) / c)
+            dual, c = float(self.dual_rows(g)), float(c)
+        scale = dual / c
+        return sign_unit(g) if scale == 1.0 else sign_unit(g) * np.array(scale)
+
+
+@record
+class One:
+    def norm(self, x):
         return float(np.abs(x).sum())
-    if isinstance(kind, WeightedDiag):
-        w = np.asarray(kind.weights)
-        r = math.sqrt(np.dot(w * x, x))
+
+    def dual_rows(self, X):
+        return np.abs(X).max(axis=-1)
+
+    def step(self, g, c, dual=None):
+        # only the largest |g_i|, the first on a tie, is kept: one quotient, not d
+        i = np.abs(g).argmax()
+        out = np.zeros(g.shape)
+        out[i] = g[i] / float(c)
+        return out
+
+
+@record
+class WeightedDiag:
+    """sqrt(sum_i w_i x_i^2) with strictly positive weights.
+
+    ``w`` and ``root``, the weights and their square roots as read-only
+    arrays, are built once, with the kind, and are no fields.
+    """
+
+    weights: tuple[float, ...]
+    _MISMATCH = "weight vector has length {}, expected {}"
+    dim = property(lambda self: len(self.weights))
+
+    def __post_init__(self):
+        w = tuple(float(x) for x in self.weights)
+        if not w or any(not np.isfinite(x) or x <= 0.0 for x in w):
+            raise ValueError("weights must be finite and strictly positive")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "w", _frozen(np.array(w)))
+        object.__setattr__(self, "root", _frozen(np.sqrt(self.w)))
+
+    def norm(self, x):
+        r = math.sqrt(np.dot(self.w * x, x))
         # rescaled only when the squares overflow or lose bits
-        return _l2(np.sqrt(w) * x) if not _L2_TINY <= r < math.inf else r
-    if isinstance(kind, BlockMax):
-        return max(_block_norms(x, kind.partition.index))
-    raise TypeError(f"unknown norm kind: {kind!r}")
+        return _l2(self.root * x) if not _L2_TINY <= r < math.inf else r
 
-
-# The kernels of each geometry, on float arrays whose last axis has the
-# kind's dimension: the dual norm of a vector, the dual norms of the rows of
-# an (n, d) array (one last-axis function for the max and one norms), and
-# the step P(g)/c along the last axis of g, step(g, c, dual=None), which
-# uses dual = ||g||* when the caller has it.  For a vector g, c is a
-# positive float or 0-d array, and a float when dual (a float) is given; a
-# scalar quotient is one of Python floats, cheaper than one of numpy
-# scalars.  The Euclidean and max steps also take a (K, R, d) stack with c
-# of shape (K, 1, 1).  _kernels resolves
-# a kind to them once; dual_norm, dual_norm_rows and steepest_op check
-# their argument and call the same kernels.
-
-def _l2_step(g: np.ndarray, c, dual=None) -> np.ndarray:
-    return g / c
-
-
-def _max_dual(z: np.ndarray):
-    return np.add.reduce(np.abs(z), axis=-1)
-
-
-def _max_step(g: np.ndarray, c, dual=None) -> np.ndarray:
-    # P(g) = ||g||_1 sign(g), and a product with +-1 is exact, so
-    # sign(g) * (||g||_1 / c) has the bits of P(g)/c with one array operation
-    # fewer; a quotient of exactly 1.0 (c = ||g||_1 in normalized descent) needs none
-    if dual is None:
-        if g.ndim > 1:
-            return sign_unit(g) * (np.add.reduce(np.abs(g), axis=-1, keepdims=True) / c)
-        dual, c = float(_max_dual(g)), float(c)
-    scale = dual / c
-    return sign_unit(g) if scale == 1.0 else sign_unit(g) * np.array(scale)
-
-
-def _one_dual(z: np.ndarray):
-    return np.abs(z).max(axis=-1)
-
-
-def _one_step(g: np.ndarray, c, dual=None) -> np.ndarray:
-    # only the largest |g_i|, the first on a tie, is kept: one quotient, not d
-    i = np.abs(g).argmax()
-    out = np.zeros(g.shape)
-    out[i] = g[i] / float(c)
-    return out
-
-
-def _weighted_kernels(weights: tuple[float, ...]):
-    w = np.array(weights)
-    root = np.sqrt(w)
-
-    def dual(z):
-        r = math.sqrt(np.dot(z / w, z))
-        return _l2(z / root) if not _L2_TINY <= r < math.inf else r
-
-    def rows(X):
-        r = np.sqrt(_row_dots(X / w, X))
+    def dual_rows(self, X):
+        r = np.sqrt(_row_dots(X / self.w, X))
         rescale = (r < _L2_TINY) | (r == math.inf)
         if rescale.any():
-            r[rescale] = _l2_rows(X[rescale] / root)
+            r[rescale] = _l2_rows(X[rescale] / self.root)
         return r
 
-    return dual, rows, lambda g, c, dual=None: g / w / c
+    def step(self, g, c, dual=None):
+        return g / self.w / c
 
 
-def _blockmax_kernels(partition: BlockPartition):
-    index = partition.index
+@record
+class BlockMax:
+    """The largest Euclidean norm of a block; the dual norm sums them."""
 
-    def dual(z):
-        return sum(_block_norms(z, index))
+    partition: BlockPartition
+    _MISMATCH = "partition covers {} indices, expected {}"
+    dim = property(lambda self: self.partition.dim)
 
-    def rows(X):
+    def norm(self, x):
+        return max(_l2(x[i]) for i in self.partition.index)
+
+    def dual_rows(self, X):
         out = np.zeros(X.shape[0])
-        for i in index:
+        for i in self.partition.index:
             # _row_dots rounds an F-ordered gather (what X[:, i] gives for an integer
-            # index) unlike one row's np.dot; a C-ordered block rounds like dual()
+            # index) unlike one row's np.dot; a C-ordered block rounds like _l2 of the block
             out += _l2_rows(np.ascontiguousarray(X[:, i]))
         return out
 
-    def step(g, c, dual=None):
-        block_norms = _block_norms(g, index)
+    def step(self, g, c, dual=None):
+        block_norms = [_l2(g[i]) for i in self.partition.index]
         total = sum(block_norms) if dual is None else dual
         out = np.zeros(g.shape)
-        for i, nb in zip(index, block_norms):
+        for i, nb in zip(self.partition.index, block_norms):
             if nb > 0.0:
                 scale = total / nb
                 # g[i] / nb is at most 1 in magnitude, so this order cannot overflow a finite result
                 out[i] = g[i] * np.array(scale) if scale < math.inf else g[i] / nb * total
         return out / c
 
-    return dual, rows, step
+
+NormKind = Union[Euclidean, Max, One, WeightedDiag, BlockMax]
 
 
-def _kernels(kind: NormKind) -> tuple[Callable, Callable, Callable]:
-    """(dual norm, row dual norms, step) kernels of ``kind``; they do not
-    check the dimension (see _check_dim)."""
-    if isinstance(kind, Euclidean):
-        return _l2, _l2_rows, _l2_step
-    if isinstance(kind, Max):
-        return _max_dual, _max_dual, _max_step
-    if isinstance(kind, One):
-        return _one_dual, _one_dual, _one_step
-    if isinstance(kind, WeightedDiag):
-        return _weighted_kernels(kind.weights)
-    if isinstance(kind, BlockMax):
-        return _blockmax_kernels(kind.partition)
-    raise TypeError(f"unknown norm kind: {kind!r}")
+def _check(kind, d: int | None = None) -> None:
+    """TypeError unless kind is a norm kind, ValueError if it has a dimension other than d."""
+    if not isinstance(kind, NormKind):
+        raise TypeError(f"unknown norm kind: {kind!r}")
+    if d is not None and getattr(kind, "dim", d) != d:
+        raise ValueError(kind._MISMATCH.format(kind.dim, d))
+
+
+def norm(x, kind: NormKind) -> float:
+    x = np.asarray(x, dtype=float)
+    _check(kind, x.size)
+    return kind.norm(x)
 
 
 def dual_norm(x, kind: NormKind) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(kind, x.size)
-    return float(_kernels(kind)[0](x))
+    """The dual norm of the vector x: dual_norm_rows of its one-row view."""
+    return float(dual_norm_rows(np.reshape(x, (1, -1)), kind)[0])
 
 
 def dual_norm_rows(X, kind: NormKind) -> np.ndarray:
     """dual_norm of every row of the (n, d) array X, as an (n,) array."""
     X = np.asarray(X, dtype=float)
-    _check_dim(kind, X.shape[1])
-    return _kernels(kind)[1](X)
+    _check(kind, X.shape[1])
+    return kind.dual_rows(X)
 
 
 def steepest_op(z, kind: NormKind) -> np.ndarray:
@@ -319,8 +284,18 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     zero vector in every geometry.
     """
     z = np.asarray(z, dtype=float)
-    _check_dim(kind, z.size)
-    return _kernels(kind)[2](z, 1.0)
+    _check(kind, z.size)
+    return kind.step(z, 1.0)
+
+
+def _partition_from_json(blocks) -> BlockPartition:
+    """BlockPartition from a JSON list of index lists, else TypeError; the
+    partition's own ValueError (overlap, gaps, empty blocks) passes through."""
+    try:
+        indices = tuple(tuple(map(json_int, b)) for b in blocks)
+    except TypeError as exc:
+        raise TypeError(f"must be a list of index lists, got {blocks!r}") from exc
+    return BlockPartition(indices)
 
 
 def kind_from_json(obj) -> NormKind:
@@ -333,5 +308,5 @@ def kind_from_json(obj) -> NormKind:
     if isinstance(obj, dict) and set(obj) == {"weighted"}:
         return WeightedDiag(tuple(map(json_number, obj["weighted"])))
     if isinstance(obj, dict) and set(obj) == {"blockmax"}:
-        return BlockMax(BlockPartition(tuple(tuple(map(json_int, b)) for b in obj["blockmax"])))
+        return BlockMax(_partition_from_json(obj["blockmax"]))
     raise ValueError(f"unrecognized norm kind: {obj!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._record import record
 from .norms import (
-    BlockPartition, Euclidean, Max, NormKind, _check_dim, _frozen, _kernels, _row_dots, sign_unit,
+    BlockPartition, Euclidean, Max, NormKind, _check, _frozen, _row_dots, sign_unit,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -122,19 +122,19 @@ def _drive(
     not depend on where the chunks split, and a row's dual norm has the
     bits of the dual a stopping run computed for it.
 
-    The dimension is checked against ``kind`` once, before the loop.  The
-    loop takes dual (a Python float) and the chunks' dual norms from the
-    kind's dual-norm and row dual-norm kernels, and each steepest-descent
-    update rule is one call of its step kernel P(g)/c; ``norms._kernels``
-    resolves them once per run, and they check nothing.  Per-step array
-    operands of the update rules are 0-d arrays: a numpy call with one is
-    cheaper than with a Python float, and rounds the same.
+    ``kind`` and the dimension are checked once, before the loop; the
+    kind's methods check nothing.  The chunks' dual norms are its
+    ``dual_rows`` of their gradient rows, and dual (a Python float) is its
+    ``dual_rows`` of step t's row alone.  Each steepest-descent update rule
+    is one call of its ``step``, P(g)/c.  Per-step array operands of the
+    update rules are 0-d arrays: a numpy call with one is cheaper than
+    with a Python float, and rounds the same.
     """
     if T < 0:
         raise ValueError("the number of steps must be nonnegative")
     x = _start(x0)
-    _check_dim(kind, x.size)
-    dual_kernel, rows_kernel, _ = _kernels(kind)
+    _check(kind, x.size)
+    dual_rows = kind.dual_rows
     ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
@@ -146,7 +146,7 @@ def _drive(
 
     def reduce_chunk(n: int) -> None:
         f_parts.append(F[:n].copy())
-        dual_parts.append(rows_kernel(G[:n]))
+        dual_parts.append(dual_rows(G[:n]))
         dist_parts.append(_row_dots(X[:n], X[:n]))
 
     def joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -176,7 +176,7 @@ def _drive(
             if f > F_BLOWUP:
                 raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
             if stop_tol is not None:
-                dual = float(dual_kernel(g))
+                dual = float(dual_rows(G[i : i + 1])[0])
                 if dual <= stop_tol:
                     return trace(i + 1, x)
             if t == T:
@@ -195,8 +195,8 @@ def run_steepest_descent(
     """Steepest descent with a constant step: x <- x - P(grad)/L for T steps."""
     if not 0.0 < L < math.inf:
         raise ValueError("smoothness constant must be positive and finite")
-    step = _kernels(kind)[2]
-    L = np.array(L, dtype=float)
+    _check(kind)
+    step, L = kind.step, np.array(L, dtype=float)
 
     def update(x, g, t, _):
         return x - step(g, L)
@@ -226,7 +226,7 @@ def steepest_descent_stack(
     """
     if not isinstance(kind, (Euclidean, Max)):
         raise TypeError(f"batched steepest descent supports Euclidean and Max, got {kind!r}")
-    step = _kernels(kind)[2]
+    step = kind.step
     L = np.array(L, dtype=float)
     if L.ndim != 1 or not ((L > 0.0) & (L < math.inf)).all():
         raise ValueError("smoothness constant must be positive and finite")
@@ -275,7 +275,8 @@ def run_normalized_sd(
     """
     if not 0.0 < L < math.inf:
         raise ValueError("smoothness constant must be positive and finite")
-    step = _kernels(kind)[2]
+    _check(kind)
+    step = kind.step
 
     def update(x, g, t, dual):
         return x - step(g, dual, dual) * np.array(1.0 / math.sqrt(t + 1.0) / L)
@@ -304,7 +305,8 @@ def run_relaxed_nsd(
         raise ValueError("L1 must be nonnegative and finite")
     if not eps > 0.0:
         raise ValueError("stationarity threshold must be positive")
-    step = _kernels(kind)[2]
+    _check(kind)
+    step = kind.step
 
     def update(x, g, t, dual):
         return x - step(g, 5.0 * L0 + 4.0 * L1 * dual, dual)

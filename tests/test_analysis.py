@@ -20,6 +20,7 @@ from normdescent import (
     exp_skew,
     linf_bruteforce,
     lsep_rowsum,
+    make_quadratic,
     random_skew,
     rho_diag,
     rotate_spectrum,
@@ -241,6 +242,29 @@ class TestLinfBounds:
         assert rep.bound_psd is None
         assert rep.bound_sym == pytest.approx(2.0, abs=1e-10)
         assert rep.lower_bound == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.1, 0.0, 0.0], [0.0, 1.1, 0.0], [0.0, 0.0, 0.3]],
+        [[5.0, 1.1], [1.1, 7.0]],
+    ], ids=["diagonal", "2x2"])
+    def test_upper_bounds_hold_exactly_on_ulp_cases(self, rows):
+        # sum(lambda) / rho_diag and the eigenspace sum each came out an ulp below Linf_exact here
+        rep = analyze(SymMatrix(rows))
+        assert rep.Linf_exact <= rep.bound_psd
+        assert rep.Linf_exact <= rep.bound_sym
+
+    def test_upper_bounds_hold_exactly_on_the_family_and_diagonals(self):
+        family = [
+            make_quadratic(d, lam, theta, seed).matrix
+            for d, lam, theta, seed in itertools.product((8, 16, 32, 64), (2.0, 50.0), (0.3, 1.0), range(3))
+        ]
+        rng = np.random.default_rng(3)
+        diagonals = [SymMatrix(np.diag(rng.uniform(0.1, 5.0, 2 + i % 7))) for i in range(40)]
+        for h in family + diagonals:
+            rep = analyze(h)
+            assert rep.bound_psd == rep.lsep_rowsum
+            assert rep.Linf_exact <= rep.bound_psd
+            assert rep.Linf_exact <= rep.bound_sym
 
     def test_sandwich_on_random_psd(self):
         rng = np.random.default_rng(8)

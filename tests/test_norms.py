@@ -121,7 +121,7 @@ class TestSignUnitStack:
 
 
 class TestCheckedEntryPoints:
-    """dual_norm and steepest_op check what the kernels they call do not."""
+    """dual_norm and steepest_op check what the methods of the kind they call do not."""
 
     @pytest.mark.parametrize("kind", [
         WeightedDiag((1.0, 2.0, 3.0)), BlockMax(BlockPartition(((0, 1, 2),))),
@@ -374,6 +374,14 @@ class TestBlockPartition:
         assert a == b and hash(a) == hash(b) and "index" not in repr(a)
 
 
+def test_weighted_arrays_are_no_fields():
+    a, b = WeightedDiag((1.0, 4.0)), WeightedDiag([1, 4])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "WeightedDiag(weights=(1.0, 4.0))"
+    assert a.w.tolist() == [1.0, 4.0] and a.root.tolist() == [1.0, 2.0]
+    assert not a.w.flags.writeable and not a.root.flags.writeable
+
+
 def _blocks_reference(z, kind):
     """norm, dual norm and P(z) of a block-max norm, blocks selected by lists."""
     norms = [float(np.sqrt(np.dot(z[list(b)], z[list(b)]))) for b in kind.partition.blocks]
@@ -414,7 +422,7 @@ def test_blockmax_is_bit_identical_to_list_indexing(blocks):
     BlockMax(BlockPartition(((0, 2, 4, 6), (1, 3, 5, 7)))),  # blocks selected by index arrays
 ], ids=repr)
 def test_rows_are_bit_identical_to_dual_norm(kind):
-    # a trace's dual column comes from the rows kernel, a run's stopping test and update from dual_norm
+    # a trace's dual column reduces a chunk of rows at once, a run's stopping test and update one row alone
     rng = np.random.default_rng(0)
     X = rng.standard_normal((1000, 8))
     X[::7, rng.integers(8)] = 0.0  # rows with a zero coordinate, and so some with a zero block

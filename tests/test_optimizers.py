@@ -1215,8 +1215,8 @@ class TestChunkBoundaries:
 
 
 class TestResolvedKernels:
-    """The update rules call each geometry's kernels, resolved once per run,
-    and give the bits of the checked public operators."""
+    """The update rules call each geometry's methods, and give the bits of
+    the checked public operators."""
 
     def test_max_unit_direction_is_the_sign_vector(self):
         rng = np.random.default_rng(60)
@@ -1253,6 +1253,16 @@ class TestResolvedKernels:
         )
         assert_matches_reference(tr, ref)
         assert np.signbit(tr.x_final[[0, 4]]).all()
+
+    @pytest.mark.parametrize("kind", ["max", None, Euclidean], ids=repr)
+    def test_runs_reject_what_is_no_norm_kind(self, kind):
+        for run in (
+            lambda: run_steepest_descent(_identity_oracle, kind, 1.0, [1.0, 2.0], 3),
+            lambda: run_normalized_sd(_identity_oracle, kind, 1.0, [1.0, 2.0], 3),
+            lambda: run_relaxed_nsd(_identity_oracle, kind, 1.0, 1.0, [1.0, 2.0], 3, 1e-6),
+        ):
+            with pytest.raises(TypeError, match="unknown norm kind"):
+                run()
 
     @pytest.mark.parametrize("kind", [WeightedDiag((1.0, 2.0, 3.0)), BlockMax(BlockPartition(((0, 1, 2),)))],
                              ids=lambda k: type(k).__name__)

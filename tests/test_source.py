@@ -74,7 +74,8 @@ def test_the_package_exports_only_public_names_of_the_layers():
 
 
 def test_only_norms_dispatches_on_a_norm_kind():
-    # norms._kernels resolves a geometry once; the runners and the grid call its kernels
+    # each norm kind owns its geometry as methods, which the runners and the grid call;
+    # only the (Euclidean, Max) guard of steepest_descent_stack names a kind
     kinds = {cls.__name__ for cls in typing.get_args(NormKind)}
     found = []
     for name in ("optimizers.py", "experiments.py"):
