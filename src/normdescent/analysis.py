@@ -278,7 +278,8 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
     raises its cap error.  On positive semidefinite H, tr H = sum_i |H_ii|,
     so sum(lambda) / rho_diag equals sum_ij |H_ij|: ``bound_psd`` is the
     total of lsep_rowsum, which Linf_exact never exceeds.  ``bound_sym`` is
-    clamped to at least Linf_exact, which its rounding can miss by an ulp.
+    clamped to at least Linf_exact, and ``lower_bound`` to at most Linf_exact
+    (else the row-sum total), which their rounding can miss by an ulp.
     The zero matrix is rejected (its concentration ratio is undefined),
     and so is a matrix whose report holds a value that is not finite (its
     sums overflow).
@@ -298,6 +299,7 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
         linf_exact = None
     if linf_exact is not None:
         bound_sym = max(bound_sym, linf_exact)
+    lower = min(lower, total if linf_exact is None else linf_exact)
     ratio = H.dim * L2 / linf_exact if linf_exact else None
 
     report = SmoothnessReport(

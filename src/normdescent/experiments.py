@@ -44,11 +44,6 @@ __all__ = [
 DEFAULT_LAMBDA_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_THETA_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
-GRID_CSV_HEADER = (
-    "lambda_max,theta,L2,Linf,ratio_smoothness,"
-    "mean_dist_gd,mean_dist_signgd,log10_perf_ratio"
-)
-
 _DIST_FLOOR = 1e-300  # keeps the log ratio finite when a method lands exactly on 0
 _NOISE_SALT = 104729
 
@@ -121,8 +116,10 @@ class GridCell:
     log10_perf_ratio: float
 
 
+GRID_CSV_HEADER = ",".join(GridCell.__annotations__)
+
 _STACK_BUDGET = 1 << 18  # float64 elements per stacked array: bounds cells per group and noise rows per draw
-_METHODS = ("gd", "signgd_normscaled")
+_METHODS = {"gd": Euclidean(), "signgd_normscaled": Max()}  # the grid's methods, in column order
 
 
 class _CellSetup(NamedTuple):
@@ -130,8 +127,7 @@ class _CellSetup(NamedTuple):
     ti: int
     lam: float
     theta: float
-    L2: float
-    Linf: float
+    L: tuple[float, ...]  # per method of _METHODS, its smoothness constant
     H: np.ndarray
     x0: np.ndarray
 
@@ -142,20 +138,19 @@ def _cell_x0(cfg: GridConfig, li: int, ti: int) -> np.ndarray:
 
 
 def _run_cell(cfg: GridConfig, rotations: list[OrthogonalMatrix], li: int, ti: int) -> _CellSetup:
-    """The set-up of one cell: its Hessian, smoothness constants and starting
-    points.  ``rotations[ti]`` is exp(theta * S) for theta_values[ti].
-    perfbench/layertrace.py times this function by name as the per-cell cost
-    of a grid."""
+    """The set-up of one cell: its Hessian, each method's smoothness
+    constant and the starting points.  ``rotations[ti]`` is exp(theta * S)
+    for theta_values[ti].  perfbench/layertrace.py times this function by
+    name as the per-cell cost of a grid."""
     lam = cfg.lambda_max_values[li]
     theta = cfg.theta_values[ti]
     eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
     try:  # a finite lambda_max can overflow the rotated Hessian
         H = rotate_spectrum(eigs, rotations[ti])
-        L2 = smoothness_constant(H, Euclidean())
-        linf = smoothness_constant(H, Max())
+        L = tuple(smoothness_constant(H, kind) for kind in _METHODS.values())
     except ValueError as exc:
         raise ValueError(f"cell lambda_max={lam:g} theta={theta:g}: {exc}") from exc
-    return _CellSetup(li, ti, lam, theta, L2, linf, H.to_array(), _cell_x0(cfg, li, ti))
+    return _CellSetup(li, ti, lam, theta, L, H.to_array(), _cell_x0(cfg, li, ti))
 
 
 def _row_noise(seeds: list, d: int, calls: int, shape: tuple[int, int]):
@@ -195,19 +190,19 @@ def _dump_x0(dump_dir: Path, cell: _CellSetup) -> None:
 
 
 def _run_group(cfg: GridConfig, group: list[_CellSetup]):
-    """Both methods on a group of cells, each as one stacked run.  Returns
-    per method the (K, R) final squared distances and the per-cell failures."""
+    """Each method of _METHODS on a group of cells, as one stacked run.
+    Returns per method the (K, R) final squared distances and the per-cell
+    failures."""
     H = np.stack([c.H for c in group])
     X0 = np.stack([c.x0 for c in group])
     out = []
-    for mi, (kind, L) in enumerate(
-        ((Euclidean(), [c.L2 for c in group]), (Max(), [c.Linf for c in group]))
-    ):
+    for mi, kind in enumerate(_METHODS.values()):
         noise = None
         if cfg.sigma > 0.0:
             seeds = [[cfg.x0_seed, _NOISE_SALT, c.li, c.ti, r, mi]
                      for c in group for r in range(cfg.repeats)]
             noise = _row_noise(seeds, cfg.d, cfg.T + 1, X0.shape[:2])
+        L = [c.L[mi] for c in group]
         X, failures = steepest_descent_stack(_stack_oracle(H, cfg.sigma, noise), kind, L, X0, cfg.T)
         out.append((np.einsum("kij,kij->ki", X, X), failures))
     return out
@@ -225,9 +220,9 @@ def run_quad_grid(
     _STACK_BUDGET, at least one.  ``progress`` is called with each cell
     once its group has finished, so a caller keeps the finished cells when
     a later one raises DivergenceError: the first diverging cell in output
-    order, gd before sign descent.  ``dump_dir`` writes each cell's batch
-    of starting points (shared by both methods) as CSV, for the cells up
-    to and including a diverging one.
+    order, its methods in _METHODS order.  ``dump_dir`` writes each cell's
+    batch of starting points (shared by both methods) as CSV, for the cells
+    up to and including a diverging one.
     """
     dump_path = None
     if dump_dir is not None:
@@ -243,24 +238,25 @@ def run_quad_grid(
     cells = []
     for start in range(0, len(order), size):
         group = [_run_cell(cfg, rotations, li, ti) for li, ti in order[start:start + size]]
-        (dist_gd, fail_gd), (dist_sg, fail_sg) = _run_group(cfg, group)
+        results = _run_group(cfg, group)
         for k, c in enumerate(group):
             if dump_path is not None:
                 _dump_x0(dump_path, c)
-            for method, failure in zip(_METHODS, (fail_gd[k], fail_sg[k])):
-                if failure is not None:
-                    step, reason = failure
+            for method, (_, failures) in zip(_METHODS, results):
+                if failures[k] is not None:
+                    step, reason = failures[k]
                     raise DivergenceError(
                         step, None,
                         f"{reason} (cell lambda_max={c.lam:g} theta={c.theta:g}, method {method})",
                     )
-            mean_gd, mean_sg = float(dist_gd[k].mean()), float(dist_sg[k].mean())
+            L2, linf = c.L
+            mean_gd, mean_sg = (float(dist[k].mean()) for dist, _ in results)
             cell = GridCell(
                 lambda_max=c.lam,
                 theta=c.theta,
-                L2=c.L2,
-                Linf=c.Linf,
-                ratio_smoothness=c.Linf / (cfg.d * c.L2),
+                L2=L2,
+                Linf=linf,
+                ratio_smoothness=linf / (cfg.d * L2),
                 mean_dist_gd=mean_gd,
                 mean_dist_signgd=mean_sg,
                 log10_perf_ratio=math.log10(max(mean_sg, _DIST_FLOOR) / max(mean_gd, _DIST_FLOOR)),
@@ -272,15 +268,5 @@ def run_quad_grid(
 
 
 def grid_csv_lines(cells: Iterable[GridCell]) -> list[str]:
-    lines = [GRID_CSV_HEADER]
-    for c in cells:
-        lines.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (
-                    c.lambda_max, c.theta, c.L2, c.Linf, c.ratio_smoothness,
-                    c.mean_dist_gd, c.mean_dist_signgd, c.log10_perf_ratio,
-                )
-            )
-        )
-    return lines
+    names = GridCell.__annotations__
+    return [GRID_CSV_HEADER] + [",".join(f"{getattr(c, name):.17g}" for name in names) for c in cells]

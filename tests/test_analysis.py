@@ -253,6 +253,20 @@ class TestLinfBounds:
         assert rep.Linf_exact <= rep.bound_psd
         assert rep.Linf_exact <= rep.bound_sym
 
+    def test_lower_bound_holds_exactly_on_rank_one_sign_matrices(self):
+        # c * 11' and lam / d * ss' with s in {-1, 1}^d: the eigenvector bound came out
+        # an ulp above Linf_exact on some of them, e.g. all 3s at d = 9
+        rng = np.random.default_rng(23)
+        matrices = [SymMatrix(np.full((d, d), c)) for d in range(1, 25) for c in (0.1, 0.3, 0.7, 3.0, 7.0, 11.0)]
+        for d in range(1, 25):
+            for lam in (1.0, 3.0, 10.0, 50.0):
+                s = rng.choice([-1.0, 1.0], d)
+                matrices.append(SymMatrix(lam / d * np.outer(s, s)))
+        for h in matrices:
+            rep = analyze(h)
+            assert rep.lower_bound <= rep.Linf_exact
+            assert rep.Linf_exact <= rep.lsep_rowsum
+
     def test_upper_bounds_hold_exactly_on_the_family_and_diagonals(self):
         family = [
             make_quadratic(d, lam, theta, seed).matrix

@@ -29,6 +29,7 @@ from normdescent.experiments import (
     _NOISE_SALT,
     DEFAULT_LAMBDA_VALUES,
     DEFAULT_THETA_VALUES,
+    GRID_CSV_HEADER,
 )
 
 ROUNDING_LEVEL = 1e-20  # a mean squared distance below this is rounding noise
@@ -88,6 +89,18 @@ def test_shipped_paper_config_is_the_default_grid():
     assert cfg == GridConfig(
         d=8, lambda_max_values=DEFAULT_LAMBDA_VALUES, theta_values=DEFAULT_THETA_VALUES
     )
+
+
+def test_grid_csv_text_is_pinned():
+    # the documented header, and every field printed with %.17g in header order
+    assert GRID_CSV_HEADER == (
+        "lambda_max,theta,L2,Linf,ratio_smoothness,mean_dist_gd,mean_dist_signgd,log10_perf_ratio"
+    )
+    cell = GridCell(50.0, 0.2, 50.0, 57.5, 0.14375, 1e-3, 2.5e-5, -1.6020599913279623)
+    assert grid_csv_lines([cell]) == [
+        GRID_CSV_HEADER,
+        "50,0.20000000000000001,50,57.5,0.14374999999999999,0.001,2.5000000000000001e-05,-1.6020599913279623",
+    ]
 
 
 @pytest.mark.parametrize("axis, values", [

@@ -30,6 +30,13 @@ def test_quadgrid_d64_is_the_paper_grid_at_d_64():
     assert d64 == dict(paper, d=64)
 
 
+def test_quadgrid_d256_is_the_paper_grid_at_d_256():
+    # configs only: the d = 256 grid takes seconds, so CI runs it, not Tier-1
+    paper = json.loads((SCRIPTS / "quadgrid_paper.json").read_text())
+    d256 = json.loads((SCRIPTS / "quadgrid_d256.json").read_text())
+    assert d256 == dict(paper, d=256)
+
+
 def test_quadgrid_d64_runs_every_cell():
     # the column check closes Linf for every cell, so d = 64 needs no walk
     res = subprocess.run(
