@@ -11,7 +11,6 @@ from .analysis import (
 )
 from .experiments import GridCell, GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import (
-    EigenDecomposition,
     MatrixFormatError,
     OrthogonalMatrix,
     SkewMatrix,
@@ -21,7 +20,6 @@ from .matrices import (
     parse_matrix_text,
     random_skew,
     rotate_spectrum,
-    rotated_hessian,
 )
 from .norms import (
     BlockMax,
@@ -55,7 +53,6 @@ from .problems import (
     CoshProblem,
     Oracle,
     OverflowGuardError,
-    QuadraticProblem,
     cosh_oracle,
     make_quadratic,
     noisy_grad,

@@ -2,8 +2,9 @@
 
 Computes the exact max-norm smoothness constant of a quadratic (from its
 column sign patterns, else by sign enumeration), the diagonal-concentration
-ratio, eigenvalue-based upper and lower bounds on that constant, the
-row-sum separable surrogate, and an upper bound for the block-max geometry.
+ratio, an eigenvalue-based upper bound and a sign-vector lower bound on
+that constant, the row-sum separable surrogate, and an upper bound for the
+block-max geometry.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class SmoothnessReport:
     brute-force cap).
     ``bound_psd`` is the concentration bound sum(lambda) / rho_diag
     (positive semidefinite input only), ``bound_sym`` the eigenspace-weighted
-    bound, ``lower_bound`` the eigenvector alignment lower bound, and
+    bound, ``lower_bound`` the best ||H s||_1 over the sign patterns of H's
+    columns and of its eigenspace projectors, and
     ``lsep_rowsum`` the row-sum separable surrogate, which for a positive
     definite 2x2 [[a, b], [b, d]] is its exact separable constant
     a + d + 2|b|.
@@ -166,13 +168,19 @@ def rho_diag(H: SymMatrix) -> float:
     return float(np.trace(a)) / total
 
 
+def _eigen_groups(values: np.ndarray) -> list[np.ndarray]:
+    """Index groups of the ascending eigenvalues: neighbours that differ by
+    at most 1e-12 * L2 share a group."""
+    tol = 1e-12 * max(abs(values[0]), abs(values[-1]))
+    return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) > tol) + 1)
+
+
 def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -> float:
     """sum_k |c_k| sum_ij |P_k,ij| + r_k d over the eigenvalue groups k.
 
-    Ascending eigenvalues whose neighbours differ by at most 1e-12 * L2
-    form a group with projector P_k = V_k V_k', midpoint c_k and half-width
-    r_k.  P_k does not depend on the basis the solver picks inside an
-    eigenspace, so neither does the bound.  It bounds Linf because
+    Each group of _eigen_groups has projector P_k = V_k V_k', midpoint c_k
+    and half-width r_k.  P_k does not depend on the basis the solver picks
+    inside an eigenspace, so neither does the bound.  It bounds Linf because
     |t' V_k (Lambda_k - c_k) V_k' s| <= r_k ||t|| ||s|| = r_k d for sign
     vectors s and t.  Since sum_ij |P_k,ij| <= sum_{l in k} ||v_l||_1^2,
     group k adds at most r_k (d + sum_{l in k} ||v_l||_1^2) more than the
@@ -182,9 +190,7 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -
     """
     d = values.size
     terms = np.abs(values) * l1 * l1
-    tol = 1e-12 * max(abs(values[0]), abs(values[-1]))
-    cuts = np.flatnonzero(np.diff(values) > tol) + 1
-    for group in np.split(np.arange(d), cuts):
+    for group in _eigen_groups(values):
         if group.size > 1:
             lo, hi = values[group[0]], values[group[-1]]
             v = vectors[:, group]
@@ -193,12 +199,26 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -
     return float(terms.sum())
 
 
-def _linf_bounds_from(values: np.ndarray, vectors: np.ndarray):
-    """Bounds on Linf from H's eigenpairs: _eigenspace_bound, and the lower
-    bound max_i |lambda_i| ||v_i||_1 / ||v_i||_inf."""
-    l1 = np.abs(vectors).sum(axis=0)
-    linf = np.abs(vectors).max(axis=0)
-    return _eigenspace_bound(values, vectors, l1), float((np.abs(values) * l1 / linf).max())
+def _sign_lower_bound(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    """max ||H s||_1 over the sign patterns s (sign_unit) of the columns of
+    H and of each eigenspace projector P_k = V_k V_k', with the groups of
+    _eigen_groups.
+
+    Each s is a sign vector, so the value never exceeds Linf, and neither
+    set of columns depends on the basis the solver picks inside an
+    eigenspace.  The nonzero columns v_i v of a simple eigenvalue's v v'
+    carry the signs of v or -v, which are used directly, so only repeated
+    eigenvalues pay for a d x d projector.  Where v has a zero entry the two
+    patterns differ by more than a sign, so taking both keeps the value
+    independent of the sign the solver gives v.  Since v'H sign(v) =
+    lambda ||v||_1, the value is at least the alignment ratio
+    |lambda| ||v||_1 / ||v||_inf of every simple eigenpair.
+    """
+    groups = _eigen_groups(values)
+    simple = vectors[:, [g[0] for g in groups if g.size == 1]]
+    candidates = [a, np.hstack([simple, -simple])]
+    candidates += [vectors[:, g] @ vectors[:, g].T for g in groups if g.size > 1]
+    return max(float(np.abs(a @ sign_unit(c)).sum(axis=0).max(initial=0.0)) for c in candidates)
 
 
 def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:
@@ -221,8 +241,8 @@ def _block_bound(a: np.ndarray, partition: BlockPartition) -> float:
     diag_norms = []
     for b in idx:
         sub = eigh(SymMatrix(a[np.ix_(b, b)]))
-        lam_max.append(float(sub.values[-1]))
-        diag_norms.append(float(max(abs(sub.values[0]), abs(sub.values[-1]))))
+        lam_max.append(float(sub.eigenvalues[-1]))
+        diag_norms.append(float(max(abs(sub.eigenvalues[0]), abs(sub.eigenvalues[-1]))))
     off = 0.0
     for i, j in combinations(range(len(idx)), 2):
         off += 2.0 * float(np.linalg.norm(a[np.ix_(idx[i], idx[j])], 2))
@@ -249,8 +269,8 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
 def _smoothness_value(H: SymMatrix, kind: NormKind) -> float:
     a = H.to_array()
     if isinstance(kind, Euclidean):
-        dec = eigh(H)
-        return float(max(abs(dec.values[0]), abs(dec.values[-1])))
+        values = eigh(H).eigenvalues
+        return float(max(abs(values[0]), abs(values[-1])))
     if isinstance(kind, Max):
         return linf_bruteforce(H)
     if isinstance(kind, One):
@@ -260,12 +280,12 @@ def _smoothness_value(H: SymMatrix, kind: NormKind) -> float:
             raise ValueError("weight vector does not match matrix dimension")
         root = np.sqrt(np.asarray(kind.weights))
         scaled = SymMatrix(a / root[:, None] / root[None, :])
-        dec = eigh(scaled)
-        return float(max(abs(dec.values[0]), abs(dec.values[-1])))
+        values = eigh(scaled).eigenvalues
+        return float(max(abs(values[0]), abs(values[-1])))
     if isinstance(kind, BlockMax):
         if kind.partition.dim != H.dim:
             raise ValueError("partition does not match matrix dimension")
-        if not is_psd_spectrum(eigh(H).values):
+        if not is_psd_spectrum(eigh(H).eigenvalues):
             raise ValueError("block-max constant requires a positive semidefinite matrix")
         return _block_bound(a, kind.partition)
     raise TypeError(f"unknown norm kind: {kind!r}")
@@ -284,11 +304,11 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
     and so is a matrix whose report holds a value that is not finite (its
     sums overflow).
     """
-    dec = eigh(H)
-    values = dec.values
+    values, vectors = eigh(H)
     L2 = float(max(abs(values[0]), abs(values[-1])))
     rho = rho_diag(H)
-    bound_sym, lower = _linf_bounds_from(values, dec.vectors)
+    bound_sym = _eigenspace_bound(values, vectors, np.abs(vectors).sum(axis=0))
+    lower = _sign_lower_bound(H.to_array(), values, vectors)
     _, total = lsep_rowsum(H)
     # a nonzero matrix with zero diagonal is indefinite
     bound_psd = total if is_psd_spectrum(values) and rho > 0.0 else None

@@ -26,7 +26,7 @@ import numpy as np
 from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from .analysis import analyze, smoothness_constant
 from .experiments import GridConfig, grid_csv_lines, run_quad_grid
-from .matrices import parse_matrix_text
+from .matrices import SymMatrix, parse_matrix_text
 from .norms import BlockMax, Euclidean, Max, NormKind, One, _partition_from_json, kind_from_json
 from .optimizers import (
     ROW_CHUNK,
@@ -42,7 +42,6 @@ from .optimizers import (
 from .problems import (
     COSH_GUARD,
     CoshProblem,
-    QuadraticProblem,
     cosh_oracle,
     make_quadratic,
     quad_noisy_oracle,
@@ -167,9 +166,9 @@ def _with_L(run, problem, kind: NormKind, L):
     """The runner of ``run(oracle, kind, L, ...)``; without a configured
     ``L``, the quadratic's own constant in ``kind``."""
     if L is None:
-        if not isinstance(problem, QuadraticProblem):
+        if not isinstance(problem, SymMatrix):
             raise ValueError("explicit 'L' required for non-quadratic problems")
-        L = smoothness_constant(problem.matrix, kind)
+        L = smoothness_constant(problem, kind)
     return _runner(run, kind, L)
 
 

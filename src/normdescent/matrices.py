@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra for the Hessians of the analysis.
 
 Symmetric matrices stored as one validated read-only array, the
-eigendecomposition (LAPACK, through ``numpy.linalg.eigh``), skew-symmetric
+eigendecomposition (LAPACK, through ``numpy.linalg.eigh``; every
+eigensolve of the package goes through ``eigh`` here), skew-symmetric
 generators and their exponentials (smooth one-parameter orthogonal paths),
 spectrum-preserving conjugation for building test Hessians, and parsing
 of the matrix text format.
@@ -17,7 +18,6 @@ from ._record import record
 
 __all__ = [
     "SymMatrix",
-    "EigenDecomposition",
     "SkewMatrix",
     "OrthogonalMatrix",
     "MatrixFormatError",
@@ -25,7 +25,6 @@ __all__ = [
     "is_psd_spectrum",
     "random_skew",
     "exp_skew",
-    "rotated_hessian",
     "rotate_spectrum",
     "parse_matrix_text",
 ]
@@ -84,14 +83,6 @@ class SymMatrix:
 
 
 @record
-class EigenDecomposition:
-    """Eigenvalues in ascending order with matching orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@record
 class SkewMatrix:
     """Real d x d matrix with entries(i, j) == -entries(j, i), zero diagonal."""
 
@@ -132,11 +123,14 @@ class OrthogonalMatrix:
         return self.entries.shape[0]
 
 
-def eigh(H: SymMatrix) -> EigenDecomposition:
-    """Eigenvalues in ascending order with orthonormal eigenvector columns,
-    from LAPACK's symmetric solver (``numpy.linalg.eigh``)."""
-    values, vectors = np.linalg.eigh(H.to_array())
-    return EigenDecomposition(_readonly(values), _readonly(vectors))
+def eigh(H: SymMatrix):
+    """``numpy.linalg.eigh`` of H, with both arrays read-only: eigenvalues
+    in ascending order, and orthonormal eigenvector columns, from LAPACK's
+    symmetric solver."""
+    dec = np.linalg.eigh(H.to_array())
+    _readonly(dec.eigenvalues)
+    _readonly(dec.eigenvectors)
+    return dec
 
 
 def is_psd_spectrum(values: np.ndarray) -> bool:
@@ -189,16 +183,11 @@ def exp_skew(S: SkewMatrix, theta: float) -> OrthogonalMatrix:
         return OrthogonalMatrix(np.eye(S.dim))
     s = S.entries
     dec = eigh(SymMatrix(s @ s))
-    mu = np.sqrt(np.maximum(-dec.values, 0.0))  # S S is negative semidefinite up to rounding
-    w = dec.vectors
+    mu = np.sqrt(np.maximum(-dec.eigenvalues, 0.0))  # S S is negative semidefinite up to rounding
+    w = dec.eigenvectors
     even = (w * np.cos(theta * mu)) @ w.T
     odd = (w * (theta * np.sinc(theta * mu / math.pi))) @ w.T
     return OrthogonalMatrix(even + s @ odd)
-
-
-def rotated_hessian(eigs, S: SkewMatrix, theta: float) -> SymMatrix:
-    """Q diag(eigs) Q' with Q = exp(theta * S); see rotate_spectrum."""
-    return rotate_spectrum(eigs, exp_skew(S, theta))
 
 
 def rotate_spectrum(eigs, Q: OrthogonalMatrix) -> SymMatrix:

@@ -1,10 +1,13 @@
 """Differentiable benchmark problems with known optima.
 
-Quadratics with a controlled spectrum and a tunable rotation away from the
-coordinate axes, optionally with Gaussian gradient noise, plus a separable
-cosh objective whose curvature grows with the gradient norm (the testbed
-for the soft-normalized methods).  Both families attain their minimum value
-of zero at the origin.
+A quadratic f(x) = x'Hx/2 is its positive semidefinite matrix H, a
+SymMatrix: quadratics with a controlled spectrum and a tunable rotation
+away from the coordinate axes, optionally with Gaussian gradient noise.
+A step size is the reciprocal of a smoothness constant of H, which a
+caller takes from ``analysis.smoothness_constant`` for its geometry.  A
+separable cosh objective has curvature growing with the gradient norm
+(the testbed for the soft-normalized methods).  Both families attain their
+minimum value of zero at the origin.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from typing import Callable
 import numpy as np
 
 from ._record import record
-from .matrices import SymMatrix, eigh, is_psd_spectrum, random_skew, rotated_hessian
+from .matrices import SymMatrix, eigh, exp_skew, is_psd_spectrum, random_skew, rotate_spectrum
 
 __all__ = [
     "Oracle",
-    "QuadraticProblem",
     "CoshProblem",
     "make_quadratic",
     "noisy_grad",
@@ -47,29 +49,8 @@ class OverflowGuardError(ValueError):
     """
 
 
-@record
-class QuadraticProblem:
-    """f(x) = x' H x / 2 with positive semidefinite H; minimum 0 at x = 0.
-
-    A step size is the reciprocal of a smoothness constant of H, which a
-    caller takes from ``analysis.smoothness_constant`` for its geometry.
-    """
-
-    matrix: SymMatrix
-
-    @classmethod
-    def from_matrix(cls, H: SymMatrix) -> "QuadraticProblem":
-        if not is_psd_spectrum(eigh(H).values):
-            raise ValueError("quadratic problems require a positive semidefinite matrix")
-        return cls(H)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-
-def make_quadratic(d: int, lambda_max: float, theta: float, seed) -> QuadraticProblem:
-    """Quadratic with spectrum (1, ..., 1, lambda_max) rotated by theta.
+def make_quadratic(d: int, lambda_max: float, theta: float, seed) -> SymMatrix:
+    """Matrix with spectrum (1, ..., 1, lambda_max) rotated by theta.
 
     The rotation path is exp(theta * S) for a seeded Gaussian skew generator
     S; theta = 0 gives the axis-aligned diagonal matrix exactly and theta = 1
@@ -84,12 +65,20 @@ def make_quadratic(d: int, lambda_max: float, theta: float, seed) -> QuadraticPr
     rng = np.random.default_rng(seed)
     skew = random_skew(d, rng)
     eigs = np.concatenate([np.ones(d - 1), [float(lambda_max)]])
-    return QuadraticProblem.from_matrix(rotated_hessian(eigs, skew, theta))
+    return rotate_spectrum(eigs, exp_skew(skew, theta))
 
 
 # The quadratic oracles are built by a private function: perfbench/layertrace.py
 # counts the calls of every oracle the public factories return, and the exact
 # oracle inside quad_noisy_oracle must not count twice.
+
+
+def _psd_array(H: SymMatrix) -> np.ndarray:
+    """H's array, once H passes the package's positive semidefinite test:
+    x'Hx/2 then has its minimum 0 at the origin."""
+    if not is_psd_spectrum(eigh(H).eigenvalues):
+        raise ValueError("quadratic problems require a positive semidefinite matrix")
+    return H.to_array()
 
 
 def _quad_oracle(h: np.ndarray) -> Oracle:
@@ -101,7 +90,7 @@ def _quad_oracle(h: np.ndarray) -> Oracle:
     return oracle
 
 
-def noisy_grad(p: QuadraticProblem, x, sigma: float, stream: np.random.Generator) -> np.ndarray:
+def noisy_grad(H: SymMatrix, x, sigma: float, stream: np.random.Generator) -> np.ndarray:
     """Hx plus isotropic Gaussian noise of scale sigma from the given stream.
 
     A noise vector is drawn on every call (even for sigma = 0, which returns
@@ -112,8 +101,8 @@ def noisy_grad(p: QuadraticProblem, x, sigma: float, stream: np.random.Generator
     if not 0.0 <= sigma < math.inf:
         raise ValueError("noise scale must be nonnegative and finite")
     x = np.asarray(x, dtype=float)
-    g = p.matrix.to_array().dot(x)
-    xi = stream.standard_normal(p.dim)
+    g = H.to_array().dot(x)
+    xi = stream.standard_normal(H.dim)
     return g + sigma * xi
 
 
@@ -134,12 +123,12 @@ class CoshProblem:
             raise ValueError(f"dimension must be positive, got {self.dim}")
 
 
-def quad_oracle(p: QuadraticProblem) -> Oracle:
-    """Deterministic oracle: (x'Hx/2, Hx)."""
-    return _quad_oracle(p.matrix.to_array())
+def quad_oracle(H: SymMatrix) -> Oracle:
+    """Deterministic oracle: (x'Hx/2, Hx).  H must be positive semidefinite."""
+    return _quad_oracle(_psd_array(H))
 
 
-def quad_noisy_oracle(p: QuadraticProblem, sigma: float, stream: np.random.Generator) -> Oracle:
+def quad_noisy_oracle(H: SymMatrix, sigma: float, stream: np.random.Generator) -> Oracle:
     """Stochastic oracle: exact value, noisy gradient from the seeded stream.
 
     Call k returns the value of quad_oracle and the gradient that the k-th
@@ -147,14 +136,15 @@ def quad_noisy_oracle(p: QuadraticProblem, sigma: float, stream: np.random.Gener
     Hx per call.  The noise is drawn in (NOISE_BLOCK, d) blocks, which
     consume the stream exactly as that many single draws do, so the stream
     runs ahead of the calls by up to one block: it belongs to the oracle.
+    H must be positive semidefinite.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError("noise scale must be nonnegative and finite")
-    exact = _quad_oracle(p.matrix.to_array())
+    exact = _quad_oracle(_psd_array(H))
 
     def draws():
         while True:
-            yield from sigma * stream.standard_normal((NOISE_BLOCK, p.dim))
+            yield from sigma * stream.standard_normal((NOISE_BLOCK, H.dim))
 
     noise = draws()
 

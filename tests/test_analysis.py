@@ -12,7 +12,6 @@ from normdescent import (
     Max,
     One,
     OrthogonalMatrix,
-    QuadraticProblem,
     SymMatrix,
     WeightedDiag,
     analyze,
@@ -21,10 +20,10 @@ from normdescent import (
     linf_bruteforce,
     lsep_rowsum,
     make_quadratic,
+    quad_oracle,
     random_skew,
     rho_diag,
     rotate_spectrum,
-    rotated_hessian,
     smoothness_constant,
 )
 from normdescent import analysis
@@ -50,7 +49,7 @@ class TestLinfBruteforce:
     def test_identity(self):
         assert linf_bruteforce(SymMatrix(np.diag([1.0, 1.0, 1.0]))) == 3.0
         # d = 24 off the axes: every sign vector ties at the row-sum bound, up to rounding
-        rotated = rotated_hessian(np.ones(24), random_skew(24, np.random.default_rng(0)), 0.7)
+        rotated = rotate_spectrum(np.ones(24), exp_skew(random_skew(24, np.random.default_rng(0)), 0.7))
         assert linf_bruteforce(rotated) == pytest.approx(24.0, rel=1e-12)
 
     def test_diagonal(self):
@@ -70,8 +69,8 @@ class TestLinfBruteforce:
         g = rng.standard_normal((d, d))
         mats = [
             random_sym(rng, d),  # the block bound prunes little
-            rotated_hessian(  # one dominant eigenvector: almost every block pruned
-                np.concatenate([np.ones(d - 1), [50.0]]), random_skew(d, rng), 0.5
+            rotate_spectrum(  # one dominant eigenvector: almost every block pruned
+                np.concatenate([np.ones(d - 1), [50.0]]), exp_skew(random_skew(d, rng), 0.5)
             ),
             SymMatrix(np.ones((d, d))),  # many blocks tie at the maximum
             SymMatrix(np.diag(np.ones(d))),
@@ -128,7 +127,8 @@ class TestLinfBruteforce:
 def _two_spikes(d: int) -> SymMatrix:
     """An off-family matrix: spectrum (1, ..., 1, 20, 50) rotated at theta = 0.5,
     whose column sign patterns stay below the row-sum bound."""
-    return rotated_hessian(np.r_[np.ones(d - 2), 20.0, 50.0], random_skew(d, np.random.default_rng(4)), 0.5)
+    skew = random_skew(d, np.random.default_rng(4))
+    return rotate_spectrum(np.r_[np.ones(d - 2), 20.0, 50.0], exp_skew(skew, 0.5))
 
 
 def _count_tables(monkeypatch):
@@ -227,7 +227,7 @@ class TestLinfBounds:
         rep = analyze(SymMatrix(np.diag([1.0, 2.0])))
         assert rep.bound_psd == pytest.approx(3.0, abs=1e-10)
         assert rep.bound_sym == pytest.approx(3.0, abs=1e-10)
-        assert rep.lower_bound == pytest.approx(2.0, abs=1e-10)
+        assert rep.lower_bound == pytest.approx(3.0, abs=1e-10)  # the all-ones column pattern attains Linf
 
     def test_2x2_concentration_bound_tight(self):
         assert analyze(H_2x2).bound_psd == pytest.approx(7.0, rel=1e-12)
@@ -241,7 +241,7 @@ class TestLinfBounds:
         rep = analyze(SymMatrix(np.diag([1.0, -1.0])))
         assert rep.bound_psd is None
         assert rep.bound_sym == pytest.approx(2.0, abs=1e-10)
-        assert rep.lower_bound == pytest.approx(1.0, abs=1e-10)
+        assert rep.lower_bound == pytest.approx(2.0, abs=1e-10)  # the all-ones column pattern attains Linf
 
     @pytest.mark.parametrize("rows", [
         [[0.1, 0.0, 0.0], [0.0, 1.1, 0.0], [0.0, 0.0, 0.3]],
@@ -269,7 +269,7 @@ class TestLinfBounds:
 
     def test_upper_bounds_hold_exactly_on_the_family_and_diagonals(self):
         family = [
-            make_quadratic(d, lam, theta, seed).matrix
+            make_quadratic(d, lam, theta, seed)
             for d, lam, theta, seed in itertools.product((8, 16, 32, 64), (2.0, 50.0), (0.3, 1.0), range(3))
         ]
         rng = np.random.default_rng(3)
@@ -312,22 +312,22 @@ class TestEigenspaceBound:
             H, lam = repeated_spectrum(rng, d)
             dec = eigh(H)
             first = analyze(H).bound_sym
-            group = np.flatnonzero(np.abs(dec.values - lam) < 1e-9)
+            group = np.flatnonzero(np.abs(dec.eigenvalues - lam) < 1e-9)
             for _ in range(5):
-                rotated = dec.vectors.copy()
+                rotated = dec.eigenvectors.copy()
                 r, _ = np.linalg.qr(rng.standard_normal((group.size, group.size)))
                 rotated[:, group] = rotated[:, group] @ r
-                assert per_basis_bound(dec.values, rotated) != pytest.approx(first, rel=1e-6)
+                assert per_basis_bound(dec.eigenvalues, rotated) != pytest.approx(first, rel=1e-6)
                 l1 = np.abs(rotated).sum(axis=0)
-                assert _eigenspace_bound(dec.values, rotated, l1) == pytest.approx(first, rel=1e-12)
+                assert _eigenspace_bound(dec.eigenvalues, rotated, l1) == pytest.approx(first, rel=1e-12)
 
     def test_distinct_eigenvalues_keep_the_per_basis_sum(self):
         rng = np.random.default_rng(74)
         for d in (2, 7, 24, 60):
             H = random_sym(rng, d)
             dec = eigh(H)
-            assert np.diff(dec.values).min() > 1e-6
-            assert analyze(H).bound_sym == per_basis_bound(dec.values, dec.vectors)
+            assert np.diff(dec.eigenvalues).min() > 1e-6
+            assert analyze(H).bound_sym == per_basis_bound(dec.eigenvalues, dec.eigenvectors)
 
     def test_rotated_identity_is_exact(self):
         rng = np.random.default_rng(72)
@@ -347,7 +347,120 @@ class TestEigenspaceBound:
             dec = eigh(H)
             bound = analyze(H).bound_sym
             assert linf_bruteforce(H) <= bound * (1.0 + 1e-12)
-            assert bound <= per_basis_bound(dec.values, dec.vectors) * (1.0 + 1e-12)
+            assert bound <= per_basis_bound(dec.eigenvalues, dec.eigenvectors) * (1.0 + 1e-12)
+
+
+def alignment_ratio(H):
+    """max_i |lambda_i| ||v_i||_1 / ||v_i||_inf over the eigenpairs eigh returns:
+    the lower bound analyze printed before it took sign patterns."""
+    values, vectors = eigh(H)
+    return float((np.abs(values) * np.abs(vectors).sum(axis=0) / np.abs(vectors).max(axis=0)).max())
+
+
+def lower_bound_cases(rng, count):
+    """(kind, H) for random PSD, indefinite and rank-2 matrices with d = 2-12."""
+    for i in range(count):
+        d = 2 + i % 11
+        if i % 3 == 0:
+            yield "psd", random_psd(rng, d)
+        elif i % 3 == 1:
+            yield "indefinite", random_sym(rng, d)
+        else:
+            g = rng.standard_normal((d, 2))
+            yield "rank2", SymMatrix(g @ g.T)
+
+
+def sign_lower_bound_reference(H):
+    """max ||H s||_1 over the sign patterns s (sign(0) = +1) of the columns of H
+    and of every eigenvalue group's projector V V', taken column by column."""
+    a = H.to_array()
+    values, vectors = eigh(H)
+    tol = 1e-12 * max(abs(values[0]), abs(values[-1]))
+    columns = list(a.T)
+    start = 0
+    for i in range(1, H.dim + 1):
+        if i == H.dim or values[i] - values[i - 1] > tol:
+            v = vectors[:, start:i]
+            columns += list((v @ v.T).T)
+            start = i
+    return max(float(np.abs(a @ np.where(c >= 0.0, 1.0, -1.0)).sum()) for c in columns)
+
+
+class TestLowerBound:
+    """lower_bound is the best ||H s||_1 over the sign patterns of H's
+    columns and of its eigenspace projectors."""
+
+    def test_repeated_eigenvalue_gives_linf(self):
+        # H ~ I: the eigenvector ratio printed 8.638 here, and 8.206 once permuted
+        H = make_quadratic(16, 1.0, 0.5, 3)
+        perm = np.random.default_rng(5).permutation(16)
+        for h in (H, SymMatrix(H.to_array()[np.ix_(perm, perm)])):
+            rep = analyze(h)
+            assert rep.lower_bound == pytest.approx(16.0, rel=1e-12)
+            assert rep.lower_bound == rep.Linf_exact
+
+    def test_invariant_under_permutation(self):
+        rng = np.random.default_rng(81)
+        mats = [make_quadratic(16, lam, 0.5, 3) for lam in (1.0, 1.5, 2.0, 5.0)]
+        mats += [h for _, h in lower_bound_cases(rng, 30)]
+        mats += [repeated_spectrum(rng, d)[0] for d in (3, 6, 10, 24)]
+        for H in mats:
+            perm = rng.permutation(H.dim)
+            permuted = SymMatrix(H.to_array()[np.ix_(perm, perm)])
+            assert analyze(permuted).lower_bound == pytest.approx(analyze(H).lower_bound, rel=1e-12)
+
+    def test_matches_a_column_by_column_reference(self):
+        rng = np.random.default_rng(85)
+        mats = [h for _, h in lower_bound_cases(rng, 60)]
+        mats += [repeated_spectrum(rng, 3 + i % 10)[0] for i in range(40)]
+        for H in mats:
+            rep = analyze(H)
+            want = min(sign_lower_bound_reference(H), rep.Linf_exact)
+            assert rep.lower_bound == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [
+        [[-2, 2, -2, -1], [2, 0, 0, 2], [-2, 0, 2, 0], [-1, 2, 0, 3]],
+        [[-1, 3, 1, -1], [3, -1, 2, -2], [1, 2, 3, 3], [-1, -2, 3, 3]],
+        [[-1, -1, -2, -1], [-1, -3, 2, 3], [-2, 2, -2, 2], [-1, 3, 2, -3]],
+    ])
+    def test_same_for_either_sign_of_an_eigenvector(self, rows):
+        # each matrix has a simple eigenvector v with an exact zero entry, where the
+        # patterns of v and -v differ by more than a sign, and one of them attains the bound
+        H = SymMatrix(np.array(rows, dtype=float))
+        values, vectors = eigh(H)
+        a = H.to_array()
+        want = analysis._sign_lower_bound(a, values, vectors)
+        for signs in itertools.product([-1.0, 1.0], repeat=H.dim):
+            assert analysis._sign_lower_bound(a, values, vectors * np.array(signs)) == want
+
+    def test_never_above_linf(self):
+        rng = np.random.default_rng(82)
+        for _, H in lower_bound_cases(rng, 90):
+            values, vectors = eigh(H)
+            unclamped = analysis._sign_lower_bound(H.to_array(), values, vectors)
+            assert unclamped <= bruteforce_oracle(H) * (1.0 + 1e-12)
+
+    def test_never_below_the_eigenvector_ratio(self):
+        rng = np.random.default_rng(83)
+        checked = 0
+        for kind, H in lower_bound_cases(rng, 180):
+            if kind == "rank2" or np.diff(eigh(H).eigenvalues).min() <= 1e-6:
+                continue
+            assert analyze(H).lower_bound >= alignment_ratio(H) * (1.0 - 1e-12)
+            checked += kind == "psd"
+        assert checked == 60
+
+    def test_never_below_the_ratio_of_a_projector_column(self):
+        # v = P e_i lies in the eigenspace of lam and sign_unit(v) is column i's
+        # pattern, so ||H sign(v)||_1 >= |v'H sign(v)| / ||v||_inf = |lam| ||v||_1 / ||v||_inf
+        rng = np.random.default_rng(84)
+        for d in range(3, 13):
+            H, lam = repeated_spectrum(rng, d)
+            values, vectors = eigh(H)
+            v = vectors[:, np.abs(values - lam) < 1e-9]
+            P = v @ v.T
+            ratio = abs(lam) * np.abs(P).sum(axis=0) / np.abs(P).max(axis=0)
+            assert analyze(H).lower_bound >= ratio.max() * (1.0 - 1e-9)
 
 
 class TestLsep:
@@ -367,7 +480,7 @@ class TestLsep:
             h = random_psd(rng, 6)
             l, total = lsep_rowsum(h)
             gap = SymMatrix(np.diag(l) - h.to_array())
-            assert eigh(gap).values[0] >= -1e-10
+            assert eigh(gap).eigenvalues[0] >= -1e-10
             assert linf_bruteforce(h) <= total + 1e-9
 
     def test_exact_2x2_values(self):
@@ -394,8 +507,8 @@ class TestBlockAnalysis:
         a[2:, 2:] = [[3.0, 0.2], [0.2, 1.5]]
         h = SymMatrix(a)
         part = BlockPartition(((0, 1), (2, 3)))
-        top = [eigh(SymMatrix(a[:2, :2])).values[-1],
-               eigh(SymMatrix(a[2:, 2:])).values[-1]]
+        top = [eigh(SymMatrix(a[:2, :2])).eigenvalues[-1],
+               eigh(SymMatrix(a[2:, 2:])).eigenvalues[-1]]
         # no off-diagonal block: rho_block = 1, so the bound is the sum of the block tops
         assert smoothness_constant(h, BlockMax(part)) == pytest.approx(sum(top), rel=1e-12)
 
@@ -467,7 +580,7 @@ class TestAnalyze:
 
     def test_family_above_the_cap_reports_exact_norm(self):
         # the column check certifies the paper's family at any d, with no walk
-        h = rotated_hessian(np.r_[np.ones(29), 50.0], random_skew(30, np.random.default_rng(30)), 0.5)
+        h = rotate_spectrum(np.r_[np.ones(29), 50.0], exp_skew(random_skew(30, np.random.default_rng(30)), 0.5))
         rep = analyze(h)
         assert rep.Linf_exact == pytest.approx(np.abs(h.to_array()).sum(), rel=1e-12)
         assert rep.ratio_dL2_over_Linf == pytest.approx(30 * rep.L2 / rep.Linf_exact, rel=1e-12)
@@ -490,7 +603,7 @@ class TestRotationDegradesAlignment:
         eigs = np.concatenate([np.ones(7), [50.0]])
         skew = random_skew(8, np.random.default_rng(101))
         vals = [
-            linf_bruteforce(rotated_hessian(eigs, skew, th))
+            linf_bruteforce(rotate_spectrum(eigs, exp_skew(skew, th)))
             for th in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         assert vals[0] == pytest.approx(57.0)
@@ -498,7 +611,7 @@ class TestRotationDegradesAlignment:
 
 
 def _psd_checks(H):
-    """Whether from_matrix, analyze's concentration bound and the block-max
+    """Whether quad_oracle, analyze's concentration bound and the block-max
     constant take H as positive semidefinite."""
     part = BlockPartition(((0, 1), (2, 3)))
 
@@ -510,7 +623,7 @@ def _psd_checks(H):
         return True
 
     return [
-        accepts(lambda: QuadraticProblem.from_matrix(H)),
+        accepts(lambda: quad_oracle(H)),
         analyze(H).bound_psd is not None,
         accepts(lambda: smoothness_constant(H, BlockMax(part))),
     ]
@@ -533,4 +646,4 @@ class TestPsdTestScalesWithTheSpectrum:
     def test_rotated_huge_spectra_are_psd(self, lam):
         S = random_skew(4, np.random.default_rng(0))
         for theta in (0.3, 0.5, 1.0):
-            assert _psd_checks(rotated_hessian([1.0, 1.0, 1.0, lam], S, theta)) == [True] * 3
+            assert _psd_checks(rotate_spectrum([1.0, 1.0, 1.0, lam], exp_skew(S, theta))) == [True] * 3

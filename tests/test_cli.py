@@ -19,7 +19,7 @@ import normdescent
 from normdescent import analysis, cli, problems
 from normdescent._json import REQUIRED
 from normdescent import (
-    Euclidean, Max, SymMatrix, exp_skew, make_quadratic, quad_oracle, random_skew, rotated_hessian,
+    Euclidean, Max, SymMatrix, exp_skew, make_quadratic, quad_oracle, random_skew, rotate_spectrum,
     run_steepest_descent, smoothness_constant,
 )
 from normdescent.optimizers import ROW_CHUNK, DivergenceError, Trace
@@ -36,7 +36,6 @@ def child_env(env_extra=None) -> dict:
     # Its stdout is block-buffered, as a user's is, so output that only the
     # flush at a normal exit writes is lost if the process skips it.
     env = dict(os.environ)
-    env.pop("NORM_DESCENT_THREADS", None)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
@@ -107,7 +106,8 @@ class TestAnalyze:
     def test_large_dimension_warns_and_omits_exact(self, tmp_path):
         # off the paper's family: no column sign pattern certifies Linf, and d is above the walk's cap
         d = 26
-        h = rotated_hessian(np.r_[np.ones(d - 2), 20.0, 50.0], random_skew(d, np.random.default_rng(4)), 0.5)
+        skew = random_skew(d, np.random.default_rng(4))
+        h = rotate_spectrum(np.r_[np.ones(d - 2), 20.0, 50.0], exp_skew(skew, 0.5))
         rows = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in h.to_array())
         path = tmp_path / "big.txt"
         path.write_text(f"{d}\n{rows}\n")
@@ -243,7 +243,7 @@ class TestRun:
         assert res.returncode == 0, res.stderr
         p = make_quadratic(4, 8.0, 0.3, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
-        L2 = smoothness_constant(p.matrix, Euclidean())
+        L2 = smoothness_constant(p, Euclidean())
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, x0, 10)
         f_row3 = float(res.stdout.splitlines()[4].split(",")[1])
         assert f_row3 == tr.f[3]
@@ -261,7 +261,7 @@ class TestRun:
         assert res.returncode == 0, res.stderr
         p = make_quadratic(4, 8.0, 0.3, seed=5)
         x0 = np.random.default_rng(2).standard_normal(4)
-        linf = smoothness_constant(p.matrix, Max())
+        linf = smoothness_constant(p, Max())
         tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10)
         assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
 
@@ -279,8 +279,8 @@ class TestRun:
         res = run_cli(["run", "--config", str(cfg)], tmp_path)
         assert res.returncode == 0, res.stderr
         p = make_quadratic(d, 2.0, 0.5, seed=5)
-        linf = smoothness_constant(p.matrix, Max())
-        assert linf == pytest.approx(np.abs(p.matrix.to_array()).sum(), rel=1e-12)
+        linf = smoothness_constant(p, Max())
+        assert linf == pytest.approx(np.abs(p.to_array()).sum(), rel=1e-12)
         x0 = np.random.default_rng(2).standard_normal(d)
         tr = run_steepest_descent(quad_oracle(p), Max(), linf, x0, 10)
         assert [float(ln.split(",")[1]) for ln in res.stdout.splitlines()[1:]] == list(tr.f)
@@ -619,10 +619,10 @@ class TestRun:
     def test_indefinite_hessian_exits_2(self, tmp_path, monkeypatch):
         # a Hessian whose smallest eigenvalue is -1e-6 lambda_max, far beyond
         # rounding at that scale, is still no quadratic problem
-        def indefinite(eigs, skew, theta):
+        def indefinite(eigs, Q):
             return SymMatrix(np.diag(np.concatenate([[-1e-6 * eigs[-1]], eigs[1:]])))
 
-        monkeypatch.setattr(problems, "rotated_hessian", indefinite)
+        monkeypatch.setattr(problems, "rotate_spectrum", indefinite)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "problem": {"quadratic": {"d": 4, "lambda_max": 1e17, "theta": 0.5}},
@@ -817,12 +817,13 @@ class TestQuadGrid:
             assert all(np.isfinite(float(v)) for v in row)
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
+        # the BLAS thread count; at d = 256 it changes the last digits (README)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CFG))
         runs = [
             run_cli(["quadgrid", "--config", str(cfg)], tmp_path,
-                    env_extra={"NORM_DESCENT_THREADS": n})
-            for n in ("1", "4")
+                    env_extra={"OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n})
+            for n in ("1", "2")
         ]
         runs.append(run_cli(["quadgrid", "--config", str(cfg)], tmp_path))
         for res in runs:
@@ -851,7 +852,7 @@ class TestQuadGrid:
         dist_gd, dist_sg = [], []
         for start in x0:
             for kind, acc in ((Euclidean(), dist_gd), (Max(), dist_sg)):
-                L = smoothness_constant(p.matrix, kind)
+                L = smoothness_constant(p, kind)
                 tr = run_steepest_descent(quad_oracle(p), kind, L, start, 50)
                 acc.append(tr.dist_sq[-1])
         assert float(row[5]) == pytest.approx(np.mean(dist_gd), rel=1e-15)

@@ -41,7 +41,7 @@ def scalar_reference(cfg: GridConfig, li: int, ti: int) -> tuple[float, float]:
     x0 = np.random.default_rng([cfg.x0_seed, li, ti]).standard_normal((cfg.repeats, cfg.d))
     means = []
     for mi, kind in enumerate((Euclidean(), Max())):
-        L = smoothness_constant(p.matrix, kind)
+        L = smoothness_constant(p, kind)
         dists = []
         for r, start in enumerate(x0):
             if cfg.sigma > 0.0:
@@ -129,7 +129,7 @@ def test_cell_hessians_are_make_quadratic_matrices(monkeypatch):
     run_quad_grid(cfg)
     assert len(built) == 9
     for cell in built:
-        want = make_quadratic(cfg.d, cell.lam, cell.theta, cfg.skew_seed).matrix.to_array()
+        want = make_quadratic(cfg.d, cell.lam, cell.theta, cfg.skew_seed).to_array()
         assert cell.H.tobytes() == want.tobytes()
 
 
@@ -148,9 +148,9 @@ def per_cell_reference(cfg: GridConfig) -> list[tuple]:
         for ti in theta_order:
             lam, theta = cfg.lambda_max_values[li], cfg.theta_values[ti]
             p = make_quadratic(cfg.d, lam, theta, cfg.skew_seed)
-            H = p.matrix.to_array()
+            H = p.to_array()
             x0 = np.random.default_rng([cfg.x0_seed, li, ti]).standard_normal((cfg.repeats, cfg.d))
-            L2, linf = (smoothness_constant(p.matrix, kind) for kind in (Euclidean(), Max()))
+            L2, linf = (smoothness_constant(p, kind) for kind in (Euclidean(), Max()))
             results = []
             for mi, (kind, L) in enumerate(((Euclidean(), L2), (Max(), linf))):
                 streams = [np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])

@@ -10,10 +10,10 @@ from normdescent import (
     SymMatrix,
     eigh,
     exp_skew,
+    make_quadratic,
     parse_matrix_text,
     random_skew,
     rotate_spectrum,
-    rotated_hessian,
 )
 from normdescent.matrices import is_psd_spectrum
 
@@ -56,20 +56,20 @@ class TestSymMatrix:
 class TestEigh:
     def test_diagonal_input(self):
         dec = eigh(SymMatrix(np.diag([3.0, 1.0, 2.0])))
-        assert np.allclose(dec.values, [1.0, 2.0, 3.0], atol=1e-12)
+        assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
         # eigenvectors are signed coordinate vectors in permuted order
-        assert np.allclose(np.abs(dec.vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
+        assert np.allclose(np.abs(dec.eigenvectors), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
 
     def test_2x2_closed_form(self):
         dec = eigh(SymMatrix([[2.0, 1.0], [1.0, 3.0]]))
         lo = 2.5 - math.sqrt(1.25)
         hi = 2.5 + math.sqrt(1.25)
-        assert dec.values == pytest.approx([lo, hi], abs=1e-12)
+        assert dec.eigenvalues == pytest.approx([lo, hi], abs=1e-12)
 
     def test_reconstruction_d6(self):
         h = random_sym(np.random.default_rng(3), 6)
         dec = eigh(h)
-        rec = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
+        rec = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
         assert np.abs(rec - h.to_array()).max() <= 1e-10
 
     def test_residuals_on_random_matrices(self):
@@ -81,24 +81,31 @@ class TestEigh:
             a = h.to_array()
             dec = eigh(h)
             scale = max(1.0, np.abs(a).max())
-            rec = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
+            rec = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
             assert np.abs(rec - a).max() <= 1e-10 * scale
-            assert np.abs(dec.vectors @ dec.vectors.T - np.eye(d)).max() <= 1e-10
-            assert np.all(np.diff(dec.values) >= 0)
+            assert np.abs(dec.eigenvectors @ dec.eigenvectors.T - np.eye(d)).max() <= 1e-10
+            assert np.all(np.diff(dec.eigenvalues) >= 0)
+
+    def test_arrays_are_read_only(self):
+        dec = eigh(random_sym(np.random.default_rng(4), 4))
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenvectors[0, 0] = 0.0
 
     def test_trace_identity(self):
         rng = np.random.default_rng(11)
         for d in (2, 5, 9):
             h = random_sym(rng, d)
-            assert abs(np.trace(h.to_array()) - eigh(h).values.sum()) <= 1e-10
+            assert abs(np.trace(h.to_array()) - eigh(h).eigenvalues.sum()) <= 1e-10
 
 
 class TestIsPsd:
     def test_identity(self):
-        assert is_psd_spectrum(eigh(SymMatrix(np.diag([1.0, 1.0, 1.0]))).values)
+        assert is_psd_spectrum(eigh(SymMatrix(np.diag([1.0, 1.0, 1.0]))).eigenvalues)
 
     def test_indefinite(self):
-        assert not is_psd_spectrum(eigh(SymMatrix(np.diag([1.0, -1.0]))).values)
+        assert not is_psd_spectrum(eigh(SymMatrix(np.diag([1.0, -1.0]))).eigenvalues)
 
 
 class TestRandomSkew:
@@ -121,7 +128,7 @@ class TestRandomSkew:
         assert np.all(np.diag(a) == 0.0)
         # independent check: top singular value from the Gram spectrum
         gram = SymMatrix(a.T @ a)
-        top = math.sqrt(eigh(gram).values[-1])
+        top = math.sqrt(eigh(gram).eigenvalues[-1])
         assert abs(top - math.pi) <= 1e-10
 
     def test_rejects_d1(self):
@@ -171,33 +178,33 @@ class TestExpSkew:
 class TestRotatedHessian:
     def test_theta_zero_is_exact_diagonal(self):
         s = random_skew(4, np.random.default_rng(3))
-        h = rotated_hessian([1.0, 2.0, 3.0, 4.0], s, 0.0)
+        h = rotate_spectrum([1.0, 2.0, 3.0, 4.0], exp_skew(s, 0.0))
         assert np.array_equal(h.to_array(), np.diag([1.0, 2.0, 3.0, 4.0]))
 
     def test_isotropic_spectrum_is_rotation_invariant(self):
         s = random_skew(5, np.random.default_rng(6))
-        h = rotated_hessian(np.ones(5), s, 0.83)
+        h = rotate_spectrum(np.ones(5), exp_skew(s, 0.83))
         assert np.abs(h.to_array() - np.eye(5)).max() <= 1e-10
 
     def test_spectrum_preserved(self):
         eigs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 50.0])
         s = random_skew(6, np.random.default_rng(14))
-        h = rotated_hessian(eigs, s, 0.7)
-        assert np.abs(eigh(h).values - eigs).max() <= 1e-9
+        h = rotate_spectrum(eigs, exp_skew(s, 0.7))
+        assert np.abs(eigh(h).eigenvalues - eigs).max() <= 1e-9
 
     def test_rejects_negative_eigs(self):
         s = random_skew(3, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            rotated_hessian([1.0, -1.0, 2.0], s, 0.5)
+            rotate_spectrum([1.0, -1.0, 2.0], exp_skew(s, 0.5))
 
 
 class TestRotateSpectrum:
-    def test_is_rotated_hessian_from_its_rotation(self):
+    def test_make_quadratic_rotates_the_spike_spectrum(self):
+        eigs = [1.0, 1.0, 1.0, 1.0, 1.0, 50.0]
         s = random_skew(6, np.random.default_rng(8))
-        eigs = [1.0, 1.0, 2.0, 3.0, 5.0, 50.0]
         for theta in (0.0, 0.4, 1.0):
             h = rotate_spectrum(eigs, exp_skew(s, theta))
-            assert np.array_equal(h.to_array(), rotated_hessian(eigs, s, theta).to_array())
+            assert np.array_equal(h.to_array(), make_quadratic(6, 50.0, theta, 8).to_array())
 
     def test_rejects_a_spectrum_of_another_dimension(self):
         q = exp_skew(random_skew(3, np.random.default_rng(0)), 0.5)

@@ -18,7 +18,6 @@ from normdescent import (
     Euclidean,
     Max,
     One,
-    QuadraticProblem,
     SymMatrix,
     WeightedDiag,
     adam_gamma,
@@ -54,7 +53,7 @@ ALL_KINDS_D6 = [
 
 
 def identity_problem(d):
-    return QuadraticProblem.from_matrix(SymMatrix(np.diag(np.ones(d))))
+    return SymMatrix(np.diag(np.ones(d)))
 
 
 class TestSteepestDescent:
@@ -78,7 +77,7 @@ class TestSteepestDescent:
             p = make_quadratic(6, float(rng.uniform(2, 12)), float(rng.uniform(0, 1)), seed=seed)
             x0 = rng.standard_normal(6)
             for kind in ALL_KINDS_D6:
-                L = smoothness_constant(p.matrix, kind)
+                L = smoothness_constant(p, kind)
                 tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 100)
                 lhs = tr.f[1:]
                 rhs = tr.f[:-1] - tr.dual_grad_norm[:-1] ** 2 / (2.0 * L)
@@ -88,7 +87,7 @@ class TestSteepestDescent:
         # f(x + a*s) <= f(x) + a <g, s> + a^2 L_inf / 2 for sign vectors s
         rng = np.random.default_rng(41)
         p = make_quadratic(5, 7.0, 0.5, seed=2)
-        linf = smoothness_constant(p.matrix, Max())
+        linf = smoothness_constant(p, Max())
         for _ in range(200):
             x = rng.standard_normal(5) * 2.0
             s = 1.0 - 2.0 * rng.integers(0, 2, 5)
@@ -107,7 +106,7 @@ class TestSteepestDescent:
             return c * f, c * g
 
         for kind in (Euclidean(), Max(), One()):
-            L = smoothness_constant(p.matrix, kind)
+            L = smoothness_constant(p, kind)
             tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 50)
             trc = run_steepest_descent(scaled_oracle, kind, c * L, x0, 50)
             assert np.abs(tr.x_final - trc.x_final).max() <= 1e-12
@@ -116,7 +115,7 @@ class TestSteepestDescent:
     def test_coordinate_descent_touches_one_coordinate(self):
         p = make_quadratic(5, 8.0, 0.7, seed=4)
         x = np.random.default_rng(2).standard_normal(5)
-        L = smoothness_constant(p.matrix, One())
+        L = smoothness_constant(p, One())
         for _ in range(30):
             tr = run_steepest_descent(quad_oracle(p), One(), L, x, 1)
             changed = np.sum(tr.x_final != x)
@@ -127,7 +126,7 @@ class TestSteepestDescent:
         part = BlockPartition(((0, 1, 2), (3, 4, 5)))
         kind = BlockMax(part)
         p = make_quadratic(6, 5.0, 0.5, seed=5)
-        L = smoothness_constant(p.matrix, kind)
+        L = smoothness_constant(p, kind)
         x = np.random.default_rng(3).standard_normal(6)
         _, g = quad_oracle(p)(x)
         tr = run_steepest_descent(quad_oracle(p), kind, L, x, 1)
@@ -146,12 +145,11 @@ class TestSteepestDescent:
         # with weights l_i = sum_j |H_ij| the problem is 1-smooth in that geometry
         rng = np.random.default_rng(44)
         h = random_psd(rng, 6)
-        p = QuadraticProblem.from_matrix(h)
         l, _ = lsep_rowsum(h)
         kind = WeightedDiag(tuple(l))
         assert smoothness_constant(h, kind) <= 1.0 + 1e-10
         x0 = rng.standard_normal(6)
-        tr = run_steepest_descent(quad_oracle(p), kind, 1.0, x0, 100)
+        tr = run_steepest_descent(quad_oracle(h), kind, 1.0, x0, 100)
         assert (tr.f[1:] <= tr.f[:-1] - tr.dual_grad_norm[:-1] ** 2 / 2.0 + 1e-10).all()
 
     def test_invalid_smoothness_rejected(self):
@@ -204,7 +202,7 @@ class TestNormalizedSD:
         rng = np.random.default_rng(50)
         p = make_quadratic(6, 9.0, 0.6, seed=7)
         for kind in ALL_KINDS_D6:
-            L = smoothness_constant(p.matrix, kind)
+            L = smoothness_constant(p, kind)
             x0 = rng.standard_normal(6)
             tr = run_normalized_sd(quad_oracle(p), kind, L, x0, 1000)
             T = len(tr) - 1
@@ -250,7 +248,7 @@ class TestRelaxedNSD:
 
 class TestSignSGD:
     def test_updates_have_constant_magnitude(self):
-        p = QuadraticProblem.from_matrix(SymMatrix(np.diag([1.0, 2.0])))
+        p = SymMatrix(np.diag([1.0, 2.0]))
         x = np.array([10.0, 10.0])
         for _ in range(20):
             tr = run_signsgd(quad_oracle(p), 0.5, x, 1)
@@ -492,7 +490,7 @@ class TestAdamFamily:
         assert np.abs(tr.x_final - expected).max() <= 1e-15
 
     def test_shuffled_d1_equals_standard(self):
-        p = QuadraticProblem.from_matrix(SymMatrix(np.diag([2.0])))
+        p = SymMatrix(np.diag([2.0]))
         x0 = np.array([1.5])
         a = run_adam_family(quad_oracle(p), AdamConfig(step=0.05), x0, 100, np.random.default_rng(1))
         b = run_adam_family(
@@ -571,12 +569,12 @@ class TestRateBounds:
         rng = np.random.default_rng(60)
         for seed in range(5):
             p = make_quadratic(6, float(rng.uniform(3, 30)), float(rng.uniform(0, 1)), seed=seed)
-            lam_min = eigh(p.matrix).values[0]
+            lam_min = eigh(p).eigenvalues[0]
             x0 = rng.standard_normal(6)
             f0, _ = quad_oracle(p)(x0)
             radius = math.sqrt(2.0 * f0 / lam_min)
             for kind in (Euclidean(), Max()):
-                L = smoothness_constant(p.matrix, kind)
+                L = smoothness_constant(p, kind)
                 tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 500)
                 rc = verify_rate_bounds(tr, L, 0.0, mu=lam_min, radius=radius, kind=kind)
                 assert rc.passed, (kind, rc)
@@ -590,7 +588,7 @@ class TestRateBounds:
     def test_violation_reported_not_raised(self):
         p = make_quadratic(4, 10.0, 0.5, seed=12)
         x0 = np.random.default_rng(10).standard_normal(4)
-        L2 = smoothness_constant(p.matrix, Euclidean())
+        L2 = smoothness_constant(p, Euclidean())
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, x0, 50)
         rc = verify_rate_bounds(tr, L2 / 100.0, 0.0)  # deliberately wrong L
         assert not rc.passed
@@ -600,7 +598,7 @@ class TestRateBounds:
 class TestTrace:
     def test_lengths_and_finiteness(self):
         p = make_quadratic(4, 5.0, 0.3, seed=13)
-        L2 = smoothness_constant(p.matrix, Euclidean())
+        L2 = smoothness_constant(p, Euclidean())
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), L2, np.ones(4), 37)
         assert len(tr) == 38
         assert tr.dist_sq.shape == (38,)
@@ -614,14 +612,14 @@ GOLDEN_P = make_quadratic(GOLDEN_D, 50.0, 0.5, seed=3)
 GOLDEN_X0 = np.random.default_rng(5).standard_normal(GOLDEN_D)
 GOLDEN_PART = BlockPartition((tuple(range(4)), tuple(range(4, 8))))
 GOLDEN_PART_NC = BlockPartition(((0, 2, 4), (1, 3, 5, 6, 7)))  # blocks that are not slices
-GOLDEN_W = WeightedDiag(tuple(np.diag(GOLDEN_P.matrix.to_array())))  # H's diagonal, positive
+GOLDEN_W = WeightedDiag(tuple(np.diag(GOLDEN_P.to_array())))  # H's diagonal, positive
 GOLDEN_L = {
-    "gd": smoothness_constant(GOLDEN_P.matrix, Euclidean()),
-    "signgd_normscaled": smoothness_constant(GOLDEN_P.matrix, Max()),
-    "cd": smoothness_constant(GOLDEN_P.matrix, One()),
-    "blocknorm": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART)),
-    "blocknorm_nc": smoothness_constant(GOLDEN_P.matrix, BlockMax(GOLDEN_PART_NC)),
-    "weighted": smoothness_constant(GOLDEN_P.matrix, GOLDEN_W),
+    "gd": smoothness_constant(GOLDEN_P, Euclidean()),
+    "signgd_normscaled": smoothness_constant(GOLDEN_P, Max()),
+    "cd": smoothness_constant(GOLDEN_P, One()),
+    "blocknorm": smoothness_constant(GOLDEN_P, BlockMax(GOLDEN_PART)),
+    "blocknorm_nc": smoothness_constant(GOLDEN_P, BlockMax(GOLDEN_PART_NC)),
+    "weighted": smoothness_constant(GOLDEN_P, GOLDEN_W),
 }
 GOLDEN_KIND = {
     "gd": Euclidean(),
@@ -742,7 +740,7 @@ def signs(z):
 
 def reference_quad_oracle(p, sigma=0.0, rng=None):
     """(x'Hx/2, Hx) by matmul, plus sigma times one standard_normal(d) draw per call with ``rng``."""
-    h = p.matrix.to_array()
+    h = p.to_array()
 
     def oracle(x):
         g = h @ x
@@ -899,7 +897,7 @@ class TestStepLoopParity:
     def test_gd_with_too_small_L_blows_up(self):
         p = make_quadratic(5, 20.0, 0.5, seed=1)
         x0 = np.ones(5)
-        L = smoothness_constant(p.matrix, Euclidean()) / 3.0
+        L = smoothness_constant(p, Euclidean()) / 3.0
         self._assert_parity(
             lambda: run_steepest_descent(quad_oracle(p), Euclidean(), L, x0, 500),
             reference_run(
@@ -1143,7 +1141,7 @@ class TestChunkBoundaries:
 
         oracle = lambda: self._counting(quad_oracle(self.P), t, stationary)
         T = 3 * ROW_CHUNK
-        L = smoothness_constant(self.P.matrix, Max())
+        L = smoothness_constant(self.P, Max())
         if method == "nsd":
             run = lambda: run_normalized_sd(oracle(), Max(), L, self.X0, T)
 
@@ -1172,7 +1170,7 @@ class TestChunkBoundaries:
             run = lambda: run_signsgd(quad_oracle(self.P), 1e-3, self.X0, T)
             step = lambda x, g, t, _: x - 1e-3 * signs(g)
         else:
-            L = smoothness_constant(self.P.matrix, kind)
+            L = smoothness_constant(self.P, kind)
             run = lambda: run_steepest_descent(quad_oracle(self.P), kind, L, self.X0, T)
             step = lambda x, g, t, _: x - reference_steepest_op(g, kind) / L
         ref = reference_run(
@@ -1188,7 +1186,7 @@ class TestChunkBoundaries:
     def test_stopping_runs_record_the_duals_they_step_with(self, T, kind, method):
         """A stopping run's dual column, reduced per chunk, has the bits of
         the per-step dual norm that its stop test and update used."""
-        L = smoothness_constant(self.P.matrix, kind)
+        L = smoothness_constant(self.P, kind)
         if method == "nsd":
             run = lambda: run_normalized_sd(quad_oracle(self.P), kind, L, self.X0, T)
 
@@ -1245,7 +1243,7 @@ class TestResolvedKernels:
     def test_cd_keeps_the_bits_of_untouched_coordinates(self):
         p = make_quadratic(5, 20.0, 0.0, seed=4)  # diagonal: zero coordinates stay zero
         x0 = np.array([-0.0, 2.0, 0.0, -3.0, -0.0])
-        L = smoothness_constant(p.matrix, One())
+        L = smoothness_constant(p, One())
         tr = run_steepest_descent(quad_oracle(p), One(), L, x0, 40)
         ref = reference_run(
             quad_oracle(p), x0, 40, lambda x, g, t, _: x - reference_steepest_op(g, One()) / L,

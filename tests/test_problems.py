@@ -6,7 +6,6 @@ import pytest
 from normdescent import (
     CoshProblem,
     Max,
-    QuadraticProblem,
     SymMatrix,
     eigh,
     make_quadratic,
@@ -38,34 +37,34 @@ def assert_grad_matches_fd(value_fn, grad, x, rel=1e-6):
 class TestMakeQuadratic:
     def test_isotropic_is_identity(self):
         p = make_quadratic(4, 1.0, 0.37, seed=2)
-        assert np.abs(p.matrix.to_array() - np.eye(4)).max() <= 1e-10
+        assert np.abs(p.to_array() - np.eye(4)).max() <= 1e-10
 
     def test_axis_aligned_diagonal(self):
         p = make_quadratic(4, 10.0, 0.0, seed=2)
-        assert np.array_equal(p.matrix.to_array(), np.diag([1.0, 1.0, 1.0, 10.0]))
-        assert smoothness_constant(p.matrix, Max()) == pytest.approx(13.0)
+        assert np.array_equal(p.to_array(), np.diag([1.0, 1.0, 1.0, 10.0]))
+        assert smoothness_constant(p, Max()) == pytest.approx(13.0)
 
     def test_spectrum_preserved_at_full_rotation(self):
         p = make_quadratic(8, 50.0, 1.0, seed=7)
         expected = np.concatenate([np.ones(7), [50.0]])
-        assert np.abs(eigh(p.matrix).values - expected).max() <= 1e-9
+        assert np.abs(eigh(p).eigenvalues - expected).max() <= 1e-9
 
     def test_axis_aligned_eigenvectors_have_unit_one_norm(self):
         p = make_quadratic(5, 20.0, 0.0, seed=3)
-        vecs = eigh(p.matrix).vectors
+        vecs = eigh(p).eigenvectors
         assert np.abs(np.abs(vecs).sum(axis=0) - 1.0).max() <= 1e-12
 
     def test_large_dimension_spectrum_and_eigenvectors(self):
         p = make_quadratic(200, 50.0, 0.5, 1)
-        dec = eigh(p.matrix)
+        dec = eigh(p)
         expected = np.concatenate([np.ones(199), [50.0]])
-        assert np.abs(dec.values - expected).max() <= 1e-9
-        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(200)).max() <= 1e-10
+        assert np.abs(dec.eigenvalues - expected).max() <= 1e-9
+        assert np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(200)).max() <= 1e-10
 
     def test_mean_absolute_eigenvalue(self):
         d, lam = 6, 30.0
         p = make_quadratic(d, lam, 0.5, seed=1)
-        lam_bar = np.abs(eigh(p.matrix).values).mean()
+        lam_bar = np.abs(eigh(p).eigenvalues).mean()
         assert lam_bar == pytest.approx((d - 1 + lam) / d, rel=1e-9)
 
     def test_rejects_bad_args(self):
@@ -78,7 +77,7 @@ class TestMakeQuadratic:
 
     def test_requires_psd(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            QuadraticProblem.from_matrix(SymMatrix(np.diag([1.0, -1.0])))
+            quad_oracle(SymMatrix(np.diag([1.0, -1.0])))
 
 
 class TestQuadEval:
@@ -89,7 +88,7 @@ class TestQuadEval:
         assert np.array_equal(g, np.zeros(3))
 
     def test_diagonal_example(self):
-        p = QuadraticProblem.from_matrix(SymMatrix(np.diag([1.0, 2.0])))
+        p = SymMatrix(np.diag([1.0, 2.0]))
         f, g = quad_oracle(p)([1.0, 1.0])
         assert f == 1.5
         assert np.array_equal(g, [1.0, 2.0])
@@ -106,7 +105,7 @@ class TestQuadEval:
         # f(x) - f* <= ||grad||^2 / (2 lambda_min) on random points
         rng = np.random.default_rng(6)
         p = make_quadratic(6, 9.0, 0.4, seed=4)
-        lam_min = eigh(p.matrix).values[0]
+        lam_min = eigh(p).eigenvalues[0]
         for _ in range(100):
             x = rng.standard_normal(6) * 3.0
             f, g = quad_oracle(p)(x)
@@ -118,7 +117,7 @@ class TestNoisyGrad:
         p = make_quadratic(4, 3.0, 0.2, seed=8)
         x = np.array([1.0, -2.0, 0.5, 0.0])
         g = noisy_grad(p, x, 0.0, np.random.default_rng(0))
-        assert np.array_equal(g, p.matrix.to_array() @ x)
+        assert np.array_equal(g, p.to_array() @ x)
 
     def test_reproducible_stream(self):
         p = make_quadratic(4, 3.0, 0.2, seed=8)
@@ -131,7 +130,7 @@ class TestNoisyGrad:
 
     def test_unbiased_at_clt_scale(self):
         # per-coordinate mean over 1e5 draws within 4 sigma / sqrt(1e5)
-        p = QuadraticProblem.from_matrix(SymMatrix(np.diag([1.0, 2.0, 3.0])))
+        p = SymMatrix(np.diag([1.0, 2.0, 3.0]))
         stream = np.random.default_rng(123)
         n = 100_000
         acc = np.zeros(3)
@@ -171,7 +170,7 @@ class TestNoisyGrad:
 def test_quadratic_oracles_round_like_matmul(d):
     # the oracles use h.dot(x) and x.dot(g); their bits are those of h @ x and x @ g
     p = make_quadratic(d, 30.0, 0.6, seed=d)
-    h = p.matrix.to_array()
+    h = p.to_array()
     exact = quad_oracle(p)
     noisy = quad_noisy_oracle(p, 0.7, np.random.default_rng(3))
     stream = np.random.default_rng(3)
@@ -243,10 +242,21 @@ def test_huge_lambda_max_builds(lambda_max):
     # the eigensolver's error in lambda_min grows with lambda_max
     for theta in (0.3, 0.5, 1.0):
         for seed in range(3):
-            assert make_quadratic(4, lambda_max, theta, seed).dim == 4
+            H = make_quadratic(4, lambda_max, theta, seed)
+            assert H.dim == 4
+            quad_oracle(H)  # passes the positive semidefinite test
+
+
+@pytest.mark.parametrize("factory", [
+    quad_oracle,
+    lambda H: quad_noisy_oracle(H, 0.5, np.random.default_rng(0)),
+], ids=["exact", "noisy"])
+def test_oracles_reject_an_indefinite_matrix(factory):
+    with pytest.raises(ValueError, match="^quadratic problems require a positive semidefinite matrix$"):
+        factory(SymMatrix(np.diag([1.0, -1.0])))
 
 
 def test_rejects_an_indefinite_matrix_at_any_scale():
     for lam in (1.0, 1e6, 1e17):
         with pytest.raises(ValueError, match="semidefinite"):
-            QuadraticProblem.from_matrix(SymMatrix(np.diag([-1e-6 * lam, 1.0, lam])))
+            quad_oracle(SymMatrix(np.diag([-1e-6 * lam, 1.0, lam])))
