@@ -52,7 +52,7 @@ class SmoothnessReport:
     ``bound_psd`` is the concentration bound sum(lambda) / rho_diag
     (positive semidefinite input only), ``bound_sym`` the eigenspace-weighted
     bound, ``lower_bound`` the best ||H s||_1 over the sign patterns of H's
-    columns and of its eigenspace projectors, and
+    columns and of one column of an eigenspace projector per eigenvalue, and
     ``lsep_rowsum`` the row-sum separable surrogate, which for a positive
     definite 2x2 [[a, b], [b, d]] is its exact separable constant
     a + d + 2|b|.
@@ -98,11 +98,10 @@ def linf_bruteforce(H: SymMatrix) -> float:
     clamped to that total, which a sum in another order can exceed by an
     ulp, so it never exceeds what lsep_rowsum reports.
 
-    Before any enumeration, the d sign patterns of H's own columns
-    (sign_unit, so sign(0) = +1) are tried with one d x d product, O(d^3),
-    summed in the walk's order so that a pattern the walk would settle on
-    keeps the walk's bits.  The best of their ||H s||_1 is returned when it
-    reaches the bound.  That closes the paper's family I + (lambda - 1) u u'
+    Before any enumeration, _pattern_best tries the d sign patterns of H's
+    own columns (sign_unit, so sign(0) = +1) with one d x d product,
+    O(d^3).  The best of their ||H s||_1 is returned when it reaches the
+    bound.  That closes the paper's family I + (lambda - 1) u u'
     (every column has the pattern of +-u, and ||H sign(u)||_1 =
     sum_ij |H_ij|), every diagonal H and the rotated identity at any d,
     which then build no sign table.  Otherwise the walk below runs from
@@ -126,10 +125,7 @@ def linf_bruteforce(H: SymMatrix) -> float:
     a = H.to_array()
     k = min(d - 1, _TABLE_BITS)
     total = lsep_rowsum(H)[1]
-    s = sign_unit(a)
-    s *= s[d - 1]  # each column pattern up to sign, ending in +1 as in the walk
-    hs = a[:, :k] @ s[:k] + (a[:, k : d - 1] @ s[k : d - 1] + a[:, d - 1 :])  # the walk's sum order
-    best = float(np.abs(hs).sum(axis=0).max())
+    best = _pattern_best(a, a)
     if best * (1.0 + 1e-9) >= total:
         return min(best, total)
     if d > BRUTE_FORCE_CAP:
@@ -151,6 +147,18 @@ def linf_bruteforce(H: SymMatrix) -> float:
         np.abs(buf, out=buf)
         best = max(best, float(buf.sum(axis=0).max()))
     return min(best, total)
+
+
+def _pattern_best(a: np.ndarray, c: np.ndarray) -> float:
+    """Largest ||H s||_1 over the patterns s = sign_unit of c's columns, each
+    flipped to end in +1 and summed as in the walk, so that a pattern the
+    walk would settle on keeps the walk's bits."""
+    d = a.shape[0]
+    k = min(d - 1, _TABLE_BITS)
+    s = sign_unit(c)
+    s *= s[d - 1]
+    hs = a[:, :k] @ s[:k] + (a[:, k : d - 1] @ s[k : d - 1] + a[:, d - 1 :])
+    return float(np.abs(hs).sum(axis=0).max())
 
 
 def _sign_table(n: int) -> np.ndarray:
@@ -200,25 +208,27 @@ def _eigenspace_bound(values: np.ndarray, vectors: np.ndarray, l1: np.ndarray) -
 
 
 def _sign_lower_bound(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
-    """max ||H s||_1 over the sign patterns s (sign_unit) of the columns of
-    H and of each eigenspace projector P_k = V_k V_k', with the groups of
-    _eigen_groups.
+    """_pattern_best over the columns of H and, per group of m eigenvalues
+    from _eigen_groups, the m columns of P_k = V_k V_k' with the largest
+    diagonal: one d x 2d product however many groups there are.
 
-    Each s is a sign vector, so the value never exceeds Linf, and neither
-    set of columns depends on the basis the solver picks inside an
-    eigenspace.  The nonzero columns v_i v of a simple eigenvalue's v v'
-    carry the signs of v or -v, which are used directly, so only repeated
-    eigenvalues pay for a d x d projector.  Where v has a zero entry the two
-    patterns differ by more than a sign, so taking both keeps the value
-    independent of the sign the solver gives v.  Since v'H sign(v) =
-    lambda ||v||_1, the value is at least the alignment ratio
-    |lambda| ||v||_1 / ||v||_inf of every simple eigenpair.
+    The value never exceeds Linf, and P_k does not depend on the basis the
+    solver picks, so neither does the value (save for a diagonal tie across
+    the cut).  Projector entries at most 1e-12 times their column's largest
+    are rounded zeros, set to 0 so that their sign cannot pick the pattern
+    (the projectors of kron(A, I_2) are half zeros).  A column w of P_k lies
+    in the eigenspace, so w'H sign(w) = lambda ||w||_1 and the value is at
+    least |lambda| ||w||_1 / ||w||_inf: for a simple eigenvalue, w = v_i v
+    with |v_i| largest, the alignment ratio of v.
     """
-    groups = _eigen_groups(values)
-    simple = vectors[:, [g[0] for g in groups if g.size == 1]]
-    candidates = [a, np.hstack([simple, -simple])]
-    candidates += [vectors[:, g] @ vectors[:, g].T for g in groups if g.size > 1]
-    return max(float(np.abs(a @ sign_unit(c)).sum(axis=0).max(initial=0.0)) for c in candidates)
+    columns = [a]
+    for group in _eigen_groups(values):
+        v = vectors[:, group]
+        rows = np.argsort(-np.square(v).sum(axis=1), kind="stable")[: group.size]
+        w = v @ v[rows].T
+        w[np.abs(w) <= 1e-12 * np.abs(w).max(axis=0)] = 0.0  # rounding of zeros
+        columns.append(w)
+    return _pattern_best(a, np.hstack(columns))
 
 
 def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:

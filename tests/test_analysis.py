@@ -372,7 +372,9 @@ def lower_bound_cases(rng, count):
 
 def sign_lower_bound_reference(H):
     """max ||H s||_1 over the sign patterns s (sign(0) = +1) of the columns of H
-    and of every eigenvalue group's projector V V', taken column by column."""
+    and, for each group of m eigenvalues, of the m columns of its projector
+    V V' with the largest diagonal entries, with entries at most 1e-12 times
+    the column's largest set to 0, taken column by column."""
     a = H.to_array()
     values, vectors = eigh(H)
     tol = 1e-12 * max(abs(values[0]), abs(values[-1]))
@@ -381,14 +383,19 @@ def sign_lower_bound_reference(H):
     for i in range(1, H.dim + 1):
         if i == H.dim or values[i] - values[i - 1] > tol:
             v = vectors[:, start:i]
-            columns += list((v @ v.T).T)
+            P = v @ v.T
+            top = sorted(range(H.dim), key=lambda j: (-P[j, j], j))[: i - start]
+            for j in top:
+                c = P[:, j].copy()
+                c[np.abs(c) <= 1e-12 * np.abs(c).max()] = 0.0
+                columns.append(c)
             start = i
     return max(float(np.abs(a @ np.where(c >= 0.0, 1.0, -1.0)).sum()) for c in columns)
 
 
 class TestLowerBound:
     """lower_bound is the best ||H s||_1 over the sign patterns of H's
-    columns and of its eigenspace projectors."""
+    columns and of one eigenspace projector column per eigenvalue."""
 
     def test_repeated_eigenvalue_gives_linf(self):
         # H ~ I: the eigenvector ratio printed 8.638 here, and 8.206 once permuted
@@ -404,6 +411,11 @@ class TestLowerBound:
         mats = [make_quadratic(16, lam, 0.5, 3) for lam in (1.0, 1.5, 2.0, 5.0)]
         mats += [h for _, h in lower_bound_cases(rng, 30)]
         mats += [repeated_spectrum(rng, d)[0] for d in (3, 6, 10, 24)]
+        # the eigenspaces of kron(A, I_m) are u (x) R^m, so the projector columns
+        # are mostly zeros that the solver rounds to either sign
+        for n, m in ((4, 2), (12, 2), (40, 2), (8, 3)):
+            g = rng.standard_normal((n, n))
+            mats.append(SymMatrix(np.kron(g + g.T, np.eye(m))))
         for H in mats:
             perm = rng.permutation(H.dim)
             permuted = SymMatrix(H.to_array()[np.ix_(perm, perm)])
@@ -425,7 +437,7 @@ class TestLowerBound:
     ])
     def test_same_for_either_sign_of_an_eigenvector(self, rows):
         # each matrix has a simple eigenvector v with an exact zero entry, where the
-        # patterns of v and -v differ by more than a sign, and one of them attains the bound
+        # patterns of v and -v differ by more than a sign
         H = SymMatrix(np.array(rows, dtype=float))
         values, vectors = eigh(H)
         a = H.to_array()
@@ -453,13 +465,15 @@ class TestLowerBound:
     def test_never_below_the_ratio_of_a_projector_column(self):
         # v = P e_i lies in the eigenspace of lam and sign_unit(v) is column i's
         # pattern, so ||H sign(v)||_1 >= |v'H sign(v)| / ||v||_inf = |lam| ||v||_1 / ||v||_inf
+        # for each of the m columns with the largest diagonal entries
         rng = np.random.default_rng(84)
         for d in range(3, 13):
             H, lam = repeated_spectrum(rng, d)
             values, vectors = eigh(H)
             v = vectors[:, np.abs(values - lam) < 1e-9]
             P = v @ v.T
-            ratio = abs(lam) * np.abs(P).sum(axis=0) / np.abs(P).max(axis=0)
+            top = np.argsort(-np.diag(P), kind="stable")[: v.shape[1]]
+            ratio = abs(lam) * np.abs(P[:, top]).sum(axis=0) / np.abs(P[:, top]).max(axis=0)
             assert analyze(H).lower_bound >= ratio.max() * (1.0 - 1e-9)
 
 
