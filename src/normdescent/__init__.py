@@ -30,7 +30,6 @@ from .norms import (
     One,
     WeightedDiag,
     dual_norm,
-    kind_from_json,
     norm,
     sign_unit,
     steepest_op,

@@ -15,21 +15,20 @@ from itertools import combinations
 import numpy as np
 
 from ._record import record
-from .matrices import PSD_TOL, SymMatrix, eigh, is_psd_spectrum
+from .matrices import SymMatrix, eigh, is_psd_spectrum
 from .norms import (
-    BlockMax,
     BlockPartition,
     Euclidean,
     Max,
     NormKind,
     One,
     WeightedDiag,
+    _check,
     sign_unit,
 )
 
 __all__ = [
     "BRUTE_FORCE_CAP",
-    "PSD_TOL",
     "SmoothnessReport",
     "linf_bruteforce",
     "rho_diag",
@@ -59,29 +58,18 @@ class SmoothnessReport:
     """
 
     L2: float
+    Linf_exact: float | None
     rho_diag: float
+    bound_psd: float | None
     bound_sym: float
     lower_bound: float
     lsep_rowsum: float
-    Linf_exact: float | None = None
-    bound_psd: float | None = None
-    ratio_dL2_over_Linf: float | None = None
-
-    _FIELD_ORDER = (
-        "L2",
-        "Linf_exact",
-        "rho_diag",
-        "bound_psd",
-        "bound_sym",
-        "lower_bound",
-        "lsep_rowsum",
-        "ratio_dL2_over_Linf",
-    )
+    ratio_dL2_over_Linf: float | None
 
     def to_json_dict(self) -> dict[str, float]:
-        """Flat dict in fixed field order; absent optionals omitted."""
+        """Flat dict in field order; absent optionals omitted."""
         out = {}
-        for name in self._FIELD_ORDER:
+        for name in SmoothnessReport.__annotations__:
             value = getattr(self, name)
             if value is not None:
                 out[name] = float(value)
@@ -267,8 +255,9 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
     ValueError where it needs a walk above the brute-force cap), one
     (largest |entry|), and weighted (rescaled spectral norm) geometries.  For block-max geometry the exact
     constant has no finite enumeration; the block-concentration upper bound
-    is returned, which is still a valid Lipschitz constant.  A constant
-    that overflows raises ValueError.
+    is returned, which is still a valid Lipschitz constant.  A kind whose
+    dimension is not H's raises the runners' ValueError (norms._check), and
+    a constant that overflows raises ValueError.
     """
     value = _smoothness_value(H, kind)
     if not math.isfinite(value):
@@ -277,6 +266,7 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
 
 
 def _smoothness_value(H: SymMatrix, kind: NormKind) -> float:
+    _check(kind, H.dim)
     a = H.to_array()
     if isinstance(kind, Euclidean):
         values = eigh(H).eigenvalues
@@ -286,19 +276,13 @@ def _smoothness_value(H: SymMatrix, kind: NormKind) -> float:
     if isinstance(kind, One):
         return float(np.abs(a).max())
     if isinstance(kind, WeightedDiag):
-        if len(kind.weights) != H.dim:
-            raise ValueError("weight vector does not match matrix dimension")
-        root = np.sqrt(np.asarray(kind.weights))
-        scaled = SymMatrix(a / root[:, None] / root[None, :])
+        scaled = SymMatrix(a / kind.root[:, None] / kind.root[None, :])
         values = eigh(scaled).eigenvalues
         return float(max(abs(values[0]), abs(values[-1])))
-    if isinstance(kind, BlockMax):
-        if kind.partition.dim != H.dim:
-            raise ValueError("partition does not match matrix dimension")
-        if not is_psd_spectrum(eigh(H).eigenvalues):
-            raise ValueError("block-max constant requires a positive semidefinite matrix")
-        return _block_bound(a, kind.partition)
-    raise TypeError(f"unknown norm kind: {kind!r}")
+    # the one kind left after _check: BlockMax
+    if not is_psd_spectrum(eigh(H).eigenvalues):
+        raise ValueError("block-max constant requires a positive semidefinite matrix")
+    return _block_bound(a, kind.partition)
 
 
 def analyze(H: SymMatrix) -> SmoothnessReport:
@@ -334,12 +318,12 @@ def analyze(H: SymMatrix) -> SmoothnessReport:
 
     report = SmoothnessReport(
         L2=L2,
+        Linf_exact=linf_exact,
         rho_diag=rho,
+        bound_psd=bound_psd,
         bound_sym=bound_sym,
         lower_bound=lower,
         lsep_rowsum=total,
-        Linf_exact=linf_exact,
-        bound_psd=bound_psd,
         ratio_dL2_over_Linf=ratio,
     )
     for name, value in report.to_json_dict().items():

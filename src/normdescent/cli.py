@@ -7,6 +7,14 @@ deterministic for a given config; every float is printed with 17
 significant digits.  Exit codes: 0 on success, 2 on input errors
 (including an output path that cannot be written), 3 on divergence (with
 the partial trace, or the finished grid rows, flushed).
+
+This module is the one reader of the JSON configs: the library takes
+Python values.  Every config object is read by ``read_fields`` from a
+table of its keys; a norm kind and a block partition have readers of
+their own.  A config field that holds a number takes a JSON
+number: never a string, which ``float`` and ``int`` would parse, and never
+a boolean, which Python counts as an integer.  An integer field also takes
+an integral number such as ``5.0``.
 """
 
 from __future__ import annotations
@@ -23,11 +31,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from .analysis import analyze, smoothness_constant
-from .experiments import GridConfig, grid_csv_lines, run_quad_grid
+from .experiments import (
+    DEFAULT_LAMBDA_VALUES, DEFAULT_THETA_VALUES, GridConfig, grid_csv_lines, run_quad_grid,
+)
 from .matrices import SymMatrix, parse_matrix_text
-from .norms import BlockMax, Euclidean, Max, NormKind, One, _partition_from_json, kind_from_json
+from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, WeightedDiag
 from .optimizers import (
     ROW_CHUNK,
     AdamConfig,
@@ -103,16 +112,101 @@ def _load_json(path: str):
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
+REQUIRED = object()  # the default of a key the object must hold
+
+
+def is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_number(value) -> float:
+    """float(value) for a JSON number; anything else raises TypeError, and an
+    integer beyond the float range OverflowError."""
+    if not is_json_number(value):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def json_int(value) -> int:
+    """int(value) for a JSON integer or an integral number such as 5.0;
+    anything else, a fraction included, raises TypeError."""
+    if not is_json_number(value) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_floats(value) -> tuple[float, ...]:
+    """The floats of a JSON list of numbers; anything else raises TypeError,
+    and an integer beyond the float range OverflowError."""
+    if not isinstance(value, list) or not all(map(is_json_number, value)):
+        raise TypeError(f"must be a list of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
+def read_fields(obj, what: str, fields: dict) -> dict:
+    """The values of a config object, one per key of ``fields``.
+
+    ``fields`` maps each key to ``(reader, default)``: a key the object
+    holds is read by ``reader(value)``, which raises TypeError or
+    OverflowError on a bad value (its message says what the value must
+    be); a key it lacks takes ``default``, or is an error when the default
+    is REQUIRED.  A non-object, an unknown key, a missing key or a bad
+    value raises ValueError naming ``what`` or the key; a reader's own
+    ValueError passes through.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    unknown = obj.keys() - fields.keys()
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
+    for key, (reader, default) in fields.items():
+        if key not in obj:
+            if default is REQUIRED:
+                raise ValueError(f"{what} requires {key!r}")
+            values[key] = default
+            continue
+        try:
+            values[key] = reader(obj[key])
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"{key!r} {exc}") from exc
+    return values
+
+
 def _or_null(reader):
     """``reader`` for a field whose null means its default, None."""
     return lambda value: None if value is None else reader(value)
 
 
-def _norm_kind(obj) -> NormKind:
+def _partition(blocks) -> BlockPartition:
+    """BlockPartition from a JSON list of index lists, else TypeError; the
+    partition's own ValueError (overlap, gaps, empty blocks) passes through."""
     try:
-        return kind_from_json(obj)
+        indices = tuple(tuple(map(json_int, b)) for b in blocks)
+    except TypeError as exc:
+        raise TypeError(f"must be a list of index lists, got {blocks!r}") from exc
+    return BlockPartition(indices)
+
+
+def _norm_kind(obj) -> NormKind:
+    """The norm kind of "euclidean", "max", "one", {"weighted": [w, ...]} or
+    {"blockmax": [[i, ...], ...]}.  Any other value raises ValueError, and
+    so does a kind's own check of its weights or blocks; a mistyped weight
+    or partition raises TypeError."""
+    try:
+        if obj == "euclidean":
+            return Euclidean()
+        if obj == "max":
+            return Max()
+        if obj == "one":
+            return One()
+        if isinstance(obj, dict) and set(obj) == {"weighted"}:
+            return WeightedDiag(tuple(map(json_number, obj["weighted"])))
+        if isinstance(obj, dict) and set(obj) == {"blockmax"}:
+            return BlockMax(_partition(obj["blockmax"]))
     except (TypeError, OverflowError) as exc:
         raise TypeError(f"must be a norm kind, got {obj!r}") from exc
+    raise ValueError(f"unrecognized norm kind: {obj!r}")
 
 
 def _schedule(obj) -> float | None:
@@ -183,7 +277,7 @@ _NORM = {"norm": (_norm_kind, Max())}
 _SIGN = ({"step": (_schedule, None)}, lambda problem, step: _runner(run_signsgd, step))
 _MOMENTUM = {"step": (json_number, 1e-3), "beta1": (json_number, AdamConfig.beta1)}
 _MOMENTS = {**_MOMENTUM, "beta2": (json_number, AdamConfig.beta2), "epsilon": (json_number, AdamConfig.epsilon)}
-_BLOCKS = {"blocks": (_or_null(_partition_from_json), None)}
+_BLOCKS = {"blocks": (_or_null(_partition), None)}
 
 # method -> (its fields besides "method", its builder): the builder takes the
 # problem and the field values as keywords and returns the method's runner.
@@ -193,7 +287,7 @@ _METHODS = {
     "signgd_normscaled": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, Max(), L)),
     "cd": (_L, lambda problem, L: _with_L(run_steepest_descent, problem, One(), L)),
     "blocknorm": (
-        {"blocks": (_partition_from_json, REQUIRED), **_L},
+        {"blocks": (_partition, REQUIRED), **_L},
         lambda problem, blocks, L: _with_L(run_steepest_descent, problem, BlockMax(blocks), L),
     ),
     "nsd": ({**_NORM, **_L}, lambda problem, norm, L: _with_L(run_normalized_sd, problem, norm, L)),
@@ -227,6 +321,17 @@ _RUN_FIELDS = {
     "T": (json_int, 100),
     "x0": (json_floats, None),
     "x0_seed": (json_int, 0),
+}
+
+_GRID_FIELDS = {
+    "d": (json_int, REQUIRED),
+    "lambda_max_values": (json_floats, DEFAULT_LAMBDA_VALUES),
+    "theta_values": (json_floats, DEFAULT_THETA_VALUES),
+    "T": (json_int, GridConfig.T),
+    "repeats": (json_int, GridConfig.repeats),
+    "skew_seed": (json_int, GridConfig.skew_seed),
+    "x0_seed": (json_int, GridConfig.x0_seed),
+    "sigma": (json_number, GridConfig.sigma),
 }
 
 
@@ -265,7 +370,7 @@ def cmd_run(args):
 
 
 def cmd_quadgrid(args):
-    cfg = GridConfig.from_json(_load_json(args.config))
+    cfg = GridConfig(**read_fields(_load_json(args.config), "grid config", _GRID_FIELDS))
     done = []
 
     def progress(cell):

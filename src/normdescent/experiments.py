@@ -24,7 +24,6 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ._json import REQUIRED, json_floats, json_int, json_number, read_fields
 from ._record import record
 from .analysis import smoothness_constant
 from .matrices import OrthogonalMatrix, exp_skew, random_skew, rotate_spectrum
@@ -86,20 +85,6 @@ class GridConfig:
             raise ValueError("sigma must be finite")
         if self.skew_seed < 0 or self.x0_seed < 0:
             raise ValueError("seeds must be nonnegative")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridConfig":
-        """Config from a parsed JSON object; an unknown, missing or mistyped
-        field raises ValueError naming it."""
-        return cls(**read_fields(obj, "grid config", _JSON_FIELDS))
-
-
-_JSON_FIELDS = {  # key -> (reader, default)
-    "d": (json_int, REQUIRED), "lambda_max_values": (json_floats, DEFAULT_LAMBDA_VALUES),
-    "theta_values": (json_floats, DEFAULT_THETA_VALUES), "T": (json_int, GridConfig.T),
-    "repeats": (json_int, GridConfig.repeats), "skew_seed": (json_int, GridConfig.skew_seed),
-    "x0_seed": (json_int, GridConfig.x0_seed), "sigma": (json_number, GridConfig.sigma),
-}
 
 
 @record

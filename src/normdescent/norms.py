@@ -14,9 +14,9 @@ vector x, a float; ``dual_rows(X)`` the dual norms of the rows of an
 (n, d) array X, and a vector's dual norm that of its one-row view; and
 ``step(g, c, dual=None)`` is P(g)/c along the last axis of g, using
 dual = ||g||* when the caller has it.  For a vector g, c is a positive
-float or 0-d array, and a float when dual (a float) is given, as a
-quotient of Python floats is the cheaper.  The Euclidean and max steps
-also take a (K, R, d) stack, with c of shape (K, 1, 1).
+float or 0-d array, and a float when dual (a float) is given.  The
+Euclidean and max steps also take a (K, R, d) stack, with c of shape
+(K, 1, 1).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Union
 
 import numpy as np
 
-from ._json import json_int, json_number
 from ._record import record
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "norm",
     "dual_norm",
     "steepest_op",
-    "kind_from_json",
 ]
 
 
@@ -151,14 +149,10 @@ class Max:
 
     def step(self, g, c, dual=None):
         # P(g) = ||g||_1 sign(g), and a product with +-1 is exact, so
-        # sign(g) * (||g||_1 / c) has the bits of P(g)/c with one array operation
-        # fewer; a quotient of exactly 1.0 (c = ||g||_1 in normalized descent) needs none
+        # sign(g) * (||g||_1 / c) has the bits of P(g)/c with one array operation fewer
         if dual is None:
-            if g.ndim > 1:
-                return sign_unit(g) * (np.add.reduce(np.abs(g), axis=-1, keepdims=True) / c)
-            dual, c = float(self.dual_rows(g)), float(c)
-        scale = dual / c
-        return sign_unit(g) if scale == 1.0 else sign_unit(g) * np.array(scale)
+            dual = np.add.reduce(np.abs(g), axis=-1, keepdims=True)
+        return sign_unit(g) * (dual / c)
 
 
 @record
@@ -287,26 +281,3 @@ def steepest_op(z, kind: NormKind) -> np.ndarray:
     _check(kind, z.size)
     return kind.step(z, 1.0)
 
-
-def _partition_from_json(blocks) -> BlockPartition:
-    """BlockPartition from a JSON list of index lists, else TypeError; the
-    partition's own ValueError (overlap, gaps, empty blocks) passes through."""
-    try:
-        indices = tuple(tuple(map(json_int, b)) for b in blocks)
-    except TypeError as exc:
-        raise TypeError(f"must be a list of index lists, got {blocks!r}") from exc
-    return BlockPartition(indices)
-
-
-def kind_from_json(obj) -> NormKind:
-    if obj == "euclidean":
-        return Euclidean()
-    if obj == "max":
-        return Max()
-    if obj == "one":
-        return One()
-    if isinstance(obj, dict) and set(obj) == {"weighted"}:
-        return WeightedDiag(tuple(map(json_number, obj["weighted"])))
-    if isinstance(obj, dict) and set(obj) == {"blockmax"}:
-        return BlockMax(_partition_from_json(obj["blockmax"]))
-    raise ValueError(f"unrecognized norm kind: {obj!r}")

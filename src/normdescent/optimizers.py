@@ -441,24 +441,25 @@ def run_adam_family(
     return _drive(oracle, x, T, Max(), update)
 
 
+_SLACK_TOL = 1e-9  # the floating-point allowance of RateCheck.passed
+
+
 @record
 class RateCheck:
     """Worst relative slack of each guarantee over all trace prefixes.
 
     Slack is (bound - value) / max(|bound|, |value|); nonnegative means the
-    guarantee held.  ``passed`` allows the stated floating-point allowance.
+    guarantee held.  ``passed`` allows a slack down to -1e-9, for rounding.
     """
 
     smooth_slack: float
     pl_slack: float | None = None
     kelner_slack: float | None = None
-    kind: NormKind | None = None
-    tol: float = 1e-9
 
     @property
     def passed(self) -> bool:
         slacks = [self.smooth_slack, self.pl_slack, self.kelner_slack]
-        return all(s >= -self.tol for s in slacks if s is not None)
+        return all(s >= -_SLACK_TOL for s in slacks if s is not None)
 
 
 def _worst_rel_slack(values: np.ndarray, bounds: np.ndarray) -> float:
@@ -472,7 +473,6 @@ def verify_rate_bounds(
     f_star: float,
     mu: float | None = None,
     radius: float | None = None,
-    kind: NormKind | None = None,
 ) -> RateCheck:
     """Check the convergence guarantees of a steepest-descent trace.
 
@@ -512,4 +512,4 @@ def verify_rate_bounds(
             raise ValueError("radius must be nonnegative")
         kelner_slack = _worst_rel_slack(f[1:] - f_star, 2.0 * L * radius**2 / (t + 4.0))
 
-    return RateCheck(smooth_slack, pl_slack, kelner_slack, kind)
+    return RateCheck(smooth_slack, pl_slack, kelner_slack)

@@ -154,7 +154,7 @@ def test_criterion_06_rate_suite():
         for kind in (Euclidean(), Max()):
             L = smoothness_constant(p, kind)
             tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 500)
-            rc = verify_rate_bounds(tr, L, 0.0, mu=lam_min, radius=radius, kind=kind)
+            rc = verify_rate_bounds(tr, L, 0.0, mu=lam_min, radius=radius)
             ok &= rc.passed
     report(6, "stationarity, linear, and convex rates hold at every prefix", ok)
 

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import normdescent
 from normdescent import analysis, cli, problems
-from normdescent._json import REQUIRED
 from normdescent import (
-    Euclidean, Max, SymMatrix, exp_skew, make_quadratic, quad_oracle, random_skew, rotate_spectrum,
-    run_steepest_descent, smoothness_constant,
+    BlockMax, BlockPartition, Euclidean, Max, One, SymMatrix, WeightedDiag, exp_skew, make_quadratic,
+    quad_oracle, random_skew, rotate_spectrum, run_steepest_descent, smoothness_constant,
 )
+from normdescent.cli import REQUIRED
 from normdescent.optimizers import ROW_CHUNK, DivergenceError, Trace
 from normdescent.experiments import GRID_CSV_HEADER, GridConfig, grid_csv_lines, run_quad_grid
 
@@ -40,6 +40,11 @@ def child_env(env_extra=None) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     return env
+
+
+def _read_grid(obj) -> GridConfig:
+    """The GridConfig that quadgrid reads from the JSON object ``obj``."""
+    return GridConfig(**cli.read_fields(obj, "grid config", cli._GRID_FIELDS))
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -757,7 +762,7 @@ class TestStreamedOutput:
         stdout = capsys.readouterr().out
         assert cli.main(["quadgrid", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
-        cells = run_quad_grid(GridConfig.from_json(GRID_CFG))
+        cells = run_quad_grid(_read_grid(GRID_CFG))
         assert stdout == "\n".join(grid_csv_lines(cells)) + "\n"
         assert out.read_text() == stdout
 
@@ -987,7 +992,7 @@ class TestQuadGrid:
 
     def test_integral_float_fields_are_integers(self):
         as_floats = {k: float(v) for k, v in GRID_CFG.items() if isinstance(v, int)}
-        assert GridConfig.from_json(dict(GRID_CFG, **as_floats)) == GridConfig.from_json(GRID_CFG)
+        assert _read_grid(dict(GRID_CFG, **as_floats)) == _read_grid(GRID_CFG)
 
 
 _BAD = object()  # where a numeric-field test puts a string or a boolean
@@ -1135,6 +1140,30 @@ class TestConfigKeys:
         assert (code, out) == (2, "")
         [line] = err.splitlines()
         assert line.startswith("error: ") and repr(key) in line, line
+
+
+class TestNormKind:
+    @pytest.mark.parametrize("obj, kind", zip(
+        ["euclidean", "max", "one", {"weighted": [0.5, 1, 2, 4]}, {"blockmax": [[0, 1], [2, 3]]}],
+        [Euclidean(), Max(), One(), WeightedDiag((0.5, 1.0, 2.0, 4.0)), BlockMax(BlockPartition(((0, 1), (2, 3))))],
+    ))
+    def test_reads_each_kind(self, obj, kind):
+        assert cli._norm_kind(obj) == kind
+
+    def test_rejects_unknown(self):
+        with pytest.raises(ValueError):
+            cli._norm_kind("spectral")
+
+    @pytest.mark.parametrize("optimizer, error", [
+        ({"method": "nsd", "norm": {"weighted": [1, 2, 3]}}, "error: weight vector has length 3, expected 4\n"),
+        ({"method": "nsd", "norm": {"blockmax": [[0, 1], [2]]}}, "error: partition covers 3 indices, expected 4\n"),
+        ({"method": "blocknorm", "blocks": [[0, 1], [2]]}, "error: partition covers 3 indices, expected 4\n"),
+    ], ids=["weighted", "blockmax", "blocknorm"])
+    def test_kind_of_another_dimension_is_one_error_with_or_without_L(self, tmp_path, capsys, optimizer, error):
+        # without L the run first computes the quadratic's constant in the kind, with L it steps at once
+        for L in ({}, {"L": 2.0}):
+            cfg = {"problem": _quad4(), "optimizer": {**optimizer, **L}, "T": 3}
+            assert _main_on_config(tmp_path, capsys, "run", cfg) == (2, "", error)
 
 
 GRID_DIVERGES_AFTER_ONE_ROW = {"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],

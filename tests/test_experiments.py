@@ -23,7 +23,7 @@ from normdescent import (
     smoothness_constant,
     steepest_descent_stack,
 )
-from normdescent import experiments
+from normdescent import cli, experiments
 from normdescent.experiments import (
     _DIST_FLOOR,
     _NOISE_SALT,
@@ -85,7 +85,7 @@ def test_batched_grid_matches_scalar_runs(sigma):
 
 def test_shipped_paper_config_is_the_default_grid():
     path = Path(__file__).resolve().parent.parent / "scripts" / "quadgrid_paper.json"
-    cfg = GridConfig.from_json(json.loads(path.read_text()))
+    cfg = GridConfig(**cli.read_fields(json.loads(path.read_text()), "grid config", cli._GRID_FIELDS))
     assert cfg == GridConfig(
         d=8, lambda_max_values=DEFAULT_LAMBDA_VALUES, theta_values=DEFAULT_THETA_VALUES
     )

@@ -11,7 +11,6 @@ from normdescent import (
     One,
     WeightedDiag,
     dual_norm,
-    kind_from_json,
     norm,
     sign_unit,
     steepest_op,
@@ -316,6 +315,28 @@ class TestSteepestOp:
             # convention makes the max-norm operator move zero coordinates)
             assert np.allclose(steepest_op(z, kind), steepest_op(z, Max()), atol=1e-12)
 
+    def test_max_step_has_the_bits_of_the_operator_over_c_in_every_call_form(self):
+        # the runners step a vector with dual None and a 0-d c (constant step),
+        # with dual = c (normalized) and with dual != c (relaxed); the grid a (K, R, d) stack
+        rng = np.random.default_rng(31)
+        G = rng.standard_normal((3, 5, 8)) * 10.0 ** rng.integers(-300, 300, size=(3, 5, 1))
+        G[0, 0] = 0.0
+        G[0, 1, ::2] = 0.0
+        G[1, 0, :3] = [1e308, -1e308, 1e308]  # a one-norm that overflows
+        G[1, 1, 0] = -1e300
+        c = rng.uniform(0.1, 100.0, size=(3, 1, 1))
+        step = Max().step
+        with np.errstate(over="ignore"):
+            ref = np.array([[steepest_op(g, Max()) / c[k, 0, 0] for g in G[k]] for k in range(3)])
+            assert step(G, c).tobytes() == ref.tobytes()
+            for k in range(3):
+                for g, want in zip(G[k], ref[k]):
+                    dual = dual_norm(g, Max())
+                    assert step(g, np.array(c[k, 0, 0])).tobytes() == want.tobytes()
+                    assert step(g, float(c[k, 0, 0]), dual).tobytes() == want.tobytes()
+                    if 0.0 < dual < math.inf:
+                        assert step(g, dual, dual).tobytes() == (steepest_op(g, Max()) / dual).tobytes()
+
 
 class TestHoelder:
     def test_random_pairs_and_maximizers(self):
@@ -433,15 +454,3 @@ def test_rows_are_bit_identical_to_dual_norm(kind):
         rows = dual_norm_rows(X, kind)
     assert rows.tobytes() == each.tobytes()
 
-
-class TestJson:
-    @pytest.mark.parametrize("obj, kind", zip(
-        ["euclidean", "max", "one", {"weighted": [0.5, 1, 2, 4]}, {"blockmax": [[0, 1], [2, 3]]}],
-        KINDS_D4,
-    ))
-    def test_reads_each_kind(self, obj, kind):
-        assert kind_from_json(obj) == kind
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kind_from_json("spectral")

@@ -558,7 +558,7 @@ class TestRateBounds:
         x0 = np.array([2.0, -1.0, 0.5])
         f0, _ = quad_oracle(p)(x0)
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), 1.0, x0, 20)
-        rc = verify_rate_bounds(tr, 1.0, 0.0, mu=1.0, radius=math.sqrt(2 * f0), kind=Euclidean())
+        rc = verify_rate_bounds(tr, 1.0, 0.0, mu=1.0, radius=math.sqrt(2 * f0))
         assert rc.passed
         # the stationarity bound is tight at the first step here (slack 0);
         # the convex-rate bound is strictly loose
@@ -576,7 +576,7 @@ class TestRateBounds:
             for kind in (Euclidean(), Max()):
                 L = smoothness_constant(p, kind)
                 tr = run_steepest_descent(quad_oracle(p), kind, L, x0, 500)
-                rc = verify_rate_bounds(tr, L, 0.0, mu=lam_min, radius=radius, kind=kind)
+                rc = verify_rate_bounds(tr, L, 0.0, mu=lam_min, radius=radius)
                 assert rc.passed, (kind, rc)
 
     def test_mu_above_L_rejected(self):

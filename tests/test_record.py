@@ -60,9 +60,7 @@ class TestRepr:
         assert repr(AdamConfig(0.1)) == (
             "AdamConfig(step=0.1, beta1=0.9, beta2=0.999, epsilon=1e-08, variant='standard', blocks=None)"
         )
-        assert repr(RateCheck(0.5, kind=Max())) == (
-            "RateCheck(smooth_slack=0.5, pl_slack=None, kelner_slack=None, kind=Max(), tol=1e-09)"
-        )
+        assert repr(RateCheck(0.5)) == "RateCheck(smooth_slack=0.5, pl_slack=None, kelner_slack=None)"
 
 
 class TestFrozen:
@@ -86,7 +84,10 @@ class TestConstruction:
         assert (cfg.beta1, cfg.beta2, cfg.epsilon, cfg.variant, cfg.blocks) == (
             0.9, 0.999, 1e-8, "standard", None)
         assert AdamConfig(1e-3, variant="averaged").variant == "averaged"
-        report = SmoothnessReport(1.0, 1.0, 1.0, 1.0, 1.0)
+        report = SmoothnessReport(
+            L2=1.0, Linf_exact=None, rho_diag=1.0, bound_psd=None, bound_sym=1.0, lower_bound=1.0,
+            lsep_rowsum=1.0, ratio_dL2_over_Linf=None,
+        )
         assert report.Linf_exact is None and report.to_json_dict()["L2"] == 1.0
         assert GridConfig(d=3, lambda_max_values=[2], theta_values=[0]).lambda_max_values == (2.0,)
 

@@ -104,3 +104,23 @@ def test_only_main_maps_failures_to_exit_codes():
                     error_lines.add(getattr(top, "name", None))
     assert errstate == {"main"}
     assert error_lines == {"main", "_write_lines"}
+
+
+def test_only_cli_reads_json_configs():
+    # cli is the one reader of the config format; the library modules take Python values
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [a.name for a in node.names]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name] if node.name == "read_fields" or node.name.endswith("_from_json") else []
+            else:
+                continue
+            if any(n.split(".")[0] == "json" or n == "read_fields" or n.endswith("_from_json") for n in names if n):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
