@@ -1,62 +1,27 @@
 """Steepest descent under non-Euclidean norms, with the matching
-smoothness-geometry analysis and benchmark experiments."""
+smoothness-geometry analysis and benchmark experiments.
 
-from .analysis import (
-    SmoothnessReport,
-    analyze,
-    linf_bruteforce,
-    lsep_rowsum,
-    rho_diag,
-    smoothness_constant,
-)
-from .experiments import GridCell, GridConfig, grid_csv_lines, run_quad_grid
-from .matrices import (
-    MatrixFormatError,
-    OrthogonalMatrix,
-    SkewMatrix,
-    SymMatrix,
-    eigh,
-    exp_skew,
-    parse_matrix_text,
-    random_skew,
-    rotate_spectrum,
-)
-from .norms import (
-    BlockMax,
-    BlockPartition,
-    Euclidean,
-    Max,
-    NormKind,
-    One,
-    WeightedDiag,
-    dual_norm,
-    norm,
-    sign_unit,
-    steepest_op,
-)
-from .optimizers import (
-    AdamConfig,
-    DivergenceError,
-    RateCheck,
-    Trace,
-    adam_gamma,
-    run_adam_family,
-    run_normalized_sd,
-    run_relaxed_nsd,
-    run_signsgd,
-    run_steepest_descent,
-    steepest_descent_stack,
-    verify_rate_bounds,
-)
-from .problems import (
-    CoshProblem,
-    Oracle,
-    OverflowGuardError,
-    cosh_oracle,
-    make_quadratic,
-    noisy_grad,
-    quad_noisy_oracle,
-    quad_oracle,
-)
+The public names are those of the layers' ``__all__``.  Each is looked up
+on first use (PEP 562), importing the layers in order up to the one that
+owns it, so ``import normdescent`` alone loads no numpy and ``cli`` can pin
+the BLAS threads before numpy loads.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# in import order: a layer imports only layers before it
+_LAYERS = ("matrices", "norms", "analysis", "problems", "optimizers", "experiments")
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:  # a layer is an attribute even before anything has imported it
+        return import_module(f".{name}", __name__)
+    layers = (import_module(f".{layer}", __name__) for layer in _LAYERS)
+    if name == "__all__":
+        return [public for mod in layers for public in mod.__all__]
+    for mod in layers:
+        if name in mod.__all__:
+            return getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

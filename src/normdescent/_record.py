@@ -11,6 +11,9 @@ creating a class compiles nothing, where ``dataclasses`` compiles and
 executes generated source per class.  An attribute without an
 annotation that ``__post_init__`` sets with ``object.__setattr__`` is no
 field: no argument, not compared, not shown.
+
+``readonly`` freezes a numpy array in place, for the arrays the record
+classes and results hold.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ def _frozen_setattr(self, name, value):
 
 def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
+
+
+def readonly(a):
+    a.flags.writeable = False
+    return a
 
 
 def record(cls):

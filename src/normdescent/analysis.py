@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._record import record
+from ._record import readonly, record
 from .matrices import SymMatrix, eigh, is_psd_spectrum
 from .norms import (
     BlockPartition,
@@ -225,8 +225,7 @@ def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:
     diag(l) - H is diagonally dominant with nonnegative diagonal, hence
     positive semidefinite, so l is always a feasible per-coordinate bound.
     """
-    l = np.abs(H.to_array()).sum(axis=1)
-    l.flags.writeable = False
+    l = readonly(np.abs(H.to_array()).sum(axis=1))
     return l, float(l.sum())
 
 

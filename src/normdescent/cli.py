@@ -29,6 +29,12 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
+# One OpenBLAS thread in a CLI process, unless the user sets another count:
+# LAPACK's eigensolvers round differently with more threads at d >= 256.
+# A process that loaded numpy before this module keeps its own setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .analysis import analyze, smoothness_constant

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._record import record
+from ._record import readonly, record
 
 __all__ = [
     "SymMatrix",
@@ -36,11 +36,6 @@ PSD_TOL = 1e-10  # the relative tolerance of the package's positive semidefinite
 
 class MatrixFormatError(ValueError):
     """Matrix text input is malformed, non-finite, or asymmetric."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class SymMatrix:
@@ -72,7 +67,7 @@ class SymMatrix:
                 raise ValueError("matrix entries must be finite")
             sym = 0.5 * a + 0.5 * a.T  # a + a.T overflowed: halving first cannot, and is as symmetric
         self.dim = a.shape[0]
-        self._a = _readonly(sym)
+        self._a = readonly(sym)
 
     def to_array(self) -> np.ndarray:
         """The full dense matrix (read-only)."""
@@ -96,7 +91,7 @@ class SkewMatrix:
             raise ValueError("matrix entries must be finite")
         if not np.array_equal(a.T, -a):
             raise ValueError("matrix is not skew-symmetric")
-        object.__setattr__(self, "entries", _readonly(a.copy()))
+        object.__setattr__(self, "entries", readonly(a.copy()))
 
     @property
     def dim(self) -> int:
@@ -116,7 +111,7 @@ class OrthogonalMatrix:
         resid = np.abs(q.T @ q - np.eye(q.shape[0])).max()
         if not resid <= ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal: residual {resid:.3e}")
-        object.__setattr__(self, "entries", _readonly(q.copy()))
+        object.__setattr__(self, "entries", readonly(q.copy()))
 
     @property
     def dim(self) -> int:
@@ -128,8 +123,8 @@ def eigh(H: SymMatrix):
     in ascending order, and orthonormal eigenvector columns, from LAPACK's
     symmetric solver."""
     dec = np.linalg.eigh(H.to_array())
-    _readonly(dec.eigenvalues)
-    _readonly(dec.eigenvectors)
+    readonly(dec.eigenvalues)
+    readonly(dec.eigenvectors)
     return dec
 
 

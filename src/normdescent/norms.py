@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from ._record import record
+from ._record import readonly, record
 
 __all__ = [
     "BlockPartition",
@@ -70,22 +70,17 @@ class BlockPartition:
         return sum(len(b) for b in self.blocks)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _block_index(block: tuple[int, ...]):
     start = block[0]
     if block == tuple(range(start, start + len(block))):
         return slice(start, start + len(block))
-    return _frozen(np.array(block, dtype=np.intp))
+    return readonly(np.array(block, dtype=np.intp))
 
 
 # A 0-d operand is cheaper in a numpy call than a Python float, and rounds
 # the same.
-_ZERO = _frozen(np.array(0.0))
-_SIGNS = _frozen(np.array([-1.0, 1.0]))  # indexed by z >= 0
+_ZERO = readonly(np.array(0.0))
+_SIGNS = readonly(np.array([-1.0, 1.0]))  # indexed by z >= 0
 _L2_TINY = 1.5e-154  # about sqrt of the smallest normal double: below it the squares lose bits
 
 
@@ -188,8 +183,8 @@ class WeightedDiag:
         if not w or any(not np.isfinite(x) or x <= 0.0 for x in w):
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "w", _frozen(np.array(w)))
-        object.__setattr__(self, "root", _frozen(np.sqrt(self.w)))
+        object.__setattr__(self, "w", readonly(np.array(w)))
+        object.__setattr__(self, "root", readonly(np.sqrt(self.w)))
 
     def norm(self, x):
         r = math.sqrt(np.dot(self.w * x, x))

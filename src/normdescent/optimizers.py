@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import record
+from ._record import readonly, record
 from .norms import (
-    BlockPartition, Euclidean, Max, NormKind, _check, _frozen, _row_dots, sign_unit,
+    BlockMax, BlockPartition, Euclidean, Max, NormKind, _check, _row_dots, sign_unit,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -152,11 +152,11 @@ def _drive(
     def joined(parts: list[np.ndarray]) -> np.ndarray:
         column = np.concatenate(parts)
         parts.clear()  # frees a column's parts before the next column is joined
-        return _frozen(column)
+        return readonly(column)
 
     def trace(n: int, x: np.ndarray) -> Trace:
         reduce_chunk(n)
-        return Trace(joined(f_parts), joined(dual_parts), joined(dist_parts), _frozen(x.copy()))
+        return Trace(joined(f_parts), joined(dual_parts), joined(dist_parts), readonly(x.copy()))
 
     dual = None
     for start in range(0, T + 1, rows):
@@ -403,8 +403,8 @@ def run_adam_family(
     """
     x = _start(x0)
     d = x.size
-    if cfg.blocks is not None and cfg.blocks.dim != d:
-        raise ValueError("partition does not match iterate dimension")
+    if cfg.blocks is not None:
+        _check(BlockMax(cfg.blocks), d)
     index = cfg.blocks.index if cfg.blocks is not None else (slice(None),)
     variant = cfg.variant
     check_zero = cfg.epsilon == 0.0  # AdamConfig has checked eps >= 0, and v is never negative

@@ -26,6 +26,8 @@ from normdescent.optimizers import ROW_CHUNK, DivergenceError, Trace
 from normdescent.experiments import GRID_CSV_HEADER, GridConfig, grid_csv_lines, run_quad_grid
 
 
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 # Directory holding the imported package, whether installed or run from src/.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(normdescent.__file__)))
 
@@ -836,6 +838,24 @@ class TestQuadGrid:
             assert len(res.stdout.splitlines()) == 5  # header plus 4 cells
         assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="a second BLAS thread needs a second usable CPU to change any bits")
+    def test_d256_bytes_do_not_depend_on_the_omp_thread_count(self, tmp_path):
+        # at d = 256 LAPACK's eigensolvers round differently on two threads; the CLI
+        # pins OpenBLAS to one thread when OPENBLAS_NUM_THREADS is unset
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"d": 256, "lambda_max_values": [100], "theta_values": [0, 0.5],
+                                   "T": 5, "repeats": 4}))
+        runs = []
+        for n in ("1", "2"):
+            env = child_env({"OMP_NUM_THREADS": n})
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            runs.append(subprocess.run([sys.executable, "-m", "normdescent.cli", "quadgrid", "--config", str(cfg)],
+                                       capture_output=True, text=True, cwd=tmp_path, env=env))
+        for res in runs:
+            assert res.returncode == 0, res.stderr
+            assert len(res.stdout.splitlines()) == 3  # header plus 2 cells
+        assert runs[0].stdout == runs[1].stdout
+
     def test_dump_x0_pairs_both_methods(self, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CFG))
@@ -1154,14 +1174,22 @@ class TestNormKind:
         with pytest.raises(ValueError):
             cli._norm_kind("spectral")
 
-    @pytest.mark.parametrize("optimizer, error", [
-        ({"method": "nsd", "norm": {"weighted": [1, 2, 3]}}, "error: weight vector has length 3, expected 4\n"),
-        ({"method": "nsd", "norm": {"blockmax": [[0, 1], [2]]}}, "error: partition covers 3 indices, expected 4\n"),
-        ({"method": "blocknorm", "blocks": [[0, 1], [2]]}, "error: partition covers 3 indices, expected 4\n"),
-    ], ids=["weighted", "blockmax", "blocknorm"])
-    def test_kind_of_another_dimension_is_one_error_with_or_without_L(self, tmp_path, capsys, optimizer, error):
+    @pytest.mark.parametrize("optimizer, error, Ls", [
+        ({"method": "nsd", "norm": {"weighted": [1, 2, 3]}}, "error: weight vector has length 3, expected 4\n",
+         ({}, {"L": 2.0})),
+        ({"method": "nsd", "norm": {"blockmax": [[0, 1], [2]]}}, "error: partition covers 3 indices, expected 4\n",
+         ({}, {"L": 2.0})),
+        ({"method": "blocknorm", "blocks": [[0, 1], [2]]}, "error: partition covers 3 indices, expected 4\n",
+         ({}, {"L": 2.0})),
+        # the moment methods take no L
+        ({"method": "adam_shuffled", "blocks": [[0, 1], [2]]}, "error: partition covers 3 indices, expected 4\n",
+         ({},)),
+        ({"method": "adam_averaged", "blocks": [[0, 1], [2]]}, "error: partition covers 3 indices, expected 4\n",
+         ({},)),
+    ], ids=["weighted", "blockmax", "blocknorm", "adam_shuffled", "adam_averaged"])
+    def test_kind_of_another_dimension_is_one_error_with_or_without_L(self, tmp_path, capsys, optimizer, error, Ls):
         # without L the run first computes the quadratic's constant in the kind, with L it steps at once
-        for L in ({}, {"L": 2.0}):
+        for L in Ls:
             cfg = {"problem": _quad4(), "optimizer": {**optimizer, **L}, "T": 3}
             assert _main_on_config(tmp_path, capsys, "run", cfg) == (2, "", error)
 

@@ -6,6 +6,8 @@ import sys
 import typing
 from pathlib import Path
 
+import pytest
+
 import normdescent
 from normdescent.norms import NormKind
 
@@ -23,14 +25,18 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _child_prints(code: str) -> str:
+    """What a fresh interpreter running ``code`` prints, stripped."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
 def test_cli_import_leaves_dataclasses_out():
     # the record classes are built without dataclasses, whose class building cost each process ~20 ms
-    code = "import sys, normdescent.cli; print('dataclasses' in sys.modules)"
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert _child_prints("import sys, normdescent.cli; print('dataclasses' in sys.modules)") == "False"
 
 
 def test_only_the_process_entry_touches_the_collector():
@@ -67,10 +73,28 @@ def test_every_public_name_of_a_layer_resolves():
 
 
 def test_the_package_exports_only_public_names_of_the_layers():
-    public = {name for layer in LAYERS for name in importlib.import_module(f"normdescent.{layer}").__all__}
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
-    assert exported and [name for name in exported if name not in public] == []
+    mods = [importlib.import_module(f"normdescent.{layer}") for layer in LAYERS]
+    public = [name for mod in mods for name in mod.__all__]
+    assert normdescent.__all__ == public
+    assert len(set(public)) == len(public)  # no name sits in two layers
+    for mod in mods:
+        assert [name for name in mod.__all__ if getattr(normdescent, name) is not getattr(mod, name)] == []
+    # a layer is an attribute of the package even before anything has imported it
+    assert _child_prints("import normdescent; print(normdescent.problems.__name__)") == "normdescent.problems"
+
+
+def test_star_import_binds_all_and_an_unknown_name_raises():
+    namespace = {}
+    exec("from normdescent import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(normdescent.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        normdescent.no_such_name
+
+
+def test_package_import_loads_no_numpy():
+    # cli pins the BLAS threads before numpy loads, which needs a package __init__ that imports no layer
+    assert _child_prints("import sys, normdescent; print('numpy' in sys.modules)") == "False"
 
 
 def test_only_norms_dispatches_on_a_norm_kind():
