@@ -12,8 +12,8 @@ one run of optimizers.steepest_descent_stack over a (cells, repeats, d)
 stack, so the oracle is called T + 1 times per group and method, not per
 cell.  A group holds as many cells as fit in a fixed element budget,
 which bounds memory for large grids; the default grid is one group.
-Gradient noise (sigma > 0) comes from one seeded stream per starting
-point, cell and method, drawn in blocks of rows.
+Gradient noise (sigma > 0) comes from one seeded stream per cell and
+method, which gives the cell's (repeats, d) noise of each oracle call.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .analysis import smoothness_constant
 from .matrices import OrthogonalMatrix, exp_skew, random_skew, rotate_spectrum
 from .norms import Euclidean, Max
 from .optimizers import BatchOracle, DivergenceError, steepest_descent_stack
+from .problems import _noise_draws
 
 __all__ = [
     "GridConfig",
@@ -103,7 +104,7 @@ class GridCell:
 
 GRID_CSV_HEADER = ",".join(GridCell.__annotations__)
 
-_STACK_BUDGET = 1 << 18  # float64 elements per stacked array: bounds cells per group and noise rows per draw
+_STACK_BUDGET = 1 << 18  # float64 elements per stacked array: bounds cells per group and noise calls per draw
 _METHODS = {"gd": Euclidean(), "signgd_normscaled": Max()}  # the grid's methods, in column order
 
 
@@ -138,31 +139,16 @@ def _run_cell(cfg: GridConfig, rotations: list[OrthogonalMatrix], li: int, ti: i
     return _CellSetup(li, ti, lam, theta, L, H.to_array(), _cell_x0(cfg, li, ti))
 
 
-def _row_noise(seeds: list, d: int, calls: int, shape: tuple[int, int]):
-    """Per oracle call, one (K, R, d) array, valid until the next call: row
-    r of slice k is the next d standard normals of the stream seeded by
-    seeds[k * R + r].  Each stream draws B rows at once, which gives the
-    values of B draws of d; B is set by _STACK_BUDGET and at most ``calls``."""
-    streams = [np.random.default_rng(s) for s in seeds]
-    B = max(1, min(calls, _STACK_BUDGET // (len(streams) * d)))
-    block = np.empty(shape + (B, d))
-    while True:
-        for stream, rows in zip(streams, block.reshape(-1, B, d)):
-            stream.standard_normal(out=rows)
-        for b in range(B):
-            yield block[:, :, b]
-
-
-def _stack_oracle(H: np.ndarray, sigma: float, noise) -> BatchOracle:
+def _stack_oracle(H: np.ndarray, noise) -> BatchOracle:
     """Exact values x'Hx/2 and gradients Hx of every row of every slice,
-    with slice k using H[k], plus sigma times the next ``noise`` array
-    unless ``noise`` is None."""
+    with slice k using H[k], plus slice k's next draw of noise[k] unless
+    ``noise`` is None."""
 
     def oracle(X):
         G = X @ H
         F = 0.5 * np.einsum("kij,kij->ki", X, G)
         if noise is not None:
-            G = G + sigma * next(noise)
+            G = G + np.stack([next(draws) for draws in noise])
         return F, G
 
     return oracle
@@ -177,18 +163,20 @@ def _dump_x0(dump_dir: Path, cell: _CellSetup) -> None:
 def _run_group(cfg: GridConfig, group: list[_CellSetup]):
     """Each method of _METHODS on a group of cells, as one stacked run.
     Returns per method the (K, R) final squared distances and the per-cell
-    failures."""
+    failures.  With sigma > 0, each cell and method draws its (R, d) noise
+    of each call from one seeded stream, ``block`` calls ahead: a method's
+    drawn noise holds at most _STACK_BUDGET elements, or one call's."""
     H = np.stack([c.H for c in group])
     X0 = np.stack([c.x0 for c in group])
+    block = max(1, min(cfg.T + 1, _STACK_BUDGET // X0.size))
     out = []
     for mi, kind in enumerate(_METHODS.values()):
         noise = None
         if cfg.sigma > 0.0:
-            seeds = [[cfg.x0_seed, _NOISE_SALT, c.li, c.ti, r, mi]
-                     for c in group for r in range(cfg.repeats)]
-            noise = _row_noise(seeds, cfg.d, cfg.T + 1, X0.shape[:2])
+            noise = [_noise_draws(np.random.default_rng([cfg.x0_seed, _NOISE_SALT, c.li, c.ti, mi]),
+                                  cfg.sigma, c.x0.shape, block) for c in group]
         L = [c.L[mi] for c in group]
-        X, failures = steepest_descent_stack(_stack_oracle(H, cfg.sigma, noise), kind, L, X0, cfg.T)
+        X, failures = steepest_descent_stack(_stack_oracle(H, noise), kind, L, X0, cfg.T)
         out.append((np.einsum("kij,kij->ki", X, X), failures))
     return out
 

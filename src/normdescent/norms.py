@@ -89,6 +89,13 @@ def sign_unit(z: np.ndarray) -> np.ndarray:
     return _SIGNS.take(np.asarray(z, dtype=float) >= _ZERO)
 
 
+def _signed(mag, z: np.ndarray) -> np.ndarray:
+    """sign_unit(z) * mag, bit for bit, for a nonnegative mag and a non-NaN
+    z (a NaN mag gives NaN), in one array operation fewer: z + 0 turns -0.0
+    into +0.0, so sign(0) = +1."""
+    return np.copysign(mag, z + _ZERO)
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of a with the same row of b, as a stack of
     (1, d) @ (d, 1) products: they round like np.dot on each row (a row sum
@@ -144,10 +151,10 @@ class Max:
 
     def step(self, g, c, dual=None):
         # P(g) = ||g||_1 sign(g), and a product with +-1 is exact, so
-        # sign(g) * (||g||_1 / c) has the bits of P(g)/c with one array operation fewer
+        # ||g||_1 / c with the signs of g has the bits of P(g)/c with fewer array operations
         if dual is None:
             dual = np.add.reduce(np.abs(g), axis=-1, keepdims=True)
-        return sign_unit(g) * (dual / c)
+        return _signed(dual / c, g)
 
 
 @record

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._record import readonly, record
 from .norms import (
-    BlockMax, BlockPartition, Euclidean, Max, NormKind, _check, _row_dots, sign_unit,
+    BlockMax, BlockPartition, Euclidean, Max, NormKind, _check, _row_dots, _signed,
 )
 from .problems import Oracle, OverflowGuardError
 
@@ -333,7 +333,7 @@ def run_signsgd(
 
     def update(x, g, t, _):
         a = alpha if alpha is not None else np.array(1.0 / math.sqrt(t + 1.0))
-        return x - a * sign_unit(g)
+        return x - _signed(a, g)
 
     return _drive(oracle, x0, T, Max(), update)
 
@@ -419,7 +419,7 @@ def run_adam_family(
         nonlocal m, v
         m = b1 * m + c1 * g
         if variant == "momentum_sign":
-            return x - step * sign_unit(m)
+            return x - _signed(step, m)
         v = b2 * v + c2 * g * g
         if check_zero and (v == 0.0).any():
             raise ValueError("degenerate input: zero second moment with epsilon = 0")
@@ -436,7 +436,7 @@ def run_adam_family(
             else:
                 seg = np.add.reduce(seg) / seg.size  # the bits of seg.mean()
             gamma[idx] = seg
-        return x - step * (gamma * sign_unit(m))
+        return x - step * _signed(gamma, m)
 
     return _drive(oracle, x, T, Max(), update)
 

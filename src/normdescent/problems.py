@@ -128,6 +128,14 @@ def quad_oracle(H: SymMatrix) -> Oracle:
     return _quad_oracle(_psd_array(H))
 
 
+def _noise_draws(stream: np.random.Generator, sigma: float, shape: tuple[int, ...], block: int):
+    """Per next(), sigma times the stream's next ``shape`` array of standard
+    normals.  They are drawn ``block`` arrays at a time, which consumes the
+    stream exactly as that many single draws do."""
+    while True:
+        yield from sigma * stream.standard_normal((block, *shape))
+
+
 def quad_noisy_oracle(H: SymMatrix, sigma: float, stream: np.random.Generator) -> Oracle:
     """Stochastic oracle: exact value, noisy gradient from the seeded stream.
 
@@ -141,12 +149,7 @@ def quad_noisy_oracle(H: SymMatrix, sigma: float, stream: np.random.Generator) -
     if not 0.0 <= sigma < math.inf:
         raise ValueError("noise scale must be nonnegative and finite")
     exact = _quad_oracle(_psd_array(H))
-
-    def draws():
-        while True:
-            yield from sigma * stream.standard_normal((NOISE_BLOCK, H.dim))
-
-    noise = draws()
+    noise = _noise_draws(stream, sigma, (H.dim,), NOISE_BLOCK)
 
     def oracle(x):
         f, g = exact(x)

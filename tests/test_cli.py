@@ -795,6 +795,9 @@ GRID_CFG = {
     "skew_seed": 1,
     "x0_seed": 2,
 }
+# found by search: the first cell finishes, gd of the second diverges at step 32
+GRID_DIVERGES_AFTER_ONE_ROW = {"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
+                               "T": 50, "repeats": 4, "x0_seed": 29, "sigma": 3e5}
 
 
 class TestQuadGrid:
@@ -888,8 +891,7 @@ class TestQuadGrid:
         [
             ({"d": 4, "lambda_max_values": [2], "theta_values": [0.5], "T": 5,
               "repeats": 2, "sigma": 1e300}, 0),
-            ({"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
-              "T": 50, "repeats": 4, "sigma": 3e5}, 1),
+            (GRID_DIVERGES_AFTER_ONE_ROW, 1),
         ],
     )
     def test_divergence_exits_3_with_finished_rows(self, tmp_path, grid, finished):
@@ -1192,10 +1194,6 @@ class TestNormKind:
         for L in Ls:
             cfg = {"problem": _quad4(), "optimizer": {**optimizer, **L}, "T": 3}
             assert _main_on_config(tmp_path, capsys, "run", cfg) == (2, "", error)
-
-
-GRID_DIVERGES_AFTER_ONE_ROW = {"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
-                               "T": 50, "repeats": 4, "sigma": 3e5}
 
 
 class TestFlushedExits:

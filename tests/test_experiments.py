@@ -15,7 +15,6 @@ from normdescent import (
     exp_skew,
     grid_csv_lines,
     make_quadratic,
-    quad_noisy_oracle,
     quad_oracle,
     random_skew,
     run_quad_grid,
@@ -35,6 +34,26 @@ from normdescent.experiments import (
 ROUNDING_LEVEL = 1e-20  # a mean squared distance below this is rounding noise
 
 
+def cell_noise(cfg: GridConfig, li: int, ti: int, mi: int) -> np.ndarray:
+    """The gradient noise of one cell and method, drawn one oracle call at a
+    time: [t, r] is row r of call t's (repeats, d) draw of the cell's and
+    method's stream."""
+    stream = np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, mi])
+    return np.stack([cfg.sigma * stream.standard_normal((cfg.repeats, cfg.d)) for _ in range(cfg.T + 1)])
+
+
+def noisy_row_oracle(p, noise: np.ndarray):
+    """quad_oracle(p) with noise[t] added to the gradient of call t."""
+    exact = quad_oracle(p)
+    rows = iter(noise)
+
+    def oracle(x):
+        f, g = exact(x)
+        return f, g + next(rows)
+
+    return oracle
+
+
 def scalar_reference(cfg: GridConfig, li: int, ti: int) -> tuple[float, float]:
     """Mean final squared distances of one cell, one scalar run per row."""
     p = make_quadratic(cfg.d, cfg.lambda_max_values[li], cfg.theta_values[ti], cfg.skew_seed)
@@ -42,13 +61,10 @@ def scalar_reference(cfg: GridConfig, li: int, ti: int) -> tuple[float, float]:
     means = []
     for mi, kind in enumerate((Euclidean(), Max())):
         L = smoothness_constant(p, kind)
+        noise = cell_noise(cfg, li, ti, mi) if cfg.sigma > 0.0 else None
         dists = []
         for r, start in enumerate(x0):
-            if cfg.sigma > 0.0:
-                stream = np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])
-                oracle = quad_noisy_oracle(p, cfg.sigma, stream)
-            else:
-                oracle = quad_oracle(p)
+            oracle = quad_oracle(p) if noise is None else noisy_row_oracle(p, noise[:, r])
             tr = run_steepest_descent(oracle, kind, L, start, cfg.T)
             dists.append(tr.dist_sq[-1])
         means.append(float(np.mean(dists)))
@@ -138,7 +154,7 @@ def test_cell_hessians_are_make_quadratic_matrices(monkeypatch):
 
 def per_cell_reference(cfg: GridConfig) -> list[tuple]:
     """Every cell in output order, run one cell at a time as a stack of one
-    slice, with the noise of each row drawn per step: (lambda_max, theta,
+    slice, with the noise of each step drawn by its own call: (lambda_max, theta,
     L2, Linf, per method the mean final squared distance or the (step,
     reason) of its divergence)."""
     lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
@@ -153,14 +169,13 @@ def per_cell_reference(cfg: GridConfig) -> list[tuple]:
             L2, linf = (smoothness_constant(p, kind) for kind in (Euclidean(), Max()))
             results = []
             for mi, (kind, L) in enumerate(((Euclidean(), L2), (Max(), linf))):
-                streams = [np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, r, mi])
-                           for r in range(cfg.repeats)]
+                stream = np.random.default_rng([cfg.x0_seed, _NOISE_SALT, li, ti, mi])
 
-                def oracle(X, streams=streams):
+                def oracle(X, stream=stream):
                     G = X[0] @ H
                     F = 0.5 * np.einsum("ij,ij->i", X[0], G)
                     if cfg.sigma > 0.0:
-                        G = G + cfg.sigma * np.stack([s.standard_normal(cfg.d) for s in streams])
+                        G = G + cfg.sigma * stream.standard_normal((cfg.repeats, cfg.d))
                     return F[None], G[None]
 
                 with np.errstate(all="ignore"):
@@ -206,13 +221,13 @@ NOISY_GRID = GridConfig(d=5, lambda_max_values=(1.0, 7.0, 30.0), theta_values=(0
                         T=40, repeats=9, skew_seed=2, x0_seed=4, sigma=2.0)
 # Noisy grids near the divergence threshold, found by search.  Cells in
 # output order, with the steps at which gd / sign descent diverge:
-#   A_B: cell 1 sign descent at 49; cell 2 gd at 38, sign descent at 27.
-#   C:   cell 0 gd at 32, sign descent at 9; cell 1 gd at 22, sign descent at 4.
+#   A_B: cell 1 sign descent at 34; cell 2 gd at 22, sign descent at 10.
+#   C:   cell 0 gd at 31, sign descent at 2; cell 1 gd at 16, sign descent at 5.
 DIVERGING = {
     "A_B": GridConfig(d=4, lambda_max_values=(1.0, 2.0, 5.0, 20.0, 100.0), theta_values=(0.0, 0.5, 1.0),
-                      T=60, repeats=3, skew_seed=9, x0_seed=9, sigma=3.5e5),
+                      T=60, repeats=3, skew_seed=9, x0_seed=130, sigma=3.5e5),
     "C": GridConfig(d=4, lambda_max_values=(1.0, 2.0, 5.0, 20.0, 100.0), theta_values=(0.0, 0.5, 1.0),
-                    T=60, repeats=3, skew_seed=0, x0_seed=0, sigma=4e5),
+                    T=60, repeats=3, skew_seed=0, x0_seed=3, sigma=4e5),
 }
 
 
@@ -246,13 +261,48 @@ def test_each_rotation_is_built_once_per_theta(monkeypatch):
 
 def test_noise_blocks_cover_several_draws(monkeypatch):
     cfg = NOISY_GRID
-    seeds = [[1, r] for r in range(6)]
-    want = np.stack([np.random.default_rng(s).standard_normal((cfg.T + 1, cfg.d)) for s in seeds])
-    for budget in (6 * cfg.d, 6 * cfg.d * 7, 10**6):  # blocks of 1, 7 and all T + 1 rows
+    blocks = []
+
+    def recorded(stream, sigma, shape, block):
+        blocks.append(block)
+        return noise_draws(stream, sigma, shape, block)
+
+    noise_draws = experiments._noise_draws
+    monkeypatch.setattr(experiments, "_noise_draws", recorded)
+    call = 9 * cfg.repeats * cfg.d  # the elements of one call's noise: the grid's 9 cells are one group
+    assert call <= split_budget(cfg, 9) < 2 * call
+    for budget, block in ((split_budget(cfg, 9), 1), (7 * call, 7), (10**6, cfg.T + 1)):
         monkeypatch.setattr(experiments, "_STACK_BUDGET", budget)
-        noise = experiments._row_noise(seeds, cfg.d, cfg.T + 1, (2, 3))
-        got = np.stack([next(noise).reshape(6, cfg.d).copy() for _ in range(cfg.T + 1)], axis=1)
-        assert got.tobytes() == want.tobytes()
+        blocks.clear()
+        lines, error, _, _ = stacked_grid(cfg)
+        assert blocks == [block] * 18  # one stream per cell and method
+        assert error is None
+        assert lines == reference_grid(cfg)[0]
+        want = cell_noise(cfg, 2, 1, 0)
+        draws = noise_draws(np.random.default_rng([cfg.x0_seed, _NOISE_SALT, 2, 1, 0]),
+                            cfg.sigma, (cfg.repeats, cfg.d), block)
+        assert np.stack([next(draws) for _ in range(cfg.T + 1)]).tobytes() == want.tobytes()
+
+
+def test_noisy_grid_builds_one_stream_per_cell_and_method(monkeypatch):
+    cfg = NOISY_GRID
+    seeds = []
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    lines, error, _, _ = stacked_grid(cfg)
+    assert error is None
+    cells = [(li, ti) for li in range(3) for ti in range(3)]
+    assert sorted(seeds, key=str) == sorted(
+        [cfg.skew_seed]
+        + [[cfg.x0_seed, li, ti] for li, ti in cells]
+        + [[cfg.x0_seed, _NOISE_SALT, li, ti, mi] for li, ti in cells for mi in range(2)],
+        key=str,
+    )  # 1 + 9 + 18 generators, none per starting point
 
 
 @pytest.mark.parametrize("cells_per_group", [None, 1, 2, 4])
@@ -264,10 +314,10 @@ def test_divergence_reports_the_first_cell_in_output_order(monkeypatch, tmp_path
     if name == "A_B":
         # an earlier cell diverging at a later step than a later cell, and
         # sign descent of cell k diverging later than gd of cell k + 1
-        assert steps[:3] == [[None, None], [None, 49], [38, 27]]
+        assert steps[:3] == [[None, None], [None, 34], [22, 10]]
     else:
         # gd of a cell diverging after its sign descent is still the one reported
-        assert steps[:2] == [[32, 9], [22, 4]]
+        assert steps[:2] == [[31, 2], [16, 5]]
     if cells_per_group is not None:
         monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, cells_per_group))
     lines, error, step, done = stacked_grid(cfg, dump_dir=tmp_path)

@@ -15,7 +15,7 @@ from normdescent import (
     sign_unit,
     steepest_op,
 )
-from normdescent.norms import dual_norm_rows
+from normdescent.norms import _signed, dual_norm_rows
 
 KINDS_D4 = [
     Euclidean(),
@@ -117,6 +117,28 @@ class TestSignUnitStack:
         assert out.tobytes() == np.where(z >= 0.0, 1.0, -1.0).tobytes()
         assert out[0, 0].tolist() == [1.0, 1.0, -1.0, -1.0]
         assert out[1, 2].tolist() == [1.0, -1.0, 1.0, -1.0]
+
+
+class TestSigned:
+    """_signed(mag, z), the sign steps' one copysign, has the bits of sign_unit(z) * mag."""
+
+    Z = np.concatenate([
+        [-0.0, 0.0, -math.inf, math.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308],
+        np.random.default_rng(9).standard_normal(24),
+    ])
+
+    @pytest.mark.parametrize("mag", [0.0, 5e-324, 0.3, 1e308, math.inf, "array"])
+    def test_bits_of_the_product_with_sign_unit(self, mag):
+        mag = np.abs(np.random.default_rng(10).standard_normal(self.Z.size)) if mag == "array" else mag
+        assert _signed(mag, self.Z).tobytes() == (sign_unit(self.Z) * mag).tobytes()
+
+    def test_a_stack_with_one_magnitude_per_row(self):
+        z = self.Z.reshape(2, 4, 4)
+        mag = np.abs(z).sum(axis=-1, keepdims=True) / np.full((2, 1, 1), 3.0)
+        assert _signed(mag, z).tobytes() == (sign_unit(z) * mag).tobytes()
+
+    def test_nan_magnitude_stays_nan(self):
+        assert np.isnan(_signed(math.nan, self.Z)).all()
 
 
 class TestCheckedEntryPoints:

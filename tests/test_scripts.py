@@ -37,6 +37,13 @@ def test_quadgrid_d256_is_the_paper_grid_at_d_256():
     assert d256 == dict(paper, d=256)
 
 
+def test_quadgrid_paper_noisy_is_the_paper_grid_with_gradient_noise():
+    # configs only: CI runs it twice through the process entry and compares the bytes
+    paper = json.loads((SCRIPTS / "quadgrid_paper.json").read_text())
+    noisy = json.loads((SCRIPTS / "quadgrid_paper_noisy.json").read_text())
+    assert noisy == dict(paper, sigma=0.3)
+
+
 def test_quadgrid_d64_runs_every_cell():
     # the column check closes Linf for every cell, so d = 64 needs no walk
     res = subprocess.run(
