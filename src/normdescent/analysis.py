@@ -230,21 +230,15 @@ def lsep_rowsum(H: SymMatrix) -> tuple[np.ndarray, float]:
 
 
 def _block_bound(a: np.ndarray, partition: BlockPartition) -> float:
-    """Upper bound on the block-max constant of PSD input: the sum of the
-    per-block top eigenvalues over rho_block, the fraction of the total
-    block spectral-norm mass that sits on the diagonal blocks."""
+    """Upper bound on the block-max constant of any symmetric H: the sum of
+    ||H_bc||_2 over all block pairs, sum_b ||H_bb||_2 + 2 sum_{b<c} ||H_bc||_2.
+    When every block of x and y has Euclidean norm at most 1,
+    y'Hx = sum_bc y_b' H_bc x_c <= sum_bc ||H_bc||_2.  Blocks of one index
+    give the row-sum total sum_ij |H_ij|, and a single block gives L2."""
     idx = [list(b) for b in partition.blocks]
-    lam_max = []
-    diag_norms = []
-    for b in idx:
-        sub = eigh(SymMatrix(a[np.ix_(b, b)]))
-        lam_max.append(float(sub.eigenvalues[-1]))
-        diag_norms.append(float(max(abs(sub.eigenvalues[0]), abs(sub.eigenvalues[-1]))))
-    off = 0.0
-    for i, j in combinations(range(len(idx)), 2):
-        off += 2.0 * float(np.linalg.norm(a[np.ix_(idx[i], idx[j])], 2))
-    rho_block = sum(diag_norms) / (sum(diag_norms) + off)
-    return sum(lam_max) / rho_block
+    diag = sum(float(np.linalg.norm(a[np.ix_(b, b)], 2)) for b in idx)
+    off = sum(float(np.linalg.norm(a[np.ix_(b, c)], 2)) for b, c in combinations(idx, 2))
+    return diag + 2.0 * off
 
 
 def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
@@ -252,11 +246,13 @@ def smoothness_constant(H: SymMatrix, kind: NormKind) -> float:
 
     Exact for the Euclidean (largest |eigenvalue|), max (linf_bruteforce;
     ValueError where it needs a walk above the brute-force cap), one
-    (largest |entry|), and weighted (rescaled spectral norm) geometries.  For block-max geometry the exact
-    constant has no finite enumeration; the block-concentration upper bound
-    is returned, which is still a valid Lipschitz constant.  A kind whose
-    dimension is not H's raises the runners' ValueError (norms._check), and
-    a constant that overflows raises ValueError.
+    (largest |entry|), and weighted (the Euclidean constant of
+    D^(-1/2) H D^(-1/2)) geometries.  For block-max geometry the exact
+    constant has no finite enumeration; the sum of H's block norms
+    (_block_bound) is returned, a valid Lipschitz constant for any
+    symmetric H.  A kind whose dimension is not H's raises the runners'
+    ValueError (norms._check), and a constant that overflows raises
+    ValueError.
     """
     value = _smoothness_value(H, kind)
     if not math.isfinite(value):
@@ -275,12 +271,8 @@ def _smoothness_value(H: SymMatrix, kind: NormKind) -> float:
     if isinstance(kind, One):
         return float(np.abs(a).max())
     if isinstance(kind, WeightedDiag):
-        scaled = SymMatrix(a / kind.root[:, None] / kind.root[None, :])
-        values = eigh(scaled).eigenvalues
-        return float(max(abs(values[0]), abs(values[-1])))
+        return _smoothness_value(SymMatrix(a / kind.root[:, None] / kind.root[None, :]), Euclidean())
     # the one kind left after _check: BlockMax
-    if not is_psd_spectrum(eigh(H).eigenvalues):
-        raise ValueError("block-max constant requires a positive semidefinite matrix")
     return _block_bound(a, kind.partition)
 
 

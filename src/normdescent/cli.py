@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 from itertools import chain
@@ -38,9 +37,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from .analysis import analyze, smoothness_constant
-from .experiments import (
-    DEFAULT_LAMBDA_VALUES, DEFAULT_THETA_VALUES, GridConfig, grid_csv_lines, run_quad_grid,
-)
+from .experiments import GridConfig, grid_csv_lines, run_quad_grid
 from .matrices import SymMatrix, parse_matrix_text
 from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, WeightedDiag
 from .optimizers import (
@@ -245,10 +242,6 @@ def _build_problem(obj):
     if family != "quadratic":
         raise ValueError(f"unknown problem family: {family!r}")
     q = read_fields(spec, "quadratic problem", _QUADRATIC_FIELDS)
-    if not q["sigma"] >= 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if not math.isfinite(q["sigma"]):
-        raise ValueError("sigma must be finite")
     problem = make_quadratic(q["d"], q["lambda_max"], q["theta"], q["seed"])
     if q["sigma"] == 0.0:
         return problem, quad_oracle(problem)
@@ -331,8 +324,8 @@ _RUN_FIELDS = {
 
 _GRID_FIELDS = {
     "d": (json_int, REQUIRED),
-    "lambda_max_values": (json_floats, DEFAULT_LAMBDA_VALUES),
-    "theta_values": (json_floats, DEFAULT_THETA_VALUES),
+    "lambda_max_values": (json_floats, GridConfig.lambda_max_values),
+    "theta_values": (json_floats, GridConfig.theta_values),
     "T": (json_int, GridConfig.T),
     "repeats": (json_int, GridConfig.repeats),
     "skew_seed": (json_int, GridConfig.skew_seed),

@@ -37,12 +37,7 @@ __all__ = [
     "run_quad_grid",
     "grid_csv_lines",
     "GRID_CSV_HEADER",
-    "DEFAULT_LAMBDA_VALUES",
-    "DEFAULT_THETA_VALUES",
 ]
-
-DEFAULT_LAMBDA_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-DEFAULT_THETA_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 _DIST_FLOOR = 1e-300  # keeps the log ratio finite when a method lands exactly on 0
 _NOISE_SALT = 104729
@@ -50,11 +45,11 @@ _NOISE_SALT = 104729
 
 @record
 class GridConfig:
-    """Axes and run parameters of a benchmark grid."""
+    """Axes and run parameters of a benchmark grid; the default axes are the paper's."""
 
     d: int
-    lambda_max_values: tuple[float, ...]
-    theta_values: tuple[float, ...]
+    lambda_max_values: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+    theta_values: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     T: int = 100
     repeats: int = 64
     skew_seed: int = 0
@@ -80,10 +75,8 @@ class GridConfig:
             raise ValueError("T must be positive")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be nonnegative")
-        if not math.isfinite(self.sigma):
-            raise ValueError("sigma must be finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if self.skew_seed < 0 or self.x0_seed < 0:
             raise ValueError("seeds must be nonnegative")
 

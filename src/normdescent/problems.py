@@ -99,7 +99,7 @@ def noisy_grad(H: SymMatrix, x, sigma: float, stream: np.random.Generator) -> np
     ahead in blocks.
     """
     if not 0.0 <= sigma < math.inf:
-        raise ValueError("noise scale must be nonnegative and finite")
+        raise ValueError("sigma must be nonnegative and finite")
     x = np.asarray(x, dtype=float)
     g = H.to_array().dot(x)
     xi = stream.standard_normal(H.dim)
@@ -147,7 +147,7 @@ def quad_noisy_oracle(H: SymMatrix, sigma: float, stream: np.random.Generator) -
     H must be positive semidefinite.
     """
     if not 0.0 <= sigma < math.inf:
-        raise ValueError("noise scale must be nonnegative and finite")
+        raise ValueError("sigma must be nonnegative and finite")
     exact = _quad_oracle(_psd_array(H))
     noise = _noise_draws(stream, sigma, (H.dim,), NOISE_BLOCK)
 

@@ -9,6 +9,7 @@ from normdescent import (
     BlockMax,
     BlockPartition,
     Euclidean,
+    GridConfig,
     Max,
     One,
     OrthogonalMatrix,
@@ -28,7 +29,6 @@ from normdescent import (
 )
 from normdescent import analysis
 from normdescent.analysis import _eigenspace_bound
-from normdescent.experiments import DEFAULT_LAMBDA_VALUES, DEFAULT_THETA_VALUES
 
 H_2x2 = SymMatrix([[2.0, 1.0], [1.0, 3.0]])
 
@@ -176,10 +176,10 @@ class TestLinfCertificate:
     def test_closes_the_papers_family_without_a_table(self, monkeypatch, d):
         monkeypatch.setattr(analysis, "_sign_table", _no_tables)
         skew = random_skew(d, np.random.default_rng(d))
-        for theta in DEFAULT_THETA_VALUES:
+        for theta in GridConfig.theta_values:
             q = exp_skew(skew, theta)
             u1 = float(np.abs(q.entries[:, -1]).sum())  # ||u||_1 of the top eigenvector
-            for lam in DEFAULT_LAMBDA_VALUES:
+            for lam in GridConfig.lambda_max_values:
                 val = linf_bruteforce(rotate_spectrum(np.r_[np.ones(d - 1), lam], q))
                 assert val == pytest.approx(d + (lam - 1.0) * u1 * u1, rel=1e-12)
 
@@ -514,6 +514,22 @@ class TestLsep:
             assert total == pytest.approx(a[0, 0] + a[1, 1] + 2.0 * abs(a[0, 1]), rel=1e-12)
 
 
+def _sampled_blockmax_constant(h, part, rng, n=2000):
+    """The largest ||Hx||_* = sum_b ||(Hx)_b||_2 over n random points x of
+    the unit block-max sphere, each block of x scaled to unit length: a
+    lower estimate of the block-max constant."""
+    blocks = [list(b) for b in part.blocks]
+    x = rng.standard_normal((n, h.dim))
+    for b in blocks:
+        x[:, b] /= np.linalg.norm(x[:, b], axis=1, keepdims=True)
+    y = x @ h.to_array()
+    return float(sum(np.linalg.norm(y[:, b], axis=1) for b in blocks).max())
+
+
+def _blocks_of(d, size):
+    return BlockPartition(tuple(tuple(range(i, min(i + size, d))) for i in range(0, d, size)))
+
+
 class TestBlockAnalysis:
     def test_block_diagonal_concentration_is_one(self):
         a = np.zeros((4, 4))
@@ -523,19 +539,54 @@ class TestBlockAnalysis:
         part = BlockPartition(((0, 1), (2, 3)))
         top = [eigh(SymMatrix(a[:2, :2])).eigenvalues[-1],
                eigh(SymMatrix(a[2:, 2:])).eigenvalues[-1]]
-        # no off-diagonal block: rho_block = 1, so the bound is the sum of the block tops
+        # no off-diagonal block: the bound is the sum of the block tops
         assert smoothness_constant(h, BlockMax(part)) == pytest.approx(sum(top), rel=1e-12)
 
     def test_singleton_partition_reduces_to_diag_concentration(self):
         part = BlockPartition(((0,), (1,)))
         assert smoothness_constant(H_2x2, BlockMax(part)) == pytest.approx(7.0, rel=1e-12)
 
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            smoothness_constant(
-                SymMatrix(np.diag([1.0, -1.0])),
-                BlockMax(BlockPartition(((0,), (1,)))),
-            )
+    def test_zero_matrix_gives_zero(self):
+        for part in (BlockPartition(((0, 1), (2, 3))), _blocks_of(4, 1), _blocks_of(4, 4)):
+            assert smoothness_constant(SymMatrix(np.zeros((4, 4))), BlockMax(part)) == 0.0
+
+    def test_overflowing_sum_is_rejected(self):
+        h = SymMatrix(np.full((3, 3), 5e307))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^smoothness constant overflows"):
+            smoothness_constant(h, BlockMax(BlockPartition(((0, 1), (2,)))))
+
+    def test_indefinite_bound_holds_on_samples(self):
+        h = SymMatrix(np.diag([1.0, -1.0]))
+        part = BlockPartition(((0,), (1,)))
+        bound = smoothness_constant(h, BlockMax(part))
+        assert bound == 2.0  # the row-sum total
+        assert _sampled_blockmax_constant(h, part, np.random.default_rng(2)) <= bound + 1e-12
+
+    def test_psd_matches_the_concentration_quotient(self):
+        # on PSD input, lambda_max(H_bb) = ||H_bb||_2, so the block-norm sum is
+        # sum_b lambda_max(H_bb) / rho_block, with rho_block the diagonal
+        # blocks' share of the total block spectral-norm mass
+        rng = np.random.default_rng(31)
+        for d, size in [(6, 3), (7, 2), (8, 4), (9, 1), (5, 5)]:
+            h = random_psd(rng, d)
+            a = h.to_array()
+            part = _blocks_of(d, size)
+            blocks = [list(b) for b in part.blocks]
+            spectra = [np.linalg.eigvalsh(a[np.ix_(b, b)]) for b in blocks]
+            tops = [float(v[-1]) for v in spectra]
+            diag_norms = [float(np.abs(v).max()) for v in spectra]
+            off = sum(2.0 * np.linalg.norm(a[np.ix_(b, c)], 2) for b, c in itertools.combinations(blocks, 2))
+            rho_block = sum(diag_norms) / (sum(diag_norms) + off)
+            assert smoothness_constant(h, BlockMax(part)) == pytest.approx(sum(tops) / rho_block, rel=1e-12)
+
+    def test_singletons_give_row_sum_and_one_block_gives_l2(self):
+        rng = np.random.default_rng(32)
+        for d in (1, 2, 5, 8):
+            for h in (random_sym(rng, d), random_psd(rng, d)):
+                singletons = smoothness_constant(h, BlockMax(_blocks_of(d, 1)))
+                assert singletons == pytest.approx(lsep_rowsum(h)[1], rel=1e-12)
+                whole = smoothness_constant(h, BlockMax(_blocks_of(d, d)))
+                assert whole == pytest.approx(smoothness_constant(h, Euclidean()), rel=1e-12)
 
 
 class TestSmoothnessConstant:
@@ -554,16 +605,13 @@ class TestSmoothnessConstant:
     def test_max_matches_bruteforce(self):
         assert smoothness_constant(H_2x2, Max()) == linf_bruteforce(H_2x2)
 
-    def test_blockmax_upper_bounds_sampled_norm(self):
+    @pytest.mark.parametrize("random_matrix", [random_psd, random_sym], ids=["psd", "indefinite"])
+    def test_blockmax_upper_bounds_sampled_norm(self, random_matrix):
         rng = np.random.default_rng(11)
-        h = random_psd(rng, 6)
+        h = random_matrix(rng, 6)
         part = BlockPartition(((0, 1, 2), (3, 4, 5)))
         bound = smoothness_constant(h, BlockMax(part))
-        # points of the unit block-max sphere: each block of x scaled to unit length
-        x = rng.standard_normal((2000, 6)).reshape(2000, 2, 3)
-        x /= np.linalg.norm(x, axis=2, keepdims=True)
-        y = (x.reshape(2000, 6) @ h.to_array()).reshape(2000, 2, 3)
-        assert np.linalg.norm(y, axis=2).sum(axis=1).max() <= bound + 1e-9
+        assert _sampled_blockmax_constant(h, part, rng) <= bound + 1e-9
 
 
 class TestAnalyze:
@@ -625,9 +673,8 @@ class TestRotationDegradesAlignment:
 
 
 def _psd_checks(H):
-    """Whether quad_oracle, analyze's concentration bound and the block-max
-    constant take H as positive semidefinite."""
-    part = BlockPartition(((0, 1), (2, 3)))
+    """Whether quad_oracle and analyze's concentration bound take H as
+    positive semidefinite."""
 
     def accepts(fn):
         try:
@@ -636,11 +683,7 @@ def _psd_checks(H):
             return False
         return True
 
-    return [
-        accepts(lambda: quad_oracle(H)),
-        analyze(H).bound_psd is not None,
-        accepts(lambda: smoothness_constant(H, BlockMax(part))),
-    ]
+    return [accepts(lambda: quad_oracle(H)), analyze(H).bound_psd is not None]
 
 
 class TestPsdTestScalesWithTheSpectrum:
@@ -649,15 +692,15 @@ class TestPsdTestScalesWithTheSpectrum:
 
     @pytest.mark.parametrize("lam", [1.0, 1e6, 1e17])
     def test_boundary(self, lam):
-        assert _psd_checks(SymMatrix(np.diag([-0.5e-10 * lam, 1.0, 1.0, lam]))) == [True] * 3
-        assert _psd_checks(SymMatrix(np.diag([-2e-10 * lam, 1.0, 1.0, lam]))) == [False] * 3
+        assert _psd_checks(SymMatrix(np.diag([-0.5e-10 * lam, 1.0, 1.0, lam]))) == [True] * 2
+        assert _psd_checks(SymMatrix(np.diag([-2e-10 * lam, 1.0, 1.0, lam]))) == [False] * 2
 
     def test_small_spectra_keep_the_absolute_tolerance(self):
-        assert _psd_checks(SymMatrix(np.diag([-0.5e-10, 0.0, 1e-3, 1e-3]))) == [True] * 3
-        assert _psd_checks(SymMatrix(np.diag([-2e-10, 0.0, 1e-3, 1e-3]))) == [False] * 3
+        assert _psd_checks(SymMatrix(np.diag([-0.5e-10, 0.0, 1e-3, 1e-3]))) == [True] * 2
+        assert _psd_checks(SymMatrix(np.diag([-2e-10, 0.0, 1e-3, 1e-3]))) == [False] * 2
 
     @pytest.mark.parametrize("lam", [1e15, 1e16, 1e17, 1e18])
     def test_rotated_huge_spectra_are_psd(self, lam):
         S = random_skew(4, np.random.default_rng(0))
         for theta in (0.3, 0.5, 1.0):
-            assert _psd_checks(rotate_spectrum([1.0, 1.0, 1.0, lam], exp_skew(S, theta))) == [True] * 3
+            assert _psd_checks(rotate_spectrum([1.0, 1.0, 1.0, lam], exp_skew(S, theta))) == [True] * 2

@@ -394,7 +394,7 @@ class TestRun:
         }))
         assert cli.main(["run", "--config", str(path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: sigma must be nonnegative\n"
+        assert out == "" and err == "error: sigma must be nonnegative and finite\n"
 
     @pytest.mark.parametrize(
         "field, problem, optimizer",
@@ -966,7 +966,7 @@ class TestQuadGrid:
 
     def test_infinite_sigma_exits_2(self, tmp_path, capsys):
         code, out, err = _main_on_config(tmp_path, capsys, "quadgrid", dict(GRID_CFG, sigma=math.inf))
-        assert (code, out, err) == (2, "", "error: sigma must be finite\n")
+        assert (code, out, err) == (2, "", "error: sigma must be nonnegative and finite\n")
 
     def test_huge_hessian_diverges_in_its_cell(self, tmp_path):
         # lambda_max is finite, and so are the cell's Hessian and constants, but its gradients overflow

@@ -26,8 +26,6 @@ from normdescent import cli, experiments
 from normdescent.experiments import (
     _DIST_FLOOR,
     _NOISE_SALT,
-    DEFAULT_LAMBDA_VALUES,
-    DEFAULT_THETA_VALUES,
     GRID_CSV_HEADER,
 )
 
@@ -103,7 +101,7 @@ def test_shipped_paper_config_is_the_default_grid():
     path = Path(__file__).resolve().parent.parent / "scripts" / "quadgrid_paper.json"
     cfg = GridConfig(**cli.read_fields(json.loads(path.read_text()), "grid config", cli._GRID_FIELDS))
     assert cfg == GridConfig(
-        d=8, lambda_max_values=DEFAULT_LAMBDA_VALUES, theta_values=DEFAULT_THETA_VALUES
+        d=8, lambda_max_values=GridConfig.lambda_max_values, theta_values=GridConfig.theta_values
     )
 
 
@@ -251,10 +249,10 @@ def test_each_rotation_is_built_once_per_theta(monkeypatch):
         return exp_skew(S, theta)
 
     monkeypatch.setattr(experiments, "exp_skew", counted)
-    cfg = GridConfig(d=4, lambda_max_values=DEFAULT_LAMBDA_VALUES, theta_values=DEFAULT_THETA_VALUES,
+    cfg = GridConfig(d=4, lambda_max_values=GridConfig.lambda_max_values, theta_values=GridConfig.theta_values,
                      T=3, repeats=2, skew_seed=5, x0_seed=6)
     lines, error, _, _ = stacked_grid(cfg)
-    assert sorted(calls) == sorted(DEFAULT_THETA_VALUES)  # 6 rotations for 42 cells
+    assert sorted(calls) == sorted(GridConfig.theta_values)  # 6 rotations for 42 cells
     assert error is None
     assert lines == reference_grid(cfg)[0]  # the reference rotates per cell
 
