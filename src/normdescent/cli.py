@@ -138,6 +138,15 @@ def json_int(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """json_int(value) for a seed, which must also be nonnegative; anything
+    else raises TypeError."""
+    seed = json_int(value)
+    if seed < 0:
+        raise TypeError(f"must be a nonnegative integer, got {value!r}")
+    return seed
+
+
 def json_floats(value) -> tuple[float, ...]:
     """The floats of a JSON list of numbers; anything else raises TypeError,
     and an integer beyond the float range OverflowError."""
@@ -225,9 +234,9 @@ _QUADRATIC_FIELDS = {
     "d": (json_int, REQUIRED),
     "lambda_max": (json_number, REQUIRED),
     "theta": (json_number, 0.0),
-    "seed": (json_int, 0),
+    "seed": (_seed, 0),
     "sigma": (json_number, 0.0),
-    "noise_seed": (_or_null(json_int), None),
+    "noise_seed": (_or_null(_seed), None),
 }
 
 
@@ -297,7 +306,7 @@ _METHODS = {
     "signgd": _SIGN,
     "signsgd": _SIGN,
     "adam": (_MOMENTS, _adam("standard")),
-    "adam_shuffled": ({**_MOMENTS, **_BLOCKS, "seed": (json_int, 0)}, _adam("shuffled")),
+    "adam_shuffled": ({**_MOMENTS, **_BLOCKS, "seed": (_seed, 0)}, _adam("shuffled")),
     "adam_averaged": ({**_MOMENTS, **_BLOCKS}, _adam("averaged")),
     "momentum_sign": (_MOMENTUM, _adam("momentum_sign")),
 }
@@ -319,7 +328,7 @@ _RUN_FIELDS = {
     "optimizer": (_read_optimizer, REQUIRED),
     "T": (json_int, 100),
     "x0": (json_floats, None),
-    "x0_seed": (json_int, 0),
+    "x0_seed": (_seed, 0),
 }
 
 _GRID_FIELDS = {
@@ -328,8 +337,8 @@ _GRID_FIELDS = {
     "theta_values": (json_floats, GridConfig.theta_values),
     "T": (json_int, GridConfig.T),
     "repeats": (json_int, GridConfig.repeats),
-    "skew_seed": (json_int, GridConfig.skew_seed),
-    "x0_seed": (json_int, GridConfig.x0_seed),
+    "skew_seed": (_seed, GridConfig.skew_seed),
+    "x0_seed": (_seed, GridConfig.x0_seed),
     "sigma": (json_number, GridConfig.sigma),
 }
 

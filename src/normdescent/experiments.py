@@ -1,11 +1,13 @@
 """Paired quadratic benchmark grids: gradient descent vs norm-scaled sign descent.
 
-Each grid cell is a quadratic with spectrum (1, ..., 1, lambda_max) rotated
-by theta along one shared random path; each theta's rotation is built once
-and shared by every lambda_max.  Both methods run from the same
-batch of standard-normal starting points with their natural step sizes
-(1/L2 and 1/Linf) and are compared by the mean squared Euclidean distance
-to the optimum after T steps.
+Each cell's Hessian is the quadratic family of problems._QuadraticFamily,
+spectrum (1, ..., 1, lambda_max) rotated by exp(theta * S), at the cell's
+(lambda_max, theta).  One family per grid builds each theta's rotation
+once and shares it by every lambda_max, and its rules check d and every
+axis value.  Both methods run from the same batch of standard-normal
+starting points with their natural step sizes (1/L2 and 1/Linf) and are
+compared by the mean squared Euclidean distance to the optimum after T
+steps.
 
 The cells advance together: per method, a group of consecutive cells is
 one run of optimizers.steepest_descent_stack over a (cells, repeats, d)
@@ -26,10 +28,9 @@ import numpy as np
 
 from ._record import record
 from .analysis import smoothness_constant
-from .matrices import OrthogonalMatrix, exp_skew, random_skew, rotate_spectrum
 from .norms import Euclidean, Max
 from .optimizers import BatchOracle, DivergenceError, steepest_descent_stack
-from .problems import _noise_draws
+from .problems import _check_family, _noise_draws, _QuadraticFamily
 
 __all__ = [
     "GridConfig",
@@ -59,14 +60,9 @@ class GridConfig:
     def __post_init__(self):
         object.__setattr__(self, "lambda_max_values", tuple(float(v) for v in self.lambda_max_values))
         object.__setattr__(self, "theta_values", tuple(float(v) for v in self.theta_values))
-        if self.d < 2:
-            raise ValueError("grid requires d >= 2")
+        _check_family(self.d, self.lambda_max_values, self.theta_values)
         if not self.lambda_max_values or not self.theta_values:
             raise ValueError("value lists must be non-empty")
-        if any(not 1.0 <= v < math.inf for v in self.lambda_max_values):
-            raise ValueError("lambda_max values must be finite and at least 1")
-        if any(not 0.0 <= v <= 1.0 for v in self.theta_values):
-            raise ValueError("theta values must lie in [0, 1]")
         for axis in ("lambda_max_values", "theta_values"):
             values = getattr(self, axis)
             if len(set(values)) < len(values):  # two rows would share one (lambda_max, theta)
@@ -116,16 +112,15 @@ def _cell_x0(cfg: GridConfig, li: int, ti: int) -> np.ndarray:
     return rng.standard_normal((cfg.repeats, cfg.d))
 
 
-def _run_cell(cfg: GridConfig, rotations: list[OrthogonalMatrix], li: int, ti: int) -> _CellSetup:
-    """The set-up of one cell: its Hessian, each method's smoothness
-    constant and the starting points.  ``rotations[ti]`` is exp(theta * S)
-    for theta_values[ti].  perfbench/layertrace.py times this function by
-    name as the per-cell cost of a grid."""
+def _run_cell(cfg: GridConfig, family: _QuadraticFamily, li: int, ti: int) -> _CellSetup:
+    """The set-up of one cell: its Hessian (the grid's family at the cell's
+    lambda_max and theta), each method's smoothness constant and the
+    starting points.  perfbench/layertrace.py times this function by name
+    as the per-cell cost of a grid."""
     lam = cfg.lambda_max_values[li]
     theta = cfg.theta_values[ti]
-    eigs = np.concatenate([np.ones(cfg.d - 1), [lam]])
     try:  # a finite lambda_max can overflow the rotated Hessian
-        H = rotate_spectrum(eigs, rotations[ti])
+        H = family(lam, theta)
         L = tuple(smoothness_constant(H, kind) for kind in _METHODS.values())
     except ValueError as exc:
         raise ValueError(f"cell lambda_max={lam:g} theta={theta:g}: {exc}") from exc
@@ -195,15 +190,14 @@ def run_quad_grid(
         dump_path = Path(dump_dir)
         dump_path.mkdir(parents=True, exist_ok=True)
 
-    skew = random_skew(cfg.d, np.random.default_rng(cfg.skew_seed))
-    rotations = [exp_skew(skew, theta) for theta in cfg.theta_values]  # shared by every lambda_max
+    family = _QuadraticFamily(cfg.d, cfg.skew_seed)
     lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
     theta_order = sorted(range(len(cfg.theta_values)), key=lambda i: cfg.theta_values[i])
     order = [(li, ti) for li in lam_order for ti in theta_order]
     size = max(1, _STACK_BUDGET // (cfg.d * (cfg.repeats + cfg.d)))  # a cell: x0 and H
     cells = []
     for start in range(0, len(order), size):
-        group = [_run_cell(cfg, rotations, li, ti) for li, ti in order[start:start + size]]
+        group = [_run_cell(cfg, family, li, ti) for li, ti in order[start:start + size]]
         results = _run_group(cfg, group)
         for k, c in enumerate(group):
             if dump_path is not None:

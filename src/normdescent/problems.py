@@ -1,8 +1,10 @@
 """Differentiable benchmark problems with known optima.
 
 A quadratic f(x) = x'Hx/2 is its positive semidefinite matrix H, a
-SymMatrix: quadratics with a controlled spectrum and a tunable rotation
-away from the coordinate axes, optionally with Gaussian gradient noise.
+SymMatrix, optionally with Gaussian gradient noise.  The quadratic family
+of the benchmarks, spectrum (1, ..., 1, lambda_max) rotated away from the
+coordinate axes by exp(theta * S), is built here, with its parameter
+rules, for single runs and grids alike.
 A step size is the reciprocal of a smoothness constant of H, which a
 caller takes from ``analysis.smoothness_constant`` for its geometry.  A
 separable cosh objective has curvature growing with the gradient norm
@@ -13,7 +15,7 @@ minimum value of zero at the origin.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -49,23 +51,47 @@ class OverflowGuardError(ValueError):
     """
 
 
-def make_quadratic(d: int, lambda_max: float, theta: float, seed) -> SymMatrix:
-    """Matrix with spectrum (1, ..., 1, lambda_max) rotated by theta.
-
-    The rotation path is exp(theta * S) for a seeded Gaussian skew generator
-    S; theta = 0 gives the axis-aligned diagonal matrix exactly and theta = 1
-    a full-strength rotation.
-    """
+def _check_family(d: int, lambda_max_values: Iterable[float] = (), theta_values: Iterable[float] = ()) -> None:
+    """The parameter rules of the quadratic family: d >= 2, every lambda_max
+    finite and at least 1, every theta in [0, 1]."""
     if d < 2:
-        raise ValueError(f"quadratic problems need d >= 2, got {d}")
-    if not lambda_max >= 1.0:
-        raise ValueError(f"lambda_max must be at least 1, got {lambda_max}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    rng = np.random.default_rng(seed)
-    skew = random_skew(d, rng)
-    eigs = np.concatenate([np.ones(d - 1), [float(lambda_max)]])
-    return rotate_spectrum(eigs, exp_skew(skew, theta))
+        raise ValueError(f"d must be at least 2, got {d}")
+    for v in lambda_max_values:
+        if not 1.0 <= v < math.inf:
+            raise ValueError(f"lambda_max must be finite and at least 1, got {v}")
+    for v in theta_values:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {v}")
+
+
+class _QuadraticFamily:
+    """The quadratic family in dimension d: the spike spectrum
+    (1, ..., 1, lambda_max) rotated by exp(theta * S), for one Gaussian skew
+    generator S drawn from ``seed``.  theta = 0 gives the axis-aligned
+    diagonal matrix exactly and theta = 1 a full-strength rotation.  Each
+    theta's rotation is built on first use and shared by every lambda_max.
+    """
+
+    def __init__(self, d: int, seed):
+        _check_family(d)
+        self.d = d
+        self._skew = random_skew(d, np.random.default_rng(seed))
+        self._rotations = {}
+
+    def __call__(self, lambda_max: float, theta: float) -> SymMatrix:
+        _check_family(self.d, (lambda_max,), (theta,))
+        q = self._rotations.get(theta)
+        if q is None:
+            q = self._rotations[theta] = exp_skew(self._skew, theta)
+        eigs = np.ones(self.d)
+        eigs[-1] = lambda_max
+        return rotate_spectrum(eigs, q)
+
+
+def make_quadratic(d: int, lambda_max: float, theta: float, seed) -> SymMatrix:
+    """Matrix with spectrum (1, ..., 1, lambda_max) rotated by theta: the
+    quadratic family of ``seed`` at one point."""
+    return _QuadraticFamily(d, seed)(lambda_max, theta)
 
 
 # The quadratic oracles are built by a private function: perfbench/layertrace.py

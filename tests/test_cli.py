@@ -1138,6 +1138,57 @@ class TestJsonNumbers:
         assert err.startswith("error: 'blocks' must be a list of index lists")
 
 
+_FAMILY_CFGS = {  # per command, a config with "BAD" where a test puts a family parameter
+    "run": {
+        "d": {"problem": {"quadratic": {"d": "BAD", "lambda_max": 2.0}}},
+        "lambda_max": {"problem": {"quadratic": {"d": 4, "lambda_max": "BAD"}}},
+        "theta": {"problem": {"quadratic": {"d": 4, "lambda_max": 2.0, "theta": "BAD"}}},
+    },
+    "quadgrid": {
+        "d": {"d": "BAD"},
+        "lambda_max": {"d": 4, "lambda_max_values": [2.0, "BAD"]},
+        "theta": {"d": 4, "theta_values": ["BAD", 0.5]},
+    },
+}
+
+_SEED_CFGS = [  # (command, seed key, a config with the seed -5 there)
+    pytest.param("run", "seed", {"problem": _quad4(seed=-5)}, id="run-quadratic-seed"),
+    pytest.param("run", "noise_seed", {"problem": _quad4(sigma=0.5, noise_seed=-5)}, id="run-noise_seed"),
+    pytest.param("run", "x0_seed", {"problem": _quad4(), "x0_seed": -5}, id="run-x0_seed"),
+    pytest.param("run", "seed", {"problem": _quad4(), "optimizer": {"method": "adam_shuffled", "seed": -5}},
+                 id="run-adam_shuffled-seed"),
+    pytest.param("quadgrid", "skew_seed", {"d": 4, "skew_seed": -5}, id="quadgrid-skew_seed"),
+    pytest.param("quadgrid", "x0_seed", {"d": 4, "x0_seed": -5}, id="quadgrid-x0_seed"),
+]
+
+
+class TestFamilyRules:
+    """run and quadgrid check the quadratic family's parameters by the same
+    rules, and read every seed by the same reader, each in one error line."""
+
+    @pytest.mark.parametrize("command", ["run", "quadgrid"])
+    @pytest.mark.parametrize("key, text, message", [
+        pytest.param("lambda_max", "1e999", "lambda_max must be finite and at least 1, got inf", id="lambda_max-1e999"),
+        pytest.param("lambda_max", "0.5", "lambda_max must be finite and at least 1, got 0.5", id="lambda_max-0.5"),
+        pytest.param("theta", "1.5", "theta must lie in [0, 1], got 1.5", id="theta-1.5"),
+        pytest.param("d", "1", "d must be at least 2, got 1", id="d-1"),
+    ])
+    def test_bad_family_parameter_exits_2_with_the_rule(self, tmp_path, capsys, command, key, text, message):
+        cfg = {"optimizer": {"method": "gd"}, "T": 3} if command == "run" else {"T": 3, "repeats": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **_FAMILY_CFGS[command][key]}).replace('"BAD"', text))
+        code = cli.main([command, "--config", str(path)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, key, cfg", _SEED_CFGS)
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, command, key, cfg):
+        cfg = {"optimizer": {"method": "gd"}, "T": 3, **cfg} if command == "run" else {"T": 3, "repeats": 2, **cfg}
+        code, out, err = _main_on_config(tmp_path, capsys, command, cfg)
+        assert (code, out) == (2, "")
+        [line] = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert line == f"error: {key!r} must be a nonnegative integer, got -5", err
+
+
 class TestConfigKeys:
     """Every config object rejects a key it does not read and requires the
     keys it has no default for, in one error line naming the key."""

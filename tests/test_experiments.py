@@ -22,7 +22,7 @@ from normdescent import (
     smoothness_constant,
     steepest_descent_stack,
 )
-from normdescent import cli, experiments
+from normdescent import cli, experiments, problems
 from normdescent.experiments import (
     _DIST_FLOOR,
     _NOISE_SALT,
@@ -248,7 +248,7 @@ def test_each_rotation_is_built_once_per_theta(monkeypatch):
         calls.append(theta)
         return exp_skew(S, theta)
 
-    monkeypatch.setattr(experiments, "exp_skew", counted)
+    monkeypatch.setattr(problems, "exp_skew", counted)
     cfg = GridConfig(d=4, lambda_max_values=GridConfig.lambda_max_values, theta_values=GridConfig.theta_values,
                      T=3, repeats=2, skew_seed=5, x0_seed=6)
     lines, error, _, _ = stacked_grid(cfg)
