@@ -8,10 +8,10 @@ significant digits.  Exit codes: 0 on success, 2 on input errors
 (including an output path that cannot be written), 3 on divergence (with
 the partial trace, or the finished grid rows, flushed).
 
-This module is the one reader of the JSON configs: the library takes
-Python values.  Every config object is read by ``read_fields`` from a
-table of its keys; a norm kind and a block partition have readers of
-their own.  A config field that holds a number takes a JSON
+This module is the one reader of the JSON configs and the one writer:
+the library takes and returns Python values.  Every config object is
+read by ``read_fields`` from a table of its keys; a norm kind and a
+block partition have readers of their own.  A config field that holds a number takes a JSON
 number: never a string, which ``float`` and ``int`` would parse, and never
 a boolean, which Python counts as an integer.  An integer field also takes
 an integral number such as ``5.0``.
@@ -24,7 +24,7 @@ import gc
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -37,7 +37,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from .analysis import analyze, smoothness_constant
-from .experiments import GridConfig, grid_csv_lines, run_quad_grid
+from .experiments import GridCell, GridConfig, cell_starts, run_quad_grid
 from .matrices import SymMatrix, parse_matrix_text
 from .norms import BlockMax, BlockPartition, Euclidean, Max, NormKind, One, WeightedDiag
 from .optimizers import (
@@ -61,9 +61,16 @@ from .problems import (
 )
 
 TRACE_CSV_HEADER = "t,f,dual_grad_norm,dist_sq"
+GRID_CSV_HEADER = ",".join(GridCell.__annotations__)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def grid_csv_lines(cells: Iterable[GridCell]) -> list[str]:
+    """The grid CSV: the header, then one line per cell of its fields in order."""
+    return [GRID_CSV_HEADER] + [",".join(_fmt(getattr(c, name)) for name in GridCell.__annotations__) for c in cells]
 
 
 def _write_lines(lines: Iterable[str], out: str | None) -> bool:
@@ -377,24 +384,38 @@ def cmd_run(args):
     return _trace_csv_lines(trace), None
 
 
+def _dump_x0(cfg: GridConfig, dump_dir: str, cells: int) -> None:
+    """Makes the directory ``dump_dir`` and writes in it the starting points
+    of the grid's first ``cells`` cells, one CSV file per cell."""
+    try:
+        Path(dump_dir).mkdir(parents=True, exist_ok=True)
+        for li, ti, x0 in islice(cell_starts(cfg), cells):
+            name = f"x0_lam{_fmt(cfg.lambda_max_values[li])}_theta{_fmt(cfg.theta_values[ti])}.csv"
+            Path(dump_dir, name).write_text("".join(",".join(map(_fmt, row)) + "\n" for row in x0.tolist()))
+    except OSError as exc:
+        raise OSError(f"cannot write starting points to {dump_dir}: {exc}") from exc
+
+
 def cmd_quadgrid(args):
+    """The grid CSV of the finished cells.  ``--dump-x0`` makes its directory
+    before the grid runs and writes the starting points after it."""
     cfg = GridConfig(**read_fields(_load_json(args.config), "grid config", _GRID_FIELDS))
     done = []
 
     def progress(cell):
         done.append(cell)
-        print(
-            f"cell lambda_max={cell.lambda_max:g} theta={cell.theta:g} done",
-            file=sys.stderr,
-        )
+        print(f"cell lambda_max={cell.lambda_max:g} theta={cell.theta:g} done", file=sys.stderr)
 
+    if args.dump_x0 is not None:
+        _dump_x0(cfg, args.dump_x0, 0)  # only makes the directory
+    divergence = None
     try:
-        run_quad_grid(cfg, dump_dir=args.dump_x0, progress=progress)
+        run_quad_grid(cfg, progress=progress)
     except DivergenceError as exc:
-        return grid_csv_lines(done), exc
-    except OSError as exc:
-        raise OSError(f"cannot write starting points to {args.dump_x0}: {exc}") from exc
-    return grid_csv_lines(done), None
+        divergence = exc
+    if args.dump_x0 is not None:
+        _dump_x0(cfg, args.dump_x0, len(done) + (divergence is not None))
+    return grid_csv_lines(done), divergence
 
 
 def _build_parser() -> argparse.ArgumentParser:

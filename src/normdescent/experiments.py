@@ -9,8 +9,9 @@ starting points with their natural step sizes (1/L2 and 1/Linf) and are
 compared by the mean squared Euclidean distance to the optimum after T
 steps.
 
-The cells advance together: per method, a group of consecutive cells is
-one run of optimizers.steepest_descent_stack over a (cells, repeats, d)
+Every cell's matrix and constants are checked before any group runs.
+The cells then advance together: per method, a group of consecutive cells
+is one run of optimizers.steepest_descent_stack over a (cells, repeats, d)
 stack, so the oracle is called T + 1 times per group and method, not per
 cell.  A group holds as many cells as fit in a fixed element budget,
 which bounds memory for large grids; the default grid is one group.
@@ -21,8 +22,8 @@ method, which gives the cell's (repeats, d) noise of each oracle call.
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,8 @@ from .problems import _check_family, _noise_draws, _QuadraticFamily
 __all__ = [
     "GridConfig",
     "GridCell",
+    "cell_starts",
     "run_quad_grid",
-    "grid_csv_lines",
-    "GRID_CSV_HEADER",
 ]
 
 _DIST_FLOOR = 1e-300  # keeps the log ratio finite when a method lands exactly on 0
@@ -91,8 +91,6 @@ class GridCell:
     log10_perf_ratio: float
 
 
-GRID_CSV_HEADER = ",".join(GridCell.__annotations__)
-
 _STACK_BUDGET = 1 << 18  # float64 elements per stacked array: bounds cells per group and noise calls per draw
 _METHODS = {"gd": Euclidean(), "signgd_normscaled": Max()}  # the grid's methods, in column order
 
@@ -103,28 +101,33 @@ class _CellSetup(NamedTuple):
     lam: float
     theta: float
     L: tuple[float, ...]  # per method of _METHODS, its smoothness constant
-    H: np.ndarray
-    x0: np.ndarray
 
 
-def _cell_x0(cfg: GridConfig, li: int, ti: int) -> np.ndarray:
-    rng = np.random.default_rng([cfg.x0_seed, li, ti])
-    return rng.standard_normal((cfg.repeats, cfg.d))
+def _cell_order(cfg: GridConfig) -> list[tuple[int, int]]:
+    """Every cell's indices (li, ti) on the axes, ascending lambda_max, then theta."""
+    lam_order = sorted(range(len(cfg.lambda_max_values)), key=cfg.lambda_max_values.__getitem__)
+    theta_order = sorted(range(len(cfg.theta_values)), key=cfg.theta_values.__getitem__)
+    return [(li, ti) for li in lam_order for ti in theta_order]
+
+
+def cell_starts(cfg: GridConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Every cell in output order: its indices (li, ti) on the axes and its
+    (repeats, d) starting points, shared by both methods, drawn from
+    default_rng([x0_seed, li, ti]) when the iteration reaches the cell."""
+    for li, ti in _cell_order(cfg):
+        yield li, ti, np.random.default_rng([cfg.x0_seed, li, ti]).standard_normal((cfg.repeats, cfg.d))
 
 
 def _run_cell(cfg: GridConfig, family: _QuadraticFamily, li: int, ti: int) -> _CellSetup:
-    """The set-up of one cell: its Hessian (the grid's family at the cell's
-    lambda_max and theta), each method's smoothness constant and the
-    starting points.  perfbench/layertrace.py times this function by name
-    as the per-cell cost of a grid."""
-    lam = cfg.lambda_max_values[li]
-    theta = cfg.theta_values[ti]
+    """Each method's smoothness constant of one cell's Hessian, the grid's
+    family at the cell's lambda_max and theta.  perfbench/layertrace.py
+    times this function by name as the per-cell cost of a grid."""
+    lam, theta = cfg.lambda_max_values[li], cfg.theta_values[ti]
     try:  # a finite lambda_max can overflow the rotated Hessian
         H = family(lam, theta)
-        L = tuple(smoothness_constant(H, kind) for kind in _METHODS.values())
+        return _CellSetup(li, ti, lam, theta, tuple(smoothness_constant(H, kind) for kind in _METHODS.values()))
     except ValueError as exc:
         raise ValueError(f"cell lambda_max={lam:g} theta={theta:g}: {exc}") from exc
-    return _CellSetup(li, ti, lam, theta, L, H.to_array(), _cell_x0(cfg, li, ti))
 
 
 def _stack_oracle(H: np.ndarray, noise) -> BatchOracle:
@@ -142,27 +145,21 @@ def _stack_oracle(H: np.ndarray, noise) -> BatchOracle:
     return oracle
 
 
-def _dump_x0(dump_dir: Path, cell: _CellSetup) -> None:
-    path = dump_dir / f"x0_lam{cell.lam:.17g}_theta{cell.theta:.17g}.csv"
-    lines = [",".join(f"{v:.17g}" for v in row) for row in cell.x0]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _run_group(cfg: GridConfig, group: list[_CellSetup]):
-    """Each method of _METHODS on a group of cells, as one stacked run.
-    Returns per method the (K, R) final squared distances and the per-cell
-    failures.  With sigma > 0, each cell and method draws its (R, d) noise
-    of each call from one seeded stream, ``block`` calls ahead: a method's
-    drawn noise holds at most _STACK_BUDGET elements, or one call's."""
-    H = np.stack([c.H for c in group])
-    X0 = np.stack([c.x0 for c in group])
+def _run_group(cfg: GridConfig, family: _QuadraticFamily, group: list[_CellSetup], X0: np.ndarray):
+    """Each method of _METHODS on a group of cells from X0, as one stacked
+    run on the cells' Hessians, built again from the family.  Returns per
+    method the (K, R) final squared distances and the per-cell failures.
+    With sigma > 0, each cell and method draws its (R, d) noise of each
+    call from one seeded stream, ``block`` calls ahead: a method's drawn
+    noise holds at most _STACK_BUDGET elements, or one call's."""
+    H = np.stack([family(c.lam, c.theta).to_array() for c in group])
     block = max(1, min(cfg.T + 1, _STACK_BUDGET // X0.size))
     out = []
     for mi, kind in enumerate(_METHODS.values()):
         noise = None
         if cfg.sigma > 0.0:
             noise = [_noise_draws(np.random.default_rng([cfg.x0_seed, _NOISE_SALT, c.li, c.ti, mi]),
-                                  cfg.sigma, c.x0.shape, block) for c in group]
+                                  cfg.sigma, X0.shape[1:], block) for c in group]
         L = [c.L[mi] for c in group]
         X, failures = steepest_descent_stack(_stack_oracle(H, noise), kind, L, X0, cfg.T)
         out.append((np.einsum("kij,kij->ki", X, X), failures))
@@ -171,62 +168,38 @@ def _run_group(cfg: GridConfig, group: list[_CellSetup]):
 
 def run_quad_grid(
     cfg: GridConfig,
-    dump_dir: str | Path | None = None,
     progress: Callable[[GridCell], None] | None = None,
 ) -> list[GridCell]:
-    """All grid cells in ascending (lambda_max, theta) order.
+    """All grid cells in the order of cell_starts.
 
-    Cells advance in consecutive groups, all cells of a group together
-    (see steepest_descent_stack); a group holds as many cells as fit in
-    _STACK_BUDGET, at least one.  ``progress`` is called with each cell
-    once its group has finished, so a caller keeps the finished cells when
-    a later one raises DivergenceError: the first diverging cell in output
-    order, its methods in _METHODS order.  ``dump_dir`` writes each cell's
-    batch of starting points (shared by both methods) as CSV, for the cells
-    up to and including a diverging one.
+    A cell whose Hessian or constants cannot be built raises its ValueError
+    before any group runs.  Cells then advance in consecutive groups, all
+    cells of a group together (see steepest_descent_stack); a group holds
+    as many cells as fit in _STACK_BUDGET, at least one.  ``progress`` is
+    called with each cell once its group has finished, so a caller keeps
+    the finished cells when a later one raises DivergenceError: the first
+    diverging cell in output order, its methods in _METHODS order.
     """
-    dump_path = None
-    if dump_dir is not None:
-        dump_path = Path(dump_dir)
-        dump_path.mkdir(parents=True, exist_ok=True)
-
     family = _QuadraticFamily(cfg.d, cfg.skew_seed)
-    lam_order = sorted(range(len(cfg.lambda_max_values)), key=lambda i: cfg.lambda_max_values[i])
-    theta_order = sorted(range(len(cfg.theta_values)), key=lambda i: cfg.theta_values[i])
-    order = [(li, ti) for li in lam_order for ti in theta_order]
+    setups = [_run_cell(cfg, family, li, ti) for li, ti in _cell_order(cfg)]
     size = max(1, _STACK_BUDGET // (cfg.d * (cfg.repeats + cfg.d)))  # a cell: x0 and H
+    starts = cell_starts(cfg)
     cells = []
-    for start in range(0, len(order), size):
-        group = [_run_cell(cfg, family, li, ti) for li, ti in order[start:start + size]]
-        results = _run_group(cfg, group)
+    for start in range(0, len(setups), size):
+        group = setups[start:start + size]
+        X0 = np.stack([x0 for _, _, x0 in islice(starts, len(group))])
+        results = _run_group(cfg, family, group, X0)
         for k, c in enumerate(group):
-            if dump_path is not None:
-                _dump_x0(dump_path, c)
             for method, (_, failures) in zip(_METHODS, results):
                 if failures[k] is not None:
                     step, reason = failures[k]
-                    raise DivergenceError(
-                        step, None,
-                        f"{reason} (cell lambda_max={c.lam:g} theta={c.theta:g}, method {method})",
-                    )
+                    where = f"cell lambda_max={c.lam:g} theta={c.theta:g}, method {method}"
+                    raise DivergenceError(step, None, f"{reason} ({where})")
             L2, linf = c.L
             mean_gd, mean_sg = (float(dist[k].mean()) for dist, _ in results)
-            cell = GridCell(
-                lambda_max=c.lam,
-                theta=c.theta,
-                L2=L2,
-                Linf=linf,
-                ratio_smoothness=linf / (cfg.d * L2),
-                mean_dist_gd=mean_gd,
-                mean_dist_signgd=mean_sg,
-                log10_perf_ratio=math.log10(max(mean_sg, _DIST_FLOOR) / max(mean_gd, _DIST_FLOOR)),
-            )
+            log_ratio = math.log10(max(mean_sg, _DIST_FLOOR) / max(mean_gd, _DIST_FLOOR))
+            cell = GridCell(c.lam, c.theta, L2, linf, linf / (cfg.d * L2), mean_gd, mean_sg, log_ratio)
             if progress is not None:
                 progress(cell)
             cells.append(cell)
     return cells
-
-
-def grid_csv_lines(cells: Iterable[GridCell]) -> list[str]:
-    names = GridCell.__annotations__
-    return [GRID_CSV_HEADER] + [",".join(f"{getattr(c, name):.17g}" for name in names) for c in cells]

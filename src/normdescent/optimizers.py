@@ -75,7 +75,7 @@ class Trace:
 
 
 class DivergenceError(RuntimeError):
-    """A run produced a non-finite value or exceeded the blow-up threshold.
+    """A run produced a non-finite value or exceeded its blow-up limit.
 
     Carries the step index, the reason, and the partial trace of all finite
     iterates recorded before the abort (including the over-threshold one,
@@ -110,9 +110,9 @@ def _drive(
     The steps run in chunks of ROW_CHUNK: step t stores f_t, x_t and g_t in
     the next row of the chunk's buffers.  A non-finite value or gradient,
     or an iterate past the oracle's overflow guard, aborts with rows
-    0..t-1; a value above F_BLOWUP, with rows 0..t.  With ``stop_tol``, the
-    step computes dual = ||g_t||* in ``kind``, and the run stops once it is
-    at most ``stop_tol``.
+    0..t-1; a value above F_BLOWUP * max(1, f_0), with rows 0..t (so never
+    at step 0).  With ``stop_tol``, the step computes dual = ||g_t||* in
+    ``kind``, and the run stops once it is at most ``stop_tol``.
     Otherwise, while t < T, x_{t+1} = update(x_t, g_t, t, dual), dual being
     None without ``stop_tol``; updates return new arrays, so no iterate
     handed to the oracle changes.  When a chunk is full, and when the run
@@ -173,8 +173,10 @@ def _drive(
             if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
                 raise DivergenceError(t, trace(i, x), "non-finite objective or gradient")
             G[i] = g
-            if f > F_BLOWUP:
-                raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {F_BLOWUP:.0e}")
+            if t == 0:
+                limit = F_BLOWUP * max(1.0, f)
+            elif f > limit:
+                raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {limit:.4g}")
             if stop_tol is not None:
                 dual = float(dual_rows(G[i : i + 1])[0])
                 if dual <= stop_tol:
@@ -218,7 +220,8 @@ def steepest_descent_stack(
     gradients.  Every row of slice k follows x <- x - P(grad)/L[k] for T
     steps, exactly as in run_steepest_descent.  At every step t = 0..T
     each live slice is checked for a non-finite value or gradient, then
-    for a value above F_BLOWUP.  A failing slice does not raise: its first
+    for a row above its limit F_BLOWUP * max(1, f_0), the reason naming
+    the largest such value.  A failing slice does not raise: its first
     (t, reason) is recorded, and the slice is zeroed and frozen, so no
     later step computes with its values.  Returns the final (K, R, d)
     iterates, zero in failed slices, and per slice its (t, reason) or
@@ -239,13 +242,15 @@ def steepest_descent_stack(
     keep = None  # (K, 1, 1) mask of the live slices once one has failed
     for t in range(T + 1):
         F, G = oracle(X)
+        if t == 0:
+            limit = F_BLOWUP * np.maximum(F, 1.0)  # per row
         finite = np.isfinite(F).all(axis=1) & np.isfinite(G).all(axis=(1, 2))
-        failed = live & ~(finite & (F <= F_BLOWUP).all(axis=1))
+        failed = live & ~(finite & (F <= limit).all(axis=1))
         if failed.any():
             for k in np.flatnonzero(failed):
-                reason = "non-finite objective or gradient" if not finite[k] else (
-                    f"objective {F[k].max():.3e} exceeded {F_BLOWUP:.0e}")
-                failures[k] = (t, reason)
+                r = np.argmax(np.where(F[k] > limit[k], F[k], -math.inf))  # the largest value over its limit
+                failures[k] = (t, f"objective {F[k, r]:.3e} exceeded {limit[k, r]:.4g}" if finite[k]
+                               else "non-finite objective or gradient")
             live &= ~failed
             keep = live[:, None, None]
             X = np.where(keep, X, 0.0)

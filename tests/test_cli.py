@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from normdescent import (
     BlockMax, BlockPartition, Euclidean, Max, One, SymMatrix, WeightedDiag, exp_skew, make_quadratic,
     quad_oracle, random_skew, rotate_spectrum, run_steepest_descent, smoothness_constant,
 )
-from normdescent.cli import REQUIRED
+from normdescent.cli import GRID_CSV_HEADER, REQUIRED, grid_csv_lines
+from normdescent.experiments import GridCell, GridConfig, run_quad_grid
 from normdescent.optimizers import ROW_CHUNK, DivergenceError, Trace
-from normdescent.experiments import GRID_CSV_HEADER, GridConfig, grid_csv_lines, run_quad_grid
 
 
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -313,11 +315,12 @@ class TestRun:
             assert code == 0 and len(out.splitlines()) == 7, (d, optimizer)
 
     def test_divergence_exits_3_with_partial_trace(self, tmp_path):
+        # f_0 = 0.05, so the blow-up limit is 1e12
         cfg_obj = {
             "problem": {"quadratic": {"d": 4, "lambda_max": 1e11, "theta": 0.0, "seed": 5}},
             "optimizer": {"method": "signsgd", "step": {"constant": 10.0}},
             "T": 50,
-            "x0_seed": 2,
+            "x0": [1e-6, -1e-6, 2e-6, 1e-6],
         }
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(cfg_obj))
@@ -462,28 +465,41 @@ class TestRun:
         assert "Traceback" not in res.stderr
         assert "divergence at step 1" in res.stderr and "guard" in res.stderr
 
-    def test_blow_up_before_zero_epsilon_error_exits_3(self, tmp_path):
-        # f(x0) = cosh(30) - 1 exceeds the blow-up threshold at t = 0, before the
-        # first update would meet the zero second moment of coordinate 1
+    def test_zero_epsilon_error_at_a_start_above_the_threshold_exits_2(self, tmp_path):
+        # f(x0) = cosh(30) - 1 exceeds F_BLOWUP, but no run blows up at its start:
+        # the first update meets the zero second moment of coordinate 1
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "problem": COSH2, "optimizer": {"method": "adam", "epsilon": 0}, "x0": [30, 0], "T": 3,
         }))
         res = run_cli(["run", "--config", str(cfg)], tmp_path)
-        assert res.returncode == 3, res.stderr
-        assert len(res.stdout.splitlines()) == 2  # header and the t = 0 row
-        assert "divergence at step 0" in res.stderr and "exceeded" in res.stderr
+        assert (res.returncode, res.stdout) == (2, ""), res.stderr
+        assert res.stderr == "error: degenerate input: zero second moment with epsilon = 0\n"
 
     @pytest.mark.parametrize("method", ["relaxed_nsd", "nsd"])
-    def test_stopping_run_blowing_up_at_start_prints_its_dual_norm(self, tmp_path, method):
+    def test_stopping_run_blowing_up_at_step_1_prints_its_dual_norm(self, tmp_path, method):
+        # from f_0 = cosh(1) - 1 < 1 the first step lands near (-500, -500), where f > 1e12
+        optimizer = {"method": method, **({"L0": 4.7e-4, "L1": 0.0} if method == "relaxed_nsd" else {"L": 0.002})}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"problem": COSH2, "optimizer": optimizer, "x0": [1, 0], "T": 3}))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        rows = [row.split(",") for row in res.stdout.splitlines()[1:]]
+        assert len(rows) == 2 and res.stderr.startswith("error: divergence at step 1: ")
+        assert float(rows[0][2]) == math.sinh(1.0)  # one-norm of sinh(x0)
+        # near |x_i| = 500, |sinh(x_i)| and cosh(x_i) - 1 agree to rounding: the dual norm is f
+        f, dual = float(rows[1][1]), float(rows[1][2])
+        assert dual > 1e200 and dual == pytest.approx(f, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["relaxed_nsd", "nsd"])
+    def test_stopping_run_starting_above_the_threshold_runs_on(self, tmp_path, method):
         optimizer = {"method": method, **({"L0": 2.0, "L1": 1.0} if method == "relaxed_nsd" else {"L": 2.0})}
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"problem": COSH2, "optimizer": optimizer, "x0": [30, 0], "T": 3}))
         res = run_cli(["run", "--config", str(cfg)], tmp_path)
-        assert res.returncode == 3, res.stderr
+        assert (res.returncode, res.stderr) == (0, "")
         rows = res.stdout.splitlines()[1:]
-        assert len(rows) == 1 and "divergence at step 0" in res.stderr
-        assert float(rows[0].split(",")[2]) == math.sinh(30.0)  # one-norm of sinh(x0)
+        assert len(rows) == 4 and float(rows[0].split(",")[2]) == math.sinh(30.0)  # one-norm of sinh(x0)
 
     def test_overflow_exits_3_with_one_error_line(self, tmp_path):
         # the gradient noise sends the next iterate where the objective
@@ -513,18 +529,31 @@ class TestRun:
         assert t == "0" and all(math.isfinite(float(v)) for v in (f, dist))
         assert 1e299 < float(dual) < 1e302
 
-    def test_huge_hessian_diverges_at_step_0(self, tmp_path):
-        # the Hessian's entries are finite, so its run starts and blows up at once
+    def test_huge_hessian_runs_relative_to_its_start(self, tmp_path):
+        # the Hessian's entries are finite, so its run starts at f_0 = 6.192e+305, and
+        # the blow-up limit F_BLOWUP * f_0 overflows: only a non-finite value would stop it
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "problem": {"quadratic": {"d": 3, "lambda_max": 1e308, "theta": 0.5}},
             "optimizer": {"method": "gd"},
         }))
         res = run_cli(["run", "--config", str(cfg)], tmp_path)
-        assert res.returncode == 3, res.stderr
-        assert res.stderr.splitlines() == ["error: divergence at step 0: objective 6.192e+305 exceeded 1e+12"]
-        lines = res.stdout.splitlines()
-        assert lines[0] == "t,f,dual_grad_norm,dist_sq" and len(lines) == 2 and lines[1].startswith("0,")
+        assert (res.returncode, res.stderr) == (0, "")
+        f = [float(row.split(",")[1]) for row in res.stdout.splitlines()[1:]]
+        assert len(f) == 101 and f[0] == pytest.approx(6.192e305, rel=1e-3)
+        assert max(map(abs, f[1:])) < 1e-12 * f[0]  # rounding at the scale of 1e308
+
+    def test_family_quadratic_starting_above_the_threshold_runs(self, tmp_path):
+        # lambda_max = 1e13 puts f_0 = 1.304e+12 above F_BLOWUP; the limit is relative to it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"quadratic": {"d": 4, "lambda_max": 1e13, "theta": 0.5}},
+            "optimizer": {"method": "gd"}, "T": 5,
+        }))
+        res = run_cli(["run", "--config", str(cfg)], tmp_path)
+        assert (res.returncode, res.stderr) == (0, ""), res.stderr
+        rows = res.stdout.splitlines()
+        assert len(rows) == 7 and rows[1].startswith("0,1303839248491.60")
 
     def test_overflowing_default_L_exits_2_with_one_error_line(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -795,9 +824,11 @@ GRID_CFG = {
     "skew_seed": 1,
     "x0_seed": 2,
 }
-# found by search: the first cell finishes, gd of the second diverges at step 32
+PAPER_GRID = Path(__file__).resolve().parent.parent / "scripts" / "quadgrid_paper.json"
+# found by search: the first cell finishes, gd of the second diverges at step 44
+# on a row that starts below f = 1, so its limit is F_BLOWUP itself
 GRID_DIVERGES_AFTER_ONE_ROW = {"d": 4, "lambda_max_values": [1, 2, 5, 20, 100], "theta_values": [0, 0.5, 1],
-                               "T": 50, "repeats": 4, "x0_seed": 29, "sigma": 3e5}
+                               "T": 50, "repeats": 4, "x0_seed": 135, "sigma": 3e5}
 
 
 class TestQuadGrid:
@@ -927,7 +958,73 @@ class TestQuadGrid:
         )
         assert res.returncode == 2
         assert res.stdout == ""
-        assert "Traceback" not in res.stderr
+        # the directory is made before the grid runs: no cell has finished
+        assert res.stderr.splitlines() == [res.stderr.strip()] and res.stderr.startswith(
+            f"error: cannot write starting points to {tmp_path / 'afile' / 'sub'}: ")
+
+    @pytest.mark.parametrize("grid, code, files, digest", [
+        ("paper", 0, 42, "f4159b60590983f79ea965a9a69b9386163fde68648b45e027ffd9f3958345f4"),
+        ("diverging", 3, 2, "ed50728b19e4710020b81516d5eda7547728f459378357ac8f4e9d0e401ee0e1"),
+    ])
+    def test_dump_x0_files_keep_their_names_and_bytes(self, tmp_path, grid, code, files, digest):
+        """On exit 0 every cell's file, on exit 3 those of the finished cells
+        and the diverging one: the seeded draws of each cell, one row per
+        start, at 17 significant digits.  ``digest`` pins the sha256 of the
+        files' names and bytes in name order."""
+        obj = json.loads(PAPER_GRID.read_text()) if grid == "paper" else GRID_DIVERGES_AFTER_ONE_ROW
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(obj))
+        res = run_cli(["quadgrid", "--config", str(cfg), "--dump-x0", "x0s"], tmp_path)
+        assert res.returncode == code, res.stderr
+        paths = sorted((tmp_path / "x0s").iterdir())
+        sha = hashlib.sha256()
+        for path in paths:
+            sha.update(path.name.encode() + b"\n" + path.read_bytes())
+        assert (len(paths), sha.hexdigest()) == (files, digest)
+        grid_cfg = _read_grid(obj)
+        rows = [ln.split(",")[:2] for ln in res.stdout.splitlines()[1:]]
+        cells = [(li, ti) for li in range(len(grid_cfg.lambda_max_values)) for ti in range(len(grid_cfg.theta_values))]
+        cells.sort(key=lambda c: (grid_cfg.lambda_max_values[c[0]], grid_cfg.theta_values[c[1]]))
+        for li, ti in cells[:files]:
+            lam, theta = grid_cfg.lambda_max_values[li], grid_cfg.theta_values[ti]
+            x0 = np.random.default_rng([grid_cfg.x0_seed, li, ti]).standard_normal((grid_cfg.repeats, grid_cfg.d))
+            text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in x0)
+            assert (tmp_path / "x0s" / f"x0_lam{lam:.17g}_theta{theta:.17g}.csv").read_text() == text
+        assert len(rows) == files - (code == 3)
+
+    def test_input_error_in_a_later_group_runs_no_cell_and_writes_no_file(self, tmp_path):
+        # the cells come in groups of 3 at d = 256, and the last cell's constants overflow:
+        # every cell is checked before the first group runs
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"d": 256, "lambda_max_values": [2, 3, 5e307], "theta_values": [0, 1],
+                                   "T": 1, "repeats": 1}))
+        res = run_cli(["quadgrid", "--config", str(cfg), "--dump-x0", "dumps"], tmp_path)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.splitlines() == [
+            "error: cell lambda_max=5e+307 theta=1: smoothness constant overflows: matrix entries too large"
+        ]
+        assert list((tmp_path / "dumps").iterdir()) == []
+
+    def test_cell_starting_above_the_threshold_runs(self, tmp_path):
+        # at lambda_max = 1e13 the rows start near f = 1e12; each row's limit is relative to its start
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"d": 4, "lambda_max_values": [1e13], "theta_values": [0.5],
+                                   "T": 5, "repeats": 2}))
+        res = run_cli(["quadgrid", "--config", str(cfg)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "cell lambda_max=1e+13 theta=0.5 done\n"
+        assert len(res.stdout.splitlines()) == 2
+
+    def test_grid_csv_text_is_pinned(self):
+        # the documented header, and every field printed with %.17g in header order
+        assert GRID_CSV_HEADER == (
+            "lambda_max,theta,L2,Linf,ratio_smoothness,mean_dist_gd,mean_dist_signgd,log10_perf_ratio"
+        )
+        cell = GridCell(50.0, 0.2, 50.0, 57.5, 0.14375, 1e-3, 2.5e-5, -1.6020599913279623)
+        assert grid_csv_lines([cell]) == [
+            GRID_CSV_HEADER,
+            "50,0.20000000000000001,50,57.5,0.14374999999999999,0.001,2.5000000000000001e-05,-1.6020599913279623",
+        ]
 
     def test_above_the_walk_cap_prints_the_closed_form_linf(self, tmp_path):
         # every cell of the family is closed by the column check, at any d

@@ -12,8 +12,8 @@ from normdescent import (
     GridCell,
     GridConfig,
     Max,
+    cell_starts,
     exp_skew,
-    grid_csv_lines,
     make_quadratic,
     quad_oracle,
     random_skew,
@@ -23,11 +23,8 @@ from normdescent import (
     steepest_descent_stack,
 )
 from normdescent import cli, experiments, problems
-from normdescent.experiments import (
-    _DIST_FLOOR,
-    _NOISE_SALT,
-    GRID_CSV_HEADER,
-)
+from normdescent.cli import grid_csv_lines
+from normdescent.experiments import _DIST_FLOOR, _NOISE_SALT
 
 ROUNDING_LEVEL = 1e-20  # a mean squared distance below this is rounding noise
 
@@ -105,18 +102,6 @@ def test_shipped_paper_config_is_the_default_grid():
     )
 
 
-def test_grid_csv_text_is_pinned():
-    # the documented header, and every field printed with %.17g in header order
-    assert GRID_CSV_HEADER == (
-        "lambda_max,theta,L2,Linf,ratio_smoothness,mean_dist_gd,mean_dist_signgd,log10_perf_ratio"
-    )
-    cell = GridCell(50.0, 0.2, 50.0, 57.5, 0.14375, 1e-3, 2.5e-5, -1.6020599913279623)
-    assert grid_csv_lines([cell]) == [
-        GRID_CSV_HEADER,
-        "50,0.20000000000000001,50,57.5,0.14374999999999999,0.001,2.5000000000000001e-05,-1.6020599913279623",
-    ]
-
-
 @pytest.mark.parametrize("axis, values", [
     ("lambda_max_values", (2, 2.0)), ("lambda_max_values", (1.0, 5.0, 1.0)), ("theta_values", (0.5, 0.5)),
 ])
@@ -127,24 +112,48 @@ def test_repeated_axis_value_is_rejected(axis, values):
         GridConfig(**fields)
 
 
-def test_cell_hessians_are_make_quadratic_matrices(monkeypatch):
-    # run and quadgrid build the same matrix, bit for bit
-    built = []
+@pytest.mark.parametrize("cells_per_group", [None, 2])
+def test_cell_hessians_are_make_quadratic_matrices(monkeypatch, cells_per_group):
+    # run and quadgrid build the same matrix, bit for bit, also where a group rebuilds it
+    stacks = []
 
-    def recorded(cfg, rotations, li, ti):
-        cell = run_cell(cfg, rotations, li, ti)
-        built.append(cell)
-        return cell
+    def recorded(H, noise):
+        stacks.append(H)
+        return stack_oracle(H, noise)
 
-    run_cell = experiments._run_cell
-    monkeypatch.setattr(experiments, "_run_cell", recorded)
-    cfg = GridConfig(d=7, lambda_max_values=(1.0, 3.0, 50.0), theta_values=(0.0, 0.3, 1.0),
+    stack_oracle = experiments._stack_oracle
+    monkeypatch.setattr(experiments, "_stack_oracle", recorded)
+    cfg = GridConfig(d=7, lambda_max_values=(50.0, 1.0, 3.0), theta_values=(1.0, 0.0, 0.3),
                      T=2, repeats=1, skew_seed=4)
+    if cells_per_group is not None:
+        monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, cells_per_group))
     run_quad_grid(cfg)
-    assert len(built) == 9
-    for cell in built:
-        want = make_quadratic(cfg.d, cell.lam, cell.theta, cfg.skew_seed).to_array()
-        assert cell.H.tobytes() == want.tobytes()
+    built = np.concatenate(stacks[::2])  # one stack per group and method
+    assert len(built) == 9 and all(len(H) <= (cells_per_group or 9) for H in stacks)
+    for H, (li, ti, _) in zip(built, cell_starts(cfg)):
+        want = make_quadratic(cfg.d, cfg.lambda_max_values[li], cfg.theta_values[ti], cfg.skew_seed).to_array()
+        assert H.tobytes() == want.tobytes()
+
+
+def test_cell_starts_are_the_seeded_draws_in_output_order():
+    cfg = GridConfig(d=3, lambda_max_values=(5.0, 1.0, 2.0), theta_values=(0.5, 0.0), repeats=4, x0_seed=11)
+    starts = list(cell_starts(cfg))
+    assert [(li, ti) for li, ti, _ in starts] == [(1, 1), (1, 0), (2, 1), (2, 0), (0, 1), (0, 0)]
+    for li, ti, x0 in starts:
+        want = np.random.default_rng([cfg.x0_seed, li, ti]).standard_normal((cfg.repeats, cfg.d))
+        assert x0.tobytes() == want.tobytes()
+
+
+def test_every_cell_is_checked_before_the_first_group_runs(monkeypatch):
+    # the last cell's constants overflow; no group has run when that is found
+    cfg = GridConfig(d=8, lambda_max_values=(2.0, 3.0, 5e307), theta_values=(0.0, 1.0), T=1, repeats=1)
+    monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, 3))
+    groups = []
+    monkeypatch.setattr(experiments, "_run_group", lambda *args: groups.append(args))
+    done = []
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^cell lambda_max=5e[+]307 theta=1: smoothness"):
+        run_quad_grid(cfg, progress=done.append)
+    assert groups == [] and done == []
 
 
 # ------------------------------------------------------------ stacked cells
@@ -200,10 +209,10 @@ def reference_grid(cfg: GridConfig) -> tuple[list[str], str | None, int | None]:
     return grid_csv_lines(cells), None, None
 
 
-def stacked_grid(cfg: GridConfig, dump_dir=None) -> tuple[list[str], str | None, int | None, list]:
+def stacked_grid(cfg: GridConfig) -> tuple[list[str], str | None, int | None, list]:
     done = []
     try:
-        cells = run_quad_grid(cfg, dump_dir=dump_dir, progress=done.append)
+        cells = run_quad_grid(cfg, progress=done.append)
     except DivergenceError as exc:
         return grid_csv_lines(done), str(exc), exc.step, done
     assert cells == done
@@ -217,15 +226,15 @@ def split_budget(cfg: GridConfig, cells_per_group: int) -> int:
 
 NOISY_GRID = GridConfig(d=5, lambda_max_values=(1.0, 7.0, 30.0), theta_values=(0.0, 0.3, 0.9),
                         T=40, repeats=9, skew_seed=2, x0_seed=4, sigma=2.0)
-# Noisy grids near the divergence threshold, found by search.  Cells in
+# Noisy grids near the divergence limit, found by search.  Cells in
 # output order, with the steps at which gd / sign descent diverge:
-#   A_B: cell 1 sign descent at 34; cell 2 gd at 22, sign descent at 10.
-#   C:   cell 0 gd at 31, sign descent at 2; cell 1 gd at 16, sign descent at 5.
+#   A_B: cell 1 sign descent at 44; cell 2 gd at 14, sign descent at 27.
+#   C:   cell 0 gd at 38, sign descent at 21; cell 1 gd at 37, sign descent at 32.
 DIVERGING = {
     "A_B": GridConfig(d=4, lambda_max_values=(1.0, 2.0, 5.0, 20.0, 100.0), theta_values=(0.0, 0.5, 1.0),
-                      T=60, repeats=3, skew_seed=9, x0_seed=130, sigma=3.5e5),
+                      T=60, repeats=3, skew_seed=9, x0_seed=126, sigma=4e5),
     "C": GridConfig(d=4, lambda_max_values=(1.0, 2.0, 5.0, 20.0, 100.0), theta_values=(0.0, 0.5, 1.0),
-                    T=60, repeats=3, skew_seed=0, x0_seed=3, sigma=4e5),
+                    T=60, repeats=3, skew_seed=0, x0_seed=41, sigma=4e5),
 }
 
 
@@ -305,37 +314,32 @@ def test_noisy_grid_builds_one_stream_per_cell_and_method(monkeypatch):
 
 @pytest.mark.parametrize("cells_per_group", [None, 1, 2, 4])
 @pytest.mark.parametrize("name", sorted(DIVERGING))
-def test_divergence_reports_the_first_cell_in_output_order(monkeypatch, tmp_path, name, cells_per_group):
+def test_divergence_reports_the_first_cell_in_output_order(monkeypatch, name, cells_per_group):
     cfg = DIVERGING[name]
     ref = per_cell_reference(cfg)
     steps = [[r[0] if isinstance(r, tuple) else None for r in cell[4]] for cell in ref]
     if name == "A_B":
         # an earlier cell diverging at a later step than a later cell, and
         # sign descent of cell k diverging later than gd of cell k + 1
-        assert steps[:3] == [[None, None], [None, 34], [22, 10]]
+        assert steps[:3] == [[None, None], [None, 44], [14, 27]]
     else:
         # gd of a cell diverging after its sign descent is still the one reported
-        assert steps[:2] == [[31, 2], [16, 5]]
+        assert steps[:2] == [[38, 21], [37, 32]]
     if cells_per_group is not None:
         monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, cells_per_group))
-    lines, error, step, done = stacked_grid(cfg, dump_dir=tmp_path)
+    lines, error, step, _ = stacked_grid(cfg)
     want_lines, want_error, want_step = reference_grid(cfg)
     assert (lines, error, step) == (want_lines, want_error, want_step)
     assert want_error.endswith("method signgd_normscaled)" if name == "A_B" else "method gd)")
-    # starting points are written for the finished cells and the diverging one
-    assert len(list(tmp_path.glob("x0_*.csv"))) == len(done) + 1
 
 
-def test_split_groups_give_the_same_bytes(monkeypatch, tmp_path):
+def test_split_groups_give_the_same_bytes(monkeypatch):
     cfg = GridConfig(d=6, lambda_max_values=(1.0, 3.0, 20.0), theta_values=(0.0, 0.25, 0.5, 1.0),
                      T=30, repeats=5, skew_seed=1, x0_seed=8)
-    one, _, _, _ = stacked_grid(cfg, dump_dir=tmp_path / "one")
+    one, _, _, _ = stacked_grid(cfg)
     for cells_per_group in (1, 5, 11):
         monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, cells_per_group))
-        dump = tmp_path / str(cells_per_group)
-        assert stacked_grid(cfg, dump_dir=dump)[0] == one
-        for path in (tmp_path / "one").iterdir():
-            assert (dump / path.name).read_bytes() == path.read_bytes()
+        assert stacked_grid(cfg)[0] == one
 
 
 def test_diverging_grid_raises_no_runtime_warning():

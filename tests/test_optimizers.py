@@ -278,8 +278,9 @@ class TestSignSGD:
 
 class TestDivergenceDetection:
     def test_blowup_aborts_with_partial_trace(self):
+        # f_0 <= 1, so the limit is F_BLOWUP itself
         p = make_quadratic(4, 1e11, 0.0, seed=5)
-        x0 = np.random.default_rng(2).standard_normal(4)
+        x0 = 1e-6 * np.random.default_rng(2).standard_normal(4)
         with pytest.raises(DivergenceError) as err:
             run_signsgd(quad_oracle(p), 10.0, x0, 50)
         trace = err.value.trace
@@ -375,24 +376,44 @@ class TestSteepestDescentStack:
         assert failures[1][0] != failures[3][0]
 
     def test_non_finite_slice_reason_comes_first(self):
+        calls = []
+
         def oracle(X):
             F = 0.5 * np.einsum("kij,kij->ki", X, X)
-            F[1, 0] = F[1, 0] * 1e13  # slice 1 also exceeds F_BLOWUP
             G = X.copy()
-            G[1, 1, 0] = math.nan
+            if len(calls) == 1:
+                F[1, 0] = F[1, 0] * 1e13  # slice 1 also exceeds its limit, F_BLOWUP * 1.5
+                G[1, 1, 0] = math.nan
+            calls.append(X)
             return F, G
 
         X, failures = steepest_descent_stack(oracle, Max(), [4.0, 4.0], np.ones((2, 2, 3)), 5)
-        assert failures == [None, (0, "non-finite objective or gradient")]
+        assert failures == [None, (1, "non-finite objective or gradient")]
         assert not X[1].any() and X[0].all()
 
-    def test_blow_up_reason_uses_the_slice_maximum(self):
+    def test_blow_up_reason_names_the_largest_value_over_its_limit(self):
+        # each row's limit is F_BLOWUP * max(1, f_0): 1e12 for the rows starting at
+        # or below 1, 1e13 for the one starting at 10
+        starts = np.array([[1.0, 0.5], [0.5, 10.0]])
+        calls = []
+
         def oracle(X):
-            F = np.array([[1.0, 2.0], [3e12, 5e12]]) if X.any() else np.zeros((2, 2))
-            return F, X
+            calls.append(X)
+            return (np.array([[3e12, 5e12], [3e12, 5e12]]) if len(calls) > 1 else starts), X
 
         _, failures = steepest_descent_stack(oracle, Euclidean(), [2.0, 2.0], np.ones((2, 2, 1)), 3)
-        assert failures == [None, (0, "objective 5.000e+12 exceeded 1e+12")]
+        assert failures == [(1, "objective 5.000e+12 exceeded 1e+12"), (1, "objective 3.000e+12 exceeded 1e+12")]
+
+    def test_a_row_starting_above_one_blows_up_relative_to_its_start(self):
+        calls = []
+
+        def oracle(X):
+            calls.append(X)
+            scale = [1.0, 1e12, 1.001e12, 1e13][min(len(calls), 4) - 1]
+            return np.array([[4.0, 0.5]]) * scale, X
+
+        _, (failure,) = steepest_descent_stack(oracle, Euclidean(), [2.0], np.ones((1, 2, 1)), 5)
+        assert failure == (2, "objective 4.004e+12 exceeded 4e+12")
 
     @pytest.mark.parametrize("kind", [Euclidean(), Max()], ids=lambda k: type(k).__name__)
     def test_a_step_is_the_single_vector_step_on_every_row(self, kind):
@@ -704,7 +725,7 @@ def reference_run(oracle, x0, T, step, dual, stop_tol=None, sq_dist=dot_sq):
 
     Per step: evaluate, test finiteness, record f, ``dual(g)`` and the
     squared distance to the origin ``sq_dist(x)``, test the blow-up
-    threshold, stop once ``dual(g) <= stop_tol``, then
+    limit F_BLOWUP * max(1, f_0), stop once ``dual(g) <= stop_tol``, then
     ``x = step(x, g, t, dual(g))``.
     """
     x = np.array(x0, dtype=float)
@@ -724,8 +745,9 @@ def reference_run(oracle, x0, T, step, dual, stop_tol=None, sq_dist=dot_sq):
         dn = dual(g)
         duals.append(dn)
         dists.append(sq_dist(x))
-        if f > F_BLOWUP:
-            return ref(error=(t, f"objective {f:.3e} exceeded {F_BLOWUP:.0e}"))
+        limit = F_BLOWUP * max(1.0, fs[0])
+        if f > limit:
+            return ref(error=(t, f"objective {f:.3e} exceeded {limit:.4g}"))
         if stop_tol is not None and dn <= stop_tol:
             return ref()
         if t == T:
@@ -881,7 +903,7 @@ class TestStepLoopParity:
     """Divergence and early stops agree with a plain loop."""
 
     QUAD = make_quadratic(4, 1e11, 0.0, seed=5)
-    X0 = np.random.default_rng(2).standard_normal(4)
+    X0 = 1e-6 * np.random.default_rng(2).standard_normal(4)  # f_0 <= 1: the blow-up limit is F_BLOWUP
 
     def _assert_parity(self, run, ref):
         if ref.error is None:
@@ -953,22 +975,45 @@ class TestStepLoopParity:
         assert tr.dual_grad_norm[-1] <= eps
 
     @pytest.mark.parametrize("method", ["nsd", "relaxed_nsd"])
-    def test_stopping_runs_blow_up_at_the_start(self, method):
+    def test_stopping_runs_keep_the_dual_norm_of_the_blow_up_row(self, method):
         """The over-threshold row keeps the dual norm of its gradient."""
-        cosh = cosh_oracle(CoshProblem(2))  # cosh(30) - 1 > F_BLOWUP
+
+        def blowing_up(oracle):
+            # the second call reports a value far above the limit of a start below f = 1
+            calls = []
+
+            def wrapped(x):
+                calls.append(x)
+                f, g = oracle(x)
+                return (F_BLOWUP**2 if len(calls) == 2 else f), g
+
+            return wrapped
+
         p = make_quadratic(2, 4.0, 0.3, seed=8)
-        start = {"nsd": (quad_oracle(p), [3e6, -2e6]), "relaxed_nsd": (cosh, [30.0, 0.0])}
+        start = {"nsd": (quad_oracle(p), [0.3, -0.2]), "relaxed_nsd": (cosh_oracle(CoshProblem(2)), [0.5, 0.0])}
         oracle, x0 = start[method]
         if method == "nsd":
-            run = lambda: run_normalized_sd(oracle, Max(), 4.0, x0, 20)
+            run = lambda: run_normalized_sd(blowing_up(oracle), Max(), 4.0, x0, 20)
+            step = lambda x, g, t, dual: x - signs(g) * (1.0 / math.sqrt(t + 1.0) / 4.0)
             stop_tol = STATIONARY_TOL
         else:
-            run = lambda: run_relaxed_nsd(oracle, Max(), 2.0, 1.0, x0, 20, 1e-3)
+            run = lambda: run_relaxed_nsd(blowing_up(oracle), Max(), 2.0, 1.0, x0, 20, 1e-3)
+            step = lambda x, g, t, dual: x - dual * signs(g) / (5.0 * 2.0 + 4.0 * dual)
             stop_tol = 1e-3
-        ref = reference_run(oracle, x0, 20, None, one_norm, stop_tol)
-        assert ref.error[0] == 0 and len(ref.f) == 1
+        ref = reference_run(blowing_up(oracle), x0, 20, step, one_norm, stop_tol)
+        assert ref.error[0] == 1 and len(ref.f) == 2
         tr = self._assert_parity(run, ref)
         assert tr.dual_grad_norm.tobytes() == ref.dual.tobytes()
+
+    @pytest.mark.parametrize("method", ["nsd", "relaxed_nsd"])
+    def test_a_start_above_the_threshold_is_no_blow_up(self, method):
+        # cosh(30) - 1 > F_BLOWUP, but the limit is relative to the start
+        oracle = cosh_oracle(CoshProblem(2))
+        if method == "nsd":
+            tr = run_normalized_sd(oracle, Max(), 4.0, [30.0, 0.0], 20)
+        else:
+            tr = run_relaxed_nsd(oracle, Max(), 2.0, 1.0, [30.0, 0.0], 20, 1e-3)
+        assert len(tr) == 21 and tr.f[0] > F_BLOWUP and (np.diff(tr.f) < 0.0).all()
 
     def test_runs_past_the_first_row_chunk(self):
         """Rows stay right across chunk reductions, in a full run and in an aborted one."""
@@ -1016,15 +1061,15 @@ class TestStepLoopParity:
             ),
         )
 
-    def test_adam_zero_epsilon_error_and_blow_up_keep_their_order(self):
+    def test_adam_zero_epsilon_error_at_a_start_above_the_threshold(self):
         cfg = AdamConfig(step=1e-3, epsilon=0.0)
         oracle = cosh_oracle(CoshProblem(2))
         with pytest.raises(ValueError, match="degenerate"):
             run_adam_family(oracle, cfg, [0.0, 1.0], 5, np.random.default_rng(0))
-        # cosh(30) - 1 > F_BLOWUP: the blow-up at t = 0 comes before the update
-        with pytest.raises(DivergenceError, match="exceeded") as err:
+        # cosh(30) - 1 > F_BLOWUP, but no start blows up: the update at t = 0 meets
+        # the zero second moment of coordinate 1
+        with pytest.raises(ValueError, match="degenerate"):
             run_adam_family(oracle, cfg, [30.0, 0.0], 5, np.random.default_rng(0))
-        assert err.value.step == 0 and len(err.value.trace) == 1
 
     @pytest.mark.parametrize("method", GOLDEN_METHODS)
     def test_iterates_handed_to_the_oracle_are_never_modified(self, method):
@@ -1098,7 +1143,7 @@ class TestChunkBoundaries:
         def hit(oracle, x):
             f, g = oracle(x)
             if event == "blow_up":
-                return 2.0 * F_BLOWUP, g
+                return F_BLOWUP**2, g  # above the limit F_BLOWUP * f_0 of the start, f_0 < 1e12
             g = g.copy()
             g[2] = math.nan
             return f, g

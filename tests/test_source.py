@@ -148,3 +148,21 @@ def test_only_cli_reads_json_configs():
             if any(n.split(".")[0] == "json" or n == "read_fields" or n.endswith("_from_json") for n in names if n):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_cli_writes():
+    # the library computes and returns values; cli alone prints, opens files and makes directories
+    writers = {"open", "print", "write_text", "mkdir"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] in writers:
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.stdout", "sys.stderr"):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "sys":
+                if {a.name for a in node.names} & {"stdout", "stderr"}:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
