@@ -108,19 +108,30 @@ def _drive(
     """The step loop of the run_* methods.
 
     The steps run in chunks of ROW_CHUNK: step t stores f_t, x_t and g_t in
-    the next row of the chunk's buffers.  A non-finite value or gradient,
-    or an iterate past the oracle's overflow guard, aborts with rows
-    0..t-1; a value above F_BLOWUP * max(1, f_0), with rows 0..t (so never
-    at step 0).  With ``stop_tol``, the step computes dual = ||g_t||* in
-    ``kind``, and the run stops once it is at most ``stop_tol``.
-    Otherwise, while t < T, x_{t+1} = update(x_t, g_t, t, dual), dual being
-    None without ``stop_tol``; updates return new arrays, so no iterate
-    handed to the oracle changes.  When a chunk is full, and when the run
-    ends, the dual norms and the squared distances to the origin are
-    reduced over the chunk's rows and the rows are reused, so a run holds
-    three floats per step.  Each row reduces on its own, so the result does
-    not depend on where the chunks split, and a row's dual norm has the
-    bits of the dual a stopping run computed for it.
+    the next row of the chunk's buffers.  With ``stop_tol``, the step
+    computes dual = ||g_t||* in ``kind``, and the run stops once it is at
+    most ``stop_tol``.  Otherwise, while t < T, x_{t+1} = update(x_t, g_t,
+    t, dual), dual being None without ``stop_tol`` and g_t the row view of
+    the gradient buffer; updates return new arrays, so no iterate handed to
+    the oracle changes.
+
+    A step checks nothing: the rows are scanned when a chunk is full, when
+    the run ends, and when the oracle or the update raises.  The earliest
+    failing row aborts the run: a non-finite value or gradient at step t
+    with rows 0..t-1, a value above F_BLOWUP * max(1, f_0) with rows 0..t
+    (so never at step 0), and an iterate past the oracle's overflow guard,
+    met when no row before it failed, with rows 0..t-1.  Another exception
+    of the oracle or the update propagates unless a row before it failed.
+    So a run diverging at step t may compute the rest of t's chunk first,
+    with numpy's warnings off, and reports exactly what a loop checking
+    every step reports.
+
+    When a chunk is full, and when the run ends, the dual norms and the
+    squared distances to the origin are reduced over the chunk's rows and
+    the rows are reused, so a run holds three floats per step.  Each row
+    reduces on its own, so the result does not depend on where the chunks
+    split, and a row's dual norm has the bits of the dual a stopping run
+    computed for it.
 
     ``kind`` and the dimension are checked once, before the loop; the
     kind's methods check nothing.  The chunks' dual norms are its
@@ -135,7 +146,6 @@ def _drive(
     x = _start(x0)
     _check(kind, x.size)
     dual_rows = kind.dual_rows
-    ones = np.ones(x.size)  # g.dot(ones) sums g in one cheap call
     rows = min(T + 1, ROW_CHUNK)
     F = np.empty(rows)
     X = np.empty((rows, x.size))
@@ -143,6 +153,7 @@ def _drive(
     f_parts: list[np.ndarray] = []  # each reduced chunk's part of the trace's columns
     dual_parts: list[np.ndarray] = []
     dist_parts: list[np.ndarray] = []
+    limit = math.nan  # F_BLOWUP * max(1, f_0), set by the first chunk's scan
 
     def reduce_chunk(n: int) -> None:
         f_parts.append(F[:n].copy())
@@ -158,33 +169,54 @@ def _drive(
         reduce_chunk(n)
         return Trace(joined(f_parts), joined(dual_parts), joined(dist_parts), readonly(x.copy()))
 
+    def scan(start: int, n: int) -> None:
+        """Raises the DivergenceError of the earliest failing row among the
+        chunk's first n rows, the steps from ``start`` on."""
+        nonlocal limit
+        if n == 0:
+            return
+        f = F[:n]
+        if start == 0:
+            limit = F_BLOWUP * max(1.0, float(f[0]))
+        bad = ~(np.isfinite(f) & np.isfinite(G[:n]).all(axis=1))
+        failing = bad | (f > limit)  # f_0 never exceeds its own limit
+        if failing.any():
+            i = int(failing.argmax())
+            if bad[i]:
+                raise DivergenceError(start + i, trace(i, X[i]), "non-finite objective or gradient")
+            reason = f"objective {float(f[i]):.3e} exceeded {limit:.4g}"
+            raise DivergenceError(start + i, trace(i + 1, X[i]), reason)
+
     dual = None
-    for start in range(0, T + 1, rows):
-        for i, t in enumerate(range(start, min(start + rows, T + 1))):
-            try:
-                f, g = oracle(x)
-            except OverflowGuardError as exc:
-                raise DivergenceError(t, trace(i, x), str(exc)) from exc
-            f = float(f)
-            g = np.asarray(g, dtype=float)
-            F[i] = f
-            X[i] = x
-            # one sum per step; the elementwise test runs only when the sum is not finite
-            if not math.isfinite(f + g.dot(ones)) and not (math.isfinite(f) and np.isfinite(g).all()):
-                raise DivergenceError(t, trace(i, x), "non-finite objective or gradient")
-            G[i] = g
-            if t == 0:
-                limit = F_BLOWUP * max(1.0, f)
-            elif f > limit:
-                raise DivergenceError(t, trace(i + 1, x), f"objective {f:.3e} exceeded {limit:.4g}")
-            if stop_tol is not None:
-                dual = float(dual_rows(G[i : i + 1])[0])
-                if dual <= stop_tol:
+    with np.errstate(all="ignore"):  # the steps after a failing row are never reported
+        for start in range(0, T + 1, rows):
+            for i, t in enumerate(range(start, min(start + rows, T + 1))):
+                try:
+                    f, g = oracle(x)
+                    F[i] = f
+                    G[i] = g
+                except OverflowGuardError as exc:
+                    scan(start, i)
+                    raise DivergenceError(t, trace(i, x), str(exc)) from exc
+                except Exception:
+                    scan(start, i)
+                    raise
+                X[i] = x
+                if stop_tol is not None:
+                    dual = float(dual_rows(G[i : i + 1])[0])
+                    if dual <= stop_tol:
+                        scan(start, i + 1)
+                        return trace(i + 1, x)
+                if t == T:
+                    scan(start, i + 1)
                     return trace(i + 1, x)
-            if t == T:
-                return trace(i + 1, x)
-            x = update(x, g, t, dual)
-        reduce_chunk(rows)
+                try:
+                    x = update(x, G[i], t, dual)
+                except Exception:
+                    scan(start, i + 1)
+                    raise
+            scan(start, rows)
+            reduce_chunk(rows)
 
 
 def run_steepest_descent(

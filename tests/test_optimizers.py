@@ -1257,6 +1257,136 @@ class TestChunkBoundaries:
             run_signsgd(quad_oracle(self.P), 1e-3, self.X0, -1)
 
 
+class TestChunkScan:
+    """The loop checks a chunk's rows when the chunk fills, when the run
+    ends, and when the oracle or the update raises: a run diverging at step
+    t may compute on to the end of t's chunk, and reports what a loop
+    checking every step reports."""
+
+    P = TestChunkBoundaries.P
+    X0 = TestChunkBoundaries.X0
+    T = 3 * ROW_CHUNK
+    AT = (5, ROW_CHUNK + 5)
+    _counting = staticmethod(TestChunkBoundaries._counting)
+    _assert_run = TestChunkBoundaries._assert_run
+
+    @staticmethod
+    def _nan_value(oracle, x):
+        return math.nan, oracle(x)[1]
+
+    @pytest.mark.parametrize("t", AT)
+    @pytest.mark.parametrize("later", ["guard", "update_error", "stop"])
+    def test_a_non_finite_row_wins_over_a_later_event_in_its_chunk(self, t, later):
+        def guard(oracle, x):
+            raise OverflowGuardError("coordinate magnitude exceeds overflow guard 700")
+
+        def zero_coordinate(oracle, x):  # a zero second moment: adam with epsilon 0 raises
+            f, g = oracle(x)
+            g = g.copy()
+            g[0] = 0.0
+            return f, g
+
+        def stationary(oracle, x):
+            f, g = oracle(x)
+            return f, np.zeros_like(g)
+
+        event = {"guard": guard, "update_error": zero_coordinate, "stop": stationary}[later]
+        calls = []
+
+        def oracle():
+            counted = self._counting(self._counting(quad_oracle(self.P), t, self._nan_value), t + 3, event)
+            return lambda x: calls.append(None) or counted(x)
+
+        if later == "stop":
+            L = smoothness_constant(self.P, Max())
+            run = lambda: run_normalized_sd(oracle(), Max(), L, self.X0, self.T)
+            step = lambda x, g, t, dual: x - signs(g) * ((1.0 / math.sqrt(t + 1.0)) / L)
+            stop_tol = STATIONARY_TOL
+        else:
+            cfg = AdamConfig(step=1e-3, beta2=0.0, epsilon=0.0)
+            run = lambda: run_adam_family(oracle(), cfg, self.X0, self.T, np.random.default_rng(0))
+            step, stop_tol = adam_reference_step(cfg), None
+        ref = reference_run(oracle(), self.X0, self.T, step, row_dual(Max()), stop_tol, sq_dist=row_sq_dist)
+        assert ref.error == (t, "non-finite objective or gradient")
+        calls.clear()
+        tr = self._assert_run(run, ref, error=t)
+        assert len(tr) == t
+        assert len(calls) == t + 4  # the event's step ends the run
+
+    @pytest.mark.parametrize("t", AT)
+    def test_a_blow_up_row_wins_over_a_later_non_finite_row(self, t):
+        def blow_up(oracle, x):
+            return F_BLOWUP**2, oracle(x)[1]
+
+        def nan_gradient(oracle, x):
+            return oracle(x)[0], np.full(self.X0.size, math.nan)
+
+        oracle = lambda: self._counting(self._counting(quad_oracle(self.P), t, blow_up), t + 2, nan_gradient)
+        ref = reference_run(
+            oracle(), self.X0, self.T, lambda x, g, t, _: x - 1e-3 * signs(g), row_dual(Max()),
+            sq_dist=row_sq_dist,
+        )
+        assert ref.error[0] == t and ref.error[1].startswith(f"objective {F_BLOWUP**2:.3e} exceeded")
+        tr = self._assert_run(lambda: run_signsgd(oracle(), 1e-3, self.X0, self.T), ref, error=t)
+        assert len(tr) == t + 1
+
+    @pytest.mark.parametrize("t", AT)
+    def test_an_oracle_error_after_finite_rows_propagates_unchanged(self, t):
+        raised = []
+
+        def fail(oracle, x):
+            raised.append(ValueError("the oracle cannot evaluate here"))
+            raise raised[-1]
+
+        oracle = lambda: self._counting(quad_oracle(self.P), t, fail)
+        with pytest.raises(ValueError) as ref_err:
+            reference_run(oracle(), self.X0, self.T, lambda x, g, t, _: x - 1e-3 * signs(g), one_norm)
+        with pytest.raises(ValueError) as err:
+            run_signsgd(oracle(), 1e-3, self.X0, self.T)
+        assert ref_err.value is raised[0] and err.value is raised[1]
+        assert type(err.value) is ValueError
+
+    def test_an_interrupt_is_not_routed_through_the_scan(self):
+        def interrupt(oracle, x):
+            raise KeyboardInterrupt
+
+        oracle = self._counting(self._counting(quad_oracle(self.P), 5, self._nan_value), 8, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_signsgd(oracle, 1e-3, self.X0, self.T)
+
+    def test_a_run_overflowing_after_its_divergence_raises_divergence(self):
+        # L far below H's curvature: f passes its limit within a few steps, and
+        # the steps left in the chunk overflow, which the loop computes silently
+        L = 1e-3
+        calls = []
+
+        def oracle(x):
+            calls.append(None)
+            return quad_oracle(self.P)(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                run_steepest_descent(oracle, Euclidean(), L, self.X0, self.T)
+        with np.errstate(all="ignore"):
+            ref = reference_run(
+                quad_oracle(self.P), self.X0, self.T, lambda x, g, t, _: x - g / L, row_dual(Euclidean()),
+                sq_dist=row_sq_dist,
+            )
+        assert (err.value.step, err.value.reason) == ref.error
+        assert "exceeded" in err.value.reason
+        assert_bytes_match(err.value.trace, ref)
+        assert err.value.step < len(calls) <= ROW_CHUNK
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as again:
+                run_steepest_descent(oracle, Euclidean(), L, self.X0, self.T)
+        assert caught == []
+        assert (again.value.step, again.value.reason) == ref.error
+        assert len(calls) == ROW_CHUNK  # the rest of the chunk ran, overflowing
+
+
 class TestResolvedKernels:
     """The update rules call each geometry's methods, and give the bits of
     the checked public operators."""
