@@ -51,6 +51,12 @@ __all__ = [
 F_BLOWUP = 1e12
 STATIONARY_TOL = 1e-14
 ROW_CHUNK = 1024  # trace rows the step loop holds before it reduces them
+_NON_FINITE = "non-finite objective or gradient"  # the divergence reasons of both step loops
+
+
+def _exceeded(f, limit) -> str:
+    return f"objective {f:.3e} exceeded {limit:.4g}"
+
 
 # A batched oracle maps a (K, R, d) stack of iterates, one per row, to the
 # per-row objective values (shape (K, R)) and gradients (shape (K, R, d)).
@@ -107,31 +113,36 @@ def _drive(
 ) -> Trace:
     """The step loop of the run_* methods.
 
-    The steps run in chunks of ROW_CHUNK: step t stores f_t, x_t and g_t in
-    the next row of the chunk's buffers.  With ``stop_tol``, the step
-    computes dual = ||g_t||* in ``kind``, and the run stops once it is at
-    most ``stop_tol``.  Otherwise, while t < T, x_{t+1} = update(x_t, g_t,
-    t, dual), dual being None without ``stop_tol`` and g_t the row view of
-    the gradient buffer; updates return new arrays, so no iterate handed to
-    the oracle changes.
+    The steps run in chunks of ROW_CHUNK rows, and each chunk is filled,
+    judged, then acted on.
 
-    A step checks nothing: the rows are scanned when a chunk is full, when
-    the run ends, and when the oracle or the update raises.  The earliest
-    failing row aborts the run: a non-finite value or gradient at step t
-    with rows 0..t-1, a value above F_BLOWUP * max(1, f_0) with rows 0..t
-    (so never at step 0), and an iterate past the oracle's overflow guard,
-    met when no row before it failed, with rows 0..t-1.  Another exception
-    of the oracle or the update propagates unless a row before it failed.
-    So a run diverging at step t may compute the rest of t's chunk first,
-    with numpy's warnings off, and reports exactly what a loop checking
-    every step reports.
+    Fill: step t calls the oracle and fills the chunk's next row with f_t,
+    g_t and x_t.  With ``stop_tol``, it computes dual = ||g_t||* in
+    ``kind``, and the run ends once that is at most ``stop_tol``; it also
+    ends at t = T.  Otherwise x_{t+1} = update(x_t, g_t, t, dual), dual
+    being None without ``stop_tol`` and g_t the row view of the gradient
+    buffer; updates return new arrays, so no iterate handed to the oracle
+    changes.  Filling stops when the chunk is full, when the run ends, or
+    when a call raises an Exception, which is kept; a step checks nothing.
 
-    When a chunk is full, and when the run ends, the dual norms and the
-    squared distances to the origin are reduced over the chunk's rows and
-    the rows are reused, so a run holds three floats per step.  Each row
-    reduces on its own, so the result does not depend on where the chunks
-    split, and a row's dual norm has the bits of the dual a stopping run
-    computed for it.
+    Judge: the filled rows are checked once, and the earliest failing row
+    aborts the run: a non-finite value or gradient at step t with rows
+    0..t-1, a value above F_BLOWUP * max(1, f_0) with rows 0..t (so never
+    at step 0).
+
+    Act: a kept OverflowGuardError of the oracle at step t aborts the run
+    with rows 0..t-1, and another kept exception propagates unchanged; a
+    run that ended returns its trace, and a full chunk's rows are reduced
+    to the trace's parts and the next chunk reuses them.  So a run
+    diverging at step t may compute the rest of t's chunk first, with
+    numpy's warnings off, and reports exactly what a loop checking every
+    step reports.
+
+    A trace's dual norms and squared distances to the origin are reduced
+    per chunk, so a run holds three floats per step.  Each row reduces on
+    its own, so the result does not depend on where the chunks split, and
+    a row's dual norm has the bits of the dual a stopping run computed for
+    it.
 
     ``kind`` and the dimension are checked once, before the loop; the
     kind's methods check nothing.  The chunks' dual norms are its
@@ -150,73 +161,56 @@ def _drive(
     F = np.empty(rows)
     X = np.empty((rows, x.size))
     G = np.empty((rows, x.size))
-    f_parts: list[np.ndarray] = []  # each reduced chunk's part of the trace's columns
-    dual_parts: list[np.ndarray] = []
-    dist_parts: list[np.ndarray] = []
-    limit = math.nan  # F_BLOWUP * max(1, f_0), set by the first chunk's scan
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])  # each reduced chunk's part of f, dual, dist
 
-    def reduce_chunk(n: int) -> None:
-        f_parts.append(F[:n].copy())
-        dual_parts.append(dual_rows(G[:n]))
-        dist_parts.append(_row_dots(X[:n], X[:n]))
-
-    def joined(parts: list[np.ndarray]) -> np.ndarray:
-        column = np.concatenate(parts)
-        parts.clear()  # frees a column's parts before the next column is joined
-        return readonly(column)
-
-    def trace(n: int, x: np.ndarray) -> Trace:
-        reduce_chunk(n)
-        return Trace(joined(f_parts), joined(dual_parts), joined(dist_parts), readonly(x.copy()))
-
-    def scan(start: int, n: int) -> None:
-        """Raises the DivergenceError of the earliest failing row among the
-        chunk's first n rows, the steps from ``start`` on."""
-        nonlocal limit
-        if n == 0:
-            return
-        f = F[:n]
-        if start == 0:
-            limit = F_BLOWUP * max(1.0, float(f[0]))
-        bad = ~(np.isfinite(f) & np.isfinite(G[:n]).all(axis=1))
-        failing = bad | (f > limit)  # f_0 never exceeds its own limit
-        if failing.any():
-            i = int(failing.argmax())
-            if bad[i]:
-                raise DivergenceError(start + i, trace(i, X[i]), "non-finite objective or gradient")
-            reason = f"objective {float(f[i]):.3e} exceeded {limit:.4g}"
-            raise DivergenceError(start + i, trace(i + 1, X[i]), reason)
+    def trace(n: int, x: np.ndarray | None = None) -> Trace | None:
+        """Reduces the chunk's first n rows into the parts; given x, the trace ending at x."""
+        for part, column in zip(parts, (F[:n].copy(), dual_rows(G[:n]), _row_dots(X[:n], X[:n]))):
+            part.append(column)
+        if x is not None:
+            columns = []
+            for part in parts:
+                columns.append(readonly(np.concatenate(part)))
+                part.clear()  # frees a column's parts before the next column is joined
+            return Trace(*columns, readonly(x.copy()))
 
     dual = None
+    end = T  # the run's last step: T, or the first whose dual is at most stop_tol
     with np.errstate(all="ignore"):  # the steps after a failing row are never reported
         for start in range(0, T + 1, rows):
-            for i, t in enumerate(range(start, min(start + rows, T + 1))):
-                try:
-                    f, g = oracle(x)
-                    F[i] = f
-                    G[i] = g
-                except OverflowGuardError as exc:
-                    scan(start, i)
-                    raise DivergenceError(t, trace(i, x), str(exc)) from exc
-                except Exception:
-                    scan(start, i)
-                    raise
-                X[i] = x
-                if stop_tol is not None:
-                    dual = float(dual_rows(G[i : i + 1])[0])
-                    if dual <= stop_tol:
-                        scan(start, i + 1)
-                        return trace(i + 1, x)
-                if t == T:
-                    scan(start, i + 1)
-                    return trace(i + 1, x)
-                try:
-                    x = update(x, G[i], t, dual)
-                except Exception:
-                    scan(start, i + 1)
-                    raise
-            scan(start, rows)
-            reduce_chunk(rows)
+            n, kept = 0, None
+            try:  # fill: row n holds step start + n
+                for t in range(start, min(start + rows, T + 1)):
+                    F[n], G[n] = oracle(x)
+                    X[n] = x
+                    n += 1
+                    if stop_tol is not None:
+                        dual = float(dual_rows(G[n - 1 : n])[0])
+                        if dual <= stop_tol:
+                            end = t
+                    if t == end:
+                        break
+                    x = update(x, G[n - 1], t, dual)
+            except Exception as exc:  # kept until the rows before it are judged
+                kept = exc
+            # judge: the earliest failing row of the n filled rows aborts the run
+            if start == 0:
+                limit = F_BLOWUP * max(1.0, float(F[0]))
+            bad = ~(np.isfinite(F[:n]) & np.isfinite(G[:n]).all(axis=1))
+            failing = bad | (F[:n] > limit)  # f_0 never exceeds its own limit
+            if failing.any():
+                i = int(failing.argmax())
+                if bad[i]:
+                    raise DivergenceError(start + i, trace(i, X[i]), _NON_FINITE)
+                raise DivergenceError(start + i, trace(i + 1, X[i]), _exceeded(F[i], limit))
+            # act: on a kept exception, at the run's end, or with a full chunk
+            if isinstance(kept, OverflowGuardError):
+                raise DivergenceError(start + n, trace(n, x), str(kept)) from kept
+            if kept is not None:
+                raise kept
+            if t == end:
+                return trace(n, x)
+            trace(rows)
 
 
 def run_steepest_descent(
@@ -281,8 +275,7 @@ def steepest_descent_stack(
         if failed.any():
             for k in np.flatnonzero(failed):
                 r = np.argmax(np.where(F[k] > limit[k], F[k], -math.inf))  # the largest value over its limit
-                failures[k] = (t, f"objective {F[k, r]:.3e} exceeded {limit[k, r]:.4g}" if finite[k]
-                               else "non-finite objective or gradient")
+                failures[k] = (t, _exceeded(F[k, r], limit[k, r]) if finite[k] else _NON_FINITE)
             live &= ~failed
             keep = live[:, None, None]
             X = np.where(keep, X, 0.0)

@@ -1386,6 +1386,56 @@ class TestChunkScan:
         assert (again.value.step, again.value.reason) == ref.error
         assert len(calls) == ROW_CHUNK  # the rest of the chunk ran, overflowing
 
+    @staticmethod
+    def _short_gradient(oracle, x):
+        f, g = oracle(x)
+        return f, g[:-1]
+
+    @staticmethod
+    def _none(oracle, x):
+        oracle(x)
+        return None
+
+    MALFORMED = {"short_gradient": _short_gradient, "none": _none}
+
+    @pytest.mark.parametrize("t", AT)
+    @pytest.mark.parametrize("malformed", MALFORMED)
+    def test_malformed_oracle_output_after_a_non_finite_row(self, t, malformed):
+        calls = []
+
+        def oracle():
+            counted = self._counting(
+                self._counting(quad_oracle(self.P), t, self._nan_value), t + 3, self.MALFORMED[malformed]
+            )
+            return lambda x: calls.append(None) or counted(x)
+
+        ref = reference_run(
+            oracle(), self.X0, self.T, lambda x, g, t, _: x - 1e-3 * signs(g), row_dual(Max()),
+            sq_dist=row_sq_dist,
+        )
+        assert ref.error == (t, "non-finite objective or gradient")
+        calls.clear()
+        tr = self._assert_run(lambda: run_signsgd(oracle(), 1e-3, self.X0, self.T), ref, error=t)
+        assert len(tr) == t
+        assert len(calls) == t + 4  # the malformed step ends the run
+
+    @pytest.mark.parametrize("t", AT)
+    @pytest.mark.parametrize("malformed", MALFORMED)
+    def test_malformed_oracle_output_after_finite_rows_propagates_unchanged(self, t, malformed):
+        calls = []
+        counted = self._counting(quad_oracle(self.P), t, self.MALFORMED[malformed])
+        oracle = lambda x: calls.append(None) or counted(x)
+        output = self.MALFORMED[malformed](quad_oracle(self.P), self.X0)
+        F, G = np.empty(1), np.empty((1, self.X0.size))
+        with pytest.raises(Exception) as row_err:  # what storing the output in a row raises
+            F[0], G[0] = output
+        with pytest.raises(Exception) as err:
+            run_signsgd(oracle, 1e-3, self.X0, self.T)
+        assert type(err.value) is type(row_err.value) and str(err.value) == str(row_err.value)
+        assert err.value.__cause__ is None and err.value.__context__ is None
+        assert err.traceback[-1].name == "_drive"  # raised where the row was stored, then re-raised
+        assert len(calls) == t + 1
+
 
 class TestResolvedKernels:
     """The update rules call each geometry's methods, and give the bits of
