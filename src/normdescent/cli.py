@@ -98,7 +98,6 @@ def _write_lines(lines: Iterable[str], out: str | None) -> bool:
 
 
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g"
-_TRACE_ROWS = "\n".join([_TRACE_ROW] * ROW_CHUNK)
 
 
 def _trace_csv_lines(trace: Trace) -> Iterator[str]:
@@ -110,8 +109,7 @@ def _trace_csv_lines(trace: Trace) -> Iterator[str]:
         part = slice(start, stop)
         columns = (trace.f, trace.dual_grad_norm, trace.dist_sq)
         rows = zip(range(start, stop), *(column[part].tolist() for column in columns))
-        template = _TRACE_ROWS if stop - start == ROW_CHUNK else "\n".join([_TRACE_ROW] * (stop - start))
-        yield template % tuple(chain.from_iterable(rows))
+        yield "\n".join([_TRACE_ROW] * (stop - start)) % tuple(chain.from_iterable(rows))
 
 
 def _load_json(path: str):
@@ -145,13 +143,20 @@ def json_int(value) -> int:
     return int(value)
 
 
-def _seed(value) -> int:
-    """json_int(value) for a seed, which must also be nonnegative; anything
-    else raises TypeError."""
-    seed = json_int(value)
-    if seed < 0:
-        raise TypeError(f"must be a nonnegative integer, got {value!r}")
-    return seed
+def _int_from(low: int, what: str):
+    """The reader of an integer field of at least ``low``: json_int(value),
+    raising TypeError ("must be a <what> integer") on a smaller value."""
+
+    def reader(value) -> int:
+        n = json_int(value)
+        if n < low:
+            raise TypeError(f"must be a {what} integer, got {value!r}")
+        return n
+
+    return reader
+
+
+_seed = _int_from(0, "nonnegative")
 
 
 def json_floats(value) -> tuple[float, ...]:
@@ -330,12 +335,13 @@ def _read_optimizer(obj):
     return build, read_fields({k: v for k, v in obj.items() if k != "method"}, method, fields)
 
 
+# "problem" comes last: its reader builds the problem, after the cheap fields are read
 _RUN_FIELDS = {
-    "problem": (_build_problem, REQUIRED),
     "optimizer": (_read_optimizer, REQUIRED),
-    "T": (json_int, 100),
+    "T": (_int_from(1, "positive"), 100),
     "x0": (json_floats, None),
     "x0_seed": (_seed, 0),
+    "problem": (_build_problem, REQUIRED),
 }
 
 _GRID_FIELDS = {
@@ -365,9 +371,6 @@ def cmd_analyze(args):
 def cmd_run(args):
     cfg = read_fields(_load_json(args.config), "config", _RUN_FIELDS)
     (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
-    runner = build(problem, **params)
-    if cfg["T"] < 1:
-        raise ValueError("T must be positive")
     d = problem.dim
     if cfg["x0"] is None:
         x0 = np.random.default_rng(cfg["x0_seed"]).standard_normal(d)
@@ -377,6 +380,7 @@ def cmd_run(args):
             raise ValueError(f"x0 must be a finite vector of length {d}")
     if isinstance(problem, CoshProblem) and np.abs(x0).max() > COSH_GUARD:
         raise ValueError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
+    runner = build(problem, **params)  # a method's own constant can cost an eigensolve
     try:
         trace = runner(oracle, x0, cfg["T"])
     except DivergenceError as exc:

@@ -86,7 +86,8 @@ class DivergenceError(RuntimeError):
     Carries the step index, the reason, and the partial trace of all finite
     iterates recorded before the abort (including the over-threshold one,
     when it is finite).  ``trace`` is None when the run kept no trace, as
-    for a cell of quadgrid's stacked runs (see experiments.run_quad_grid).
+    for a cell of quadgrid's stacked runs, whose failed slice computes on,
+    unread (see steepest_descent_stack and experiments.run_quad_grid).
     """
 
     def __init__(self, step: int, trace: Trace | None, reason: str):
@@ -248,10 +249,10 @@ def steepest_descent_stack(
     each live slice is checked for a non-finite value or gradient, then
     for a row above its limit F_BLOWUP * max(1, f_0), the reason naming
     the largest such value.  A failing slice does not raise: its first
-    (t, reason) is recorded, and the slice is zeroed and frozen, so no
-    later step computes with its values.  Returns the final (K, R, d)
-    iterates, zero in failed slices, and per slice its (t, reason) or
-    None.  Only the Euclidean and max geometries are supported.
+    (t, reason) is recorded, and it computes on, unread, with numpy's
+    warnings off, as _drive does past a failing row.  Returns the final
+    (K, R, d) iterates, meaningless in failed slices, and per slice its
+    (t, reason) or None.  Only the Euclidean and max geometries work.
     """
     if not isinstance(kind, (Euclidean, Max)):
         raise TypeError(f"batched steepest descent supports Euclidean and Max, got {kind!r}")
@@ -265,27 +266,23 @@ def steepest_descent_stack(
     L = L[:, None, None]
     failures: list[tuple[int, str] | None] = [None] * L.size
     live = np.ones(L.size, dtype=bool)
-    keep = None  # (K, 1, 1) mask of the live slices once one has failed
-    for t in range(T + 1):
-        F, G = oracle(X)
-        if t == 0:
-            limit = F_BLOWUP * np.maximum(F, 1.0)  # per row
-        finite = np.isfinite(F).all(axis=1) & np.isfinite(G).all(axis=(1, 2))
-        failed = live & ~(finite & (F <= limit).all(axis=1))
-        if failed.any():
-            for k in np.flatnonzero(failed):
-                r = np.argmax(np.where(F[k] > limit[k], F[k], -math.inf))  # the largest value over its limit
-                failures[k] = (t, _exceeded(F[k, r], limit[k, r]) if finite[k] else _NON_FINITE)
-            live &= ~failed
-            keep = live[:, None, None]
-            X = np.where(keep, X, 0.0)
-            if not live.any():
+    with np.errstate(all="ignore"):  # the steps of a failed slice are never read
+        for t in range(T + 1):
+            F, G = oracle(X)
+            if t == 0:
+                limit = F_BLOWUP * np.maximum(F, 1.0)  # per row
+            finite = np.isfinite(F).all(axis=1) & np.isfinite(G).all(axis=(1, 2))
+            failed = live & ~(finite & (F <= limit).all(axis=1))
+            if failed.any():
+                for k in np.flatnonzero(failed):
+                    r = np.argmax(np.where(F[k] > limit[k], F[k], -math.inf))  # the largest value over its limit
+                    failures[k] = (t, _exceeded(F[k, r], limit[k, r]) if finite[k] else _NON_FINITE)
+                live &= ~failed
+                if not live.any():
+                    break
+            if t == T:
                 break
-        if t == T:
-            break
-        if keep is not None:
-            G = np.where(keep, G, 0.0)
-        X = X - step(G, L)
+            X = X - step(G, L)
     return X, failures
 
 

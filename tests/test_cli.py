@@ -387,6 +387,24 @@ class TestRun:
             res.stderr.strip()
         ]
 
+    def test_zero_steps_exit_2_before_the_problem_is_built(self, tmp_path, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("make_quadratic called")
+
+        monkeypatch.setattr(cli, "make_quadratic", build)
+        cfg = {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": 0}
+        code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
+        assert (code, out, err) == (2, "", "error: 'T' must be a positive integer, got 0\n")
+
+    def test_wrong_length_x0_exits_2_before_the_constant_is_computed(self, tmp_path, capsys, monkeypatch):
+        def constant(*args):
+            raise AssertionError("smoothness_constant called")
+
+        monkeypatch.setattr(cli, "smoothness_constant", constant)
+        cfg = {"problem": QUAD3, "optimizer": {"method": "gd"}, "T": 3, "x0": [1.0, 2.0]}
+        code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
+        assert (code, out, err) == (2, "", "error: x0 must be a finite vector of length 3\n")
+
     @pytest.mark.parametrize("sigma", [-1, math.nan])
     def test_bad_sigma_exits_2(self, tmp_path, capsys, sigma):
         # json.dumps writes math.nan as the bare NaN that json.load reads back

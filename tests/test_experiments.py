@@ -185,8 +185,7 @@ def per_cell_reference(cfg: GridConfig) -> list[tuple]:
                         G = G + cfg.sigma * stream.standard_normal((cfg.repeats, cfg.d))
                     return F[None], G[None]
 
-                with np.errstate(all="ignore"):
-                    X, (failure,) = steepest_descent_stack(oracle, kind, [L], x0[None], cfg.T)
+                X, (failure,) = steepest_descent_stack(oracle, kind, [L], x0[None], cfg.T)
                 results.append(failure or float(np.einsum("ij,ij->i", X[0], X[0]).mean()))
             out.append((lam, theta, L2, linf, results))
     return out
