@@ -348,8 +348,8 @@ _GRID_FIELDS = {
     "d": (json_int, REQUIRED),
     "lambda_max_values": (json_floats, GridConfig.lambda_max_values),
     "theta_values": (json_floats, GridConfig.theta_values),
-    "T": (json_int, GridConfig.T),
-    "repeats": (json_int, GridConfig.repeats),
+    "T": (_int_from(1, "positive"), GridConfig.T),
+    "repeats": (_int_from(1, "positive"), GridConfig.repeats),
     "skew_seed": (_seed, GridConfig.skew_seed),
     "x0_seed": (_seed, GridConfig.x0_seed),
     "sigma": (json_number, GridConfig.sigma),

@@ -3,20 +3,20 @@
 Each cell's Hessian is the quadratic family of problems._QuadraticFamily,
 spectrum (1, ..., 1, lambda_max) rotated by exp(theta * S), at the cell's
 (lambda_max, theta).  One family per grid builds each theta's rotation
-once and shares it by every lambda_max, and its rules check d and every
-axis value.  Both methods run from the same batch of standard-normal
-starting points with their natural step sizes (1/L2 and 1/Linf) and are
-compared by the mean squared Euclidean distance to the optimum after T
-steps.
+once and shares it by every lambda_max.  Both methods run from the same
+batch of standard-normal starting points with their natural step sizes
+(1/L2 and 1/Linf) and are compared by the mean squared Euclidean
+distance to the optimum after T steps.
 
-Every cell's matrix and constants are checked before any group runs.
-The cells then advance together: per method, a group of consecutive cells
-is one run of optimizers.steepest_descent_stack over a (cells, repeats, d)
-stack, so the oracle is called T + 1 times per group and method, not per
-cell.  A group holds as many cells as fit in a fixed element budget,
-which bounds memory for large grids; the default grid is one group.
-Gradient noise (sigma > 0) comes from one seeded stream per cell and
-method, which gives the cell's (repeats, d) noise of each oracle call.
+GridConfig checks every axis value by the family's rules before any cell
+runs, and each group builds its cells once.  Per method, a group of
+consecutive cells is one run of optimizers.steepest_descent_stack over a
+(cells, repeats, d) stack, so the oracle is called T + 1 times per group
+and method, not per cell.  A group holds as many cells as fit in a fixed
+element budget, which bounds memory for large grids; the default grid is
+one group.  Gradient noise (sigma > 0) comes from one seeded stream per
+cell and method, which gives the cell's (repeats, d) noise of each oracle
+call.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ class _CellSetup(NamedTuple):
     ti: int
     lam: float
     theta: float
+    H: np.ndarray
     L: tuple[float, ...]  # per method of _METHODS, its smoothness constant
 
 
@@ -119,15 +120,13 @@ def cell_starts(cfg: GridConfig) -> Iterator[tuple[int, int, np.ndarray]]:
 
 
 def _run_cell(cfg: GridConfig, family: _QuadraticFamily, li: int, ti: int) -> _CellSetup:
-    """Each method's smoothness constant of one cell's Hessian, the grid's
-    family at the cell's lambda_max and theta.  perfbench/layertrace.py
-    times this function by name as the per-cell cost of a grid."""
+    """One cell's Hessian, the family at its lambda_max and theta, and each
+    method's smoothness constant of it.  perfbench/layertrace.py times this
+    function by name as the per-cell cost of a grid."""
     lam, theta = cfg.lambda_max_values[li], cfg.theta_values[ti]
-    try:  # a finite lambda_max can overflow the rotated Hessian
-        H = family(lam, theta)
-        return _CellSetup(li, ti, lam, theta, tuple(smoothness_constant(H, kind) for kind in _METHODS.values()))
-    except ValueError as exc:
-        raise ValueError(f"cell lambda_max={lam:g} theta={theta:g}: {exc}") from exc
+    H = family(lam, theta)
+    L = tuple(smoothness_constant(H, kind) for kind in _METHODS.values())
+    return _CellSetup(li, ti, lam, theta, H.to_array(), L)
 
 
 def _stack_oracle(H: np.ndarray, noise) -> BatchOracle:
@@ -145,14 +144,14 @@ def _stack_oracle(H: np.ndarray, noise) -> BatchOracle:
     return oracle
 
 
-def _run_group(cfg: GridConfig, family: _QuadraticFamily, group: list[_CellSetup], X0: np.ndarray):
+def _run_group(cfg: GridConfig, group: list[_CellSetup], X0: np.ndarray):
     """Each method of _METHODS on a group of cells from X0, as one stacked
-    run on the cells' Hessians, built again from the family.  Returns per
-    method the (K, R) final squared distances and the per-cell failures.
-    With sigma > 0, each cell and method draws its (R, d) noise of each
-    call from one seeded stream, ``block`` calls ahead: a method's drawn
-    noise holds at most _STACK_BUDGET elements, or one call's."""
-    H = np.stack([family(c.lam, c.theta).to_array() for c in group])
+    run on the cells' Hessians.  Returns per method the (K, R) final squared
+    distances and the per-cell failures.  With sigma > 0, each cell and
+    method draws its (R, d) noise of each call from one seeded stream,
+    ``block`` calls ahead: a method's drawn noise holds at most
+    _STACK_BUDGET elements, or one call's."""
+    H = np.stack([c.H for c in group])
     block = max(1, min(cfg.T + 1, _STACK_BUDGET // X0.size))
     out = []
     for mi, kind in enumerate(_METHODS.values()):
@@ -172,23 +171,22 @@ def run_quad_grid(
 ) -> list[GridCell]:
     """All grid cells in the order of cell_starts.
 
-    A cell whose Hessian or constants cannot be built raises its ValueError
-    before any group runs.  Cells then advance in consecutive groups, all
-    cells of a group together (see steepest_descent_stack); a group holds
-    as many cells as fit in _STACK_BUDGET, at least one.  ``progress`` is
+    Cells advance in consecutive groups, all cells of a group together (see
+    steepest_descent_stack); a group holds as many cells as fit in
+    _STACK_BUDGET, at least one, and builds them with _run_cell.  ``progress`` is
     called with each cell once its group has finished, so a caller keeps
     the finished cells when a later one raises DivergenceError: the first
     diverging cell in output order, its methods in _METHODS order.
     """
     family = _QuadraticFamily(cfg.d, cfg.skew_seed)
-    setups = [_run_cell(cfg, family, li, ti) for li, ti in _cell_order(cfg)]
+    order = _cell_order(cfg)
     size = max(1, _STACK_BUDGET // (cfg.d * (cfg.repeats + cfg.d)))  # a cell: x0 and H
     starts = cell_starts(cfg)
     cells = []
-    for start in range(0, len(setups), size):
-        group = setups[start:start + size]
+    for start in range(0, len(order), size):
+        group = [_run_cell(cfg, family, li, ti) for li, ti in order[start:start + size]]
         X0 = np.stack([x0 for _, _, x0 in islice(starts, len(group))])
-        results = _run_group(cfg, family, group, X0)
+        results = _run_group(cfg, group, X0)
         for k, c in enumerate(group):
             for method, (_, failures) in zip(_METHODS, results):
                 if failures[k] is not None:

@@ -605,6 +605,14 @@ class TestSmoothnessConstant:
     def test_max_matches_bruteforce(self):
         assert smoothness_constant(H_2x2, Max()) == linf_bruteforce(H_2x2)
 
+    @pytest.mark.parametrize("kind, a", [
+        (Max(), np.full((3, 3), 5e307)),  # finite entries whose sign-vector sums overflow
+        (Euclidean(), np.full((2, 2), 1e308)),  # a largest eigenvalue of 2e308
+    ], ids=["max", "euclidean"])
+    def test_overflowing_constant_is_rejected(self, kind, a):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^smoothness constant overflows: matrix entries too large$"):
+            smoothness_constant(SymMatrix(a), kind)
+
     @pytest.mark.parametrize("random_matrix", [random_psd, random_sym], ids=["psd", "indefinite"])
     def test_blockmax_upper_bounds_sampled_norm(self, random_matrix):
         rng = np.random.default_rng(11)

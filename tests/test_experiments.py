@@ -102,6 +102,18 @@ def test_shipped_paper_config_is_the_default_grid():
     )
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"T": 0}, "T must be positive"),
+    ({"repeats": 0}, "repeats must be at least 1"),
+    ({"x0_seed": -1}, "seeds must be nonnegative"),
+    ({"skew_seed": -1}, "seeds must be nonnegative"),
+])
+def test_library_caller_gets_the_config_checks(fields, message):
+    # the CLI's readers reject these values first; GridConfig keeps its own checks for library callers
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridConfig(d=3, **fields)
+
+
 @pytest.mark.parametrize("axis, values", [
     ("lambda_max_values", (2, 2.0)), ("lambda_max_values", (1.0, 5.0, 1.0)), ("theta_values", (0.5, 0.5)),
 ])
@@ -114,7 +126,7 @@ def test_repeated_axis_value_is_rejected(axis, values):
 
 @pytest.mark.parametrize("cells_per_group", [None, 2])
 def test_cell_hessians_are_make_quadratic_matrices(monkeypatch, cells_per_group):
-    # run and quadgrid build the same matrix, bit for bit, also where a group rebuilds it
+    # run and quadgrid build the same matrix, bit for bit, in one group or several
     stacks = []
 
     def recorded(H, noise):
@@ -145,15 +157,52 @@ def test_cell_starts_are_the_seeded_draws_in_output_order():
 
 
 def test_every_cell_is_checked_before_the_first_group_runs(monkeypatch):
-    # the last cell's constants overflow; no group has run when that is found
-    cfg = GridConfig(d=8, lambda_max_values=(2.0, 3.0, 5e307), theta_values=(0.0, 1.0), T=1, repeats=1)
-    monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, 3))
-    groups = []
-    monkeypatch.setattr(experiments, "_run_group", lambda *args: groups.append(args))
+    # the last lambda_max breaks the family's rule: the config is rejected, so no cell is built
+    fields = dict(d=8, lambda_max_values=(2.0, 3.0, 2e8), theta_values=(0.0, 1.0), T=1, repeats=1)
+    calls = []
+    monkeypatch.setattr(experiments, "_run_cell", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "_run_group", lambda *args: calls.append(args))
     done = []
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^cell lambda_max=5e[+]307 theta=1: smoothness"):
-        run_quad_grid(cfg, progress=done.append)
-    assert groups == [] and done == []
+    with pytest.raises(ValueError, match=r"^lambda_max must lie in \[1, 1e8\], got 200000000.0$"):
+        run_quad_grid(GridConfig(**fields), progress=done.append)
+    assert calls == [] and done == []
+
+
+@pytest.mark.parametrize("cells_per_group", [None, 2, 1])
+def test_each_cell_is_built_once_in_its_group(monkeypatch, cells_per_group):
+    # the family builds each cell's Hessian once, and _run_cell runs just before the cell's group
+    cfg = GridConfig(d=5, lambda_max_values=(4.0, 1.0, 2.0), theta_values=(0.0, 0.5), T=2, repeats=2)
+    if cells_per_group is not None:
+        monkeypatch.setattr(experiments, "_STACK_BUDGET", split_budget(cfg, cells_per_group))
+    events = []
+    family_call, run_cell, run_group = problems._QuadraticFamily.__call__, experiments._run_cell, experiments._run_group
+
+    def built(family, lam, theta):
+        events.append(("family", lam, theta))
+        return family_call(family, lam, theta)
+
+    def cell(*args):
+        events.append(("cell", *args[2:]))
+        return run_cell(*args)
+
+    def group(cfg, setups, X0):
+        events.append(("group", [(c.li, c.ti) for c in setups]))
+        return run_group(cfg, setups, X0)
+
+    monkeypatch.setattr(problems._QuadraticFamily, "__call__", built)
+    monkeypatch.setattr(experiments, "_run_cell", cell)
+    monkeypatch.setattr(experiments, "_run_group", group)
+    run_quad_grid(cfg)
+    order = [(li, ti) for li, ti, _ in cell_starts(cfg)]
+    size = cells_per_group or len(order)
+    want = []
+    for start in range(0, len(order), size):
+        part = order[start:start + size]
+        for li, ti in part:
+            want += [("cell", li, ti), ("family", cfg.lambda_max_values[li], cfg.theta_values[ti])]
+        want.append(("group", part))
+    assert events == want
+    assert sum(e[0] == "family" for e in events) == len(order) == 6
 
 
 # ------------------------------------------------------------ stacked cells

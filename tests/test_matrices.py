@@ -6,6 +6,7 @@ from conftest import random_sym
 
 from normdescent import (
     MatrixFormatError,
+    OrthogonalMatrix,
     SkewMatrix,
     SymMatrix,
     eigh,
@@ -136,7 +137,32 @@ class TestRandomSkew:
             random_skew(1, np.random.default_rng(0))
 
 
+class TestMatrixChecks:
+    """SkewMatrix and OrthogonalMatrix reject an array they cannot hold."""
+
+    @pytest.mark.parametrize("cls", [SkewMatrix, OrthogonalMatrix])
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0, 0)])
+    def test_non_square_is_rejected(self, cls, shape):
+        with pytest.raises(ValueError, match=rf"^expected a square matrix, got shape \({shape[0]},"):
+            cls(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_skew_entries_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SkewMatrix(np.array([[0.0, bad], [-bad, 0.0]]))
+
+    def test_non_orthogonal_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^matrix is not orthogonal: residual 1\.000e-09$"):
+            OrthogonalMatrix(np.diag([1.0, 1.0 + 5e-10]))
+        assert OrthogonalMatrix(np.diag([1.0, 1.0 + 5e-12])).dim == 2  # within the tolerance
+
+
 class TestExpSkew:
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_is_rejected(self, theta):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            exp_skew(random_skew(3, np.random.default_rng(0)), theta)
+
     def test_theta_zero_is_exact_identity(self):
         s = random_skew(4, np.random.default_rng(2))
         q = exp_skew(s, 0.0).entries

@@ -40,7 +40,7 @@ from normdescent import (
     verify_rate_bounds,
 )
 from normdescent.norms import _row_dots, dual_norm_rows
-from normdescent.optimizers import F_BLOWUP, ROW_CHUNK, STATIONARY_TOL
+from normdescent.optimizers import F_BLOWUP, ROW_CHUNK, STATIONARY_TOL, Trace
 from normdescent.problems import OverflowGuardError
 
 ALL_KINDS_D6 = [
@@ -277,9 +277,15 @@ class TestSignSGD:
 
 
 class TestDivergenceDetection:
+    @pytest.mark.parametrize("x0", [[0.0, math.nan], [math.inf, 1.0], [[1.0, 1.0]]])
+    def test_initial_point_must_be_a_finite_vector(self, x0):
+        with pytest.raises(ValueError, match="^initial point must be a finite vector$"):
+            run_steepest_descent(quad_oracle(identity_problem(2)), Euclidean(), 1.0, x0, 3)
+
     def test_blowup_aborts_with_partial_trace(self):
-        # f_0 <= 1, so the limit is F_BLOWUP itself
-        p = make_quadratic(4, 1e11, 0.0, seed=5)
+        # f_0 <= 1, so the limit is F_BLOWUP itself; lambda_max = 1e11 lies
+        # beyond the family's rule, so the diagonal matrix is built directly
+        p = SymMatrix(np.diag([1.0, 1.0, 1.0, 1e11]))
         x0 = 1e-6 * np.random.default_rng(2).standard_normal(4)
         with pytest.raises(DivergenceError) as err:
             run_signsgd(quad_oracle(p), 10.0, x0, 50)
@@ -402,6 +408,22 @@ class TestSteepestDescentStack:
         X, failures = steepest_descent_stack(oracle, Max(), [4.0, 4.0], np.ones((2, 2, 3)), 5)
         assert failures == [None, (1, "non-finite objective or gradient")]
         assert X[0].all()
+
+    def test_a_slice_non_finite_at_its_start_fails_at_step_0(self):
+        # slice 1's finite Hessian and start give gradients of 2e308, which overflow
+        H = np.stack([np.eye(2), 1e308 * np.eye(2)])
+
+        def oracle_of(h):
+            def oracle(X):
+                G = X @ h
+                return 0.5 * np.einsum("kij,kij->ki", X, G), G
+            return oracle
+
+        X0 = np.full((2, 3, 2), 2.0)
+        X, failures = steepest_descent_stack(oracle_of(H), Euclidean(), [1.0, 1.0], X0, 5)
+        assert failures == [None, (0, "non-finite objective or gradient")]
+        want, _ = steepest_descent_stack(oracle_of(H[:1]), Euclidean(), [1.0], X0[:1], 5)
+        assert X[0].tobytes() == want[0].tobytes()
 
     def test_blow_up_reason_names_the_largest_value_over_its_limit(self):
         # each row's limit is F_BLOWUP * max(1, f_0): 1e12 for the rows starting at
@@ -617,6 +639,17 @@ class TestRateBounds:
         tr = run_steepest_descent(quad_oracle(p), Euclidean(), 1.0, [1.0, 1.0], 5)
         with pytest.raises(ValueError):
             verify_rate_bounds(tr, 1.0, 0.0, mu=2.0)
+
+    def test_bad_arguments_are_rejected_naming_the_rule(self):
+        tr = run_steepest_descent(quad_oracle(identity_problem(2)), Euclidean(), 1.0, [1.0, 1.0], 5)
+        one_row = Trace(tr.f[:1], tr.dual_grad_norm[:1], tr.dist_sq[:1], tr.x_final)
+        for call, message in [
+            (lambda: verify_rate_bounds(tr, 0.0, 0.0), "smoothness constant must be positive"),
+            (lambda: verify_rate_bounds(one_row, 1.0, 0.0), "trace must contain at least one step"),
+            (lambda: verify_rate_bounds(tr, 1.0, 0.0, radius=-1.0), "radius must be nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
     def test_violation_reported_not_raised(self):
         p = make_quadratic(4, 10.0, 0.5, seed=12)
@@ -914,7 +947,7 @@ def test_golden_iterates(method):
 class TestStepLoopParity:
     """Divergence and early stops agree with a plain loop."""
 
-    QUAD = make_quadratic(4, 1e11, 0.0, seed=5)
+    QUAD = SymMatrix(np.diag([1.0, 1.0, 1.0, 1e11]))  # beyond the family's lambda_max
     X0 = 1e-6 * np.random.default_rng(2).standard_normal(4)  # f_0 <= 1: the blow-up limit is F_BLOWUP
 
     def _assert_parity(self, run, ref):

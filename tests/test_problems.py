@@ -237,14 +237,22 @@ class TestCosh:
         assert f == pytest.approx(0.5e-16, rel=1e-9)
 
 
-@pytest.mark.parametrize("lambda_max", [1e15, 1e16, 1e17, 1e18])
-def test_huge_lambda_max_builds(lambda_max):
-    # the eigensolver's error in lambda_min grows with lambda_max
+@pytest.mark.parametrize("d", [8, 64, 256])
+def test_largest_lambda_max_keeps_the_unit_eigenvalues(d):
+    # the rotation rounds at the scale eps * lambda_max; at 1e8 the matrix is still in the family
     for theta in (0.3, 0.5, 1.0):
         for seed in range(3):
-            H = make_quadratic(4, lambda_max, theta, seed)
-            assert H.dim == 4
+            H = make_quadratic(d, 1e8, theta, seed)
+            values = eigh(H).eigenvalues
+            assert np.abs(values[:-1] - 1.0).max() <= 1e-7
+            assert values[-1] == pytest.approx(1e8, rel=1e-12)
             quad_oracle(H)  # passes the positive semidefinite test
+
+
+def test_lambda_max_just_above_the_bound_is_rejected():
+    above = float(np.nextafter(1e8, np.inf))
+    with pytest.raises(ValueError, match=rf"^lambda_max must lie in \[1, 1e8\], got {above}$"):
+        make_quadratic(4, above, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("factory", [
