@@ -19,9 +19,15 @@ an integral number such as ``5.0``.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
+
+# Run as a program (python -m normdescent.cli), the module loads numpy and the
+# layers with the cyclic collector off: their objects live for the whole
+# process, and entry() freezes them before it turns the collector back on.
+if __name__ == "__main__":
+    gc.disable()
+
+import argparse
 import os
 import sys
 from itertools import chain, islice
@@ -113,6 +119,8 @@ def _trace_csv_lines(trace: Trace) -> Iterator[str]:
 
 
 def _load_json(path: str):
+    import json  # only run and quadgrid read a config: analyze never loads json
+
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -242,27 +250,35 @@ def _schedule(obj) -> float | None:
     raise ValueError(f"unrecognized step schedule: {obj!r}")
 
 
-_QUADRATIC_FIELDS = {
-    "d": (json_int, REQUIRED),
-    "lambda_max": (json_number, REQUIRED),
-    "theta": (json_number, 0.0),
-    "seed": (_seed, 0),
-    "sigma": (json_number, 0.0),
-    "noise_seed": (_or_null(_seed), None),
+_PROBLEM_FIELDS = {
+    "cosh": {"d": (json_int, REQUIRED)},
+    "quadratic": {
+        "d": (json_int, REQUIRED),
+        "lambda_max": (json_number, REQUIRED),
+        "theta": (json_number, 0.0),
+        "seed": (_seed, 0),
+        "sigma": (json_number, 0.0),
+        "noise_seed": (_or_null(_seed), None),
+    },
 }
 
 
-def _build_problem(obj):
-    """Returns (problem, oracle) from the problem config object."""
+def _read_problem(obj) -> tuple[str, dict]:
+    """(family, field values) of the problem config object.  Nothing is
+    built yet: a quadratic costs a skew draw and eigensolves."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError("problem config must be an object with exactly one key")
     (family, spec), = obj.items()
-    if family == "cosh":
-        problem = CoshProblem(read_fields(spec, "cosh problem", {"d": (json_int, REQUIRED)})["d"])
-        return problem, cosh_oracle(problem)
-    if family != "quadratic":
+    if family not in _PROBLEM_FIELDS:
         raise ValueError(f"unknown problem family: {family!r}")
-    q = read_fields(spec, "quadratic problem", _QUADRATIC_FIELDS)
+    return family, read_fields(spec, f"{family} problem", _PROBLEM_FIELDS[family])
+
+
+def _build_problem(family: str, q: dict):
+    """Returns (problem, oracle) of the field values ``q`` of a ``family`` problem."""
+    if family == "cosh":
+        problem = CoshProblem(q["d"])
+        return problem, cosh_oracle(problem)
     problem = make_quadratic(q["d"], q["lambda_max"], q["theta"], q["seed"])
     if q["sigma"] == 0.0:
         return problem, quad_oracle(problem)
@@ -335,13 +351,12 @@ def _read_optimizer(obj):
     return build, read_fields({k: v for k, v in obj.items() if k != "method"}, method, fields)
 
 
-# "problem" comes last: its reader builds the problem, after the cheap fields are read
 _RUN_FIELDS = {
     "optimizer": (_read_optimizer, REQUIRED),
     "T": (_int_from(1, "positive"), 100),
     "x0": (json_floats, None),
     "x0_seed": (_seed, 0),
-    "problem": (_build_problem, REQUIRED),
+    "problem": (_read_problem, REQUIRED),
 }
 
 _GRID_FIELDS = {
@@ -370,16 +385,17 @@ def cmd_analyze(args):
 
 def cmd_run(args):
     cfg = read_fields(_load_json(args.config), "config", _RUN_FIELDS)
-    (problem, oracle), (build, params) = cfg["problem"], cfg["optimizer"]
-    d = problem.dim
-    if cfg["x0"] is None:
-        x0 = np.random.default_rng(cfg["x0_seed"]).standard_normal(d)
-    else:
-        x0 = np.array(cfg["x0"])
+    (family, spec), (build, params) = cfg["problem"], cfg["optimizer"]
+    d, x0 = spec["d"], cfg["x0"]
+    if x0 is not None:  # checked before the problem is built
+        x0 = np.array(x0)
         if x0.shape != (d,) or not np.isfinite(x0).all():
             raise ValueError(f"x0 must be a finite vector of length {d}")
-    if isinstance(problem, CoshProblem) and np.abs(x0).max() > COSH_GUARD:
-        raise ValueError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
+        if family == "cosh" and np.abs(x0).max(initial=0.0) > COSH_GUARD:
+            raise ValueError(f"x0 exceeds the cosh overflow guard {COSH_GUARD:g}")
+    problem, oracle = _build_problem(family, spec)
+    if x0 is None:
+        x0 = np.random.default_rng(cfg["x0_seed"]).standard_normal(d)
     runner = build(problem, **params)  # a method's own constant can cost an eigensolve
     try:
         trace = runner(oracle, x0, cfg["T"])
@@ -470,11 +486,13 @@ def entry() -> None:
 
     Moves the objects the imports made into the collector's permanent
     generation, so the full collections at interpreter exit no longer walk
-    them (about 20 ms a process), then exits with ``main``'s code through
+    them (about 20 ms a process), turns the collector on (run as a program,
+    the module imported with it off), then exits with ``main``'s code through
     normal shutdown, which flushes stdout.  ``main`` leaves the collector
     alone: in-process callers keep their own collector state.
     """
     gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

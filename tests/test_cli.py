@@ -428,6 +428,22 @@ class TestRun:
         code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
         assert (code, out, err) == (2, "", "error: 'T' must be a positive integer, got 0\n")
 
+    @pytest.mark.parametrize("problem, builder, x0, message", [
+        pytest.param(QUAD3, "make_quadratic", [1.0, 2.0], "x0 must be a finite vector of length 3", id="short"),
+        pytest.param(QUAD3, "make_quadratic", [0.0, math.inf, 0.0], "x0 must be a finite vector of length 3",
+                     id="infinite"),
+        pytest.param(COSH2, "CoshProblem", [800.0, 0.0], "x0 exceeds the cosh overflow guard 700", id="cosh-guard"),
+    ])
+    def test_given_x0_is_checked_before_the_problem_is_built(self, tmp_path, capsys, monkeypatch,
+                                                             problem, builder, x0, message):
+        def build(*args):
+            raise AssertionError(f"{builder} called")
+
+        monkeypatch.setattr(cli, builder, build)
+        cfg = {"problem": problem, "optimizer": {"method": "gd", "L": 1.0}, "T": 3, "x0": x0}
+        code, out, err = _main_on_config(tmp_path, capsys, "run", cfg)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_wrong_length_x0_exits_2_before_the_constant_is_computed(self, tmp_path, capsys, monkeypatch):
         def constant(*args):
             raise AssertionError("smoothness_constant called")
@@ -1398,8 +1414,9 @@ class TestFlushedExits:
 
 
 class TestProcessEntry:
-    """``entry`` freezes the import-time heap for the process; ``main`` never
-    touches the collector."""
+    """Run as a program, the module imports with the collector off, and
+    ``entry`` freezes the import-time heap and turns the collector back on;
+    ``main`` never touches the collector."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys, matrix_file, enabled):
@@ -1441,6 +1458,35 @@ class TestProcessEntry:
         assert json.loads(res.stdout)["Linf_exact"] == 7.0
         label, count = res.stderr.split()
         assert label == "frozen" and int(count) > 10_000  # numpy and the package: ~20k objects
+
+    def test_no_collection_before_the_freeze(self, tmp_path, matrix_file):
+        # run as __main__, the module imports numpy and the layers with the
+        # collector off, so the first collection comes after entry's freeze.
+        # The interpreter compiles the module's source before its first line
+        # runs, so the child first writes the module's bytecode cache, as an
+        # installed package has one; the atexit collection shows the hook runs.
+        hook = (
+            "import atexit, gc, importlib.util, runpy, sys\n"
+            f"sys.pycache_prefix, sys.dont_write_bytecode = {str(tmp_path / 'pycache')!r}, False\n"
+            "importlib.util.find_spec('normdescent.cli').loader.get_code('normdescent.cli')\n"
+            "frozen = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and frozen.append(gc.get_freeze_count()))\n"
+            "atexit.register(lambda: (gc.collect(), print(*frozen, file=sys.stderr)))\n"
+            "runpy.run_module('normdescent.cli', run_name='__main__')\n"
+        )
+        res = subprocess.run([sys.executable, "-c", hook, "analyze", str(matrix_file)],
+                             capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["Linf_exact"] == 7.0
+        frozen = [int(count) for count in res.stderr.split()]
+        assert frozen and min(frozen) > 10_000, frozen  # numpy and the package: ~20k objects
+
+    def test_library_import_leaves_the_collector_alone(self, tmp_path):
+        code = "import gc, normdescent.cli; print(gc.isenabled(), gc.get_freeze_count())"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env=child_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["True", "0"]
 
     def test_installed_script_runs_the_entry(self):
         tomllib = pytest.importorskip("tomllib")

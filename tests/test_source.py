@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import typing
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -39,16 +40,28 @@ def test_cli_import_leaves_dataclasses_out():
     assert _child_prints("import sys, normdescent.cli; print('dataclasses' in sys.modules)") == "False"
 
 
+def test_cli_import_leaves_json_out():
+    # only run and quadgrid read a JSON config: _load_json imports json itself
+    code = "import sys; before = 'json' in sys.modules; import normdescent.cli; print(before or 'json' not in sys.modules)"
+    assert _child_prints(code) == "True"
+
+
 def test_only_the_process_entry_touches_the_collector():
-    # cli.entry freezes the import-time heap of a CLI process; main() and the
+    # run as a program, cli imports with the collector off, and entry freezes
+    # the import-time heap and turns the collector back on; main() and the
     # library leave the collector to whoever imported them
-    entry = None
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
+        inside = set()
         if path.name == "cli.py":
             [entry] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "entry"]
-        inside = {id(n) for n in ast.walk(entry)} if path.name == "cli.py" else set()
+            [gate] = [n for n in tree.body if ast.unparse(n) == "if __name__ == '__main__':\n    gc.disable()"]
+            inside = {id(n) for n in chain(ast.walk(entry), ast.walk(gate))}
+            imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+            early = [n.lineno for n in imports if n.lineno < gate.lineno and ast.unparse(n) not in
+                    ("from __future__ import annotations", "import gc")]
+            assert early == [], "an import before the collector is turned off"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id == "gc" and id(node) not in inside:
                 found.append(f"{path.name}:{node.lineno}")
@@ -59,7 +72,7 @@ def test_only_the_process_entry_touches_the_collector():
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
     calls = [ast.unparse(n.func) for n in ast.walk(entry) if isinstance(n, ast.Call)]
-    assert calls[:2] == ["gc.freeze", "sys.exit"]
+    assert calls[:3] == ["gc.freeze", "gc.enable", "sys.exit"]
 
 
 # the layers whose __all__ perfbench/layertrace.py wraps, one getattr per name
